@@ -17,7 +17,7 @@ from .cbf import (
     solve_safety_qp,
 )
 from .config import ConfigError, ScenarioConfig, load_config, save_config
-from .dynamics import DiffDrive, OmniRobot, Quadrotor3D, make_dynamics
+from .dynamics import DiffDrive, OmniRobot, make_dynamics
 from .simulate import (
     RunReport,
     SimulationError,

@@ -13,7 +13,8 @@ from .tube import Tube
 class InfeasibleStepError(RuntimeError):
     """The safety constraint cannot be met: input direction vanished while the
     barrier decay condition is violated (loss of relative degree or a tube
-    incompatible with the dynamics)."""
+    incompatible with the dynamics), or the tube radius is not positive, so
+    the barrier is undefined."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ def barrier_value(barrier: Barrier, t: float, x: np.ndarray) -> float:
     tube = barrier.tube
     r = tube.radius(t)
     if r <= 0:
-        raise ValueError(f"tube radius {r} not positive at t={t}; barrier undefined")
+        raise InfeasibleStepError(f"tube radius {r} not positive at t={t}; barrier undefined")
     d = np.asarray(x, dtype=float) - tube.center(t)
     return 1.0 - float(d @ d) / r**2
 
@@ -53,7 +54,7 @@ def barrier_gradients(barrier: Barrier, t: float, x: np.ndarray):
     tube = barrier.tube
     r = tube.radius(t)
     if r <= 0:
-        raise ValueError(f"tube radius {r} not positive at t={t}; barrier undefined")
+        raise InfeasibleStepError(f"tube radius {r} not positive at t={t}; barrier undefined")
     d = np.asarray(x, dtype=float) - tube.center(t)
     db_dx = -2.0 * d / r**2
     db_dt = 2.0 * float(tube.center_dot(t) @ d) / r**2 \

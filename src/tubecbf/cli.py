@@ -10,17 +10,16 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cbf import Barrier, InfeasibleStepError
+from .cbf import InfeasibleStepError
 from .config import ConfigError, ScenarioConfig, load_config
 from .simulate import (
+    RunReport,
     SimulationError,
     read_trajectory_signal,
-    run_closed_loop,
     write_trajectory_log,
 )
 from .stl import (
@@ -31,7 +30,7 @@ from .stl import (
     robustness,
     robustness_lipschitz,
 )
-from .synthesis import solve_sop
+from .synthesis import SynthesisResult, solve_sop
 from .tube import Tube, load_tube, save_tube
 
 EXIT_OK = 0
@@ -98,20 +97,38 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _synthesize(config: ScenarioConfig, args, out: Path) -> SynthesisResult:
+    """Solve for the tube and write <name>_tube.json and <name>_result.json."""
+    result = solve_sop(config.instance(), config.solver_settings(seed=args.seed))
+    save_tube(result.tube, out / f"{config.name}_tube.json")
+    result.save(out / f"{config.name}_result.json")
+    if args.emit_plot_data:
+        _write_tube_profile(result.tube, out / f"{config.name}_tube_profile.csv")
+    return result
+
+
+def _simulate(config: ScenarioConfig, tube: Tube, args, out: Path) -> RunReport:
+    """Run the closed loop and write <name>_trajectory.csv and <name>_report.json."""
+    report = config.closed_loop(tube, seed=args.seed)
+    write_trajectory_log(out / f"{config.name}_trajectory.csv", report)
+    summary = {
+        "x0": [float(v) for v in report.x0],
+        "steps": len(report.steps),
+        "min_b": report.min_b,
+        "tube_violations": report.tube_violations,
+        "final_robustness": report.final_robustness,
+        "satisfied": report.satisfied,
+        "saturated_steps": report.saturated_steps,
+    }
+    (out / f"{config.name}_report.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return report
+
+
 def cmd_synthesize(args) -> int:
     config = load_config(args.config)
     out = _out_dir(config, args)
-    instance = config.instance()
-    settings = config.solver_settings(seed=args.seed, workers=args.workers)
-
-    result = solve_sop(instance, settings)
-
-    tube_path = out / f"{config.name}_tube.json"
-    result_path = out / f"{config.name}_result.json"
-    save_tube(result.tube, tube_path)
-    result.save(result_path)
-    if args.emit_plot_data:
-        _write_tube_profile(result.tube, out / f"{config.name}_tube_profile.csv")
+    result = _synthesize(config, args, out)
 
     print(f"eta_star: {result.eta_star:.6g}")
     print(f"lipschitz: {result.lipschitz.combined:.6g}")
@@ -120,7 +137,8 @@ def cmd_synthesize(args) -> int:
     print(f"certificate: {'ok' if result.certificate_ok else 'NOT certified'}")
     print(f"worst constraint: {result.worst_constraint}")
     print(f"synthesis time: {result.wall_time:.3f} s")
-    print(f"wrote {tube_path} and {result_path}")
+    stem = out / config.name
+    print(f"wrote {stem}_tube.json and {stem}_result.json")
     return EXIT_OK if result.certificate_ok else EXIT_UNCERTIFIED
 
 
@@ -128,34 +146,7 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(config, args)
     tube = load_tube(args.tube)
-    if tube.dimension != config.dimension:
-        raise ConfigError(
-            f"tube dimension {tube.dimension} does not match config {config.dimension}")
-    if abs(tube.t_f - config.t_f) > 1e-9:
-        raise ConfigError(f"tube horizon {tube.t_f} does not match config {config.t_f}")
-
-    formula = config.build_formula()
-    barrier = Barrier(tube, gain=config.gain)
-    dynamics = config.make_dynamics()
-    x0 = config.pick_x0(tube, seed=args.seed)
-    report = run_closed_loop(dynamics, barrier, x0, config.dt, formula,
-                             weight=config.weight_matrix(),
-                             input_bound=config.input_bound,
-                             until_convention=config.until_convention)
-
-    log_path = out / f"{config.name}_trajectory.csv"
-    write_trajectory_log(log_path, report)
-    summary = {
-        "x0": [float(v) for v in x0],
-        "steps": len(report.steps),
-        "min_b": report.min_b,
-        "tube_violations": report.tube_violations,
-        "final_robustness": report.final_robustness,
-        "satisfied": report.satisfied,
-        "saturated_steps": report.saturated_steps,
-    }
-    report_path = out / f"{config.name}_report.json"
-    report_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    report = _simulate(config, tube, args, out)
     if args.emit_plot_data:
         _write_tube_profile(tube, out / f"{config.name}_tube_profile.csv")
 
@@ -163,7 +154,8 @@ def cmd_simulate(args) -> int:
           f"tube violations: {report.tube_violations}")
     print(f"final robustness: {report.final_robustness:.6g} "
           f"({'satisfied' if report.satisfied else 'NOT satisfied'})")
-    print(f"wrote {log_path} and {report_path}")
+    stem = out / config.name
+    print(f"wrote {stem}_trajectory.csv and {stem}_report.json")
     return EXIT_OK if report.satisfied else EXIT_UNCERTIFIED
 
 
@@ -180,61 +172,28 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.satisfied else EXIT_UNCERTIFIED
 
 
-@dataclass
-class BenchRecord:
-    task: str
-    synthesis_s: float
-    simulate_s: float
-    eta_star: float
-    certified: bool
-    robustness: float
-
-
 def cmd_bench(args) -> int:
-    records = []
+    """synthesize + simulate per config, writing what those two subcommands
+    write, plus a table of timings and outcomes."""
+    lines = ["task | synthesis_s | simulate_s | eta_star | certified | robustness"]
     worst_exit = EXIT_OK
     for cfg_path in args.configs:
         config = load_config(cfg_path)
         out = _out_dir(config, args)
-
         t0 = time.perf_counter()
-        instance = config.instance()
-        settings = config.solver_settings(seed=args.seed, workers=args.workers)
-        result = solve_sop(instance, settings)
-        synth_s = time.perf_counter() - t0
-        save_tube(result.tube, out / f"{config.name}_tube.json")
-        result.save(out / f"{config.name}_result.json")
-
+        result = _synthesize(config, args, out)
         t1 = time.perf_counter()
-        barrier = Barrier(result.tube, gain=config.gain)
-        report = run_closed_loop(config.make_dynamics(), barrier,
-                                 config.pick_x0(result.tube, seed=args.seed),
-                                 config.dt, config.build_formula(),
-                                 weight=config.weight_matrix(),
-                                 input_bound=config.input_bound,
-                                 until_convention=config.until_convention)
-        sim_s = time.perf_counter() - t1
-        write_trajectory_log(out / f"{config.name}_trajectory.csv", report)
-        if args.emit_plot_data:
-            _write_tube_profile(result.tube, out / f"{config.name}_tube_profile.csv")
-
-        records.append(BenchRecord(task=config.name, synthesis_s=synth_s,
-                                   simulate_s=sim_s, eta_star=result.eta_star,
-                                   certified=result.certificate_ok,
-                                   robustness=report.final_robustness))
-        last_out = out
+        report = _simulate(config, result.tube, args, out)
+        t2 = time.perf_counter()
+        lines.append(f"{config.name} | {t1 - t0:.3f} | {t2 - t1:.3f} | "
+                     f"{result.eta_star:.6g} | {'yes' if result.certificate_ok else 'no'} | "
+                     f"{report.final_robustness:.6g}")
         if not report.satisfied:
             worst_exit = EXIT_UNCERTIFIED
 
-    header = "task | synthesis_s | simulate_s | eta_star | certified | robustness"
-    lines = [header]
-    for r in records:
-        lines.append(f"{r.task} | {r.synthesis_s:.3f} | {r.simulate_s:.3f} | "
-                     f"{r.eta_star:.6g} | {'yes' if r.certified else 'no'} | "
-                     f"{r.robustness:.6g}")
     table = "\n".join(lines)
     print(table)
-    (last_out / "bench.txt").write_text(table + "\n")
+    (out / "bench.txt").write_text(table + "\n")
     return worst_exit
 
 
@@ -251,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="scenario YAML")
         p.add_argument("--seed", type=int, default=None, help="override solver seed")
-        p.add_argument("--workers", type=int, default=1, help="objective worker threads")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--emit-plot-data", action="store_true",
                        help="write tube cross-section CSV for external plotting")
@@ -277,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="synthesize+simulate a batch of scenarios")
     p_bench.add_argument("configs", nargs="+", help="scenario YAML files")
     p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--out", default=None)
     p_bench.add_argument("--emit-plot-data", action="store_true")
     p_bench.set_defaults(func=cmd_bench)

@@ -10,7 +10,9 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .dynamics import DiffDrive, OmniRobot, Quadrotor3D
+from .cbf import Barrier
+from .dynamics import dynamics_kind
+from .simulate import RunReport, run_closed_loop
 from .stl import (
     AffineHalfspace,
     BallNorm2,
@@ -111,15 +113,10 @@ class ScenarioConfig:
         self.build_formula()
         if self.pin_start and self.start is None:
             raise ConfigError("pin_start requires a start point")
-        kind = self.dynamics.get("kind")
-        if kind == "omni" and self.dimension not in (2, 3):
-            raise ConfigError("omni dynamics support dimension 2 or 3")
-        if kind == "quadrotor" and self.dimension != 3:
-            raise ConfigError("quadrotor dynamics require dimension 3")
-        if kind == "diffdrive" and self.dimension != 2:
-            raise ConfigError("diffdrive dynamics require dimension 2")
-        if kind not in ("omni", "quadrotor", "diffdrive"):
-            raise ConfigError(f"unknown dynamics kind {kind!r}")
+        try:
+            dynamics_kind(self.dynamics.get("kind"), self.dimension)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if self.control_weight is not None and len(self.control_weight) != self.input_dimension:
             raise ConfigError("control_weight diagonal has wrong length")
 
@@ -162,8 +159,7 @@ class ScenarioConfig:
             center_box_scale=self.center_box_scale,
             until_convention=self.until_convention)
 
-    def solver_settings(self, seed: Optional[int] = None,
-                        workers: int = 1) -> SolverSettings:
+    def solver_settings(self, seed: Optional[int] = None) -> SolverSettings:
         s = dict(self.solver)
         search = None
         if self.search_cover is not None:
@@ -179,21 +175,14 @@ class ScenarioConfig:
             bisection_tol=float(s.get("bisection_tol", 1e-3)),
             target_margin=float(s.get("target_margin", 0.05)),
             search_cover=search,
-            workers=workers,
         )
 
     @property
     def input_dimension(self) -> int:
-        return 2 if self.dynamics.get("kind") == "diffdrive" else self.dimension
+        return dynamics_kind(self.dynamics["kind"]).input_dimension(self.dimension)
 
     def make_dynamics(self):
-        kind = self.dynamics.get("kind")
-        if kind == "omni":
-            return OmniRobot(self.dimension)
-        if kind == "quadrotor":
-            return Quadrotor3D()
-        return DiffDrive(lookahead=float(self.dynamics.get("lookahead", 0.1)),
-                         phi0=float(self.dynamics.get("phi0", 0.0)))
+        return dynamics_kind(self.dynamics["kind"]).build(self.dimension, self.dynamics)
 
     def weight_matrix(self) -> np.ndarray:
         if self.control_weight is None:
@@ -209,6 +198,19 @@ class ScenarioConfig:
         direction /= max(np.linalg.norm(direction), 1e-12)
         rho = tube.radius(0.0) / 2.0 * rng.uniform() ** (1.0 / self.dimension)
         return tube.center(0.0) + rho * direction
+
+    def closed_loop(self, tube, seed: Optional[int] = None) -> RunReport:
+        """Run the QP-filtered closed loop of this scenario inside tube, from
+        the start state pick_x0(tube, seed)."""
+        if tube.dimension != self.dimension:
+            raise ConfigError(
+                f"tube dimension {tube.dimension} does not match config {self.dimension}")
+        if abs(tube.t_f - self.t_f) > 1e-9:
+            raise ConfigError(f"tube horizon {tube.t_f} does not match config {self.t_f}")
+        return run_closed_loop(self.make_dynamics(), Barrier(tube, gain=self.gain),
+                               self.pick_x0(tube, seed=seed), self.dt, self.build_formula(),
+                               weight=self.weight_matrix(), input_bound=self.input_bound,
+                               until_convention=self.until_convention)
 
     # -- serialization -------------------------------------------------------
 

@@ -10,6 +10,7 @@ loop is square and invertible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,16 +46,6 @@ class OmniRobot:
 
     def state_derivative(self, t: float, state: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.asarray(u, dtype=float)
-
-
-@dataclass(frozen=True)
-class Quadrotor3D(OmniRobot):
-    """Kinematic position model of a quadrotor: 3-D single integrator."""
-
-    n: int = field(default=3, init=False)
-
-    def __post_init__(self):
-        pass
 
 
 @dataclass(frozen=True)
@@ -104,12 +95,51 @@ class DiffDrive:
         return np.array([v * np.cos(phi), v * np.sin(phi), omega])
 
 
-DYNAMICS_KINDS = {"omni": OmniRobot, "quadrotor": Quadrotor3D, "diffdrive": DiffDrive}
+@dataclass(frozen=True)
+class DynamicsKind:
+    """A vehicle model a scenario can name."""
+
+    dimensions: tuple             # output dimensions n the model supports
+    build: Callable               # (n, params) -> model; other params are ignored
+    inputs: Optional[int] = None  # input dimension m; None means m = n
+
+    def input_dimension(self, n: int) -> int:
+        return n if self.inputs is None else self.inputs
 
 
-def make_dynamics(kind: str, **params):
+def _omni(n: int, params: dict) -> OmniRobot:
+    return OmniRobot(n)
+
+
+def _diffdrive(n: int, params: dict) -> DiffDrive:
+    return DiffDrive(lookahead=float(params.get("lookahead", 0.1)),
+                     phi0=float(params.get("phi0", 0.0)))
+
+
+DYNAMICS_KINDS = {
+    "omni": DynamicsKind((2, 3), _omni),
+    # kinematic position model of a quadrotor: the 3-D single integrator
+    "quadrotor": DynamicsKind((3,), _omni),
+    "diffdrive": DynamicsKind((2,), _diffdrive, inputs=2),
+}
+
+
+def dynamics_kind(kind, n: Optional[int] = None) -> DynamicsKind:
+    """Table entry of a kind; ValueError for an unknown kind or for an output
+    dimension n the kind does not support."""
     try:
-        cls = DYNAMICS_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown dynamics kind {kind!r}; choose from {sorted(DYNAMICS_KINDS)}")
-    return cls(**params)
+        spec = DYNAMICS_KINDS[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown dynamics kind {kind!r}; "
+                         f"choose from {sorted(DYNAMICS_KINDS)}") from None
+    if n is not None and n not in spec.dimensions:
+        dims = " or ".join(str(d) for d in spec.dimensions)
+        raise ValueError(f"{kind} dynamics support dimension {dims}")
+    return spec
+
+
+def make_dynamics(kind: str, n: Optional[int] = None, **params):
+    """Model of a named kind with output dimension n (default: the smallest
+    the kind supports)."""
+    spec = dynamics_kind(kind, n)
+    return spec.build(spec.dimensions[0] if n is None else n, params)

@@ -37,6 +37,7 @@ def step_rk4(dynamics, t: float, state: np.ndarray, u: np.ndarray, dt: float) ->
 class RunReport:
     """Everything observed during one closed-loop run."""
 
+    x0: np.ndarray          # requested initial output
     trajectory: Signal
     steps: list
     min_b: float
@@ -71,7 +72,8 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     times = np.linspace(0.0, t_f, n_steps + 1)
     weight = np.eye(dynamics.m) if weight is None else np.asarray(weight, dtype=float)
 
-    state = dynamics.initial_state(np.asarray(x0, dtype=float))
+    x0 = np.asarray(x0, dtype=float)
+    state = dynamics.initial_state(x0)
     b0 = barrier_value(barrier, 0.0, dynamics.output(state))
     if b0 < 0.0:
         raise SimulationError(f"initial state outside the tube: b(0, x0) = {b0}")
@@ -105,6 +107,7 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     b_vals = np.array([s.b for s in steps])
     report = robustness(formula, trajectory, 0.0, until_convention=until_convention)
     return RunReport(
+        x0=x0,
         trajectory=trajectory,
         steps=steps,
         min_b=float(b_vals.min()),

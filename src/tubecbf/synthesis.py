@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -141,16 +140,6 @@ class Cover:
     directions: np.ndarray  # (K_dir, n)
     lams: np.ndarray        # (m_lambda,)
     taus: np.ndarray        # (m_tau,)
-
-    def samples(self, limit: int = 2_000_000) -> np.ndarray:
-        """All N samples as rows (theta..., lambda, tau); guarded by limit."""
-        n_samples = self.spec.sample_count
-        if n_samples > limit:
-            raise CoverError(f"refusing to materialize {n_samples} samples (limit {limit})")
-        a = np.repeat(self.thetas, len(self.lams) * len(self.taus), axis=0)
-        l = np.tile(np.repeat(self.lams, len(self.taus)), len(self.thetas))
-        t = np.tile(self.taus, len(self.thetas) * len(self.lams))
-        return np.column_stack([a, l, t])
 
 
 def build_cover(spec: CoverSpec) -> Cover:
@@ -301,9 +290,8 @@ class _ObjectiveGrid:
     # keep per-evaluation state arrays under ~48 MB
     _CHUNK_FLOATS = 6_000_000
 
-    def __init__(self, instance: SOPInstance, cover: Cover, workers: int = 1):
+    def __init__(self, instance: SOPInstance, cover: Cover):
         self.instance = instance
-        self.workers = max(1, workers)
         taus = cover.taus
         self.times = np.concatenate([[0.0], taus, [instance.t_f]])
         cb = make_basis(instance.basis_kind, instance.center_count, instance.t_f)
@@ -339,13 +327,8 @@ class _ObjectiveGrid:
 
         k_total = self.trajectory_count
         chunk = max(1, self._CHUNK_FLOATS // max(1, len(self.times) * self.instance.n))
-        spans = [(lo, min(lo + chunk, k_total)) for lo in range(0, k_total, chunk)]
-        if self.workers > 1 and len(spans) > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                rhos = list(pool.map(lambda s: self._rho_chunk(center_t, radii, *s), spans))
-        else:
-            rhos = [self._rho_chunk(center_t, radii, lo, hi) for lo, hi in spans]
-        rho = np.concatenate(rhos)
+        rho = np.concatenate([self._rho_chunk(center_t, radii, lo, min(lo + chunk, k_total))
+                              for lo in range(0, k_total, chunk)])
 
         terms = np.concatenate([radius_terms, -rho])
         idx = int(np.argmax(terms))
@@ -360,13 +343,13 @@ class _ObjectiveGrid:
 
 
 def sop_objective(instance: SOPInstance, q_c: np.ndarray, q_r: np.ndarray,
-                  cover: Optional[Cover] = None, workers: int = 1):
+                  cover: Optional[Cover] = None):
     """Sampled constraint margin eta and a label for the worst constraint."""
     if cover is None:
         if instance.cover is None:
             raise ValueError("instance has no cover; pass one explicitly")
         cover = build_cover(instance.cover)
-    grid = _ObjectiveGrid(instance, cover, workers=workers)
+    grid = _ObjectiveGrid(instance, cover)
     eta, idx = grid.evaluate(q_c, q_r)
     return eta, grid.describe(idx)
 
@@ -481,6 +464,14 @@ def warm_start(instance: SOPInstance) -> tuple[np.ndarray, np.ndarray]:
 # solver
 # ---------------------------------------------------------------------------
 
+# an auto-derived search cover is halved per axis until it has at most this
+# many samples
+MAX_SEARCH_SAMPLES = 150_000
+# the certificate polish stops once the margin on the search cover reaches
+# -POLISH_SLACK, leaving room for the finer certification cover
+POLISH_SLACK = 0.05
+
+
 @dataclass
 class SolverSettings:
     seed: int = 0
@@ -491,12 +482,7 @@ class SolverSettings:
     bisection: tuple = (-2.0, 2.0)
     bisection_tol: float = 1e-3
     target_margin: float = 0.05
-    max_search_samples: int = 150_000
-    max_cover_samples: int = 50_000_000
     search_cover: Optional[CoverSpec] = None
-    certificate_polish: bool = True
-    polish_slack: float = 0.05
-    workers: int = 1
 
 
 def pattern_search(func, x0, lb, ub, *, step: float, min_step: float,
@@ -643,14 +629,14 @@ class SynthesisResult:
 
 def verify_certificate(result: SynthesisResult) -> bool:
     """Sampled margin plus Lipschitz slack must clear zero."""
-    return result.eta_star + result.lipschitz.combined * result.epsilon <= 0.0
+    return result.margin <= 0.0
 
 
 def _search_spec(cert: CoverSpec, settings: SolverSettings) -> CoverSpec:
     if settings.search_cover is not None:
         return settings.search_cover
     spec = cert
-    while spec.sample_count > settings.max_search_samples:
+    while spec.sample_count > MAX_SEARCH_SAMPLES:
         counts = [max(3, c // 2) for c in spec.theta_counts]
         lam = max(2, spec.lambda_count // 2)
         tau = max(8, spec.tau_count // 2)
@@ -685,13 +671,11 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
         warm_tube = instance.make_tube(q_c0, q_r0)
         l_warm = combined_lipschitz(warm_tube, instance.formula).combined
         cert_spec = CoverSpec.for_radius(settings.target_margin / max(l_warm, 1e-9),
-                                         instance.n, instance.t_f,
-                                         max_samples=settings.max_cover_samples)
+                                         instance.n, instance.t_f)
         pinned = False
 
     search_spec = _search_spec(cert_spec, settings)
-    search_grid = _ObjectiveGrid(instance, build_cover(search_spec),
-                                 workers=settings.workers)
+    search_grid = _ObjectiveGrid(instance, build_cover(search_spec))
 
     nq_c = instance.n * instance.center_count
     lb = np.concatenate([instance.center_box[..., 0].ravel(), instance.radius_box[:, 0]])
@@ -709,7 +693,7 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
     # certificate polish: the bisection minimizes eta alone, but the
     # certificate needs eta + L(q)*eps <= 0 and L depends on the coefficients;
     # descend on the full margin when eta alone did not close it
-    if settings.certificate_polish and evals < settings.budget:
+    if evals < settings.budget:
         l_rho = robustness_lipschitz(instance.formula)
         eps_cert = cert_spec.radius
 
@@ -721,16 +705,14 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
                                       tl.radius_max, instance.n).combined
             return eta + lip_q * eps_cert, idx
 
-        # a small negative target leaves room for the certification grid,
-        # which is finer than the search grid the polish sees
         m0, _ = margin_objective(best)
         evals += 1
-        if m0 > -settings.polish_slack:
+        if m0 > -POLISH_SLACK:
             x, v, used = pattern_search(
                 margin_objective, best, lb, ub, step=settings.step0 / 4,
                 min_step=settings.min_step,
                 budget=max(0, settings.budget - evals),
-                target=-settings.polish_slack)
+                target=-POLISH_SLACK)
             evals += used
             if v < m0:
                 best = x
@@ -742,12 +724,9 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
     # re-tighten the auto-selected cover once if the final constant outgrew it
     if not pinned and lip.combined * cert_spec.radius > settings.target_margin * (1 + 1e-9):
         cert_spec = CoverSpec.for_radius(settings.target_margin / lip.combined,
-                                         instance.n, instance.t_f,
-                                         max_samples=settings.max_cover_samples)
-    cert_grid = _ObjectiveGrid(instance, build_cover(cert_spec),
-                               workers=settings.workers)
+                                         instance.n, instance.t_f)
+    cert_grid = _ObjectiveGrid(instance, build_cover(cert_spec))
     eta_star, worst_idx = cert_grid.evaluate(q_c, q_r)
-    certificate_ok = eta_star + lip.combined * cert_spec.radius <= 0.0
 
     wall = time.perf_counter() - t_start
     diagnostics = {
@@ -761,20 +740,21 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
         },
         "cover_samples": cert_spec.sample_count,
     }
-    return SynthesisResult(tube=tube, eta_star=eta_star, lipschitz=lip,
-                           epsilon=cert_spec.radius, certificate_ok=certificate_ok,
-                           worst_constraint=cert_grid.describe(worst_idx),
-                           diagnostics=diagnostics, wall_time=wall)
+    result = SynthesisResult(tube=tube, eta_star=eta_star, lipschitz=lip,
+                             epsilon=cert_spec.radius, certificate_ok=False,
+                             worst_constraint=cert_grid.describe(worst_idx),
+                             diagnostics=diagnostics, wall_time=wall)
+    result.certificate_ok = verify_certificate(result)
+    return result
 
 
 def recheck_constraints(instance: SOPInstance, tube: Tube, factor: int = 10,
-                        cover_spec: Optional[CoverSpec] = None,
-                        workers: int = 1) -> float:
+                        cover_spec: Optional[CoverSpec] = None) -> float:
     """Max raw constraint value on a factor-times-finer grid (certified tubes
     must stay <= 0 everywhere)."""
     base = cover_spec if cover_spec is not None else instance.cover
     if base is None:
         raise ValueError("no cover to refine")
-    grid = _ObjectiveGrid(instance, build_cover(base.refined(factor)), workers=workers)
+    grid = _ObjectiveGrid(instance, build_cover(base.refined(factor)))
     value, _ = grid.evaluate(tube.center_coeffs, tube.radius_coeffs)
     return value

@@ -56,7 +56,7 @@ def test_barrier_level_set_equivalence():
 
 def test_barrier_requires_positive_radius():
     tube = _static_tube([0.0, 0.0], -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InfeasibleStepError):
         barrier_value(Barrier(tube), 0.0, np.zeros(2))
 
 

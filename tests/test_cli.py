@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import yaml
 
+from tubecbf.basis import MonomialBasis
 from tubecbf.cli import main
 from tubecbf.config import ConfigError, ScenarioConfig, load_config, save_config
 from tubecbf.simulate import read_trajectory_signal
 from tubecbf.synthesis import SynthesisResult
+from tubecbf.tube import Tube, tube_to_record
 
 
 BASE = {
@@ -69,6 +71,8 @@ def test_config_validates_dimensions():
         ScenarioConfig.from_dict({**BASE, "predicates": bad_pred})
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({**BASE, "dynamics": {"kind": "quadrotor"}})
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_dict({**BASE, "dynamics": {"kind": "boat"}})
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({**BASE, "formula": "G[0,9] T"})  # horizon > t_f
 
@@ -178,6 +182,18 @@ def test_simulate_bad_start_exits_4(tmp_path):
                  "--out", str(out_dir)]) == 4
 
 
+def test_simulate_vanishing_radius_exits_4(tmp_path, capsys):
+    # r(t) = 1 - 0.5 t reaches zero at t = 2, inside the horizon
+    tube = Tube(np.array([[4.5, 0.0], [4.5, 0.0]]), np.array([1.0, -0.5]),
+                MonomialBasis(2, 4.0), MonomialBasis(2, 4.0))
+    tube_path = tmp_path / "shrinking_tube.json"
+    tube_path.write_text(json.dumps(tube_to_record(tube)))
+    cfg = _write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg), "--tube", str(tube_path),
+                 "--out", str(tmp_path / "out")]) == 4
+    assert "tube radius" in capsys.readouterr().err
+
+
 def test_verify_rejects_obstacle_crossing(tmp_path):
     cfg = _write_config(tmp_path, {
         "name": "avoid",
@@ -214,7 +230,8 @@ def test_bench_two_tasks(tmp_path, capsys):
     cfg1 = _write_config(tmp_path, {"name": "task_a"}, name="a.yaml")
     cfg2 = _write_config(tmp_path, {"name": "task_b"}, name="b.yaml")
     out_dir = tmp_path / "bench_out"
-    assert main(["bench", str(cfg1), str(cfg2), "--out", str(out_dir)]) == 0
+    seed = ["--seed", "3"]
+    assert main(["bench", str(cfg1), str(cfg2), "--out", str(out_dir)] + seed) == 0
     table = (out_dir / "bench.txt").read_text().strip().splitlines()
     assert table[0].startswith("task |")
     assert len(table) == 3
@@ -222,6 +239,15 @@ def test_bench_two_tasks(tmp_path, capsys):
     for line in table[1:]:
         cells = [c.strip() for c in line.split("|")]
         assert float(cells[1]) >= 0 and float(cells[2]) >= 0
+
+    # bench writes exactly what synthesize then simulate write for the same seed
+    sep_dir = tmp_path / "separate"
+    assert main(["synthesize", "--config", str(cfg1), "--out", str(sep_dir)] + seed) == 0
+    assert main(["simulate", "--config", str(cfg1), "--tube", str(sep_dir / "task_a_tube.json"),
+                 "--out", str(sep_dir)] + seed) == 0
+    for suffix in ("tube.json", "result.json", "trajectory.csv", "report.json"):
+        name = f"task_a_{suffix}"
+        assert (out_dir / name).read_bytes() == (sep_dir / name).read_bytes(), name
 
 
 def test_log_round_trip_matches_simulator(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from tubecbf.basis import MonomialBasis
 from tubecbf.cbf import Barrier
-from tubecbf.dynamics import DiffDrive, OmniRobot, Quadrotor3D, make_dynamics
+from tubecbf.dynamics import DiffDrive, OmniRobot, make_dynamics
 from tubecbf.simulate import (
     SimulationError,
     read_trajectory_signal,
@@ -170,10 +170,9 @@ def test_diffdrive_closed_loop_tracks_tube():
 
 
 def test_quadrotor_is_3d_integrator():
-    q = Quadrotor3D()
+    q = make_dynamics("quadrotor")
     assert q.n == 3 and q.m == 3
     assert np.allclose(q.input_matrix(0.0, np.zeros(3)), np.eye(3))
-    assert make_dynamics("quadrotor").n == 3
 
 
 def test_make_dynamics_unknown():
