@@ -113,9 +113,12 @@ class ScenarioConfig:
         self.build_formula()
         if self.pin_start and self.start is None:
             raise ConfigError("pin_start requires a start point")
+        # building the model checks its parameters too (e.g. a diffdrive
+        # look-ahead must be positive), so a bad one fails here, not in simulate
         try:
-            dynamics_kind(self.dynamics.get("kind"), self.dimension)
-        except ValueError as e:
+            dynamics_kind(self.dynamics.get("kind"), self.dimension).build(
+                self.dimension, self.dynamics)
+        except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from None
         if self.control_weight is not None and len(self.control_weight) != self.input_dimension:
             raise ConfigError("control_weight diagonal has wrong length")

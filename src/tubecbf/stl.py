@@ -2,13 +2,34 @@
 
 Formulas are immutable trees of predicates, Boolean connectives, and bounded
 temporal operators.  Robustness is evaluated quantitatively over sampled
-signals with linear interpolation between samples; temporal min/max run over
-the sample grid restricted to the operator window, with the window endpoints
-included by interpolation when they fall between samples.
+signals with linear interpolation between samples.
+
+Window semantics.  An operator window [t+a, t+b] holds its two endpoints and
+every grid time strictly between them; an endpoint that falls between samples
+is evaluated on the state interpolated as (1-w)*s_i + w*s_j, and times outside
+the grid clamp to its ends.  A point window (a == b) holds t+a alone.  Until
+takes, over the members u of its window, the max of min(point clause at u,
+running min of the other clause up to u); the running min starts at t+a in
+the paper convention and at t in the standard one.
+
+Compiled plan.  Which times each node is needed at depends only on the
+formula, the time grid and the anchor time, never on the states, so
+robustness_batch compiles them once into a plan (after the offline monitor of
+Donze, Ferrere and Maler, CAV 2013) and keeps the last few plans in an LRU
+keyed on (formula, grid bytes, anchor time, until convention).  Every node's
+values form a time-major (rows, K) table for the K trajectories: one row per
+grid time in a contiguous slice, then one per off-grid time the parent needs.
+Predicates fill their table from the states read time-major (T, K, n).
+F and G reduce each window as its two endpoint rows plus a doubling table of
+min/max over the grid rows, built one level at a time; a lone window reduces
+its grid slice directly.  Until sweeps the columns of a (Q, W) table of
+window-member rows.  So memory stays O(rows * K) per live node, and nothing
+is ever gathered per (query, window member, trajectory).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -49,7 +70,13 @@ class AffineHalfspace:
     offset: float
 
     def value(self, states: np.ndarray) -> np.ndarray:
-        return np.asarray(states) @ np.asarray(self.weights) + self.offset
+        # summed column by column in a fixed order, so a state's value does
+        # not depend on the layout of the batch it is evaluated in
+        states = np.asarray(states)
+        out = states[..., 0] * self.weights[0]
+        for c in range(1, len(self.weights)):
+            out = out + states[..., c] * self.weights[c]
+        return out + self.offset
 
     def lipschitz_2norm(self) -> float:
         return float(np.linalg.norm(self.weights))
@@ -63,8 +90,13 @@ class BoxInfNorm:
     halfwidth: float
 
     def value(self, states: np.ndarray) -> np.ndarray:
-        d = np.abs(np.asarray(states) - np.asarray(self.center))
-        return self.halfwidth - d.max(axis=-1)
+        # a chained maximum over the few state columns: a reduce over a tiny
+        # last axis costs more than the arithmetic
+        states = np.asarray(states)
+        m = np.abs(states[..., 0] - self.center[0])
+        for c in range(1, len(self.center)):
+            m = np.maximum(m, np.abs(states[..., c] - self.center[c]))
+        return self.halfwidth - m
 
     def lipschitz_2norm(self) -> float:
         # 1-Lipschitz in the inf-norm; reported in the 2-norm convention via
@@ -347,133 +379,258 @@ class RobustnessReport:
 # Robustness evaluation
 # ---------------------------------------------------------------------------
 
-class _Trace:
-    """Shared-grid batch of trajectories with cached predicate values.
+# off-grid states are interpolated this many floats at a time
+_INTERP_FLOATS = 1_000_000
 
-    states has shape (K, T, n); predicate values on the grid are computed
-    lazily, one vectorized pass per predicate, and off-grid queries fall back
-    to interpolating the state.
+
+@dataclass(frozen=True)
+class _Rows:
+    """Query times of one formula node, in the row order of its value table:
+    the grid times grid[g0:g1], then the sorted off-grid times ``off``."""
+
+    g0: int
+    g1: int
+    off: np.ndarray
+
+    @property
+    def grid_rows(self) -> int:
+        return self.g1 - self.g0
+
+    def times(self, grid: np.ndarray) -> np.ndarray:
+        return np.concatenate([grid[self.g0:self.g1], self.off])
+
+    def locate(self, grid: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Row of each time in t; every one is a grid time in [g0, g1) or in off."""
+        return np.where(_on_grid(grid, t), np.searchsorted(grid, t) - self.g0,
+                        self.grid_rows + np.searchsorted(self.off, t))
+
+
+def _on_grid(grid: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return grid[np.minimum(np.searchsorted(grid, t), len(grid) - 1)] == t
+
+
+def _rows_for(grid: np.ndarray, points: np.ndarray, starts: np.ndarray,
+              stops: np.ndarray) -> _Rows:
+    """Rows holding the times ``points`` and the grid slices [starts, stops).
+
+    A point equal to a grid time is that grid time; the grid part is the hull
+    of everything on the grid.
     """
+    g = np.searchsorted(grid, points)
+    on_grid = _on_grid(grid, points)
+    used = stops > starts
+    lo = np.concatenate([g[on_grid], starts[used]])
+    hi = np.concatenate([g[on_grid] + 1, stops[used]])
+    g0, g1 = (int(lo.min()), int(hi.max())) if len(lo) else (0, 0)
+    # sort and drop repeats rather than np.unique, whose first call imports
+    # numpy.ma (0.7 MB of resident memory)
+    off = np.sort(points[~on_grid])
+    keep = np.ones(len(off), dtype=bool)
+    keep[1:] = off[1:] != off[:-1]
+    return _Rows(g0, g1, off[keep])
 
-    def __init__(self, times: np.ndarray, states: np.ndarray):
-        self.times = np.asarray(times, dtype=float)
-        states = np.asarray(states, dtype=float)
-        if states.ndim == 2:
-            states = states[:, :, None]
-        self.states = states
-        self.count = states.shape[0]
-        self._pred_grid: dict[int, np.ndarray] = {}
-        self._state_cache: dict[float, np.ndarray] = {}
 
-    def _grid_index(self, t: float) -> int:
-        j = int(np.searchsorted(self.times, t))
-        if j < len(self.times) and self.times[j] == t:
-            return j
-        return -1
+def _windows(grid: np.ndarray, q: np.ndarray, start: float, end: float):
+    """Windows [q+start, q+end]: their endpoints lo, hi and the slices
+    [s, e) of grid times strictly between them.  A point window (hi == lo)
+    holds lo alone."""
+    lo = q + start
+    hi = q + end
+    s = np.searchsorted(grid, lo, side="right")
+    e = np.searchsorted(grid, hi, side="left")
+    return lo, hi, s, np.where(hi == lo, s, e)
 
-    def state_at(self, t: float) -> np.ndarray:
-        cached = self._state_cache.get(t)
-        if cached is not None:
-            return cached
-        times = self.times
-        t_c = min(max(t, times[0]), times[-1])
-        j = int(np.searchsorted(times, t_c, side="right"))
-        if j >= len(times):
-            out = self.states[:, -1, :]
-        else:
-            i = max(j - 1, 0)
-            if times[i] == t_c:
-                out = self.states[:, i, :]
-            else:
-                w = (t_c - times[i]) / (times[j] - times[i])
-                out = (1.0 - w) * self.states[:, i, :] + w * self.states[:, j, :]
-        self._state_cache[t] = out
+
+def _window_reducer(op, grid: np.ndarray, rows: _Rows, lo, hi, s, e):
+    """Function mapping a child's value table on ``rows`` to op (np.maximum or
+    np.minimum) over each window {lo, grid[s:e], hi}.
+
+    The grid interiors go through a doubling table: level k holds op over
+    2**k consecutive grid rows, built one level at a time from the previous
+    one, and each interior is covered by blocks of the one level 2**k <= the
+    shortest interior (overlap is harmless for min and max).  Windows with an
+    empty interior read a block of identity rows appended for them.
+    """
+    rl = rows.locate(grid, lo)
+    rh = rows.locate(grid, hi)
+    identity = -np.inf if op is np.maximum else np.inf
+    if len(lo) == 1:
+        # one window: reduce its grid slice directly, no table needed
+        a, b = int(s[0] - rows.g0), int(e[0] - rows.g0)
+        return lambda child: op(op(child[rl], child[rh]),
+                                op.reduce(child[a:b], axis=0, initial=identity))
+    lengths = e - s
+    nonempty = lengths > 0
+    if not nonempty.any():
+        return lambda child: op(child[rl], child[rh])
+    width = 1 << (int(lengths[nonempty].min()).bit_length() - 1)
+    count = int(-(-lengths.max() // width))
+    starts = np.minimum((s - rows.g0)[:, None] + width * np.arange(count),
+                        (e - rows.g0 - width)[:, None])
+    pad = not nonempty.all()
+    tg = rows.grid_rows
+    starts[~nonempty] = tg
+    blocks = tuple(starts.T.copy())
+
+    def reduce(child):
+        out = op(child[rl], child[rh])
+        level = child[:tg]
+        if pad:
+            level = np.concatenate([level, np.full((width, child.shape[1]), identity)])
+        del child
+        span = 1
+        while span < width:
+            level = op(level[:-span], level[span:])
+            span *= 2
+        for b in blocks:
+            op(out, level[b], out=out)
         return out
 
-    def predicate_at(self, node: Predicate, t: float) -> np.ndarray:
-        if node.fn is None:
-            raise ValueError(f"predicate {node.name!r} is unbound; no function handle")
-        idx = self._grid_index(t)
-        if idx >= 0:
-            grid = self._pred_grid.get(id(node))
-            if grid is None:
-                grid = np.asarray(node.fn.value(self.states), dtype=float)
-                self._pred_grid[id(node)] = grid
-            return grid[:, idx]
-        return np.asarray(node.fn.value(self.state_at(t)), dtype=float)
-
-    def window(self, lo: float, hi: float) -> list[float]:
-        """Window endpoints plus every grid time strictly inside (lo, hi)."""
-        if hi < lo:
-            raise ValueError("empty time window")
-        if hi == lo:
-            return [lo]
-        i = int(np.searchsorted(self.times, lo, side="right"))
-        j = int(np.searchsorted(self.times, hi, side="left"))
-        return [lo, *self.times[i:j].tolist(), hi]
+    return reduce
 
 
-def _eval(node: Formula, tr: _Trace, t: float, memo: dict, convention: str) -> np.ndarray:
+def _members(grid: np.ndarray, rows: _Rows, lo, hi, s, e) -> tuple:
+    """Columns of the (Q, W) table of window members {lo, grid[s:e], hi} in
+    time order, as rows of ``rows``; shorter windows repeat hi, which leaves
+    running min/max unchanged."""
+    rl = rows.locate(grid, lo)
+    rh = rows.locate(grid, hi)
+    lengths = (e - s)[:, None]
+    pos = np.arange(int(lengths.max()) + 2)
+    inner = s[:, None] - rows.g0 + pos - 1
+    table = np.where(pos == 0, rl[:, None],
+                     np.where(pos <= lengths, inner, rh[:, None]))
+    return tuple(table.T.copy())
+
+
+def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str):
+    """Function mapping time-major states (T, K, n) to the node's (rows, K)
+    value table."""
     if isinstance(node, TrueFormula):
-        return np.full(tr.count, np.inf)
+        count = rows.grid_rows + len(rows.off)
+        return lambda states: np.full((count, states.shape[1]), np.inf)
     if isinstance(node, Predicate):
-        return tr.predicate_at(node, t)
+        return _compile_predicate(node, grid, rows)
     if isinstance(node, Not):
-        return -_eval(node.child, tr, t, memo, convention)
-    if isinstance(node, And):
-        return np.minimum(_eval(node.left, tr, t, memo, convention),
-                          _eval(node.right, tr, t, memo, convention))
-    if isinstance(node, Or):
-        return np.maximum(_eval(node.left, tr, t, memo, convention),
-                          _eval(node.right, tr, t, memo, convention))
+        child = _compile(node.child, grid, rows, convention)
+        return lambda states: np.negative(child(states))
+    if isinstance(node, (And, Or)):
+        left = _compile(node.left, grid, rows, convention)
+        right = _compile(node.right, grid, rows, convention)
+        op = np.minimum if isinstance(node, And) else np.maximum
+        return lambda states: op(left(states), right(states))
 
-    key = (id(node), t)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-
+    q = rows.times(grid)
+    lo, hi, s, e = _windows(grid, q, node.start, node.end)
+    ends = np.concatenate([lo, hi])
     if isinstance(node, (Eventually, Always)):
-        ts = tr.window(t + node.start, t + node.end)
-        out = _eval(node.child, tr, ts[0], memo, convention).copy()
-        combine = np.maximum if isinstance(node, Eventually) else np.minimum
-        for u in ts[1:]:
-            combine(out, _eval(node.child, tr, u, memo, convention), out=out)
-    elif isinstance(node, Until):
-        ts = tr.window(t + node.start, t + node.end)
-        if convention == "paper":
-            point, running = node.left, node.right
-            run_min = _eval(running, tr, ts[0], memo, convention).copy()
-        elif convention == "standard":
-            point, running = node.right, node.left
-            # the running clause starts at the evaluation time, not at t+start
-            prefix = tr.window(t, t + node.start)
-            run_min = _eval(running, tr, prefix[0], memo, convention).copy()
-            for u in prefix[1:]:
-                np.minimum(run_min, _eval(running, tr, u, memo, convention), out=run_min)
-        else:
-            raise ValueError(f"unknown until_convention {convention!r}")
-        out = np.minimum(_eval(point, tr, ts[0], memo, convention), run_min)
-        for u in ts[1:]:
-            np.minimum(run_min, _eval(running, tr, u, memo, convention), out=run_min)
-            np.maximum(out, np.minimum(_eval(point, tr, u, memo, convention), run_min), out=out)
-    else:
+        child_rows = _rows_for(grid, ends, s, e)
+        child = _compile(node.child, grid, child_rows, convention)
+        op = np.maximum if isinstance(node, Eventually) else np.minimum
+        reduce = _window_reducer(op, grid, child_rows, lo, hi, s, e)
+        return lambda states: reduce(child(states))
+    if not isinstance(node, Until):
         raise TypeError(f"unknown formula node {node!r}")
 
-    memo[key] = out
-    return out
+    # out = max over window members u of min(point(u), running min up to u);
+    # the running min covers [t+start, u] (paper) or [t, u] (standard)
+    point_rows = _rows_for(grid, ends, s, e)
+    if convention == "paper":
+        point_node, running_node = node.left, node.right
+        running_rows, prefix = point_rows, None
+    elif convention == "standard":
+        # the running clause starts at the evaluation time, not at t+start;
+        # the prefix [t, t+start) holds t+start only when it is a grid time
+        point_node, running_node = node.right, node.left
+        p_lo, p_hi, p_s, p_e = _windows(grid, q, 0.0, node.start)
+        p_hi = np.where(_on_grid(grid, p_hi), p_hi, p_lo)
+        running_rows = _rows_for(grid, np.concatenate([ends, p_lo, p_hi]),
+                                 np.concatenate([s, p_s]), np.concatenate([e, p_e]))
+        prefix = _window_reducer(np.minimum, grid, running_rows, p_lo, p_hi, p_s, p_e)
+    else:
+        raise ValueError(f"unknown until_convention {convention!r}")
+    point = _compile(point_node, grid, point_rows, convention)
+    running = _compile(running_node, grid, running_rows, convention)
+    point_cols = _members(grid, point_rows, lo, hi, s, e)
+    running_cols = _members(grid, running_rows, lo, hi, s, e)
+
+    def until(states):
+        p = point(states)
+        r = running(states)
+        shape = (len(q), states.shape[1])
+        run_min = np.full(shape, np.inf) if prefix is None else prefix(r)
+        first = np.minimum(run_min, r[running_cols[0]])
+        out = np.minimum(p[point_cols[0]], first)
+        if prefix is None:
+            run_min = first
+        for pc, rc in zip(point_cols[1:], running_cols[1:]):
+            np.minimum(run_min, r[rc], out=run_min)
+            np.maximum(out, np.minimum(p[pc], run_min), out=out)
+        return out
+
+    return until
+
+
+def _compile_predicate(node: Predicate, grid: np.ndarray, rows: _Rows):
+    """Predicate values on the grid rows, then on the off-grid rows from the
+    state interpolated between the bracketing samples.  Times outside the grid
+    clamp to its ends (weight 0 on the end sample)."""
+    fn = node.fn
+    if fn is None:
+        raise ValueError(f"predicate {node.name!r} is unbound; no function handle")
+    g0, g1, tg = rows.g0, rows.g1, rows.grid_rows
+    if len(rows.off) == 0:
+        return lambda states: np.asarray(fn.value(states[g0:g1]), dtype=float)
+    t_c = np.clip(rows.off, grid[0], grid[-1])
+    j = np.searchsorted(grid, t_c, side="right")
+    i = np.maximum(j - 1, 0)
+    exact = grid[i] == t_c
+    j = np.where(exact, i, np.minimum(j, len(grid) - 1))
+    w = (t_c - grid[i]) / np.where(exact, 1.0, grid[j] - grid[i])
+    w_i = (1.0 - w)[:, None, None]
+    w_j = w[:, None, None]
+    count = len(w)
+
+    def value(states):
+        out = np.empty((tg + count, states.shape[1]))
+        out[:tg] = fn.value(states[g0:g1])
+        step = max(1, _INTERP_FLOATS // max(1, states.shape[1] * states.shape[2]))
+        for a in range(0, count, step):
+            b = a + step
+            x = w_i[a:b] * states[i[a:b]] + w_j[a:b] * states[j[a:b]]
+            out[tg + a:tg + b] = fn.value(x)
+        return out
+
+    return value
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(f: Formula, times_key: bytes, t: float, convention: str):
+    """Compiled evaluation of f at time t on the grid whose float64 bytes are
+    times_key; returns a function of time-major states (T, K, n)."""
+    grid = np.frombuffer(times_key)
+    if t + horizon(f) > grid[-1] + _TIME_SLACK:
+        raise ValueError(
+            f"formula horizon {horizon(f)} from t={t} exceeds signal end {grid[-1]}")
+    if t < grid[0] - _TIME_SLACK:
+        raise ValueError(f"evaluation time {t} precedes signal start {grid[0]}")
+    none = np.zeros(0, dtype=int)
+    return _compile(f, grid, _rows_for(grid, np.array([t]), none, none), convention)
 
 
 def robustness_batch(f: Formula, times: np.ndarray, states: np.ndarray,
                      t: float = 0.0, *, until_convention: str = "paper") -> np.ndarray:
-    """Robustness of K trajectories sharing one time grid; states is (K, T, n)."""
+    """Robustness of K trajectories sharing one time grid; states is (K, T, n).
+
+    The monitor reads the states time-major, so a C-contiguous (T, K, n)
+    buffer passed as its (K, T, n) transpose is used without a copy.
+    """
     times = np.asarray(times, dtype=float)
-    if t + horizon(f) > times[-1] + _TIME_SLACK:
-        raise ValueError(
-            f"formula horizon {horizon(f)} from t={t} exceeds signal end {times[-1]}")
-    if t < times[0] - _TIME_SLACK:
-        raise ValueError(f"evaluation time {t} precedes signal start {times[0]}")
-    tr = _Trace(times, states)
-    return _eval(f, tr, t, {}, until_convention)
+    states = np.asarray(states, dtype=float)
+    if states.ndim == 2:
+        states = states[:, :, None]
+    plan = _plan(f, times.tobytes(), float(t), until_convention)
+    return plan(np.ascontiguousarray(states.transpose(1, 0, 2)))[0]
 
 
 def robustness(f: Formula, x: Signal, t: float = 0.0, *,

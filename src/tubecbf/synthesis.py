@@ -311,8 +311,11 @@ class _ObjectiveGrid:
 
     def _rho_chunk(self, center_t, radii, lo, hi):
         block = self.scaled_dirs[lo:hi]
-        states = center_t[None, :, :] + radii[None, :, None] * block[:, None, :]
-        return robustness_batch(self.instance.formula, self.times, states, 0.0,
+        # built time-major (T, K, n), the layout the monitor reads, and passed
+        # as its (K, T, n) transpose
+        states = center_t[:, None, :] + radii[:, None, None] * block[None, :, :]
+        return robustness_batch(self.instance.formula, self.times,
+                                states.transpose(1, 0, 2), 0.0,
                                 until_convention=self.instance.until_convention)
 
     def evaluate(self, q_c: np.ndarray, q_r: np.ndarray) -> tuple[float, int]:

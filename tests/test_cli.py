@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,9 @@ BASE = {
     "gain": 5.0,
     "output_dir": "out",
 }
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write_config(tmp_path, overrides=None, name="scenario.yaml"):
@@ -110,6 +115,12 @@ def test_check_missing_config_exits_2(tmp_path):
     assert main(["check", "--config", str(tmp_path / "nope.yaml")]) == 2
 
 
+def test_check_bad_dynamics_parameter_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"dynamics": {"kind": "diffdrive", "lookahead": 0.0}})
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert "look-ahead" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # synthesize / simulate / verify / bench
 # ---------------------------------------------------------------------------
@@ -150,6 +161,19 @@ def test_synthesize_repeat_same_seed_byte_identical(tmp_path):
     assert main(["synthesize", "--config", str(cfg), "--out", str(out_b)]) == 0
     assert (out_a / "stay_result.json").read_bytes() == (out_b / "stay_result.json").read_bytes()
     assert (out_a / "stay_tube.json").read_bytes() == (out_b / "stay_tube.json").read_bytes()
+
+
+@pytest.mark.parametrize("scenario", ["omni_reach_avoid", "stlcg_2"])
+def test_synthesize_matches_reference_artifacts(tmp_path, scenario):
+    # perfbench/ref holds seed-0 artifacts with their sha256; a pure speed-up
+    # must reproduce them byte for byte
+    provenance = json.loads((ROOT / "perfbench" / "ref" / "PROVENANCE.json").read_text())
+    assert main(["synthesize", "--config", str(ROOT / "configs" / f"{scenario}.yaml"),
+                 "--seed", "0", "--out", str(tmp_path)]) == 0
+    digests = provenance["scenarios"][scenario]["sha256"]
+    assert set(digests) == {f"{scenario}_tube.json", f"{scenario}_result.json"}
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_synthesize_forced_infeasible_exits_3(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from tubecbf.stl import (
     horizon,
     parse,
     robustness,
+    robustness_batch,
     robustness_lipschitz,
 )
+from tubecbf.stl import _plan
 
 from gen import formula_and_signal, random_signal
 from oracles import oracle_boolean, oracle_robustness
@@ -386,3 +389,100 @@ def test_paper_until_example_values():
     assert robustness(f, x).value == pytest.approx(1.0)
     want = oracle_robustness(f, x.times, x.states, 0.0, convention="paper")
     assert robustness(f, x).value == pytest.approx(want)
+
+
+# ---------------------------------------------------------------------------
+# batched monitor: compiled plan against the oracle
+# ---------------------------------------------------------------------------
+
+def _jittered_batch(rng, count, span, length, dim=2):
+    gaps = rng.uniform(0.5, 1.5, size=length - 1)
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    times = times / times[-1] * span
+    states = np.cumsum(rng.normal(scale=0.5, size=(count, length, dim)), axis=1)
+    return times, states
+
+
+def _assert_batch_matches_oracle(f, times, states, t=0.0, convention="paper"):
+    got = robustness_batch(f, times, states, t, until_convention=convention)
+    assert got.shape == (len(states),)
+    for k, x in enumerate(states):
+        want = oracle_robustness(f, times, x, t, convention=convention)
+        if math.isinf(want):
+            assert got[k] == want
+        else:
+            assert got[k] == pytest.approx(want, abs=1e-9)
+
+
+def test_batch_oracle_equivalence_random():
+    rng = np.random.default_rng(48)
+    for _ in range(40):
+        f, x = formula_and_signal(rng, dim=2, depth=3, max_len=25)
+        states = x.states[None] + rng.normal(scale=0.5, size=(5,) + x.states.shape)
+        for convention in ("paper", "standard"):
+            _assert_batch_matches_oracle(f, x.times, states, convention=convention)
+
+
+def test_batch_nested_windows_off_grid():
+    # no window endpoint of F[0.3,2.7] G[0.15,1.1] falls on the jittered grid,
+    # and every inner window holds endpoints of other windows between its own
+    rng = np.random.default_rng(49)
+    p = Predicate("p", BoxInfNorm((0.5, -0.5), 1.5))
+    q = Predicate("q", BallNorm2((1.0, 0.0), 2.0))
+    times, states = _jittered_batch(rng, 6, 4.5, 37)
+    for f in (Eventually(0.3, 2.7, Always(0.15, 1.1, p)),
+              Always(0.3, 2.7, Eventually(0.15, 1.1, Or(p, Not(q))))):
+        _assert_batch_matches_oracle(f, times, states)
+
+
+def test_batch_until_both_conventions():
+    rng = np.random.default_rng(50)
+    p = Predicate("p", BoxInfNorm((0.0, 0.0), 2.0))
+    q = Predicate("q", AffineHalfspace((1.0, -0.5), 0.2))
+    times, states = _jittered_batch(rng, 4, 6.0, 30)
+    for f in (Until(0.4, 2.3, p, q), Until(0.0, 1.7, Always(0.0, 0.9, q), p),
+              Eventually(0.2, 1.0, Until(1.1, 1.1, q, p))):
+        for convention in ("paper", "standard"):
+            _assert_batch_matches_oracle(f, times, states, convention=convention)
+
+
+def test_batch_anchor_point_windows_and_true():
+    rng = np.random.default_rng(51)
+    p = Predicate("p", BoxInfNorm((0.0, 0.0), 1.0))
+    times, states = _jittered_batch(rng, 3, 5.0, 21)
+    formulas = (Always(1.0, 1.0, p), Eventually(0.0, 2.0, Always(0.7, 0.7, p)),
+                And(TRUE, Eventually(0.5, 1.5, p)), Or(p, Not(TRUE)),
+                Always(0.0, 2.0, TRUE))
+    for f in formulas:
+        # t = 0, a grid time, and a time between samples
+        for t in (0.0, float(times[3]), 0.5 * float(times[5] + times[6])):
+            _assert_batch_matches_oracle(f, times, states, t)
+    assert np.all(robustness_batch(Always(0.0, 2.0, TRUE), times, states) == math.inf)
+
+
+def test_batch_cached_plan_repeats():
+    rng = np.random.default_rng(52)
+    p = Predicate("p", BoxInfNorm((0.0, 0.0), 1.0))
+    f = Eventually(0.0, 2.0, Always(0.0, 1.0, p))
+    times, states = _jittered_batch(rng, 4, 3.5, 25)
+    first = robustness_batch(f, times, states)
+    hits = _plan.cache_info().hits
+    second = robustness_batch(f, times.copy(), states)
+    assert _plan.cache_info().hits == hits + 1
+    assert np.array_equal(first, second)
+
+
+def test_batch_memory_stays_linear_in_table():
+    # a (query, window, trajectory) gather would need ~270 x 130 x K floats
+    count, length = 2000, 400
+    times = np.linspace(0.0, 15.0, length)
+    rng = np.random.default_rng(53)
+    states = np.cumsum(rng.normal(scale=0.1, size=(length, count, 1)), axis=0)
+    f = Eventually(0.0, 10.0, Always(0.0, 5.0, Predicate("p", AffineHalfspace((1.0,), 0.0))))
+    tracemalloc.start()
+    try:
+        robustness_batch(f, times, states.transpose(1, 0, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * count * length * 8
