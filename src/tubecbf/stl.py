@@ -19,7 +19,9 @@ Donze, Ferrere and Maler, CAV 2013) and keeps the last few plans in an LRU
 keyed on (formula, grid bytes, anchor time, until convention).  Every node's
 values form a time-major (rows, K) table for the K trajectories: one row per
 grid time in a contiguous slice, then one per off-grid time the parent needs.
-Predicates fill their table from the states read time-major (T, K, n).
+Predicates fill their table from the states read time-major (T, K, n);
+leaves that need the same off-grid times, such as the two conjuncts of
+F G p & F G q, interpolate the states there once per evaluation.
 F and G reduce each window as its two endpoint rows plus a doubling table of
 min/max over the grid rows, built one level at a time; a lone window reduces
 its grid slice directly.  Until sweeps the columns of a (Q, W) table of
@@ -131,6 +133,11 @@ class Formula:
 
     __slots__ = ()
 
+    def __getstate__(self):
+        # a cached hash (see _hash_once) holds in this process only: str
+        # hashes differ between processes
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
 
@@ -141,6 +148,26 @@ class Formula:
         return Not(self)
 
 
+def _hash_once(cls):
+    """Cache each node's hash on the node.
+
+    A frozen dataclass hashes its whole subtree on every hash() call, and
+    robustness_batch hashes the formula on every call to look up its plan.
+    """
+    subtree_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = subtree_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class TrueFormula(Formula):
     def __str__(self) -> str:
@@ -150,6 +177,7 @@ class TrueFormula(Formula):
 TRUE = TrueFormula()
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Predicate(Formula):
     name: str
@@ -164,6 +192,7 @@ def _check_interval(start: float, end: float) -> None:
         raise IntervalError(f"interval [{start},{end}] violates 0 <= start <= end")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Not(Formula):
     child: Formula
@@ -172,6 +201,7 @@ class Not(Formula):
         return f"!{_paren(self.child)}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class And(Formula):
     left: Formula
@@ -181,6 +211,7 @@ class And(Formula):
         return f"{_paren(self.left)} & {_paren(self.right)}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
@@ -190,6 +221,7 @@ class Or(Formula):
         return f"{_paren(self.left)} | {_paren(self.right)}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Until(Formula):
     start: float
@@ -204,6 +236,7 @@ class Until(Formula):
         return f"{_paren(self.left)} U[{self.start:g},{self.end:g}] {_paren(self.right)}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Eventually(Formula):
     start: float
@@ -217,6 +250,7 @@ class Eventually(Formula):
         return f"F[{self.start:g},{self.end:g}] {_paren(self.child)}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Always(Formula):
     start: float
@@ -503,32 +537,34 @@ def _members(grid: np.ndarray, rows: _Rows, lo, hi, s, e) -> tuple:
     return tuple(table.T.copy())
 
 
-def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str):
-    """Function mapping time-major states (T, K, n) to the node's (rows, K)
-    value table."""
+def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
+             groups: dict):
+    """Function mapping time-major states (T, K, n) and a per-evaluation dict
+    to the node's (rows, K) value table.  groups maps off-grid row times to
+    the _OffGridLeaves compiled so far."""
     if isinstance(node, TrueFormula):
         count = rows.grid_rows + len(rows.off)
-        return lambda states: np.full((count, states.shape[1]), np.inf)
+        return lambda states, shared: np.full((count, states.shape[1]), np.inf)
     if isinstance(node, Predicate):
-        return _compile_predicate(node, grid, rows)
+        return _compile_predicate(node, grid, rows, groups)
     if isinstance(node, Not):
-        child = _compile(node.child, grid, rows, convention)
-        return lambda states: np.negative(child(states))
+        child = _compile(node.child, grid, rows, convention, groups)
+        return lambda states, shared: np.negative(child(states, shared))
     if isinstance(node, (And, Or)):
-        left = _compile(node.left, grid, rows, convention)
-        right = _compile(node.right, grid, rows, convention)
+        left = _compile(node.left, grid, rows, convention, groups)
+        right = _compile(node.right, grid, rows, convention, groups)
         op = np.minimum if isinstance(node, And) else np.maximum
-        return lambda states: op(left(states), right(states))
+        return lambda states, shared: op(left(states, shared), right(states, shared))
 
     q = rows.times(grid)
     lo, hi, s, e = _windows(grid, q, node.start, node.end)
     ends = np.concatenate([lo, hi])
     if isinstance(node, (Eventually, Always)):
         child_rows = _rows_for(grid, ends, s, e)
-        child = _compile(node.child, grid, child_rows, convention)
+        child = _compile(node.child, grid, child_rows, convention, groups)
         op = np.maximum if isinstance(node, Eventually) else np.minimum
         reduce = _window_reducer(op, grid, child_rows, lo, hi, s, e)
-        return lambda states: reduce(child(states))
+        return lambda states, shared: reduce(child(states, shared))
     if not isinstance(node, Until):
         raise TypeError(f"unknown formula node {node!r}")
 
@@ -549,14 +585,14 @@ def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str):
         prefix = _window_reducer(np.minimum, grid, running_rows, p_lo, p_hi, p_s, p_e)
     else:
         raise ValueError(f"unknown until_convention {convention!r}")
-    point = _compile(point_node, grid, point_rows, convention)
-    running = _compile(running_node, grid, running_rows, convention)
+    point = _compile(point_node, grid, point_rows, convention, groups)
+    running = _compile(running_node, grid, running_rows, convention, groups)
     point_cols = _members(grid, point_rows, lo, hi, s, e)
     running_cols = _members(grid, running_rows, lo, hi, s, e)
 
-    def until(states):
-        p = point(states)
-        r = running(states)
+    def until(states, shared):
+        p = point(states, shared)
+        r = running(states, shared)
         shape = (len(q), states.shape[1])
         run_min = np.full(shape, np.inf) if prefix is None else prefix(r)
         first = np.minimum(run_min, r[running_cols[0]])
@@ -571,34 +607,66 @@ def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str):
     return until
 
 
-def _compile_predicate(node: Predicate, grid: np.ndarray, rows: _Rows):
-    """Predicate values on the grid rows, then on the off-grid rows from the
-    state interpolated between the bracketing samples.  Times outside the grid
-    clamp to its ends (weight 0 on the end sample)."""
+class _OffGridLeaves:
+    """Predicate leaves that need the same off-grid times: the states at
+    those times are interpolated as (1-w)*s_i + w*s_j once per chunk of
+    _INTERP_FLOATS floats, and every leaf's function is applied to the chunk.
+    Times outside the grid clamp to its ends (weight 0 on the end sample)."""
+
+    def __init__(self, grid: np.ndarray, off: np.ndarray):
+        t_c = np.clip(off, grid[0], grid[-1])
+        j = np.searchsorted(grid, t_c, side="right")
+        i = np.maximum(j - 1, 0)
+        exact = grid[i] == t_c
+        j = np.where(exact, i, np.minimum(j, len(grid) - 1))
+        w = (t_c - grid[i]) / np.where(exact, 1.0, grid[j] - grid[i])
+        self.i, self.j = i, j
+        self.w_i = (1.0 - w)[:, None, None]
+        self.w_j = w[:, None, None]
+        self.fns = []
+
+    def fill(self, states: np.ndarray, out: np.ndarray, index: int) -> list:
+        """Write leaf index's values into out (off times, K); return the other
+        leaves' value tables, with None at index."""
+        shape = (len(self.i), states.shape[1])
+        tables = [out if k == index else np.empty(shape) for k in range(len(self.fns))]
+        step = max(1, _INTERP_FLOATS // max(1, states.shape[1] * states.shape[2]))
+        for a in range(0, shape[0], step):
+            b = a + step
+            x = self.w_i[a:b] * states[self.i[a:b]] + self.w_j[a:b] * states[self.j[a:b]]
+            for table, fn in zip(tables, self.fns):
+                table[a:b] = fn.value(x)
+        tables[index] = None
+        return tables
+
+
+def _compile_predicate(node: Predicate, grid: np.ndarray, rows: _Rows, groups: dict):
+    """Predicate values on the grid rows, then on the off-grid rows, which
+    come from the leaf's _OffGridLeaves: the first of its leaves evaluated
+    fills them for all, and the others take theirs from the shared dict."""
     fn = node.fn
     if fn is None:
         raise ValueError(f"predicate {node.name!r} is unbound; no function handle")
     g0, g1, tg = rows.g0, rows.g1, rows.grid_rows
     if len(rows.off) == 0:
-        return lambda states: np.asarray(fn.value(states[g0:g1]), dtype=float)
-    t_c = np.clip(rows.off, grid[0], grid[-1])
-    j = np.searchsorted(grid, t_c, side="right")
-    i = np.maximum(j - 1, 0)
-    exact = grid[i] == t_c
-    j = np.where(exact, i, np.minimum(j, len(grid) - 1))
-    w = (t_c - grid[i]) / np.where(exact, 1.0, grid[j] - grid[i])
-    w_i = (1.0 - w)[:, None, None]
-    w_j = w[:, None, None]
-    count = len(w)
+        return lambda states, shared: np.asarray(fn.value(states[g0:g1]), dtype=float)
+    key = rows.off.tobytes()
+    if key not in groups:
+        groups[key] = _OffGridLeaves(grid, rows.off)
+    group = groups[key]
+    group.fns.append(fn)
+    index = len(group.fns) - 1
+    count = len(rows.off)
 
-    def value(states):
+    def value(states, shared):
         out = np.empty((tg + count, states.shape[1]))
         out[:tg] = fn.value(states[g0:g1])
-        step = max(1, _INTERP_FLOATS // max(1, states.shape[1] * states.shape[2]))
-        for a in range(0, count, step):
-            b = a + step
-            x = w_i[a:b] * states[i[a:b]] + w_j[a:b] * states[j[a:b]]
-            out[tg + a:tg + b] = fn.value(x)
+        pending = shared.get(group)
+        if pending is None:
+            shared[group] = group.fill(states, out[tg:], index)
+        else:
+            out[tg:] = pending[index]
+            pending[index] = None
         return out
 
     return value
@@ -615,7 +683,8 @@ def _plan(f: Formula, times_key: bytes, t: float, convention: str):
     if t < grid[0] - _TIME_SLACK:
         raise ValueError(f"evaluation time {t} precedes signal start {grid[0]}")
     none = np.zeros(0, dtype=int)
-    return _compile(f, grid, _rows_for(grid, np.array([t]), none, none), convention)
+    evaluate = _compile(f, grid, _rows_for(grid, np.array([t]), none, none), convention, {})
+    return lambda states: evaluate(states, {})
 
 
 def robustness_batch(f: Formula, times: np.ndarray, states: np.ndarray,

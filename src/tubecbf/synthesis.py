@@ -285,9 +285,14 @@ class SOPInstance:
 
 class _ObjectiveGrid:
     """Cover-dependent precomputation for fast evaluation of the sampled
-    constraint margin max{ r_d - r(tau_s) } u { -rho(x_s) }."""
+    constraint margin max{ r_d - r(tau_s) } u { -rho(x_s) }.
 
-    # keep per-evaluation state arrays under ~48 MB
+    evaluate is batch-first: it takes M candidate coefficient vectors and
+    sends the trajectories of all of them to one monitor call, because a
+    monitor call costs mostly a fixed per-call overhead at search-cover sizes.
+    """
+
+    # keep per-call state arrays under ~48 MB
     _CHUNK_FLOATS = 6_000_000
 
     def __init__(self, instance: SOPInstance, cover: Cover):
@@ -310,32 +315,50 @@ class _ObjectiveGrid:
         return self.scaled_dirs.shape[0]
 
     def _rho_chunk(self, center_t, radii, lo, hi):
+        """Robustness of trajectories lo..hi-1 of every candidate in center_t
+        (T, M, n) and radii (T, M), as (M, hi-lo)."""
         block = self.scaled_dirs[lo:hi]
-        # built time-major (T, K, n), the layout the monitor reads, and passed
-        # as its (K, T, n) transpose
-        states = center_t[:, None, :] + radii[:, None, None] * block[None, :, :]
-        return robustness_batch(self.instance.formula, self.times,
-                                states.transpose(1, 0, 2), 0.0,
-                                until_convention=self.instance.until_convention)
+        # built time-major (T, M, K, n), the layout the monitor reads, and
+        # passed as the (M*K, T, n) transpose
+        states = (center_t[:, :, None, :]
+                  + radii[:, :, None, None] * block[None, None, :, :])
+        t, m, k, n = states.shape
+        rho = robustness_batch(self.instance.formula, self.times,
+                               states.reshape(t, m * k, n).transpose(1, 0, 2), 0.0,
+                               until_convention=self.instance.until_convention)
+        return rho.reshape(m, k)
 
-    def evaluate(self, q_c: np.ndarray, q_r: np.ndarray) -> tuple[float, int]:
-        """Margin and the (deterministic, lowest-first) argmax constraint index.
+    def evaluate(self, q_c: np.ndarray, q_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Margins and (deterministic, lowest-first) argmax constraint indices
+        of M candidates; q_c is (M, n, z_c) and q_r (M, z_r).
 
-        Indices 0..m_tau-1 are radius constraints; the rest are robustness
-        constraints in trajectory order.
+        Candidate m's margin and index are bit-identical to evaluating it
+        alone.  Indices 0..m_tau-1 are radius constraints; the rest are
+        robustness constraints in trajectory order.
         """
-        radii = np.asarray(q_r, dtype=float) @ self.p_radius
-        center_t = (np.asarray(q_c, dtype=float) @ self.p_center).T  # (T, n)
-        radius_terms = self.instance.min_radius - radii[1:-1]
-
+        # one product per candidate: a stacked (M, z) @ (z, T) product may
+        # round differently from a single candidate's
+        radii = np.stack([q @ self.p_radius for q in np.asarray(q_r, dtype=float)],
+                         axis=1)                                      # (T, M)
+        center_t = np.stack([(q @ self.p_center).T for q in np.asarray(q_c, dtype=float)],
+                            axis=1)                                   # (T, M, n)
+        m = radii.shape[1]
         k_total = self.trajectory_count
-        chunk = max(1, self._CHUNK_FLOATS // max(1, len(self.times) * self.instance.n))
-        rho = np.concatenate([self._rho_chunk(center_t, radii, lo, min(lo + chunk, k_total))
-                              for lo in range(0, k_total, chunk)])
+        # a monitor call takes whole candidates while they fit the chunk and
+        # slices of one candidate's trajectories otherwise; rho is joined
+        # from the chunk results, so no full buffer is held during the calls
+        per_call = max(1, self._CHUNK_FLOATS // max(1, len(self.times) * self.instance.n))
+        group = max(1, per_call // k_total)
+        span = min(k_total, per_call)
+        rho = np.concatenate([
+            np.concatenate([self._rho_chunk(center_t[:, c:c + group], radii[:, c:c + group],
+                                            lo, lo + span)
+                            for lo in range(0, k_total, span)], axis=1)
+            for c in range(0, m, group)])
 
-        terms = np.concatenate([radius_terms, -rho])
-        idx = int(np.argmax(terms))
-        return float(terms[idx]), idx
+        terms = np.concatenate([self.instance.min_radius - radii[1:-1].T, -rho], axis=1)
+        idx = np.argmax(terms, axis=1)
+        return terms[np.arange(m), idx], idx
 
     def describe(self, idx: int) -> str:
         if idx < self.tau_count:
@@ -353,8 +376,8 @@ def sop_objective(instance: SOPInstance, q_c: np.ndarray, q_r: np.ndarray,
             raise ValueError("instance has no cover; pass one explicitly")
         cover = build_cover(instance.cover)
     grid = _ObjectiveGrid(instance, cover)
-    eta, idx = grid.evaluate(q_c, q_r)
-    return eta, grid.describe(idx)
+    eta, idx = grid.evaluate(np.asarray(q_c)[None], np.asarray(q_r)[None])
+    return float(eta[0]), grid.describe(int(idx[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +515,19 @@ def pattern_search(func, x0, lb, ub, *, step: float, min_step: float,
                    budget: int, target: Optional[float] = None):
     """Greedy coordinate search with per-axis scaling and halving steps.
 
-    func returns (value, info); only the value is minimized.  Axes whose box
-    is collapsed to a point are skipped.  Stops early once value <= target.
+    func maps an (M, d) array of points to their M values, which are
+    minimized.  Each coordinate's +step and -step trials go to func as one
+    batch of two, and the values are then taken in the order of a sequential
+    poll: + first, accepted on strict improvement, and then - .  When + is
+    accepted, the - value is computed but dropped.  The returned count, which
+    budget bounds, counts the trials that sequential poll consumes, not the
+    trials computed; a pair is cut to its + trial when one eval of budget is
+    left.  Trials that clip back onto x[j], and axes whose box is collapsed to
+    a point, are skipped.  Stops early once the value is <= target.
     """
     x = np.asarray(x0, dtype=float).copy()
     scale = ub - lb
-    fx, _ = func(x)
+    fx = float(func(x[None])[0])
     evals = 1
     cur = step
     while evals < budget and cur >= min_step:
@@ -507,19 +537,18 @@ def pattern_search(func, x0, lb, ub, *, step: float, min_step: float,
         for j in range(len(x)):
             if scale[j] == 0.0 or evals >= budget:
                 continue
-            for sgn in (1.0, -1.0):
-                trial = float(np.clip(x[j] + sgn * cur * scale[j], lb[j], ub[j]))
-                if trial == x[j]:
-                    continue
-                xt = x.copy()
-                xt[j] = trial
-                ft, _ = func(xt)
+            trials = [float(min(max(x[j] + sgn * cur * scale[j], lb[j]), ub[j]))
+                      for sgn in (1.0, -1.0)]
+            trials = [t for t in trials if t != x[j]][:budget - evals]
+            if not trials:
+                continue
+            points = np.repeat(x[None], len(trials), axis=0)
+            points[:, j] = trials
+            for point, value in zip(points, func(points)):
                 evals += 1
-                if ft < fx:
-                    x, fx = xt, ft
+                if value < fx:
+                    x, fx = point.copy(), float(value)
                     improved = True
-                    break
-                if evals >= budget:
                     break
         if not improved:
             cur /= 2.0
@@ -530,12 +559,13 @@ def _minimize_margin(func, q0, lb, ub, settings: SolverSettings,
                      rng: np.random.Generator):
     """Outer bisection on the margin level; inner multi-start pattern search."""
     best = np.asarray(q0, dtype=float).copy()
-    best_val, _ = func(best)
+    best_val = float(func(best[None])[0])
     evals = 1
     width = ub - lb
     for _ in range(max(0, settings.starts - 1)):
+        # one at a time: each start perturbs the best point so far
         cand = np.clip(best + rng.normal(scale=0.08, size=len(best)) * width, lb, ub)
-        v, _ = func(cand)
+        v = float(func(cand[None])[0])
         evals += 1
         if v < best_val:
             best, best_val = cand, v
@@ -685,10 +715,12 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
     ub = np.concatenate([instance.center_box[..., 1].ravel(), instance.radius_box[:, 1]])
 
     def unpack(q):
-        return q[:nq_c].reshape(instance.n, instance.center_count), q[nq_c:]
+        # one point (d,) or a batch (M, d)
+        return (q[..., :nq_c].reshape(q.shape[:-1] + (instance.n, instance.center_count)),
+                q[..., nq_c:])
 
-    def objective(q):
-        return search_grid.evaluate(*unpack(q))
+    def objective(qs):
+        return search_grid.evaluate(*unpack(qs))[0]
 
     q0 = np.concatenate([q_c0.ravel(), q_r0])
     best, _, evals, rounds = _minimize_margin(objective, q0, lb, ub, settings, rng)
@@ -700,15 +732,15 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
         l_rho = robustness_lipschitz(instance.formula)
         eps_cert = cert_spec.radius
 
-        def margin_objective(q):
-            qc, qr = unpack(q)
-            eta, idx = search_grid.evaluate(qc, qr)
-            tl = tube_lipschitz(instance.make_tube(qc, qr))
-            lip_q = combine_constants(l_rho, tl.center, tl.radius,
-                                      tl.radius_max, instance.n).combined
-            return eta + lip_q * eps_cert, idx
+        def margin_objective(qs):
+            lips = []
+            for q in qs:
+                tl = tube_lipschitz(instance.make_tube(*unpack(q)))
+                lips.append(combine_constants(l_rho, tl.center, tl.radius,
+                                              tl.radius_max, instance.n).combined)
+            return objective(qs) + np.array(lips) * eps_cert
 
-        m0, _ = margin_objective(best)
+        m0 = float(margin_objective(best[None])[0])
         evals += 1
         if m0 > -POLISH_SLACK:
             x, v, used = pattern_search(
@@ -729,7 +761,8 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
         cert_spec = CoverSpec.for_radius(settings.target_margin / lip.combined,
                                          instance.n, instance.t_f)
     cert_grid = _ObjectiveGrid(instance, build_cover(cert_spec))
-    eta_star, worst_idx = cert_grid.evaluate(q_c, q_r)
+    eta, worst = cert_grid.evaluate(q_c[None], q_r[None])
+    eta_star, worst_idx = float(eta[0]), int(worst[0])
 
     wall = time.perf_counter() - t_start
     diagnostics = {
@@ -759,5 +792,5 @@ def recheck_constraints(instance: SOPInstance, tube: Tube, factor: int = 10,
     if base is None:
         raise ValueError("no cover to refine")
     grid = _ObjectiveGrid(instance, build_cover(base.refined(factor)))
-    value, _ = grid.evaluate(tube.center_coeffs, tube.radius_coeffs)
-    return value
+    value, _ = grid.evaluate(tube.center_coeffs[None], tube.radius_coeffs[None])
+    return float(value[0])

@@ -3,6 +3,7 @@ unit-sphere parameterization used to enumerate tube trajectories."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -127,6 +128,19 @@ class TubeLipschitz:
     radius_max: float
 
 
+@functools.lru_cache(maxsize=8)
+def _lipschitz_tables(center_basis: Basis, radius_basis: Basis, grid_points: int):
+    """Read-only center derivatives, radius derivatives and radius values on
+    the tube_lipschitz grid; they depend on the bases alone, and the
+    certificate polish calls tube_lipschitz once per trial point."""
+    ts = np.linspace(0.0, center_basis.t_f, grid_points)
+    tables = (center_basis.derivatives(ts), radius_basis.derivatives(ts),
+              radius_basis.values(ts))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def tube_lipschitz(tube: Tube, grid_points: int = 1000) -> TubeLipschitz:
     """Lipschitz constants of the tube curves over [0, t_f].
 
@@ -134,20 +148,21 @@ def tube_lipschitz(tube: Tube, grid_points: int = 1000) -> TubeLipschitz:
     (second-derivative bound) * h/2 makes each value a certified upper bound
     for the continuous maximum (any t lies within h/2 of a grid point).
     """
-    ts = np.linspace(0.0, tube.t_f, grid_points)
     h = tube.t_f / (grid_points - 1)
+    c_der, r_der, r_val = _lipschitz_tables(tube.center_basis, tube.radius_basis,
+                                            grid_points)
 
-    cdot = tube.center_coeffs @ tube.center_basis.derivatives(ts)
+    cdot = tube.center_coeffs @ c_der
     speed_max = float(np.max(np.linalg.norm(cdot, axis=0)))
     c2 = np.sqrt(sum(tube.center_basis.second_derivative_bound(row) ** 2
                      for row in tube.center_coeffs))
     l_center = speed_max + c2 * h / 2.0
 
-    rdot = tube.radius_coeffs @ tube.radius_basis.derivatives(ts)
+    rdot = tube.radius_coeffs @ r_der
     r2 = tube.radius_basis.second_derivative_bound(tube.radius_coeffs)
     l_radius = float(np.max(np.abs(rdot))) + r2 * h / 2.0
 
-    rvals = tube.radius_coeffs @ tube.radius_basis.values(ts)
+    rvals = tube.radius_coeffs @ r_val
     radius_max = float(np.max(rvals)) + l_radius * h / 2.0
 
     return TubeLipschitz(center=l_center, radius=l_radius, radius_max=radius_max)

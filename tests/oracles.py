@@ -185,3 +185,46 @@ def oracle_min_norm_qp(weight, a, psi):
     if not candidates:
         return None
     return min(candidates, key=lambda u: float(u @ weight @ u))
+
+
+def oracle_pattern_search(func, x0, lb, ub, *, step, min_step, budget, target=None):
+    """Coordinate pattern search polled one trial per call, + before -.
+
+    func maps one point (a list of floats) to its value.  A trial is accepted
+    on strict improvement, which ends that coordinate's poll; a trial that
+    clips back onto x[j] and an axis with lb == ub are skipped.  Returns
+    (x, fx, evals, accepted points in order).
+    """
+    x = [float(v) for v in x0]
+    lb = [float(v) for v in lb]
+    ub = [float(v) for v in ub]
+    scale = [u - l for l, u in zip(lb, ub)]
+    fx = func(x)
+    evals = 1
+    accepted = []
+    cur = step
+    while evals < budget and cur >= min_step:
+        if target is not None and fx <= target:
+            break
+        improved = False
+        for j in range(len(x)):
+            if scale[j] == 0.0 or evals >= budget:
+                continue
+            for sgn in (1.0, -1.0):
+                trial = min(max(x[j] + sgn * cur * scale[j], lb[j]), ub[j])
+                if trial == x[j]:
+                    continue
+                xt = list(x)
+                xt[j] = trial
+                ft = func(xt)
+                evals += 1
+                if ft < fx:
+                    x, fx = xt, ft
+                    accepted.append(xt)
+                    improved = True
+                    break
+                if evals >= budget:
+                    break
+        if not improved:
+            cur /= 2.0
+    return x, fx, evals, accepted

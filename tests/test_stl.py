@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -433,6 +434,15 @@ def test_batch_nested_windows_off_grid():
     for f in (Eventually(0.3, 2.7, Always(0.15, 1.1, p)),
               Always(0.3, 2.7, Eventually(0.15, 1.1, Or(p, Not(q))))):
         _assert_batch_matches_oracle(f, times, states)
+    # p and q sit in two subtrees but need the same off-grid times, which are
+    # interpolated once for both; each conjunct's values stay bit-identical
+    f_p = Eventually(0.3, 2.7, Always(0.15, 1.1, p))
+    f_q = Eventually(0.3, 2.7, Always(0.15, 1.1, Not(q)))
+    _assert_batch_matches_oracle(And(f_p, f_q), times, states)
+    both = robustness_batch(And(f_p, f_q), times, states)
+    apart = np.minimum(robustness_batch(f_p, times, states),
+                       robustness_batch(f_q, times, states))
+    assert both.tobytes() == apart.tobytes()
 
 
 def test_batch_until_both_conventions():
@@ -470,6 +480,22 @@ def test_batch_cached_plan_repeats():
     second = robustness_batch(f, times.copy(), states)
     assert _plan.cache_info().hits == hits + 1
     assert np.array_equal(first, second)
+
+
+def test_batch_equal_formulas_share_a_plan():
+    # nodes cache their hash; an equal but distinct formula still finds the
+    # plan, and a pickled copy hashes afresh
+    text = "F[0,2] G[0,1] (T & !O)"
+    f1, f2 = parse(text, TABLE), parse(text, TABLE)
+    assert f1 == f2 and f1 is not f2 and hash(f1) == hash(f2)
+    times, states = _jittered_batch(np.random.default_rng(54), 3, 3.5, 20)
+    first = robustness_batch(f1, times, states)
+    info = _plan.cache_info()
+    assert np.array_equal(robustness_batch(f2, times, states), first)
+    assert (_plan.cache_info().hits, _plan.cache_info().misses) == (info.hits + 1, info.misses)
+    copy = pickle.loads(pickle.dumps(f1))
+    assert "_hash" not in copy.__dict__
+    assert copy == f1 and hash(copy) == hash(f1)
 
 
 def test_batch_memory_stays_linear_in_table():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tubecbf.stl import BoxInfNorm, parse
+from tubecbf.stl import AffineHalfspace, BallNorm2, BoxInfNorm, parse
 from tubecbf.synthesis import (
     Cover,
     CoverError,
@@ -16,13 +16,17 @@ from tubecbf.synthesis import (
     build_cover,
     combine_constants,
     combined_lipschitz,
+    pattern_search,
     recheck_constraints,
     solve_sop,
     sop_objective,
     verify_certificate,
     warm_start,
 )
+from tubecbf.synthesis import _ObjectiveGrid
 from tubecbf.tube import tube_lipschitz
+
+from oracles import oracle_pattern_search
 
 
 BIG_BOX = {"B": BoxInfNorm((0.0, 0.0), 10.0)}
@@ -143,6 +147,136 @@ def test_objective_affine_in_radius_floor():
     eta1, _ = sop_objective(inst1, q_c, q_r)
     eta2, _ = sop_objective(inst2, q_c, q_r)
     assert eta2 - eta1 == pytest.approx(delta, abs=1e-12)
+
+
+@pytest.mark.parametrize("formula, convention", [
+    ("F[0,3] A & G[0,4] !O & G[0,4] H", "paper"),
+    ("H U[0.5,3] A", "paper"),
+    ("H U[0.5,3] A", "standard"),
+])
+def test_objective_batch_matches_single_evaluations(formula, convention):
+    table = {"A": BoxInfNorm((1.0, 1.0), 0.8), "O": BallNorm2((-1.0, 0.5), 0.6),
+             "H": AffineHalfspace((0.3, -1.0), 2.5)}
+    inst = SOPInstance.build(parse(formula, table), n=2, t_f=4.0,
+                             state_bounds=[[-3, 3], [-3, 3]], until_convention=convention)
+    grid = _ObjectiveGrid(inst, build_cover(CoverSpec.from_counts([12], 3, 17, 4.0)))
+    rng = np.random.default_rng(3)
+    m = 6
+    q_c = rng.uniform(inst.center_box[..., 0], inst.center_box[..., 1], size=(m, 2, 5))
+    q_r = rng.uniform(inst.radius_box[:, 0], inst.radius_box[:, 1], size=(m, 4))
+    single = [grid.evaluate(q_c[i:i + 1], q_r[i:i + 1]) for i in range(m)]
+    eta_1 = np.concatenate([eta for eta, _ in single])
+    idx_1 = [int(idx[0]) for _, idx in single]
+    assert len(set(idx_1)) > 1
+    # one monitor call for all six, then two candidates per call, then
+    # slices of ten trajectories of one candidate per call
+    floats_per_trajectory = len(grid.times) * inst.n
+    for chunk in (grid._CHUNK_FLOATS, 2 * grid.trajectory_count * floats_per_trajectory,
+                  10 * floats_per_trajectory):
+        grid._CHUNK_FLOATS = chunk
+        eta, idx = grid.evaluate(q_c, q_r)
+        assert eta.tobytes() == eta_1.tobytes()
+        assert idx.tolist() == idx_1
+
+
+# ---------------------------------------------------------------------------
+# pattern search
+# ---------------------------------------------------------------------------
+
+def _quantized_bowl(rng, d):
+    """A quadratic bowl rounded to steps of 1/8, so that ties, which reject a
+    trial, are common."""
+    a = rng.uniform(0.5, 3.0, size=d).tolist()
+    c = rng.uniform(-1.0, 1.0, size=d).tolist()
+    return lambda x: math.floor(8 * sum(ai * (xi - ci) ** 2
+                                        for ai, xi, ci in zip(a, x, c))) / 8
+
+
+def _batched(f, x0, lb, ub, **kw):
+    """pattern_search on f, with the log of every batch it sent and its values."""
+    log = []
+
+    def func(points):
+        values = np.array([f(p.tolist()) for p in points])
+        log.append((points.copy(), values))
+        return values
+
+    return pattern_search(func, np.asarray(x0, dtype=float), np.asarray(lb, dtype=float),
+                          np.asarray(ub, dtype=float), **kw), log
+
+
+def _consumed(log):
+    """The logged points in the order a one-trial-per-call poll consumes
+    them, and the accepted ones: a batch ends at its first strict improvement
+    on the best value so far."""
+    (x0,), (best,) = log[0]
+    points, accepted = [x0.tolist()], []
+    for batch, values in log[1:]:
+        for p, v in zip(batch, values):
+            points.append(p.tolist())
+            if v < best:
+                best = v
+                accepted.append(p.tolist())
+                break
+    return points, accepted
+
+
+def test_pattern_search_matches_sequential_oracle():
+    rng = np.random.default_rng(11)
+    target_stops = 0
+    for _ in range(300):
+        d = int(rng.integers(1, 5))
+        lb = rng.uniform(-2.0, 0.0, size=d)
+        ub = lb + rng.uniform(0.5, 3.0, size=d)
+        collapsed = rng.random(d) < 0.2
+        ub[collapsed] = lb[collapsed]
+        x0 = rng.uniform(lb, ub)
+        # coordinates started on a bound clip their first trial onto x0
+        on_bound = rng.random(d) < 0.3
+        x0[on_bound] = np.where(rng.random(d) < 0.5, lb, ub)[on_bound]
+        f = _quantized_bowl(rng, d)
+        kw = dict(step=float(rng.choice([0.25, 0.5, 1.0])), min_step=1e-2,
+                  budget=int(rng.integers(1, 40)),
+                  target=float(rng.uniform(0.0, 1.0)) if rng.random() < 0.4 else None)
+        polled = []
+
+        def one(x):
+            polled.append(list(x))
+            return f(x)
+
+        x_ref, f_ref, evals_ref, accepted_ref = oracle_pattern_search(one, x0, lb, ub, **kw)
+        (x, fx, evals), log = _batched(f, x0, lb, ub, **kw)
+        points, accepted = _consumed(log)
+        assert (x.tolist(), fx, evals) == (x_ref, f_ref, evals_ref)
+        assert points == polled
+        assert accepted == accepted_ref
+        assert all(len(batch) <= 2 for batch, _ in log)
+        target_stops += kw["target"] is not None and fx <= kw["target"] and evals < kw["budget"]
+    assert target_stops > 0
+
+
+def test_pattern_search_pairs_budget_clipping_and_target():
+    lb, ub = [0.0, 1.0], [1.0, 1.0]  # axis 1 is collapsed and never polled
+
+    def flat(x):
+        return 1.0  # no trial improves, so every trial is consumed
+
+    # one eval of budget left after x0: the pair is cut to its + trial
+    (_, _, evals), log = _batched(flat, [0.5, 1.0], lb, ub, step=0.25, min_step=0.1,
+                                  budget=2)
+    assert evals == 2
+    assert [b.tolist() for b, _ in log] == [[[0.5, 1.0]], [[0.75, 1.0]]]
+    # x0 on the upper bound: + clips onto x0 and only - is polled
+    (_, _, evals), log = _batched(flat, [1.0, 1.0], lb, ub, step=0.25, min_step=0.1,
+                                  budget=3)
+    assert evals == 3
+    assert [b.tolist() for b, _ in log] == [[[1.0, 1.0]], [[0.75, 1.0]], [[0.875, 1.0]]]
+    # + is accepted: - was computed in the same batch but is not counted, and
+    # the search stops once the target is met
+    (x, fx, evals), log = _batched(lambda x: -x[0], [0.5, 1.0], lb, ub, step=0.25,
+                                   min_step=0.1, budget=50, target=-0.6)
+    assert (x.tolist(), fx, evals) == ([0.75, 1.0], -0.75, 2)
+    assert [b.tolist() for b, _ in log] == [[[0.5, 1.0]], [[0.75, 1.0], [0.25, 1.0]]]
 
 
 # ---------------------------------------------------------------------------
