@@ -19,9 +19,11 @@ Donze, Ferrere and Maler, CAV 2013) and keeps the last few plans in an LRU
 keyed on (formula, grid bytes, anchor time, until convention).  Every node's
 values form a time-major (rows, K) table for the K trajectories: one row per
 grid time in a contiguous slice, then one per off-grid time the parent needs.
-Predicates fill their table from the states read time-major (T, K, n);
-leaves that need the same off-grid times, such as the two conjuncts of
-F G p & F G q, interpolate the states there once per evaluation.
+The states come as n coordinate planes (n, T, K), so a predicate reads each
+coordinate of its grid rows as one contiguous (rows, K) block and runs its
+inner loop over the trajectories; leaves that need the same off-grid times,
+such as the two conjuncts of F G p & F G q, interpolate the states there once
+per evaluation, plane by plane.
 F and G reduce each window as its two endpoint rows plus a doubling table of
 min/max over the grid rows, built one level at a time; a lone window reduces
 its grid slice directly.  Until sweeps the columns of a (Q, W) table of
@@ -63,6 +65,8 @@ class UndefinedPredicateError(ValueError):
 # ---------------------------------------------------------------------------
 # Predicate functions
 # ---------------------------------------------------------------------------
+# value(planes) takes the states as their n coordinate arrays x_0 .. x_{n-1},
+# all of one shape, and returns h elementwise in that shape.
 
 @dataclass(frozen=True)
 class AffineHalfspace:
@@ -71,13 +75,12 @@ class AffineHalfspace:
     weights: tuple
     offset: float
 
-    def value(self, states: np.ndarray) -> np.ndarray:
-        # summed column by column in a fixed order, so a state's value does
-        # not depend on the layout of the batch it is evaluated in
-        states = np.asarray(states)
-        out = states[..., 0] * self.weights[0]
+    def value(self, planes) -> np.ndarray:
+        # summed one coordinate at a time in a fixed order, so a state's value
+        # does not depend on the layout of the batch it is evaluated in
+        out = planes[0] * self.weights[0]
         for c in range(1, len(self.weights)):
-            out = out + states[..., c] * self.weights[c]
+            out = out + planes[c] * self.weights[c]
         return out + self.offset
 
     def lipschitz_2norm(self) -> float:
@@ -91,13 +94,11 @@ class BoxInfNorm:
     center: tuple
     halfwidth: float
 
-    def value(self, states: np.ndarray) -> np.ndarray:
-        # a chained maximum over the few state columns: a reduce over a tiny
-        # last axis costs more than the arithmetic
-        states = np.asarray(states)
-        m = np.abs(states[..., 0] - self.center[0])
+    def value(self, planes) -> np.ndarray:
+        # a chained maximum reads each coordinate array contiguously
+        m = np.abs(planes[0] - self.center[0])
         for c in range(1, len(self.center)):
-            m = np.maximum(m, np.abs(states[..., c] - self.center[c]))
+            m = np.maximum(m, np.abs(planes[c] - self.center[c]))
         return self.halfwidth - m
 
     def lipschitz_2norm(self) -> float:
@@ -113,9 +114,15 @@ class BallNorm2:
     center: tuple
     radius: float
 
-    def value(self, states: np.ndarray) -> np.ndarray:
-        d = np.asarray(states) - np.asarray(self.center)
-        return self.radius - np.linalg.norm(d, axis=-1)
+    def value(self, planes) -> np.ndarray:
+        # below eight coordinates, np.linalg.norm(axis=-1) adds the squares
+        # in this same left-to-right order, so the values are bit-identical
+        d = planes[0] - self.center[0]
+        total = d * d
+        for c in range(1, len(self.center)):
+            d = planes[c] - self.center[c]
+            total = total + d * d
+        return self.radius - np.sqrt(total)
 
     def lipschitz_2norm(self) -> float:
         return 1.0
@@ -539,12 +546,12 @@ def _members(grid: np.ndarray, rows: _Rows, lo, hi, s, e) -> tuple:
 
 def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
              groups: dict):
-    """Function mapping time-major states (T, K, n) and a per-evaluation dict
+    """Function mapping the state planes (n, T, K) and a per-evaluation dict
     to the node's (rows, K) value table.  groups maps off-grid row times to
     the _OffGridLeaves compiled so far."""
     if isinstance(node, TrueFormula):
         count = rows.grid_rows + len(rows.off)
-        return lambda states, shared: np.full((count, states.shape[1]), np.inf)
+        return lambda states, shared: np.full((count, states.shape[2]), np.inf)
     if isinstance(node, Predicate):
         return _compile_predicate(node, grid, rows, groups)
     if isinstance(node, Not):
@@ -593,7 +600,7 @@ def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
     def until(states, shared):
         p = point(states, shared)
         r = running(states, shared)
-        shape = (len(q), states.shape[1])
+        shape = (len(q), states.shape[2])
         run_min = np.full(shape, np.inf) if prefix is None else prefix(r)
         first = np.minimum(run_min, r[running_cols[0]])
         out = np.minimum(p[point_cols[0]], first)
@@ -608,8 +615,8 @@ def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
 
 
 class _OffGridLeaves:
-    """Predicate leaves that need the same off-grid times: the states at
-    those times are interpolated as (1-w)*s_i + w*s_j once per chunk of
+    """Predicate leaves that need the same off-grid times: each state plane
+    is interpolated at those times as (1-w)*s_i + w*s_j once per chunk of
     _INTERP_FLOATS floats, and every leaf's function is applied to the chunk.
     Times outside the grid clamp to its ends (weight 0 on the end sample)."""
 
@@ -621,19 +628,20 @@ class _OffGridLeaves:
         j = np.where(exact, i, np.minimum(j, len(grid) - 1))
         w = (t_c - grid[i]) / np.where(exact, 1.0, grid[j] - grid[i])
         self.i, self.j = i, j
-        self.w_i = (1.0 - w)[:, None, None]
-        self.w_j = w[:, None, None]
+        self.w_i = (1.0 - w)[:, None]
+        self.w_j = w[:, None]
         self.fns = []
 
     def fill(self, states: np.ndarray, out: np.ndarray, index: int) -> list:
         """Write leaf index's values into out (off times, K); return the other
         leaves' value tables, with None at index."""
-        shape = (len(self.i), states.shape[1])
+        shape = (len(self.i), states.shape[2])
         tables = [out if k == index else np.empty(shape) for k in range(len(self.fns))]
-        step = max(1, _INTERP_FLOATS // max(1, states.shape[1] * states.shape[2]))
+        step = max(1, _INTERP_FLOATS // max(1, states.shape[0] * states.shape[2]))
         for a in range(0, shape[0], step):
             b = a + step
-            x = self.w_i[a:b] * states[self.i[a:b]] + self.w_j[a:b] * states[self.j[a:b]]
+            i, j, w_i, w_j = self.i[a:b], self.j[a:b], self.w_i[a:b], self.w_j[a:b]
+            x = [w_i * plane[i] + w_j * plane[j] for plane in states]
             for table, fn in zip(tables, self.fns):
                 table[a:b] = fn.value(x)
         tables[index] = None
@@ -649,7 +657,7 @@ def _compile_predicate(node: Predicate, grid: np.ndarray, rows: _Rows, groups: d
         raise ValueError(f"predicate {node.name!r} is unbound; no function handle")
     g0, g1, tg = rows.g0, rows.g1, rows.grid_rows
     if len(rows.off) == 0:
-        return lambda states, shared: np.asarray(fn.value(states[g0:g1]), dtype=float)
+        return lambda states, shared: np.asarray(fn.value(states[:, g0:g1]), dtype=float)
     key = rows.off.tobytes()
     if key not in groups:
         groups[key] = _OffGridLeaves(grid, rows.off)
@@ -659,8 +667,8 @@ def _compile_predicate(node: Predicate, grid: np.ndarray, rows: _Rows, groups: d
     count = len(rows.off)
 
     def value(states, shared):
-        out = np.empty((tg + count, states.shape[1]))
-        out[:tg] = fn.value(states[g0:g1])
+        out = np.empty((tg + count, states.shape[2]))
+        out[:tg] = fn.value(states[:, g0:g1])
         pending = shared.get(group)
         if pending is None:
             shared[group] = group.fill(states, out[tg:], index)
@@ -675,7 +683,7 @@ def _compile_predicate(node: Predicate, grid: np.ndarray, rows: _Rows, groups: d
 @functools.lru_cache(maxsize=8)
 def _plan(f: Formula, times_key: bytes, t: float, convention: str):
     """Compiled evaluation of f at time t on the grid whose float64 bytes are
-    times_key; returns a function of time-major states (T, K, n)."""
+    times_key; returns a function of the state planes (n, T, K)."""
     grid = np.frombuffer(times_key)
     if t + horizon(f) > grid[-1] + _TIME_SLACK:
         raise ValueError(
@@ -691,15 +699,16 @@ def robustness_batch(f: Formula, times: np.ndarray, states: np.ndarray,
                      t: float = 0.0, *, until_convention: str = "paper") -> np.ndarray:
     """Robustness of K trajectories sharing one time grid; states is (K, T, n).
 
-    The monitor reads the states time-major, so a C-contiguous (T, K, n)
-    buffer passed as its (K, T, n) transpose is used without a copy.
+    The monitor reads the states as n coordinate planes (n, T, K), so a
+    C-contiguous (n, T, K) buffer passed as its (K, T, n) transpose is used
+    without a copy.
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     if states.ndim == 2:
         states = states[:, :, None]
     plan = _plan(f, times.tobytes(), float(t), until_convention)
-    return plan(np.ascontiguousarray(states.transpose(1, 0, 2)))[0]
+    return plan(np.ascontiguousarray(states.transpose(2, 1, 0)))[0]
 
 
 def robustness(f: Formula, x: Signal, t: float = 0.0, *,

@@ -288,12 +288,22 @@ class _ObjectiveGrid:
     constraint margin max{ r_d - r(tau_s) } u { -rho(x_s) }.
 
     evaluate is batch-first: it takes M candidate coefficient vectors and
-    sends the trajectories of all of them to one monitor call, because a
-    monitor call costs mostly a fixed per-call overhead at search-cover sizes.
+    sends the trajectories of all of them to one monitor call while they fit
+    one block, because a monitor call costs mostly a fixed per-call overhead
+    at search-cover sizes.
     """
 
-    # keep per-call state arrays under ~48 MB
-    _CHUNK_FLOATS = 6_000_000
+    # A monitor call takes at most _BLOCK_FLOATS // len(times) trajectories,
+    # so each (T, K) state plane holds at most _BLOCK_FLOATS floats (96 KiB)
+    # whatever n is, and the monitor's (rows, K) tables stay of that order.
+    # Temporaries this small are reused from the malloc heap call after call;
+    # multi-megabyte blocks made each one a fresh mapping for the kernel to
+    # zero, and the dense re-check spent more than half its time in the
+    # kernel.  In a sweep of the 10x re-check of the omni_reach_avoid and
+    # stlcg_2 reference tubes, blocks up to this size took a few hundred page
+    # faults per job in either scenario order; from 14336 floats up, one
+    # order or both took 60k-300k.
+    _BLOCK_FLOATS = 12_288
 
     def __init__(self, instance: SOPInstance, cover: Cover):
         self.instance = instance
@@ -305,26 +315,31 @@ class _ObjectiveGrid:
         self.p_radius = rb.values(self.times)
         lams = cover.lams
         dirs = cover.directions
-        # trajectory k = i_lambda * K_dir + j_dir carries lambda_i * s(theta_j)
-        self.scaled_dirs = (lams[:, None, None] * dirs[None, :, :]).reshape(-1, instance.n)
+        # trajectory k = i_lambda * K_dir + j_dir carries lambda_i * s(theta_j);
+        # stored as one row of K per coordinate
+        self.scaled_dirs = np.ascontiguousarray(
+            (lams[:, None, None] * dirs[None, :, :]).reshape(-1, instance.n).T)
         self.dir_count = dirs.shape[0]
         self.tau_count = len(taus)
 
     @property
     def trajectory_count(self) -> int:
-        return self.scaled_dirs.shape[0]
+        return self.scaled_dirs.shape[1]
 
-    def _rho_chunk(self, center_t, radii, lo, hi):
-        """Robustness of trajectories lo..hi-1 of every candidate in center_t
-        (T, M, n) and radii (T, M), as (M, hi-lo)."""
-        block = self.scaled_dirs[lo:hi]
-        # built time-major (T, M, K, n), the layout the monitor reads, and
-        # passed as the (M*K, T, n) transpose
-        states = (center_t[:, :, None, :]
-                  + radii[:, :, None, None] * block[None, None, :, :])
-        t, m, k, n = states.shape
+    def _rho_chunk(self, center, radii, lo, hi):
+        """Robustness of trajectories lo..hi-1 of every candidate in center
+        (n, T, M) and radii (T, M), as (M, hi-lo)."""
+        dirs = self.scaled_dirs[:, lo:hi]
+        n, t, m = center.shape
+        k = dirs.shape[1]
+        # built one coordinate plane at a time into the (n, T, M, K) layout
+        # the monitor reads, and passed as the (M*K, T, n) transpose; no
+        # temporary is larger than one plane
+        states = np.empty((n, t, m, k))
+        for c in range(n):
+            np.add(center[c][:, :, None], radii[:, :, None] * dirs[c], out=states[c])
         rho = robustness_batch(self.instance.formula, self.times,
-                               states.reshape(t, m * k, n).transpose(1, 0, 2), 0.0,
+                               states.reshape(n, t, m * k).transpose(2, 1, 0), 0.0,
                                until_convention=self.instance.until_convention)
         return rho.reshape(m, k)
 
@@ -340,18 +355,18 @@ class _ObjectiveGrid:
         # round differently from a single candidate's
         radii = np.stack([q @ self.p_radius for q in np.asarray(q_r, dtype=float)],
                          axis=1)                                      # (T, M)
-        center_t = np.stack([(q @ self.p_center).T for q in np.asarray(q_c, dtype=float)],
-                            axis=1)                                   # (T, M, n)
+        center = np.stack([q @ self.p_center for q in np.asarray(q_c, dtype=float)],
+                          axis=2)                                     # (n, T, M)
         m = radii.shape[1]
         k_total = self.trajectory_count
-        # a monitor call takes whole candidates while they fit the chunk and
+        # a monitor call takes whole candidates while they fit the block and
         # slices of one candidate's trajectories otherwise; rho is joined
-        # from the chunk results, so no full buffer is held during the calls
-        per_call = max(1, self._CHUNK_FLOATS // max(1, len(self.times) * self.instance.n))
+        # from the block results, so no full buffer is held during the calls
+        per_call = max(1, self._BLOCK_FLOATS // len(self.times))
         group = max(1, per_call // k_total)
         span = min(k_total, per_call)
         rho = np.concatenate([
-            np.concatenate([self._rho_chunk(center_t[:, c:c + group], radii[:, c:c + group],
+            np.concatenate([self._rho_chunk(center[:, :, c:c + group], radii[:, c:c + group],
                                             lo, lo + span)
                             for lo in range(0, k_total, span)], axis=1)
             for c in range(0, m, group)])

@@ -181,6 +181,27 @@ def test_robustness_ball_predicate():
     assert not rep_neg.satisfied
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_predicate_planes_match_row_references(n):
+    # .value takes the n coordinate planes of the states; it must give the
+    # row-wise reference on (..., n) states bit for bit
+    rng = np.random.default_rng(60 + n)
+    x = rng.normal(size=(37, 23, n)) * 10.0 ** rng.uniform(-3, 3, size=(37, 23, n))
+    planes = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    center = tuple(rng.uniform(-2, 2, size=n).tolist())
+    weights = tuple(rng.normal(size=n).tolist())
+    d = x - np.asarray(center)
+    box = BoxInfNorm(center, 1.5).value(planes)
+    assert box.tobytes() == (1.5 - np.abs(d).max(-1)).tobytes()
+    ball = BallNorm2(center, 1.5).value(planes)
+    assert ball.tobytes() == (1.5 - np.linalg.norm(d, axis=-1)).tobytes()
+    ordered = x[..., 0] * weights[0]
+    for c in range(1, n):
+        ordered = ordered + x[..., c] * weights[c]
+    half = AffineHalfspace(weights, 0.7).value(planes)
+    assert half.tobytes() == (ordered + 0.7).tobytes()
+
+
 def test_robustness_always_on_grid():
     p = Predicate("p", AffineHalfspace((1.0,), 0.0))
     x = Signal(np.array([0.0, 1.0, 2.0]), np.array([[-1.0], [0.0], [1.0]]))
@@ -496,6 +517,21 @@ def test_batch_equal_formulas_share_a_plan():
     copy = pickle.loads(pickle.dumps(f1))
     assert "_hash" not in copy.__dict__
     assert copy == f1 and hash(copy) == hash(f1)
+
+
+def test_batch_state_layouts_agree():
+    # a C-contiguous (K, T, n) batch is copied into planes; the (K, T, n)
+    # transpose of a (n, T, K) plane buffer is read in place
+    rng = np.random.default_rng(55)
+    table = {"p": BoxInfNorm((0.5, -0.5, 0.0), 1.5), "q": BallNorm2((1.0, 0.0, 0.5), 2.0),
+             "h": AffineHalfspace((0.3, -1.0, 0.2), 2.5)}
+    f = parse("F[0.3,2.7] G[0.15,1.1] (p | !q) & G[0,3] h", table)
+    times, states = _jittered_batch(rng, 7, 4.5, 37, dim=3)
+    planes = np.ascontiguousarray(states.transpose(2, 1, 0))
+    view = planes.transpose(2, 1, 0)
+    assert np.shares_memory(view, planes) and not view.flags.c_contiguous
+    assert robustness_batch(f, times, view).tobytes() == \
+        robustness_batch(f, times, np.ascontiguousarray(states)).tobytes()
 
 
 def test_batch_memory_stays_linear_in_table():

@@ -1,10 +1,14 @@
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tubecbf.stl import AffineHalfspace, BallNorm2, BoxInfNorm, parse
+from tubecbf import load_tube, synthesis
+from tubecbf.config import load_config
+from tubecbf.stl import AffineHalfspace, BallNorm2, BoxInfNorm, parse, robustness_batch
 from tubecbf.synthesis import (
     Cover,
     CoverError,
@@ -23,12 +27,13 @@ from tubecbf.synthesis import (
     verify_certificate,
     warm_start,
 )
-from tubecbf.synthesis import _ObjectiveGrid
+from tubecbf.synthesis import _ObjectiveGrid, _search_spec
 from tubecbf.tube import tube_lipschitz
 
 from oracles import oracle_pattern_search
 
 
+ROOT = Path(__file__).resolve().parent.parent
 BIG_BOX = {"B": BoxInfNorm((0.0, 0.0), 10.0)}
 
 
@@ -154,7 +159,7 @@ def test_objective_affine_in_radius_floor():
     ("H U[0.5,3] A", "paper"),
     ("H U[0.5,3] A", "standard"),
 ])
-def test_objective_batch_matches_single_evaluations(formula, convention):
+def test_objective_batch_matches_single_evaluations(formula, convention, monkeypatch):
     table = {"A": BoxInfNorm((1.0, 1.0), 0.8), "O": BallNorm2((-1.0, 0.5), 0.6),
              "H": AffineHalfspace((0.3, -1.0), 2.5)}
     inst = SOPInstance.build(parse(formula, table), n=2, t_f=4.0,
@@ -168,15 +173,82 @@ def test_objective_batch_matches_single_evaluations(formula, convention):
     eta_1 = np.concatenate([eta for eta, _ in single])
     idx_1 = [int(idx[0]) for _, idx in single]
     assert len(set(idx_1)) > 1
-    # one monitor call for all six, then two candidates per call, then
-    # slices of ten trajectories of one candidate per call
-    floats_per_trajectory = len(grid.times) * inst.n
-    for chunk in (grid._CHUNK_FLOATS, 2 * grid.trajectory_count * floats_per_trajectory,
-                  10 * floats_per_trajectory):
-        grid._CHUNK_FLOATS = chunk
+    # blocks that put all six candidates in one monitor call, two candidates
+    # per call, ten trajectories of one candidate per call, and one
+    # trajectory per call
+    t, k = len(grid.times), grid.trajectory_count
+    for block, calls in ((m * k * t, 1), (2 * k * t, 3), (10 * t, m * math.ceil(k / 10)),
+                         (t, m * k)):
+        grid._BLOCK_FLOATS = block
+        shapes = _monitor_calls(monkeypatch)
         eta, idx = grid.evaluate(q_c, q_r)
+        assert len(shapes) == calls
         assert eta.tobytes() == eta_1.tobytes()
         assert idx.tolist() == idx_1
+
+
+def _monitor_calls(monkeypatch) -> list:
+    """Record the (K, T, n) shape of every monitor call the objective makes."""
+    shapes = []
+
+    def recording(f, times, states, *args, **kwargs):
+        shapes.append(states.shape)
+        return robustness_batch(f, times, states, *args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "robustness_batch", recording)
+    return shapes
+
+
+def _reference(name):
+    """Shipped config's instance and its committed seed-0 reference tube."""
+    config = load_config(ROOT / "configs" / f"{name}.yaml")
+    return config, load_tube(ROOT / "perfbench" / "ref" / f"{name}_tube.json")
+
+
+def test_objective_monitor_calls_stay_within_the_block(monkeypatch):
+    block = _ObjectiveGrid._BLOCK_FLOATS
+    # a re-check sends full blocks: each holds as many trajectories as fit
+    for name in ("omni_reach_avoid", "stlcg_2"):
+        config, tube = _reference(name)
+        shapes = _monitor_calls(monkeypatch)
+        recheck_constraints(config.instance(), tube, factor=3)
+        k, t, n = shapes[0]
+        assert len(shapes) > 1 and k == block // t
+        assert all(k * t <= block and n == config.dimension for k, t, n in shapes)
+    # the search polls each +/-step pair in one call; the finer certificate
+    # cover is split into blocks
+    for name in ("stlcg_1", "quadrotor_cycle"):
+        config, tube = _reference(name)
+        instance = config.instance()
+        q_c = np.stack([tube.center_coeffs, tube.center_coeffs])
+        q_r = np.stack([tube.radius_coeffs, tube.radius_coeffs + 0.01])
+        search = _search_spec(instance.cover, config.solver_settings())
+        shapes = _monitor_calls(monkeypatch)
+        _ObjectiveGrid(instance, build_cover(search)).evaluate(q_c, q_r)
+        assert len(shapes) == 1 and shapes[0][0] * shapes[0][1] <= block
+        shapes = _monitor_calls(monkeypatch)
+        _ObjectiveGrid(instance, build_cover(instance.cover)).evaluate(q_c, q_r)
+        assert len(shapes) > 1 and all(k * t <= block for k, t, _ in shapes)
+
+
+def test_dense_recheck_values_and_memory():
+    # the 10x re-check of two certified reference tubes gives the values the
+    # monitor gave on one multi-megabyte block per call, bit for bit; its
+    # traced heap peak is the refined cover's tables plus one block, not
+    # the full state array (about 121 MB and 160 MB with 6M-float blocks)
+    expected = {"omni_reach_avoid": "-0x1.e666666666662p-1",
+                "stlcg_2": "-0x1.3333333333330p-1"}
+    for name, want in expected.items():
+        config, tube = _reference(name)
+        instance = config.instance()
+        tracemalloc.start()
+        try:
+            value = recheck_constraints(instance, tube, factor=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value.hex() == want
+        assert peak < 8 * 2**20, (name, peak)
 
 
 # ---------------------------------------------------------------------------
