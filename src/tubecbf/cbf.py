@@ -4,10 +4,11 @@ minimum-energy safety QP with its single-constraint closed form."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
-from .tube import Tube
+from .tube import SampledTube, Tube
 
 
 class InfeasibleStepError(RuntimeError):
@@ -22,10 +23,12 @@ class Barrier:
     """b(t, x) = 1 - ||x - center(t)||^2 / radius(t)^2 with linear class-K gain.
 
     b is 1 at the tube center, 0 on the boundary, and negative outside; it is
-    well defined whenever the (certified) radius stays positive.
+    well defined whenever the (certified) radius stays positive.  The tube may
+    be a `SampledTube` view, whose answers equal the tube's bit for bit; the
+    radius checks below then read its tabulated radius.
     """
 
-    tube: Tube
+    tube: Union[Tube, SampledTube]
     gain: float = 5.0
 
     def __post_init__(self):

@@ -1,5 +1,13 @@
 """Closed-loop simulation under the QP safety filter, with trajectory logging
-and post-hoc robustness monitoring."""
+and post-hoc robustness monitoring.
+
+A run knows every time it will ask the tube about before its first step: the
+sample instants, the control instants and 0 for the start check.  It
+tabulates the tube's basis rows at those times once (`SampledTube`), so each
+step reads rows instead of re-evaluating the basis polynomials.  Each answer
+is still one `coeffs @ row` product per time, which keeps every barrier value,
+input and log byte equal to a per-step evaluation of the tube.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +19,7 @@ import numpy as np
 
 from .cbf import Barrier, ControlStep, barrier_value, solve_safety_qp
 from .stl import Formula, Signal, robustness
+from .tube import SampledTube
 
 
 class SimulationError(RuntimeError):
@@ -60,6 +69,12 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     moving tube without the O(dt) lag of sampling at the interval start.
     When input_bound is given, inputs are clamped per component and the
     saturation count reported; the invariance argument assumes no clamping.
+
+    The barrier is rebuilt once per run, with the same gain, over a
+    `SampledTube` of its tube at 0 and every sample and control instant.  The
+    view still makes one `coeffs @ row` product per time, on rows equal to
+    the per-step basis rows; a single stacked product over the whole table
+    would round differently and change the log.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -70,6 +85,14 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     if n_steps < 1:
         raise ValueError("horizon shorter than one step")
     times = np.linspace(0.0, t_f, n_steps + 1)
+    sample_ts = times.tolist()
+    holds = [hi - lo for lo, hi in zip(sample_ts, sample_ts[1:])] + [0.0]
+    if control_sampling == "midpoint":
+        control_ts = [t + h / 2.0 for t, h in zip(sample_ts, holds)]
+    else:
+        control_ts = sample_ts
+    barrier = Barrier(SampledTube(barrier.tube, [0.0, *sample_ts, *control_ts]),
+                      gain=barrier.gain)
     weight = np.eye(dynamics.m) if weight is None else np.asarray(weight, dtype=float)
 
     x0 = np.asarray(x0, dtype=float)
@@ -81,10 +104,7 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     steps: list[ControlStep] = []
     outputs = np.empty((n_steps + 1, dynamics.n))
     saturated = 0
-    for k, t in enumerate(times):
-        t = float(t)
-        h = float(times[k + 1] - t) if k < n_steps else 0.0
-        t_ctrl = t + h / 2.0 if control_sampling == "midpoint" else t
+    for k, (t, h, t_ctrl) in enumerate(zip(sample_ts, holds, control_ts)):
         qp = solve_safety_qp(barrier, dynamics, weight, t_ctrl, state)
         u = qp.u
         if input_bound is not None:

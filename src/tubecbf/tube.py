@@ -82,6 +82,64 @@ class Tube:
         return self.radius_coeffs @ self.radius_basis.values(np.asarray(ts, dtype=float))
 
 
+class SampledTube:
+    """A tube's curves read from basis rows tabulated at fixed times.
+
+    The center and radius bases' values and derivatives at `times` are held as
+    C-contiguous (T, z) row tables, each filled by one vectorized basis call.
+    At a tabulated time every answer is `coeffs @ row`, one product per time:
+    the product the tube itself makes, on a row bit-identical to
+    `basis.values(t)`, so the answers are the tube's to the bit.  (One stacked
+    `coeffs @ table.T` would sum in another order and differ in the last
+    bits.)  Any other time falls through to the tube's own evaluation.
+    """
+
+    def __init__(self, tube: Tube, times):
+        self.tube = tube
+        self._row = {t: i for i, t in enumerate(dict.fromkeys(float(t) for t in times))}
+        ts = np.array([tube._check_time(t) for t in self._row], dtype=float)
+
+        def rows(fn):
+            return np.ascontiguousarray(fn(ts).T)
+
+        self._c_val = rows(tube.center_basis.values)
+        self._c_der = rows(tube.center_basis.derivatives)
+        self._r_val = rows(tube.radius_basis.values)
+        self._r_der = rows(tube.radius_basis.derivatives)
+
+    @property
+    def dimension(self) -> int:
+        return self.tube.dimension
+
+    @property
+    def t_f(self) -> float:
+        return self.tube.t_f
+
+    def center(self, t: float) -> np.ndarray:
+        i = self._row.get(t)
+        if i is None:
+            return self.tube.center(t)
+        return self.tube.center_coeffs @ self._c_val[i]
+
+    def center_dot(self, t: float) -> np.ndarray:
+        i = self._row.get(t)
+        if i is None:
+            return self.tube.center_dot(t)
+        return self.tube.center_coeffs @ self._c_der[i]
+
+    def radius(self, t: float) -> float:
+        i = self._row.get(t)
+        if i is None:
+            return self.tube.radius(t)
+        return float(self.tube.radius_coeffs @ self._r_val[i])
+
+    def radius_dot(self, t: float) -> float:
+        i = self._row.get(t)
+        if i is None:
+            return self.tube.radius_dot(t)
+        return float(self.tube.radius_coeffs @ self._r_der[i])
+
+
 def sphere_map(theta) -> np.ndarray:
     """Standard spherical coordinates: n-1 angles to a unit vector in R^n.
 

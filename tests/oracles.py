@@ -2,7 +2,9 @@
 
 Everything here is deliberately written with plain Python floats, lists, and
 direct recursion: no code is shared with the implementation under test beyond
-the formula node types themselves.
+the formula node types themselves.  The one exception is oracle_closed_loop, a
+replay oracle: the closed loop's step-by-step reference form, which calls the
+library's QP, barrier, integrator and monitor on the plain tube.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 
 import numpy as np
 
+from tubecbf.cbf import Barrier, ControlStep, barrier_value, solve_safety_qp
+from tubecbf.simulate import RunReport, SimulationError, step_rk4
 from tubecbf.stl import (
     Always,
     And,
@@ -19,8 +23,10 @@ from tubecbf.stl import (
     Not,
     Or,
     Predicate,
+    Signal,
     TrueFormula,
     Until,
+    robustness,
 )
 
 
@@ -228,3 +234,65 @@ def oracle_pattern_search(func, x0, lb, ub, *, step, min_step, budget, target=No
         if not improved:
             cur /= 2.0
     return x, fx, evals, accepted
+
+
+def oracle_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formula, *,
+                       weight=None, input_bound=None, until_convention: str = "paper",
+                       control_sampling: str = "midpoint") -> RunReport:
+    """The closed loop evaluated step by step: every barrier, gradient and
+    QP term asks barrier.tube for its basis rows at that step's time."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if control_sampling not in ("midpoint", "start"):
+        raise ValueError(f"unknown control sampling {control_sampling!r}")
+    t_f = barrier.t_f
+    n_steps = int(round(t_f / dt))
+    if n_steps < 1:
+        raise ValueError("horizon shorter than one step")
+    times = np.linspace(0.0, t_f, n_steps + 1)
+    weight = np.eye(dynamics.m) if weight is None else np.asarray(weight, dtype=float)
+
+    x0 = np.asarray(x0, dtype=float)
+    state = dynamics.initial_state(x0)
+    b0 = barrier_value(barrier, 0.0, dynamics.output(state))
+    if b0 < 0.0:
+        raise SimulationError(f"initial state outside the tube: b(0, x0) = {b0}")
+
+    steps: list[ControlStep] = []
+    outputs = np.empty((n_steps + 1, dynamics.n))
+    saturated = 0
+    for k, t in enumerate(times):
+        t = float(t)
+        h = float(times[k + 1] - t) if k < n_steps else 0.0
+        t_ctrl = t + h / 2.0 if control_sampling == "midpoint" else t
+        qp = solve_safety_qp(barrier, dynamics, weight, t_ctrl, state)
+        u = qp.u
+        if input_bound is not None:
+            clamped = np.clip(u, -input_bound, input_bound)
+            if not np.array_equal(clamped, u):
+                saturated += 1
+                u = clamped
+        # the logged row carries the true barrier at the sample instant and
+        # the input actually applied over the hold interval
+        x = dynamics.output(state)
+        steps.append(ControlStep(t=t, x=x, b=barrier_value(barrier, t, x),
+                                 db_dx=qp.db_dx, db_dt=qp.db_dt, lie_f=qp.lie_f,
+                                 lie_g=qp.lie_g, psi=qp.psi, u=u,
+                                 constraint_active=qp.constraint_active))
+        outputs[k] = x
+        if k < n_steps:
+            state = step_rk4(dynamics, t, state, u, h)
+
+    trajectory = Signal(times, outputs)
+    b_vals = np.array([s.b for s in steps])
+    report = robustness(formula, trajectory, 0.0, until_convention=until_convention)
+    return RunReport(
+        x0=x0,
+        trajectory=trajectory,
+        steps=steps,
+        min_b=float(b_vals.min()),
+        tube_violations=int(np.sum(b_vals < 0.0)),
+        final_robustness=report.value,
+        satisfied=report.satisfied,
+        saturated_steps=saturated,
+    )

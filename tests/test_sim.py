@@ -1,10 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tubecbf.basis import MonomialBasis
-from tubecbf.cbf import Barrier
+from oracles import oracle_closed_loop
+from tubecbf import cbf, simulate
+from tubecbf.basis import BernsteinBasis, MonomialBasis
+from tubecbf.cbf import Barrier, InfeasibleStepError
+from tubecbf.config import load_config
 from tubecbf.dynamics import DiffDrive, OmniRobot, make_dynamics
 from tubecbf.simulate import (
     SimulationError,
@@ -14,7 +18,11 @@ from tubecbf.simulate import (
     write_trajectory_log,
 )
 from tubecbf.stl import Always, BoxInfNorm, Predicate
-from tubecbf.tube import Tube
+from tubecbf.tube import Tube, load_tube
+
+ROOT = Path(__file__).resolve().parent.parent
+REF_SCENARIOS = ("omni_reach_avoid", "diffdrive_sequential", "stlcg_1", "stlcg_2",
+                 "quadrotor_cycle")
 
 
 def _static_tube(center, radius, t_f=2.0):
@@ -178,6 +186,86 @@ def test_quadrotor_is_3d_integrator():
 def test_make_dynamics_unknown():
     with pytest.raises(ValueError):
         make_dynamics("boat")
+
+
+# ---------------------------------------------------------------------------
+# tabulated tube against the step-by-step loop
+# ---------------------------------------------------------------------------
+
+def _ref_loop_args(name, x0_seed):
+    """Positional and keyword arguments of the CLI's closed loop for one
+    reference tube; the tube is returned plain, for the caller to wrap."""
+    config = load_config(ROOT / "configs" / f"{name}.yaml")
+    tube = load_tube(ROOT / "perfbench" / "ref" / f"{name}_tube.json")
+    args = (config.make_dynamics(), Barrier(tube, gain=config.gain),
+            config.pick_x0(tube, seed=x0_seed), config.dt, config.build_formula())
+    kwargs = dict(weight=config.weight_matrix(), input_bound=config.input_bound,
+                  until_convention=config.until_convention)
+    return args, kwargs
+
+
+@pytest.mark.parametrize("x0_seed", [0, 3])
+@pytest.mark.parametrize("name", REF_SCENARIOS)
+def test_closed_loop_replays_step_by_step_oracle(tmp_path, name, x0_seed):
+    args, kwargs = _ref_loop_args(name, x0_seed)
+    samplings = ("midpoint", "start") if name in ("omni_reach_avoid",
+                                                  "diffdrive_sequential") else ("midpoint",)
+    for sampling in samplings:
+        got = run_closed_loop(*args, control_sampling=sampling, **kwargs)
+        want = oracle_closed_loop(*args, control_sampling=sampling, **kwargs)
+        write_trajectory_log(tmp_path / "got.csv", got)
+        write_trajectory_log(tmp_path / "want.csv", want)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert (got.min_b, got.tube_violations, got.final_robustness, got.saturated_steps) \
+            == (want.min_b, want.tube_violations, want.final_robustness,
+                want.saturated_steps)
+
+
+def test_closed_loop_call_shape(monkeypatch):
+    """One QP and two barrier values per step plus the start check, and a
+    fixed number of basis evaluations, however many steps the run takes."""
+    counts = {}
+
+    def counting(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def wrapper(*a, **k):
+            counts[key] = counts.get(key, 0) + 1
+            return original(*a, **k)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting(simulate, "solve_safety_qp", "qp")
+    counting(simulate, "barrier_value", "barrier")
+    counting(cbf, "barrier_value", "barrier")
+    counting(BernsteinBasis, "values", "basis")
+    counting(BernsteinBasis, "derivatives", "basis")
+
+    args, kwargs = _ref_loop_args("omni_reach_avoid", 0)
+    basis_calls = []
+    for dt in (args[3], args[3] / 2):
+        counts.clear()
+        report = run_closed_loop(*args[:3], dt, args[4], **kwargs)
+        steps = len(report.steps)
+        assert counts["qp"] == steps
+        assert counts["barrier"] == 2 * steps + 1
+        basis_calls.append(counts["basis"])
+    assert basis_calls[0] == basis_calls[1] <= 4
+
+
+def test_closed_loop_vanishing_radius_raises_like_step_by_step_loop():
+    # r(t) = 1 - 0.5 t reaches zero at t = 2; the first control instant past
+    # it is 2.025 (2.0250000000000004 in binary64), and the tabulated radius
+    # must still be checked there
+    tube = Tube(np.array([[4.5, 0.0], [4.5, 0.0]]), np.array([1.0, -0.5]),
+                MonomialBasis(2, 4.0), MonomialBasis(2, 4.0))
+    args = (OmniRobot(2), Barrier(tube), np.array([4.5, 4.5]), 0.05, STAY)
+    with pytest.raises(InfeasibleStepError) as want:
+        oracle_closed_loop(*args)
+    with pytest.raises(InfeasibleStepError) as got:
+        run_closed_loop(*args)
+    assert str(got.value) == str(want.value) == (
+        "tube radius -0.012500000000000178 not positive at t=2.0250000000000004; "
+        "barrier undefined")
 
 
 # ---------------------------------------------------------------------------

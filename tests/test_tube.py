@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tubecbf.basis import BernsteinBasis, MonomialBasis, make_basis
 from tubecbf.tube import (
+    SampledTube,
     Tube,
     boundary_point,
     load_tube,
@@ -136,6 +138,73 @@ def test_time_range_checked():
         tube.radius(-0.1)
     # tolerate float-level overshoot
     tube.center(2.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sampled view
+# ---------------------------------------------------------------------------
+
+def _closed_loop_query_times(t_f, dt, control_sampling):
+    """Every time a closed-loop run asks its tube about, computed as the
+    step-by-step loop computes them: 0, then each sample and control instant."""
+    n_steps = int(round(t_f / dt))
+    times = np.linspace(0.0, t_f, n_steps + 1)
+    out = [0.0]
+    for k, t in enumerate(times):
+        t = float(t)
+        h = float(times[k + 1] - t) if k < n_steps else 0.0
+        out += [t, t + h / 2.0 if control_sampling == "midpoint" else t]
+    return out
+
+
+def _curve_bits(tube, t):
+    return [[float(v).hex() for v in np.atleast_1d(getattr(tube, name)(t))]
+            for name in ("center", "center_dot", "radius", "radius_dot")]
+
+
+def _assert_view_matches(view, tube, ts, label=""):
+    for t in ts:
+        assert _curve_bits(view, t) == _curve_bits(tube, t), (label, t)
+
+
+def _sampled_view_cases():
+    ref = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
+    for path in sorted(ref.glob("*_tube.json")):
+        yield path.stem, load_tube(path), 0.05
+    rng = np.random.default_rng(21)
+    for kind in ("monomial", "bernstein"):
+        for n in (2, 3):
+            for z in range(2, 13):
+                t_f = float(rng.uniform(1.0, 30.0))
+                tube = _random_tube(rng, n=n, z_c=z, z_r=z, t_f=t_f, kind=kind)
+                yield f"{kind}-{n}-{z}", tube, t_f / int(rng.integers(20, 60))
+
+
+def test_sampled_view_is_bit_identical_at_closed_loop_times():
+    for label, tube, dt in _sampled_view_cases():
+        per_sampling = {s: _closed_loop_query_times(tube.t_f, dt, s)
+                        for s in ("midpoint", "start")}
+        # the start instants are a subset of the midpoint run's times
+        want = {t: _curve_bits(tube, t) for t in per_sampling["midpoint"]}
+        for sampling, ts in per_sampling.items():
+            view = SampledTube(tube, ts)
+            assert (view.t_f, view.dimension) == (tube.t_f, tube.dimension)
+            for t in ts:
+                assert _curve_bits(view, t) == want[t], (label, sampling, t)
+            # times off the table fall through to the tube's own evaluation
+            off = [ts[1] + 0.3 * dt, ts[-1] - 0.7 * dt, tube.t_f / 3.0 + 1e-7]
+            _assert_view_matches(view, tube, off, label)
+            with pytest.raises(ValueError):
+                view.center(tube.t_f + 1.0)
+
+
+def test_sampled_view_clamps_like_the_tube():
+    rng = np.random.default_rng(5)
+    tube = _random_tube(rng, kind="bernstein")
+    ts = [-1e-12, 0.0, 2.5, tube.t_f, tube.t_f + 1e-12]
+    _assert_view_matches(SampledTube(tube, ts), tube, ts)
+    with pytest.raises(ValueError):
+        SampledTube(tube, [0.0, tube.t_f + 1.0])
 
 
 # ---------------------------------------------------------------------------
