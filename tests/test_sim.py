@@ -240,11 +240,11 @@ def test_closed_loop_call_shape(monkeypatch):
     counting(BernsteinBasis, "values", "basis")
     counting(BernsteinBasis, "derivatives", "basis")
 
-    args, kwargs = _ref_loop_args("omni_reach_avoid", 0)
+    (dynamics, barrier, x0, dt, formula), kwargs = _ref_loop_args("omni_reach_avoid", 0)
     basis_calls = []
-    for dt in (args[3], args[3] / 2):
+    for step in (dt, dt / 2):
         counts.clear()
-        report = run_closed_loop(*args[:3], dt, args[4], **kwargs)
+        report = run_closed_loop(dynamics, barrier, x0, step, formula, **kwargs)
         steps = len(report.steps)
         assert counts["qp"] == steps
         assert counts["barrier"] == 2 * steps + 1
