@@ -10,6 +10,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
+from .basis import BASIS_KINDS
 from .cbf import Barrier
 from .dynamics import dynamics_kind
 from .simulate import RunReport, run_closed_loop
@@ -51,14 +52,20 @@ def _predicate_from_dict(name: str, spec: dict, dim: int):
     raise ConfigError(f"predicate {name!r}: unknown kind {kind!r}")
 
 
-def _predicate_to_dict(fn) -> dict:
-    if isinstance(fn, BoxInfNorm):
-        return {"kind": "box", "center": list(fn.center), "halfwidth": fn.halfwidth}
-    if isinstance(fn, BallNorm2):
-        return {"kind": "ball", "center": list(fn.center), "radius": fn.radius}
-    if isinstance(fn, AffineHalfspace):
-        return {"kind": "halfspace", "weights": list(fn.weights), "offset": fn.offset}
-    raise ConfigError(f"unsupported predicate function {fn!r}")
+_COVER_KEYS = {"theta", "lambda", "tau"}
+
+
+def _check_block(name: str, block, required: set, allowed: set) -> None:
+    """A nested mapping holds every required key and no key outside allowed."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a mapping")
+    missing = required - set(block)
+    if missing:
+        raise ConfigError(f"{name}: missing keys {sorted(missing)}")
+    unknown = set(block) - allowed
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}; "
+                          f"allowed: {sorted(allowed)}")
 
 
 @dataclass
@@ -109,6 +116,20 @@ class ScenarioConfig:
             raise ConfigError("x0 has wrong dimension")
         if self.start is not None and len(self.start) != self.dimension:
             raise ConfigError("start has wrong dimension")
+        if self.epsilon is None and self.cover_counts is None:
+            raise ConfigError("no certification cover: set epsilon or cover_counts")
+        for name in ("cover_counts", "search_cover"):
+            block = getattr(self, name)
+            if block is not None:
+                _check_block(name, block, _COVER_KEYS, _COVER_KEYS)
+                if len(block["theta"]) != self.dimension - 1:
+                    raise ConfigError(f"{name}: theta needs {self.dimension - 1} "
+                                      f"counts in dimension {self.dimension}")
+        _check_block("solver", self.solver, set(), {"seed", "budget"})
+        _check_block("basis", self.basis, set(), {"kind", "center_count", "radius_count"})
+        if self.basis.get("kind", "bernstein") not in BASIS_KINDS:
+            raise ConfigError(f"basis: unknown kind {self.basis.get('kind')!r}; "
+                              f"choose from {sorted(BASIS_KINDS)}")
         # predicates and formula are validated together in build_formula
         self.build_formula()
         if self.pin_start and self.start is None:
@@ -141,13 +162,11 @@ class ScenarioConfig:
                 f"formula horizon {horizon(f)} exceeds configured t_f {self.t_f}")
         return f
 
-    def cover_spec(self) -> Optional[CoverSpec]:
+    def cover_spec(self) -> CoverSpec:
         if self.cover_counts is not None:
             cc = self.cover_counts
             return CoverSpec.from_counts(cc["theta"], cc["lambda"], cc["tau"], self.t_f)
-        if self.epsilon is not None:
-            return CoverSpec.for_radius(self.epsilon, self.dimension, self.t_f)
-        return None
+        return CoverSpec.for_radius(self.epsilon, self.dimension, self.t_f)
 
     def instance(self) -> SOPInstance:
         b = self.basis
@@ -163,7 +182,7 @@ class ScenarioConfig:
             until_convention=self.until_convention)
 
     def solver_settings(self, seed: Optional[int] = None) -> SolverSettings:
-        s = dict(self.solver)
+        s = self.solver
         search = None
         if self.search_cover is not None:
             sc = self.search_cover
@@ -171,12 +190,6 @@ class ScenarioConfig:
         return SolverSettings(
             seed=int(s.get("seed", 0)) if seed is None else int(seed),
             budget=int(s.get("budget", 4000)),
-            starts=int(s.get("starts", 3)),
-            step0=float(s.get("step0", 0.25)),
-            min_step=float(s.get("min_step", 1e-3)),
-            bisection=tuple(s.get("bisection", (-2.0, 2.0))),
-            bisection_tol=float(s.get("bisection_tol", 1e-3)),
-            target_margin=float(s.get("target_margin", 0.05)),
             search_cover=search,
         )
 

@@ -59,13 +59,12 @@ class RunReport:
 def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
                     formula: Formula, *, weight: Optional[np.ndarray] = None,
                     input_bound: Optional[float] = None,
-                    until_convention: str = "paper",
-                    control_sampling: str = "midpoint") -> RunReport:
+                    until_convention: str = "paper") -> RunReport:
     """Iterate the safety QP and RK4 over [0, t_f] and monitor the result.
 
     x0 is the initial certified output and must satisfy b(0, x0) >= 0.  The
-    input is held constant over each step; "midpoint" control sampling
-    evaluates the QP's time-varying terms at t + dt/2 so the hold tracks a
+    input is held constant over each step, and the QP's time-varying terms
+    are evaluated at the step's midpoint t + dt/2, so the hold tracks a
     moving tube without the O(dt) lag of sampling at the interval start.
     When input_bound is given, inputs are clamped per component and the
     saturation count reported; the invariance argument assumes no clamping.
@@ -78,8 +77,6 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if control_sampling not in ("midpoint", "start"):
-        raise ValueError(f"unknown control sampling {control_sampling!r}")
     t_f = barrier.t_f
     n_steps = int(round(t_f / dt))
     if n_steps < 1:
@@ -87,10 +84,7 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     times = np.linspace(0.0, t_f, n_steps + 1)
     sample_ts = times.tolist()
     holds = [hi - lo for lo, hi in zip(sample_ts, sample_ts[1:])] + [0.0]
-    if control_sampling == "midpoint":
-        control_ts = [t + h / 2.0 for t, h in zip(sample_ts, holds)]
-    else:
-        control_ts = sample_ts
+    control_ts = [t + h / 2.0 for t, h in zip(sample_ts, holds)]
     barrier = Barrier(SampledTube(barrier.tube, [0.0, *sample_ts, *control_ts]),
                       gain=barrier.gain)
     weight = np.eye(dynamics.m) if weight is None else np.asarray(weight, dtype=float)

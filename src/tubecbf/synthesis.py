@@ -35,6 +35,10 @@ class CoverError(ValueError):
     """Cover cannot be built (bad radius or sample budget exceeded)."""
 
 
+# CoverSpec.for_radius refuses covers with more samples than this
+COVER_SAMPLE_BUDGET = 50_000_000
+
+
 # ---------------------------------------------------------------------------
 # covers of the augmented domain W = angles x [0,1] x [0,t_f]
 # ---------------------------------------------------------------------------
@@ -94,8 +98,7 @@ class CoverSpec:
         return int(np.prod(self.theta_counts)) * self.lambda_count * self.tau_count
 
     @classmethod
-    def for_radius(cls, radius: float, n: int, t_f: float,
-                   max_samples: int = 50_000_000) -> "CoverSpec":
+    def for_radius(cls, radius: float, n: int, t_f: float) -> "CoverSpec":
         """Equal-contribution split: every axis gets spacing 2*radius/sqrt(d)."""
         if radius <= 0:
             raise CoverError(f"cover radius must be positive, got {radius}")
@@ -105,9 +108,10 @@ class CoverSpec:
         counts = [max(1, math.ceil((hi - lo) / h)) for lo, hi in ranges]
         spec = cls(radius=radius, theta_counts=tuple(counts[:n - 1]),
                    lambda_count=counts[-2], tau_count=counts[-1], t_f=t_f)
-        if spec.sample_count > max_samples:
+        if spec.sample_count > COVER_SAMPLE_BUDGET:
             raise CoverError(
-                f"cover needs {spec.sample_count} samples, over the budget {max_samples}; "
+                f"cover needs {spec.sample_count} samples, over the budget "
+                f"{COVER_SAMPLE_BUDGET}; "
                 f"increase the radius or pin coarser axis counts")
         return spec
 
@@ -306,6 +310,9 @@ class _ObjectiveGrid:
     _BLOCK_FLOATS = 12_288
 
     def __init__(self, instance: SOPInstance, cover: Cover):
+        if cover.spec.dimension != instance.n:
+            raise ValueError(f"cover of dimension {cover.spec.dimension} "
+                             f"for a {instance.n}-dimensional instance")
         self.instance = instance
         taus = cover.taus
         self.times = np.concatenate([[0.0], taus, [instance.t_f]])
@@ -505,9 +512,15 @@ def warm_start(instance: SOPInstance) -> tuple[np.ndarray, np.ndarray]:
 # solver
 # ---------------------------------------------------------------------------
 
-# an auto-derived search cover is halved per axis until it has at most this
-# many samples
-MAX_SEARCH_SAMPLES = 150_000
+# the search scores the warm start and STARTS - 1 random perturbations of the
+# best point so far; each poll step starts at most at STEP0 and stops below
+# MIN_STEP (fractions of each coefficient's box width); the outer bisection
+# halves the margin interval BISECTION down to BISECTION_TOL
+STARTS = 3
+STEP0 = 0.25
+MIN_STEP = 1e-3
+BISECTION = (-2.0, 2.0)
+BISECTION_TOL = 1e-3
 # the certificate polish stops once the margin on the search cover reaches
 # -POLISH_SLACK, leaving room for the finer certification cover
 POLISH_SLACK = 0.05
@@ -515,14 +528,11 @@ POLISH_SLACK = 0.05
 
 @dataclass
 class SolverSettings:
+    """Random seed, objective-evaluation budget, and the cover the search
+    iterates on (None: the instance's certificate cover)."""
+
     seed: int = 0
     budget: int = 4000
-    starts: int = 3
-    step0: float = 0.25
-    min_step: float = 1e-3
-    bisection: tuple = (-2.0, 2.0)
-    bisection_tol: float = 1e-3
-    target_margin: float = 0.05
     search_cover: Optional[CoverSpec] = None
 
 
@@ -577,7 +587,7 @@ def _minimize_margin(func, q0, lb, ub, settings: SolverSettings,
     best_val = float(func(best[None])[0])
     evals = 1
     width = ub - lb
-    for _ in range(max(0, settings.starts - 1)):
+    for _ in range(STARTS - 1):
         # one at a time: each start perturbs the best point so far
         cand = np.clip(best + rng.normal(scale=0.08, size=len(best)) * width, lb, ub)
         v = float(func(cand[None])[0])
@@ -586,16 +596,16 @@ def _minimize_margin(func, q0, lb, ub, settings: SolverSettings,
             best, best_val = cand, v
 
     chunk = max(150, settings.budget // 10)
-    x, v, used = pattern_search(func, best, lb, ub, step=settings.step0,
-                                min_step=settings.min_step, budget=chunk * 2)
+    x, v, used = pattern_search(func, best, lb, ub, step=STEP0, min_step=MIN_STEP,
+                                budget=chunk * 2)
     evals += used
     if v < best_val:
         best, best_val = x, v
 
-    lo, hi = settings.bisection
+    lo, hi = BISECTION
     hi = min(hi, best_val)
     rounds = 0
-    while hi - lo > settings.bisection_tol and evals < settings.budget:
+    while hi - lo > BISECTION_TOL and evals < settings.budget:
         target = 0.5 * (lo + hi)
         if best_val <= target:
             hi = best_val
@@ -605,9 +615,8 @@ def _minimize_margin(func, q0, lb, ub, settings: SolverSettings,
             start = np.clip(best + rng.normal(scale=0.04, size=len(best)) * width, lb, ub)
         else:
             start = best
-        step = max(settings.min_step * 4, settings.step0 / 2 ** min(rounds, 5))
-        x, v, used = pattern_search(func, start, lb, ub, step=step,
-                                    min_step=settings.min_step,
+        step = max(MIN_STEP * 4, STEP0 / 2 ** min(rounds, 5))
+        x, v, used = pattern_search(func, start, lb, ub, step=step, min_step=MIN_STEP,
                                     budget=min(chunk, settings.budget - evals),
                                     target=target)
         evals += used
@@ -680,30 +689,18 @@ def verify_certificate(result: SynthesisResult) -> bool:
     return result.margin <= 0.0
 
 
-def _search_spec(cert: CoverSpec, settings: SolverSettings) -> CoverSpec:
-    if settings.search_cover is not None:
-        return settings.search_cover
-    spec = cert
-    while spec.sample_count > MAX_SEARCH_SAMPLES:
-        counts = [max(3, c // 2) for c in spec.theta_counts]
-        lam = max(2, spec.lambda_count // 2)
-        tau = max(8, spec.tau_count // 2)
-        shrunk = CoverSpec.from_counts(counts, lam, tau, spec.t_f)
-        if shrunk.sample_count == spec.sample_count:
-            break
-        spec = shrunk
-    return spec
-
-
 def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
               warm: Optional[tuple] = None) -> SynthesisResult:
     """Minimize the sampled margin over box-bounded tube coefficients.
 
     Two-level scheme: an outer bisection on the margin level with an inner
-    multi-start pattern search.  The search may run on a coarsened cover, but
-    eta* and the certificate are always evaluated on the instance's own
-    epsilon-cover.  Deterministic for a fixed seed.
+    multi-start pattern search.  The search runs on settings.search_cover, or
+    on the instance's epsilon-cover when that is None; eta* and the
+    certificate are always evaluated on the instance's cover, which must be
+    set.  Deterministic for a fixed seed.
     """
+    if instance.cover is None:
+        raise ValueError("instance has no cover; build it with one")
     settings = settings if settings is not None else SolverSettings()
     rng = np.random.default_rng(settings.seed)
     t_start = time.perf_counter()
@@ -712,17 +709,8 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
     q_c0 = np.clip(q_c0, instance.center_box[..., 0], instance.center_box[..., 1])
     q_r0 = np.clip(q_r0, instance.radius_box[:, 0], instance.radius_box[:, 1])
 
-    if instance.cover is not None:
-        cert_spec = instance.cover
-        pinned = True
-    else:
-        warm_tube = instance.make_tube(q_c0, q_r0)
-        l_warm = combined_lipschitz(warm_tube, instance.formula).combined
-        cert_spec = CoverSpec.for_radius(settings.target_margin / max(l_warm, 1e-9),
-                                         instance.n, instance.t_f)
-        pinned = False
-
-    search_spec = _search_spec(cert_spec, settings)
+    cert_spec = instance.cover
+    search_spec = settings.search_cover if settings.search_cover is not None else cert_spec
     search_grid = _ObjectiveGrid(instance, build_cover(search_spec))
 
     nq_c = instance.n * instance.center_count
@@ -759,8 +747,7 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
         evals += 1
         if m0 > -POLISH_SLACK:
             x, v, used = pattern_search(
-                margin_objective, best, lb, ub, step=settings.step0 / 4,
-                min_step=settings.min_step,
+                margin_objective, best, lb, ub, step=STEP0 / 4, min_step=MIN_STEP,
                 budget=max(0, settings.budget - evals),
                 target=-POLISH_SLACK)
             evals += used
@@ -771,10 +758,6 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
     tube = instance.make_tube(q_c, q_r)
 
     lip = combined_lipschitz(tube, instance.formula)
-    # re-tighten the auto-selected cover once if the final constant outgrew it
-    if not pinned and lip.combined * cert_spec.radius > settings.target_margin * (1 + 1e-9):
-        cert_spec = CoverSpec.for_radius(settings.target_margin / lip.combined,
-                                         instance.n, instance.t_f)
     cert_grid = _ObjectiveGrid(instance, build_cover(cert_spec))
     eta, worst = cert_grid.evaluate(q_c[None], q_r[None])
     eta_star, worst_idx = float(eta[0]), int(worst[0])
@@ -799,13 +782,11 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
     return result
 
 
-def recheck_constraints(instance: SOPInstance, tube: Tube, factor: int = 10,
-                        cover_spec: Optional[CoverSpec] = None) -> float:
-    """Max raw constraint value on a factor-times-finer grid (certified tubes
-    must stay <= 0 everywhere)."""
-    base = cover_spec if cover_spec is not None else instance.cover
-    if base is None:
+def recheck_constraints(instance: SOPInstance, tube: Tube, factor: int = 10) -> float:
+    """Max raw constraint value on a factor-times-finer grid of the instance's
+    cover (certified tubes must stay <= 0 everywhere)."""
+    if instance.cover is None:
         raise ValueError("no cover to refine")
-    grid = _ObjectiveGrid(instance, build_cover(base.refined(factor)))
+    grid = _ObjectiveGrid(instance, build_cover(instance.cover.refined(factor)))
     value, _ = grid.evaluate(tube.center_coeffs[None], tube.radius_coeffs[None])
     return float(value[0])

@@ -186,12 +186,16 @@ class TubeLipschitz:
     radius_max: float
 
 
+# tube_lipschitz maximizes the curves' derivatives on this many grid points
+LIPSCHITZ_GRID_POINTS = 1000
+
+
 @functools.lru_cache(maxsize=8)
-def _lipschitz_tables(center_basis: Basis, radius_basis: Basis, grid_points: int):
+def _lipschitz_tables(center_basis: Basis, radius_basis: Basis):
     """Read-only center derivatives, radius derivatives and radius values on
     the tube_lipschitz grid; they depend on the bases alone, and the
     certificate polish calls tube_lipschitz once per trial point."""
-    ts = np.linspace(0.0, center_basis.t_f, grid_points)
+    ts = np.linspace(0.0, center_basis.t_f, LIPSCHITZ_GRID_POINTS)
     tables = (center_basis.derivatives(ts), radius_basis.derivatives(ts),
               radius_basis.values(ts))
     for table in tables:
@@ -199,16 +203,15 @@ def _lipschitz_tables(center_basis: Basis, radius_basis: Basis, grid_points: int
     return tables
 
 
-def tube_lipschitz(tube: Tube, grid_points: int = 1000) -> TubeLipschitz:
+def tube_lipschitz(tube: Tube) -> TubeLipschitz:
     """Lipschitz constants of the tube curves over [0, t_f].
 
     The analytic derivative is maximized on a dense grid; an additive slack of
     (second-derivative bound) * h/2 makes each value a certified upper bound
     for the continuous maximum (any t lies within h/2 of a grid point).
     """
-    h = tube.t_f / (grid_points - 1)
-    c_der, r_der, r_val = _lipschitz_tables(tube.center_basis, tube.radius_basis,
-                                            grid_points)
+    h = tube.t_f / (LIPSCHITZ_GRID_POINTS - 1)
+    c_der, r_der, r_val = _lipschitz_tables(tube.center_basis, tube.radius_basis)
 
     cdot = tube.center_coeffs @ c_der
     speed_max = float(np.max(np.linalg.norm(cdot, axis=0)))

@@ -115,6 +115,25 @@ def test_check_missing_config_exits_2(tmp_path):
     assert main(["check", "--config", str(tmp_path / "nope.yaml")]) == 2
 
 
+@pytest.mark.parametrize("overrides, named", [
+    ({"solver": {"seed": 0, "budjet": 100}}, "budjet"),
+    ({"solver": {"seed": 0, "budget": 800, "starts": 3}}, "starts"),
+    ({"cover_counts": {"theta": [10], "tau": 12}}, "lambda"),
+    ({"cover_counts": {"theta": [10, 3], "lambda": 3, "tau": 12}}, "theta"),
+    ({"search_cover": {"theta": [10], "lambda": 3, "tau": 12, "phi": 2}}, "phi"),
+    ({"basis": {"kind": "bezier", "center_count": 5, "radius_count": 4}}, "bezier"),
+    ({"epsilon": None}, "epsilon"),
+], ids=["misspelt-solver-key", "removed-solver-key", "cover-counts-missing-key",
+        "cover-counts-wrong-dimension", "search-cover-unknown-key", "unknown-basis-kind",
+        "no-cover"])
+def test_check_bad_nested_block_exits_2(tmp_path, capsys, overrides, named):
+    data = {k: v for k, v in {**BASE, **overrides}.items() if v is not None}
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_check_bad_dynamics_parameter_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"dynamics": {"kind": "diffdrive", "lookahead": 0.0}})
     assert main(["check", "--config", str(cfg)]) == 2

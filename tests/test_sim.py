@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -117,23 +118,6 @@ def test_closed_loop_boundary_start_slack():
     assert report.satisfied
 
 
-def test_closed_loop_halving_dt_never_worsens_min_b():
-    # the monotone-lag property belongs to interval-start sampling, where the
-    # hold error is O(dt); midpoint sampling is already higher order
-    tube = _drifting_tube([0.5, 0.3], 1.0, t_f=4.0)
-    barrier = Barrier(tube, gain=5.0)
-    formula = Always(0.0, 4.0, Predicate("ball", BoxInfNorm((0.0, 0.0), 20.0)))
-    x0 = np.array([-1.0, 0.0])
-    coarse = run_closed_loop(OmniRobot(2), barrier, x0, 0.05, formula,
-                             control_sampling="start")
-    fine = run_closed_loop(OmniRobot(2), barrier, x0, 0.025, formula,
-                           control_sampling="start")
-    assert fine.min_b >= coarse.min_b - 1e-9
-    # midpoint sampling dominates start sampling on the same scenario
-    mid = run_closed_loop(OmniRobot(2), barrier, x0, 0.05, formula)
-    assert mid.min_b >= coarse.min_b - 1e-9
-
-
 def test_closed_loop_membership_barrier_sign_agree():
     tube = _drifting_tube([0.4, -0.2], 1.2, t_f=4.0)
     barrier = Barrier(tube)
@@ -192,11 +176,14 @@ def test_make_dynamics_unknown():
 # tabulated tube against the step-by-step loop
 # ---------------------------------------------------------------------------
 
-def _ref_loop_args(name, x0_seed):
+def _reference(name):
+    return (load_config(ROOT / "configs" / f"{name}.yaml"),
+            load_tube(ROOT / "perfbench" / "ref" / f"{name}_tube.json"))
+
+
+def _loop_args(config, tube, x0_seed):
     """Positional and keyword arguments of the CLI's closed loop for one
-    reference tube; the tube is returned plain, for the caller to wrap."""
-    config = load_config(ROOT / "configs" / f"{name}.yaml")
-    tube = load_tube(ROOT / "perfbench" / "ref" / f"{name}_tube.json")
+    scenario config and tube."""
     args = (config.make_dynamics(), Barrier(tube, gain=config.gain),
             config.pick_x0(tube, seed=x0_seed), config.dt, config.build_formula())
     kwargs = dict(weight=config.weight_matrix(), input_bound=config.input_bound,
@@ -204,21 +191,46 @@ def _ref_loop_args(name, x0_seed):
     return args, kwargs
 
 
+def _ref_loop_args(name, x0_seed):
+    """_loop_args for one shipped config and its reference tube."""
+    return _loop_args(*_reference(name), x0_seed)
+
+
+def _assert_same_run(tmp_path, got, want):
+    write_trajectory_log(tmp_path / "got.csv", got)
+    write_trajectory_log(tmp_path / "want.csv", want)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (got.min_b, got.tube_violations, got.final_robustness, got.saturated_steps) \
+        == (want.min_b, want.tube_violations, want.final_robustness, want.saturated_steps)
+
+
 @pytest.mark.parametrize("x0_seed", [0, 3])
 @pytest.mark.parametrize("name", REF_SCENARIOS)
 def test_closed_loop_replays_step_by_step_oracle(tmp_path, name, x0_seed):
     args, kwargs = _ref_loop_args(name, x0_seed)
-    samplings = ("midpoint", "start") if name in ("omni_reach_avoid",
-                                                  "diffdrive_sequential") else ("midpoint",)
-    for sampling in samplings:
-        got = run_closed_loop(*args, control_sampling=sampling, **kwargs)
-        want = oracle_closed_loop(*args, control_sampling=sampling, **kwargs)
-        write_trajectory_log(tmp_path / "got.csv", got)
-        write_trajectory_log(tmp_path / "want.csv", want)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        assert (got.min_b, got.tube_violations, got.final_robustness, got.saturated_steps) \
-            == (want.min_b, want.tube_violations, want.final_robustness,
-                want.saturated_steps)
+    _assert_same_run(tmp_path, run_closed_loop(*args, **kwargs),
+                     oracle_closed_loop(*args, **kwargs))
+
+
+@pytest.mark.parametrize("name, weight", [
+    ("omni_reach_avoid", None),
+    ("omni_reach_avoid", [1.0, 4.0]),
+    ("diffdrive_sequential", None),
+    ("diffdrive_sequential", [1.0, 4.0]),
+    ("quadrotor_cycle", None),
+], ids=["omni", "omni-diag-1-4", "diffdrive", "diffdrive-diag-1-4", "quadrotor"])
+def test_closed_loop_input_bound_and_weight_replay_oracle(tmp_path, name, weight):
+    # no shipped config bounds or weights the input; these runs clamp tens to
+    # hundreds of steps (the quadrotor's on both signs), and the weighted ones
+    # solve the QP in the diag(1, 4) metric, which the oracle is handed
+    # directly rather than by the config
+    config, tube = _reference(name)
+    config = dataclasses.replace(config, input_bound=1.5, control_weight=weight)
+    args, kwargs = _loop_args(config, tube, 0)
+    kwargs["weight"] = None if weight is None else np.diag(weight)
+    got = config.closed_loop(tube, seed=0)
+    _assert_same_run(tmp_path, got, oracle_closed_loop(*args, **kwargs))
+    assert got.saturated_steps > 0
 
 
 def test_closed_loop_call_shape(monkeypatch):

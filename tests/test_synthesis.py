@@ -27,7 +27,7 @@ from tubecbf.synthesis import (
     verify_certificate,
     warm_start,
 )
-from tubecbf.synthesis import _ObjectiveGrid, _search_spec
+from tubecbf.synthesis import _ObjectiveGrid
 from tubecbf.tube import tube_lipschitz
 
 from oracles import oracle_pattern_search
@@ -68,8 +68,17 @@ def test_cover_radius_must_be_positive():
 
 
 def test_cover_sample_budget():
+    # about 4e13 samples, far over the fixed budget
     with pytest.raises(CoverError):
-        CoverSpec.for_radius(1e-4, 2, 10.0, max_samples=10_000)
+        CoverSpec.for_radius(1e-4, 2, 10.0)
+
+
+def test_objective_rejects_cover_of_another_dimension():
+    # a 3-D cover's directions must not be reshaped into 2-D trajectories
+    inst = _instance("G[0,2] B", BIG_BOX, 2.0, [[-5, 5], [-5, 5]])
+    cover = build_cover(CoverSpec.from_counts([4, 3], 2, 4, 2.0))
+    with pytest.raises(ValueError, match="dimension"):
+        sop_objective(inst, np.zeros((2, 4)), np.full(4, 0.5), cover=cover)
 
 
 def test_cover_invariant_validation():
@@ -222,7 +231,7 @@ def test_objective_monitor_calls_stay_within_the_block(monkeypatch):
         instance = config.instance()
         q_c = np.stack([tube.center_coeffs, tube.center_coeffs])
         q_r = np.stack([tube.radius_coeffs, tube.radius_coeffs + 0.01])
-        search = _search_spec(instance.cover, config.solver_settings())
+        search = config.solver_settings().search_cover
         shapes = _monitor_calls(monkeypatch)
         _ObjectiveGrid(instance, build_cover(search)).evaluate(q_c, q_r)
         assert len(shapes) == 1 and shapes[0][0] * shapes[0][1] <= block
@@ -497,6 +506,13 @@ def test_solve_sop_contradiction_stays_infeasible():
     result = solve_sop(inst, SolverSettings(seed=2, budget=400))
     assert result.eta_star > 0.0
     assert not result.certificate_ok
+
+
+def test_solve_sop_requires_a_cover():
+    inst = _instance("F[0,4] T & G[0,4] T", STAY_TABLE, 4.0, [[0, 9], [0, 9]],
+                     basis="bernstein", start=(4.5, 4.5), pin=True)
+    with pytest.raises(ValueError, match="no cover"):
+        solve_sop(inst, SolverSettings(seed=0, budget=100))
 
 
 def test_solve_sop_deterministic_and_serializable(tmp_path):

@@ -144,7 +144,7 @@ def test_time_range_checked():
 # sampled view
 # ---------------------------------------------------------------------------
 
-def _closed_loop_query_times(t_f, dt, control_sampling):
+def _closed_loop_query_times(t_f, dt):
     """Every time a closed-loop run asks its tube about, computed as the
     step-by-step loop computes them: 0, then each sample and control instant."""
     n_steps = int(round(t_f / dt))
@@ -153,7 +153,7 @@ def _closed_loop_query_times(t_f, dt, control_sampling):
     for k, t in enumerate(times):
         t = float(t)
         h = float(times[k + 1] - t) if k < n_steps else 0.0
-        out += [t, t + h / 2.0 if control_sampling == "midpoint" else t]
+        out += [t, t + h / 2.0]
     return out
 
 
@@ -182,20 +182,15 @@ def _sampled_view_cases():
 
 def test_sampled_view_is_bit_identical_at_closed_loop_times():
     for label, tube, dt in _sampled_view_cases():
-        per_sampling = {s: _closed_loop_query_times(tube.t_f, dt, s)
-                        for s in ("midpoint", "start")}
-        # the start instants are a subset of the midpoint run's times
-        want = {t: _curve_bits(tube, t) for t in per_sampling["midpoint"]}
-        for sampling, ts in per_sampling.items():
-            view = SampledTube(tube, ts)
-            assert (view.t_f, view.dimension) == (tube.t_f, tube.dimension)
-            for t in ts:
-                assert _curve_bits(view, t) == want[t], (label, sampling, t)
-            # times off the table fall through to the tube's own evaluation
-            off = [ts[1] + 0.3 * dt, ts[-1] - 0.7 * dt, tube.t_f / 3.0 + 1e-7]
-            _assert_view_matches(view, tube, off, label)
-            with pytest.raises(ValueError):
-                view.center(tube.t_f + 1.0)
+        ts = _closed_loop_query_times(tube.t_f, dt)
+        view = SampledTube(tube, ts)
+        assert (view.t_f, view.dimension) == (tube.t_f, tube.dimension)
+        _assert_view_matches(view, tube, ts, label)
+        # times off the table fall through to the tube's own evaluation
+        off = [ts[1] + 0.3 * dt, ts[-1] - 0.7 * dt, tube.t_f / 3.0 + 1e-7]
+        _assert_view_matches(view, tube, off, label)
+        with pytest.raises(ValueError):
+            view.center(tube.t_f + 1.0)
 
 
 def test_sampled_view_clamps_like_the_tube():
@@ -301,7 +296,7 @@ def test_tube_lipschitz_upper_bounds_fine_grid():
     for kind in ("monomial", "bernstein"):
         for _ in range(5):
             tube = _random_tube(rng, z_c=4, z_r=4, kind=kind)
-            tl = tube_lipschitz(tube, grid_points=1000)
+            tl = tube_lipschitz(tube)
             ts = np.linspace(0, tube.t_f, 10000)
             speeds = np.linalg.norm(tube.center_coeffs @ tube.center_basis.derivatives(ts), axis=0)
             rdots = np.abs(tube.radius_coeffs @ tube.radius_basis.derivatives(ts))
