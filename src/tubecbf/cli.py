@@ -207,8 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthesize spatiotemporal-tube barrier controllers for STL tasks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="scenario YAML")
+    def common(p):
+        p.add_argument("--config", required=True, help="scenario YAML")
+
+    def outputs(p):
         p.add_argument("--seed", type=int, default=None, help="override solver seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--emit-plot-data", action="store_true",
@@ -220,10 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser("synthesize", help="solve for a certified tube")
     common(p_syn)
+    outputs(p_syn)
     p_syn.set_defaults(func=cmd_synthesize)
 
     p_sim = sub.add_parser("simulate", help="closed-loop run under the safety QP")
     common(p_sim)
+    outputs(p_sim)
     p_sim.add_argument("--tube", required=True, help="tube record JSON")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -234,9 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="synthesize+simulate a batch of scenarios")
     p_bench.add_argument("configs", nargs="+", help="scenario YAML files")
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--out", default=None)
-    p_bench.add_argument("--emit-plot-data", action="store_true")
+    outputs(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

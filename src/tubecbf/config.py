@@ -118,6 +118,17 @@ class ScenarioConfig:
             raise ConfigError("start has wrong dimension")
         if self.epsilon is None and self.cover_counts is None:
             raise ConfigError("no certification cover: set epsilon or cover_counts")
+        for key in ("min_radius", "epsilon", "center_box_scale", "gain", "input_bound"):
+            value = getattr(self, key)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{key} must be positive, got {value}")
+        if self.radius_max is not None and not self.radius_max >= self.min_radius:
+            raise ConfigError(f"radius_max {self.radius_max} is below "
+                              f"min_radius {self.min_radius}")
+        if self.control_weight is not None and not all(w > 0 for w in self.control_weight):
+            raise ConfigError("control_weight diagonal must be positive")
+        if not self.x0_seed >= 0:
+            raise ConfigError(f"x0_seed must be non-negative, got {self.x0_seed}")
         for name in ("cover_counts", "search_cover"):
             block = getattr(self, name)
             if block is not None:
@@ -126,6 +137,8 @@ class ScenarioConfig:
                     raise ConfigError(f"{name}: theta needs {self.dimension - 1} "
                                       f"counts in dimension {self.dimension}")
         _check_block("solver", self.solver, set(), {"seed", "budget"})
+        if not self.solver.get("budget", 1) >= 1:
+            raise ConfigError(f"solver: budget must be at least 1, got {self.solver['budget']}")
         _check_block("basis", self.basis, set(), {"kind", "center_count", "radius_count"})
         if self.basis.get("kind", "bernstein") not in BASIS_KINDS:
             raise ConfigError(f"basis: unknown kind {self.basis.get('kind')!r}; "

@@ -21,9 +21,11 @@ values form a time-major (rows, K) table for the K trajectories: one row per
 grid time in a contiguous slice, then one per off-grid time the parent needs.
 The states come as n coordinate planes (n, T, K), so a predicate reads each
 coordinate of its grid rows as one contiguous (rows, K) block and runs its
-inner loop over the trajectories; leaves that need the same off-grid times,
-such as the two conjuncts of F G p & F G q, interpolate the states there once
-per evaluation, plane by plane.
+inner loop over the trajectories.  Off-grid rows come from interpolation:
+each call first interpolates the planes once at every distinct set of
+off-grid times the plan's leaves need, and each leaf applies its predicate
+to the planes of its own set, so leaves that need the same times, such as
+the two conjuncts of F G p & F G q, share one interpolation.
 F and G reduce each window as its two endpoint rows plus a doubling table of
 min/max over the grid rows, built one level at a time; a lone window reduces
 its grid slice directly.  Until sweeps the columns of a (Q, W) table of
@@ -420,10 +422,6 @@ class RobustnessReport:
 # Robustness evaluation
 # ---------------------------------------------------------------------------
 
-# off-grid states are interpolated this many floats at a time
-_INTERP_FLOATS = 1_000_000
-
-
 @dataclass(frozen=True)
 class _Rows:
     """Query times of one formula node, in the row order of its value table:
@@ -545,33 +543,33 @@ def _members(grid: np.ndarray, rows: _Rows, lo, hi, s, e) -> tuple:
 
 
 def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
-             groups: dict):
-    """Function mapping the state planes (n, T, K) and a per-evaluation dict
-    to the node's (rows, K) value table.  groups maps off-grid row times to
-    the _OffGridLeaves compiled so far."""
+             interps: dict):
+    """Function mapping the state planes (n, T, K) and the interpolated
+    off-grid planes to the node's (rows, K) value table.  interps maps the
+    bytes of each off-grid time set the leaves need to its interpolator."""
     if isinstance(node, TrueFormula):
         count = rows.grid_rows + len(rows.off)
-        return lambda states, shared: np.full((count, states.shape[2]), np.inf)
+        return lambda states, off: np.full((count, states.shape[2]), np.inf)
     if isinstance(node, Predicate):
-        return _compile_predicate(node, grid, rows, groups)
+        return _compile_predicate(node, grid, rows, interps)
     if isinstance(node, Not):
-        child = _compile(node.child, grid, rows, convention, groups)
-        return lambda states, shared: np.negative(child(states, shared))
+        child = _compile(node.child, grid, rows, convention, interps)
+        return lambda states, off: np.negative(child(states, off))
     if isinstance(node, (And, Or)):
-        left = _compile(node.left, grid, rows, convention, groups)
-        right = _compile(node.right, grid, rows, convention, groups)
+        left = _compile(node.left, grid, rows, convention, interps)
+        right = _compile(node.right, grid, rows, convention, interps)
         op = np.minimum if isinstance(node, And) else np.maximum
-        return lambda states, shared: op(left(states, shared), right(states, shared))
+        return lambda states, off: op(left(states, off), right(states, off))
 
     q = rows.times(grid)
     lo, hi, s, e = _windows(grid, q, node.start, node.end)
     ends = np.concatenate([lo, hi])
     if isinstance(node, (Eventually, Always)):
         child_rows = _rows_for(grid, ends, s, e)
-        child = _compile(node.child, grid, child_rows, convention, groups)
+        child = _compile(node.child, grid, child_rows, convention, interps)
         op = np.maximum if isinstance(node, Eventually) else np.minimum
         reduce = _window_reducer(op, grid, child_rows, lo, hi, s, e)
-        return lambda states, shared: reduce(child(states, shared))
+        return lambda states, off: reduce(child(states, off))
     if not isinstance(node, Until):
         raise TypeError(f"unknown formula node {node!r}")
 
@@ -592,14 +590,14 @@ def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
         prefix = _window_reducer(np.minimum, grid, running_rows, p_lo, p_hi, p_s, p_e)
     else:
         raise ValueError(f"unknown until_convention {convention!r}")
-    point = _compile(point_node, grid, point_rows, convention, groups)
-    running = _compile(running_node, grid, running_rows, convention, groups)
+    point = _compile(point_node, grid, point_rows, convention, interps)
+    running = _compile(running_node, grid, running_rows, convention, interps)
     point_cols = _members(grid, point_rows, lo, hi, s, e)
     running_cols = _members(grid, running_rows, lo, hi, s, e)
 
-    def until(states, shared):
-        p = point(states, shared)
-        r = running(states, shared)
+    def until(states, off):
+        p = point(states, off)
+        r = running(states, off)
         shape = (len(q), states.shape[2])
         run_min = np.full(shape, np.inf) if prefix is None else prefix(r)
         first = np.minimum(run_min, r[running_cols[0]])
@@ -614,76 +612,41 @@ def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
     return until
 
 
-class _OffGridLeaves:
-    """Predicate leaves that need the same off-grid times: each state plane
-    is interpolated at those times as (1-w)*s_i + w*s_j once per chunk of
-    _INTERP_FLOATS floats, and every leaf's function is applied to the chunk.
-    Times outside the grid clamp to its ends (weight 0 on the end sample)."""
-
-    def __init__(self, grid: np.ndarray, off: np.ndarray):
-        t_c = np.clip(off, grid[0], grid[-1])
-        j = np.searchsorted(grid, t_c, side="right")
-        i = np.maximum(j - 1, 0)
-        exact = grid[i] == t_c
-        j = np.where(exact, i, np.minimum(j, len(grid) - 1))
-        w = (t_c - grid[i]) / np.where(exact, 1.0, grid[j] - grid[i])
-        self.i, self.j = i, j
-        self.w_i = (1.0 - w)[:, None]
-        self.w_j = w[:, None]
-        self.fns = []
-
-    def fill(self, states: np.ndarray, out: np.ndarray, index: int) -> list:
-        """Write leaf index's values into out (off times, K); return the other
-        leaves' value tables, with None at index."""
-        shape = (len(self.i), states.shape[2])
-        tables = [out if k == index else np.empty(shape) for k in range(len(self.fns))]
-        step = max(1, _INTERP_FLOATS // max(1, states.shape[0] * states.shape[2]))
-        for a in range(0, shape[0], step):
-            b = a + step
-            i, j, w_i, w_j = self.i[a:b], self.j[a:b], self.w_i[a:b], self.w_j[a:b]
-            x = [w_i * plane[i] + w_j * plane[j] for plane in states]
-            for table, fn in zip(tables, self.fns):
-                table[a:b] = fn.value(x)
-        tables[index] = None
-        return tables
+def _interpolator(grid: np.ndarray, off: np.ndarray):
+    """Function mapping the state planes (n, T, K) to their n planes at the
+    off-grid times off, each value (1-w)*s_i + w*s_j.  Times outside the grid
+    clamp to its ends (weight 0 on the end sample)."""
+    t_c = np.clip(off, grid[0], grid[-1])
+    j = np.searchsorted(grid, t_c, side="right")
+    i = np.maximum(j - 1, 0)
+    exact = grid[i] == t_c
+    j = np.where(exact, i, np.minimum(j, len(grid) - 1))
+    w = (t_c - grid[i]) / np.where(exact, 1.0, grid[j] - grid[i])
+    w_i, w_j = (1.0 - w)[:, None], w[:, None]
+    return lambda states: [w_i * plane[i] + w_j * plane[j] for plane in states]
 
 
-def _compile_predicate(node: Predicate, grid: np.ndarray, rows: _Rows, groups: dict):
-    """Predicate values on the grid rows, then on the off-grid rows, which
-    come from the leaf's _OffGridLeaves: the first of its leaves evaluated
-    fills them for all, and the others take theirs from the shared dict."""
+def _compile_predicate(node: Predicate, grid: np.ndarray, rows: _Rows, interps: dict):
+    """Predicate values on the grid rows, then on the off-grid rows, read from
+    the planes interpolated at the leaf's off-grid times."""
     fn = node.fn
     if fn is None:
         raise ValueError(f"predicate {node.name!r} is unbound; no function handle")
-    g0, g1, tg = rows.g0, rows.g1, rows.grid_rows
+    g0, g1 = rows.g0, rows.g1
     if len(rows.off) == 0:
-        return lambda states, shared: np.asarray(fn.value(states[:, g0:g1]), dtype=float)
+        return lambda states, off: np.asarray(fn.value(states[:, g0:g1]), dtype=float)
     key = rows.off.tobytes()
-    if key not in groups:
-        groups[key] = _OffGridLeaves(grid, rows.off)
-    group = groups[key]
-    group.fns.append(fn)
-    index = len(group.fns) - 1
-    count = len(rows.off)
-
-    def value(states, shared):
-        out = np.empty((tg + count, states.shape[2]))
-        out[:tg] = fn.value(states[:, g0:g1])
-        pending = shared.get(group)
-        if pending is None:
-            shared[group] = group.fill(states, out[tg:], index)
-        else:
-            out[tg:] = pending[index]
-            pending[index] = None
-        return out
-
-    return value
+    if key not in interps:
+        interps[key] = _interpolator(grid, rows.off)
+    return lambda states, off: np.concatenate([fn.value(states[:, g0:g1]),
+                                               fn.value(off[key])])
 
 
 @functools.lru_cache(maxsize=8)
 def _plan(f: Formula, times_key: bytes, t: float, convention: str):
     """Compiled evaluation of f at time t on the grid whose float64 bytes are
-    times_key; returns a function of the state planes (n, T, K)."""
+    times_key; returns a function of the state planes (n, T, K) that
+    interpolates each off-grid time set once, then evaluates the tree."""
     grid = np.frombuffer(times_key)
     if t + horizon(f) > grid[-1] + _TIME_SLACK:
         raise ValueError(
@@ -691,8 +654,11 @@ def _plan(f: Formula, times_key: bytes, t: float, convention: str):
     if t < grid[0] - _TIME_SLACK:
         raise ValueError(f"evaluation time {t} precedes signal start {grid[0]}")
     none = np.zeros(0, dtype=int)
-    evaluate = _compile(f, grid, _rows_for(grid, np.array([t]), none, none), convention, {})
-    return lambda states: evaluate(states, {})
+    interps = {}
+    evaluate = _compile(f, grid, _rows_for(grid, np.array([t]), none, none), convention,
+                        interps)
+    return lambda states: evaluate(
+        states, {key: interp(states) for key, interp in interps.items()})
 
 
 def robustness_batch(f: Formula, times: np.ndarray, states: np.ndarray,

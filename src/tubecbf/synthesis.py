@@ -61,6 +61,15 @@ def _angle_ranges(n: int) -> list[tuple[float, float]]:
     return [(0.0, math.pi)] * (n - 2) + [(0.0, 2.0 * math.pi)]
 
 
+def _implied_radius(theta_counts, lambda_count: int, tau_count: int, t_f: float) -> float:
+    """Radius covered by the midpoint grid with these axis counts."""
+    halves = [(hi - lo) / (2 * m)
+              for (lo, hi), m in zip(_angle_ranges(len(theta_counts) + 1), theta_counts)]
+    halves.append(1.0 / (2 * lambda_count))
+    halves.append(t_f / (2 * tau_count))
+    return math.sqrt(sum(h * h for h in halves))
+
+
 @dataclass(frozen=True)
 class CoverSpec:
     """Per-axis sample counts whose midpoint grid is an epsilon-cover of W."""
@@ -76,7 +85,8 @@ class CoverSpec:
             raise CoverError(f"cover radius must be positive, got {self.radius}")
         if self.lambda_count < 1 or self.tau_count < 1 or any(c < 1 for c in self.theta_counts):
             raise CoverError("all axis counts must be at least 1")
-        needed = self._implied_radius()
+        needed = _implied_radius(self.theta_counts, self.lambda_count, self.tau_count,
+                                 self.t_f)
         if needed > self.radius + 1e-12:
             raise CoverError(
                 f"grid spacing only covers radius {needed:.6g} > requested {self.radius:.6g}")
@@ -84,14 +94,6 @@ class CoverSpec:
     @property
     def dimension(self) -> int:
         return len(self.theta_counts) + 1
-
-    def _implied_radius(self) -> float:
-        halves = []
-        for (lo, hi), m in zip(_angle_ranges(self.dimension), self.theta_counts):
-            halves.append((hi - lo) / (2 * m))
-        halves.append(1.0 / (2 * self.lambda_count))
-        halves.append(self.t_f / (2 * self.tau_count))
-        return math.sqrt(sum(h * h for h in halves))
 
     @property
     def sample_count(self) -> int:
@@ -119,13 +121,9 @@ class CoverSpec:
     def from_counts(cls, theta_counts, lambda_count: int, tau_count: int,
                     t_f: float) -> "CoverSpec":
         """Spec with the smallest radius the given counts actually cover."""
-        probe = cls.__new__(cls)
-        object.__setattr__(probe, "theta_counts", tuple(theta_counts))
-        object.__setattr__(probe, "lambda_count", lambda_count)
-        object.__setattr__(probe, "tau_count", tau_count)
-        object.__setattr__(probe, "t_f", t_f)
-        radius = probe._implied_radius()
-        return cls(radius=radius, theta_counts=tuple(theta_counts),
+        theta_counts = tuple(theta_counts)
+        radius = _implied_radius(theta_counts, lambda_count, tau_count, t_f)
+        return cls(radius=radius, theta_counts=theta_counts,
                    lambda_count=lambda_count, tau_count=tau_count, t_f=t_f)
 
     def refined(self, factor: int) -> "CoverSpec":
@@ -732,15 +730,11 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
     # certificate needs eta + L(q)*eps <= 0 and L depends on the coefficients;
     # descend on the full margin when eta alone did not close it
     if evals < settings.budget:
-        l_rho = robustness_lipschitz(instance.formula)
         eps_cert = cert_spec.radius
 
         def margin_objective(qs):
-            lips = []
-            for q in qs:
-                tl = tube_lipschitz(instance.make_tube(*unpack(q)))
-                lips.append(combine_constants(l_rho, tl.center, tl.radius,
-                                              tl.radius_max, instance.n).combined)
+            lips = [combined_lipschitz(instance.make_tube(*unpack(q)), instance.formula).combined
+                    for q in qs]
             return objective(qs) + np.array(lips) * eps_cert
 
         m0 = float(margin_objective(best[None])[0])

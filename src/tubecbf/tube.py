@@ -91,7 +91,7 @@ class SampledTube:
     the product the tube itself makes, on a row bit-identical to
     `basis.values(t)`, so the answers are the tube's to the bit.  (One stacked
     `coeffs @ table.T` would sum in another order and differ in the last
-    bits.)  Any other time falls through to the tube's own evaluation.
+    bits.)  A time not in the table raises KeyError.
     """
 
     def __init__(self, tube: Tube, times):
@@ -107,37 +107,17 @@ class SampledTube:
         self._r_val = rows(tube.radius_basis.values)
         self._r_der = rows(tube.radius_basis.derivatives)
 
-    @property
-    def dimension(self) -> int:
-        return self.tube.dimension
-
-    @property
-    def t_f(self) -> float:
-        return self.tube.t_f
-
     def center(self, t: float) -> np.ndarray:
-        i = self._row.get(t)
-        if i is None:
-            return self.tube.center(t)
-        return self.tube.center_coeffs @ self._c_val[i]
+        return self.tube.center_coeffs @ self._c_val[self._row[t]]
 
     def center_dot(self, t: float) -> np.ndarray:
-        i = self._row.get(t)
-        if i is None:
-            return self.tube.center_dot(t)
-        return self.tube.center_coeffs @ self._c_der[i]
+        return self.tube.center_coeffs @ self._c_der[self._row[t]]
 
     def radius(self, t: float) -> float:
-        i = self._row.get(t)
-        if i is None:
-            return self.tube.radius(t)
-        return float(self.tube.radius_coeffs @ self._r_val[i])
+        return float(self.tube.radius_coeffs @ self._r_val[self._row[t]])
 
     def radius_dot(self, t: float) -> float:
-        i = self._row.get(t)
-        if i is None:
-            return self.tube.radius_dot(t)
-        return float(self.tube.radius_coeffs @ self._r_der[i])
+        return float(self.tube.radius_coeffs @ self._r_der[self._row[t]])
 
 
 def sphere_map(theta) -> np.ndarray:

@@ -134,6 +134,31 @@ def test_check_bad_nested_block_exits_2(tmp_path, capsys, overrides, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, named", [
+    ({"min_radius": -0.25}, "min_radius"),
+    ({"epsilon": -0.12}, "epsilon"),
+    ({"center_box_scale": -1.0}, "center_box_scale"),
+    ({"radius_max": -0.5}, "radius_max"),
+    ({"gain": -5.0}, "gain"),
+    ({"control_weight": [0.0, 1.0]}, "control_weight"),
+    ({"input_bound": -1.0}, "input_bound"),
+    ({"solver": {"seed": 0, "budget": -5}}, "budget"),
+    ({"x0_seed": -1}, "x0_seed"),
+])
+def test_check_out_of_range_value_exits_2(tmp_path, capsys, overrides, named):
+    cfg = _write_config(tmp_path, overrides)
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [("check", []), ("verify", ["--log", "run.csv"])])
+def test_check_and_verify_take_no_output_flags(tmp_path, command, extra):
+    cfg = _write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), *extra, "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_check_bad_dynamics_parameter_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"dynamics": {"kind": "diffdrive", "lookahead": 0.0}})
     assert main(["check", "--config", str(cfg)]) == 2

@@ -29,7 +29,7 @@ from tubecbf.stl import (
     robustness_batch,
     robustness_lipschitz,
 )
-from tubecbf.stl import _plan
+from tubecbf.stl import _interpolator, _plan
 
 from gen import formula_and_signal, random_signal
 from oracles import oracle_boolean, oracle_robustness
@@ -464,6 +464,33 @@ def test_batch_nested_windows_off_grid():
     apart = np.minimum(robustness_batch(f_p, times, states),
                        robustness_batch(f_q, times, states))
     assert both.tobytes() == apart.tobytes()
+
+
+def test_batch_shared_off_grid_times_interpolated_once(monkeypatch):
+    # both conjuncts' leaves need the same off-grid times, and each
+    # robustness_batch call interpolates the states there once for both
+    calls = []
+
+    def counting(grid, off):
+        interpolate = _interpolator(grid, off)
+
+        def run(states):
+            calls.append(len(off))
+            return interpolate(states)
+        return run
+
+    table = {"p": BoxInfNorm((0.5, -0.5), 1.5), "q": BallNorm2((1.0, 0.0), 2.0)}
+    f = parse("F[0.3,2.7] G[0.15,1.1] p & F[0.3,2.7] G[0.15,1.1] q", table)
+    times, states = _jittered_batch(np.random.default_rng(49), 6, 4.5, 37)
+    monkeypatch.setattr("tubecbf.stl._interpolator", counting)
+    _plan.cache_clear()
+    try:
+        robustness_batch(f, times, states)
+        assert len(calls) == 1 and calls[0] > 0
+        robustness_batch(f, times, states)
+        assert len(calls) == 2
+    finally:
+        _plan.cache_clear()
 
 
 def test_batch_until_both_conventions():
