@@ -3,6 +3,7 @@ predicates, task formula, solver budgets, and vehicle."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -68,6 +69,13 @@ def _check_block(name: str, block, required: set, allowed: set) -> None:
                           f"allowed: {sorted(allowed)}")
 
 
+def _check_number(key: str, value) -> None:
+    # YAML reads `dt: fast` as a string; comparing it with a number would
+    # raise TypeError, which is not an input error
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
 @dataclass
 class ScenarioConfig:
     """Plain-data scenario description; see configs/ for worked examples."""
@@ -101,6 +109,10 @@ class ScenarioConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for key in ("dimension", "t_f", "dt", "min_radius", "epsilon", "center_box_scale",
+                    "gain", "input_bound", "radius_max", "x0_seed"):
+            if getattr(self, key) is not None:
+                _check_number(key, getattr(self, key))
         if self.dimension < 1:
             raise ConfigError("dimension must be positive")
         if self.t_f <= 0:
@@ -125,6 +137,8 @@ class ScenarioConfig:
         if self.radius_max is not None and not self.radius_max >= self.min_radius:
             raise ConfigError(f"radius_max {self.radius_max} is below "
                               f"min_radius {self.min_radius}")
+        for w in self.control_weight or ():
+            _check_number("control_weight", w)
         if self.control_weight is not None and not all(w > 0 for w in self.control_weight):
             raise ConfigError("control_weight diagonal must be positive")
         if not self.x0_seed >= 0:
@@ -137,6 +151,8 @@ class ScenarioConfig:
                     raise ConfigError(f"{name}: theta needs {self.dimension - 1} "
                                       f"counts in dimension {self.dimension}")
         _check_block("solver", self.solver, set(), {"seed", "budget"})
+        for key, value in self.solver.items():
+            _check_number(f"solver: {key}", value)
         if not self.solver.get("budget", 1) >= 1:
             raise ConfigError(f"solver: budget must be at least 1, got {self.solver['budget']}")
         _check_block("basis", self.basis, set(), {"kind", "center_count", "radius_count"})

@@ -293,6 +293,17 @@ class _ObjectiveGrid:
     sends the trajectories of all of them to one monitor call while they fit
     one block, because a monitor call costs mostly a fixed per-call overhead
     at search-cover sizes.
+
+    bounded serves a search that only needs to know whether a candidate beats
+    a bound.  A value it returns below the bound is the candidate's exact
+    margin; any other value is a lower bound of it.  The screen that gives
+    the lower bound takes the radius terms, which need no monitor call, and
+    then, for the candidates still below the bound, -rho on the witness
+    trajectories: those that were the argmax of one of bounded's exact
+    evaluations so far.  Only the candidates still below the bound after
+    that get the other trajectories.  Every term is bit-identical whatever
+    batch it is computed in, so a screen value is the max over a subset of
+    evaluate's terms.
     """
 
     # A monitor call takes at most _BLOCK_FLOATS // len(times) trajectories,
@@ -326,15 +337,28 @@ class _ObjectiveGrid:
             (lams[:, None, None] * dirs[None, :, :]).reshape(-1, instance.n).T)
         self.dir_count = dirs.shape[0]
         self.tau_count = len(taus)
+        self.witnesses: set[int] = set()
 
     @property
     def trajectory_count(self) -> int:
         return self.scaled_dirs.shape[1]
 
-    def _rho_chunk(self, center, radii, lo, hi):
-        """Robustness of trajectories lo..hi-1 of every candidate in center
-        (n, T, M) and radii (T, M), as (M, hi-lo)."""
-        dirs = self.scaled_dirs[:, lo:hi]
+    @property
+    def _per_call(self) -> int:
+        """Trajectories one monitor call takes."""
+        return max(1, self._BLOCK_FLOATS // len(self.times))
+
+    def _curves(self, q_c, q_r):
+        """Center (n, T, M) and radius (T, M) of M candidates on the grid."""
+        # one product per candidate: a stacked (M, z) @ (z, T) product may
+        # round differently from a single candidate's
+        radii = np.stack([q @ self.p_radius for q in np.asarray(q_r, dtype=float)], axis=1)
+        center = np.stack([q @ self.p_center for q in np.asarray(q_c, dtype=float)], axis=2)
+        return center, radii
+
+    def _rho_chunk(self, center, radii, dirs):
+        """Robustness of the trajectories of the scaled directions dirs (n, k)
+        about every candidate in center (n, T, M) and radii (T, M), as (M, k)."""
         n, t, m = center.shape
         k = dirs.shape[1]
         # built one coordinate plane at a time into the (n, T, M, K) layout
@@ -348,6 +372,30 @@ class _ObjectiveGrid:
                                until_convention=self.instance.until_convention)
         return rho.reshape(m, k)
 
+    def _rho(self, center, radii, dirs):
+        """_rho_chunk in block-sized monitor calls: whole candidates while they
+        fit the block and slices of one candidate's trajectories otherwise.
+        rho is joined from the block results, so no full buffer is held
+        during the calls."""
+        m = radii.shape[1]
+        k_total = dirs.shape[1]
+        group = max(1, self._per_call // k_total)
+        span = min(k_total, self._per_call)
+        return np.concatenate([
+            np.concatenate([self._rho_chunk(center[:, :, c:c + group], radii[:, c:c + group],
+                                            dirs[:, lo:lo + span])
+                            for lo in range(0, k_total, span)], axis=1)
+            for c in range(0, m, group)])
+
+    def _radius_terms(self, radii):
+        return self.instance.min_radius - radii[1:-1].T
+
+    @staticmethod
+    def _argmax(radius_terms, neg_rho):
+        terms = np.concatenate([radius_terms, neg_rho], axis=1)
+        idx = np.argmax(terms, axis=1)
+        return terms[np.arange(len(idx)), idx], idx
+
     def evaluate(self, q_c: np.ndarray, q_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Margins and (deterministic, lowest-first) argmax constraint indices
         of M candidates; q_c is (M, n, z_c) and q_r (M, z_r).
@@ -356,29 +404,51 @@ class _ObjectiveGrid:
         alone.  Indices 0..m_tau-1 are radius constraints; the rest are
         robustness constraints in trajectory order.
         """
-        # one product per candidate: a stacked (M, z) @ (z, T) product may
-        # round differently from a single candidate's
-        radii = np.stack([q @ self.p_radius for q in np.asarray(q_r, dtype=float)],
-                         axis=1)                                      # (T, M)
-        center = np.stack([q @ self.p_center for q in np.asarray(q_c, dtype=float)],
-                          axis=2)                                     # (n, T, M)
-        m = radii.shape[1]
-        k_total = self.trajectory_count
-        # a monitor call takes whole candidates while they fit the block and
-        # slices of one candidate's trajectories otherwise; rho is joined
-        # from the block results, so no full buffer is held during the calls
-        per_call = max(1, self._BLOCK_FLOATS // len(self.times))
-        group = max(1, per_call // k_total)
-        span = min(k_total, per_call)
-        rho = np.concatenate([
-            np.concatenate([self._rho_chunk(center[:, :, c:c + group], radii[:, c:c + group],
-                                            lo, lo + span)
-                            for lo in range(0, k_total, span)], axis=1)
-            for c in range(0, m, group)])
+        center, radii = self._curves(q_c, q_r)
+        return self._argmax(self._radius_terms(radii),
+                            -self._rho(center, radii, self.scaled_dirs))
 
-        terms = np.concatenate([self.instance.min_radius - radii[1:-1].T, -rho], axis=1)
-        idx = np.argmax(terms, axis=1)
-        return terms[np.arange(m), idx], idx
+    def bounded(self, q_c: np.ndarray, q_r: np.ndarray, bound: float = math.inf,
+                slack: Optional[np.ndarray] = None) -> np.ndarray:
+        """Margins of M candidates, plus slack (M,) when given, screened
+        against bound.
+
+        A value below bound is exact: evaluate's margin plus slack, bit for
+        bit.  Any other value is a lower bound of it, since the screen's max
+        over a subset of the terms is <= their full max and adding slack
+        rounds monotonically.  With bound=inf every value is exact.  Only a
+        candidate whose screen value is below bound gets the trajectories
+        outside the witness set, and the argmax trajectory of each such
+        evaluation joins the witnesses.
+        """
+        def plus_slack(v, rows):
+            return v if slack is None else v + slack[rows]
+
+        center, radii = self._curves(q_c, q_r)
+        radius_terms = self._radius_terms(radii)
+        everyone = np.arange(radii.shape[1])
+        values = plus_slack(radius_terms.max(axis=1), everyone)
+        live = np.flatnonzero(values < bound)
+        neg_rho = np.empty((len(everyone), self.trajectory_count))
+        # a screen costs a monitor call of its own, so it is skipped when the
+        # full evaluation of every live candidate fits one call anyway (and
+        # with bound=inf, when every candidate is evaluated in full)
+        fits = len(live) * self.trajectory_count <= self._per_call
+        seen = sorted(self.witnesses) if bound < math.inf and not fits else []
+        if seen and len(live):
+            block = -self._rho(center[:, :, live], radii[:, live], self.scaled_dirs[:, seen])
+            neg_rho[np.ix_(live, seen)] = block
+            values[live] = np.maximum(values[live], plus_slack(block.max(axis=1), live))
+            live = live[values[live] < bound]
+        if len(live):
+            rest = np.setdiff1d(np.arange(self.trajectory_count), seen)
+            if len(rest):
+                neg_rho[np.ix_(live, rest)] = -self._rho(center[:, :, live], radii[:, live],
+                                                         self.scaled_dirs[:, rest])
+            eta, idx = self._argmax(radius_terms[live], neg_rho[live])
+            values[live] = plus_slack(eta, live)
+            self.witnesses.update(int(i) - self.tau_count for i in idx if i >= self.tau_count)
+        return values
 
     def describe(self, idx: int) -> str:
         if idx < self.tau_count:
@@ -538,15 +608,21 @@ def pattern_search(func, x0, lb, ub, *, step: float, min_step: float,
                    budget: int, target: Optional[float] = None):
     """Greedy coordinate search with per-axis scaling and halving steps.
 
-    func maps an (M, d) array of points to their M values, which are
-    minimized.  Each coordinate's +step and -step trials go to func as one
-    batch of two, and the values are then taken in the order of a sequential
-    poll: + first, accepted on strict improvement, and then - .  When + is
-    accepted, the - value is computed but dropped.  The returned count, which
-    budget bounds, counts the trials that sequential poll consumes, not the
-    trials computed; a pair is cut to its + trial when one eval of budget is
-    left.  Trials that clip back onto x[j], and axes whose box is collapsed to
-    a point, are skipped.  Stops early once the value is <= target.
+    func(points, bound=inf) maps an (M, d) array of points to M values,
+    which are minimized.  A value below bound must be that point's exact
+    value; any other value only has to be a lower bound of it.  The search
+    takes its decisions as a sequential poll does: coordinates in order, +
+    step before - step, each trial accepted on strict improvement, which
+    ends that coordinate's poll.  It sends every remaining trial of a sweep
+    to func in one call with bound=fx, the incumbent's value, and replays
+    the values in order: the first one below fx is accepted, every trial
+    before it is consumed, and the sweep restarts at the next coordinate
+    from the new point.  A rejected trial only needs a value >= fx, so func
+    may stop refining it there.  The returned count, which budget bounds,
+    counts the trials that sequential poll consumes, not the trials computed;
+    a sweep is cut to the budget left.  Trials that clip back onto x[j], and
+    axes whose box is collapsed to a point, are skipped.  Stops early once
+    the value is <= target.
     """
     x = np.asarray(x0, dtype=float).copy()
     scale = ub - lb
@@ -557,22 +633,31 @@ def pattern_search(func, x0, lb, ub, *, step: float, min_step: float,
         if target is not None and fx <= target:
             break
         improved = False
-        for j in range(len(x)):
-            if scale[j] == 0.0 or evals >= budget:
-                continue
-            trials = [float(min(max(x[j] + sgn * cur * scale[j], lb[j]), ub[j]))
-                      for sgn in (1.0, -1.0)]
-            trials = [t for t in trials if t != x[j]][:budget - evals]
+        first = 0
+        while evals < budget:
+            axes, trials = [], []
+            for j in range(first, len(x)):
+                if scale[j] == 0.0:
+                    continue
+                for sgn in (1.0, -1.0):
+                    trial = float(min(max(x[j] + sgn * cur * scale[j], lb[j]), ub[j]))
+                    if trial != x[j]:
+                        axes.append(j)
+                        trials.append(trial)
+            axes, trials = axes[:budget - evals], trials[:budget - evals]
             if not trials:
-                continue
+                break
             points = np.repeat(x[None], len(trials), axis=0)
-            points[:, j] = trials
-            for point, value in zip(points, func(points)):
+            points[np.arange(len(trials)), axes] = trials
+            for j, point, value in zip(axes, points, func(points, bound=fx)):
                 evals += 1
                 if value < fx:
                     x, fx = point.copy(), float(value)
                     improved = True
+                    first = j + 1
                     break
+            else:
+                break
         if not improved:
             cur /= 2.0
     return x, fx, evals
@@ -720,8 +805,8 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
         return (q[..., :nq_c].reshape(q.shape[:-1] + (instance.n, instance.center_count)),
                 q[..., nq_c:])
 
-    def objective(qs):
-        return search_grid.evaluate(*unpack(qs))[0]
+    def objective(qs, bound=math.inf):
+        return search_grid.bounded(*unpack(qs), bound)
 
     q0 = np.concatenate([q_c0.ravel(), q_r0])
     best, _, evals, rounds = _minimize_margin(objective, q0, lb, ub, settings, rng)
@@ -732,10 +817,10 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
     if evals < settings.budget:
         eps_cert = cert_spec.radius
 
-        def margin_objective(qs):
+        def margin_objective(qs, bound=math.inf):
             lips = [combined_lipschitz(instance.make_tube(*unpack(q)), instance.formula).combined
                     for q in qs]
-            return objective(qs) + np.array(lips) * eps_cert
+            return search_grid.bounded(*unpack(qs), bound, slack=np.array(lips) * eps_cert)
 
         m0 = float(margin_objective(best[None])[0])
         evals += 1

@@ -151,6 +151,17 @@ def test_check_out_of_range_value_exits_2(tmp_path, capsys, overrides, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("dt", "fast"), ("gain", "five")])
+def test_check_non_numeric_scalar_exits_2(tmp_path, capsys, key, value):
+    data = yaml.safe_load((ROOT / "configs" / "omni_reach_avoid.yaml").read_text())
+    data[key] = value
+    cfg = tmp_path / "omni_reach_avoid.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["check", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, extra", [("check", []), ("verify", ["--log", "run.csv"])])
 def test_check_and_verify_take_no_output_flags(tmp_path, command, extra):
     cfg = _write_config(tmp_path)
@@ -208,11 +219,12 @@ def test_synthesize_repeat_same_seed_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("scenario", ["omni_reach_avoid", "stlcg_2", "stlcg_1",
-                                      "quadrotor_cycle"])
+                                      "quadrotor_cycle", "diffdrive_sequential"])
 def test_synthesize_matches_reference_artifacts(tmp_path, scenario):
     # perfbench/ref holds seed-0 artifacts with their sha256; a pure speed-up
     # must reproduce them byte for byte.  quadrotor_cycle is uncertified (exit
-    # 3) and runs the certificate polish.
+    # 3) and runs the certificate polish; diffdrive_sequential's search grows
+    # the largest witness set.
     provenance = json.loads((ROOT / "perfbench" / "ref" / "PROVENANCE.json").read_text())
     record = provenance["scenarios"][scenario]
     assert main(["synthesize", "--config", str(ROOT / "configs" / f"{scenario}.yaml"),
@@ -231,6 +243,20 @@ def test_synthesize_forced_infeasible_exits_3(tmp_path):
         "solver": {"seed": 0, "budget": 200},
     })
     assert main(["synthesize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_bench_uncertified_synthesis_exits_3(tmp_path, capsys):
+    # the closed loop of the cramped tube is satisfied, but its synthesis is
+    # uncertified, and bench exits with the worse of the two codes
+    cfg = _write_config(tmp_path, {
+        "name": "cramped",
+        "radius_max": 0.25,
+        "solver": {"seed": 0, "budget": 200},
+    })
+    assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    row = capsys.readouterr().out.strip().splitlines()[-1]
+    cells = [c.strip() for c in row.split("|")]
+    assert cells[0] == "cramped" and cells[4] == "no" and float(cells[5]) > 0
 
 
 def test_simulate_dimension_mismatch_exits_2(tmp_path):

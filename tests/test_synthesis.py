@@ -224,8 +224,8 @@ def test_objective_monitor_calls_stay_within_the_block(monkeypatch):
         k, t, n = shapes[0]
         assert len(shapes) > 1 and k == block // t
         assert all(k * t <= block and n == config.dimension for k, t, n in shapes)
-    # the search polls each +/-step pair in one call; the finer certificate
-    # cover is split into blocks
+    # the full evaluation of two candidates on the search cover fits one
+    # call; the finer certificate cover is split into blocks
     for name in ("stlcg_1", "quadrotor_cycle"):
         config, tube = _reference(name)
         instance = config.instance()
@@ -260,6 +260,75 @@ def test_dense_recheck_values_and_memory():
         assert peak < 8 * 2**20, (name, peak)
 
 
+SHIPPED = sorted(path.stem for path in (ROOT / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_bounded_screen_matches_full_batch(name):
+    # on each shipped search grid, -rho on a subset of the trajectories is
+    # byte-identical to those columns of the full batch; bounded returns the
+    # exact margin (plus slack) below the bound and, at or above it, the max
+    # of the radius terms and the witness columns, never above the margin
+    config = load_config(ROOT / "configs" / f"{name}.yaml")
+    instance = config.instance()
+    spec = config.solver_settings().search_cover or instance.cover
+    grid = _ObjectiveGrid(instance, build_cover(spec))
+    m, k = 12, grid.trajectory_count
+    rng = np.random.default_rng(5)
+    q_c0, q_r0 = warm_start(instance)
+    lo, hi = instance.center_box[..., 0], instance.center_box[..., 1]
+    q_c = np.clip(q_c0 + rng.normal(scale=0.2, size=(m,) + q_c0.shape) * (hi - lo), lo, hi)
+    # radii across the whole box, so that trajectories bind, not the floor
+    q_r = rng.uniform(instance.radius_box[:, 0], instance.radius_box[:, 1], size=(m,) + q_r0.shape)
+    center, radii = grid._curves(q_c, q_r)
+    neg_rho = -grid._rho(center, radii, grid.scaled_dirs)
+    eta, idx = grid.evaluate(q_c, q_r)
+    # random trajectories plus the argmax ones of the candidates, as the
+    # witnesses a search collects
+    argmax = idx[idx >= grid.tau_count] - grid.tau_count
+    subset = np.union1d(rng.choice(k, size=max(1, k // 5), replace=False), argmax)
+    part = -grid._rho(center, radii, grid.scaled_dirs[:, subset])
+    assert part.tobytes() == neg_rho[:, subset].tobytes()
+
+    # a block one trajectory short of a candidate never lets bounded skip the
+    # witness screen, and splits every candidate's trajectories over calls
+    grid._BLOCK_FLOATS = len(grid.times) * (k - 1)
+    radius_max = (instance.min_radius - radii[1:-1].T).max(axis=1)
+    # the second bound splits the candidate whose trajectories bind most
+    # between its radius terms and its margin, so a witness column rejects it
+    j = int(np.argmax(eta - radius_max))
+    exact = witness_rejects = 0
+    for slack in (None, rng.uniform(0.0, 0.5, size=m)):
+        shift = np.zeros(m) if slack is None else slack
+        for bound in (np.median(eta + shift), (radius_max[j] + eta[j]) / 2 + shift[j]):
+            grid.witnesses = set(subset.tolist())
+            values = grid.bounded(q_c, q_r, float(bound), slack)
+            for i, v in enumerate(values):
+                lower = radius_max[i] + shift[i]
+                if lower < bound:
+                    lower = max(radius_max[i], neg_rho[i, subset].max()) + shift[i]
+                # a candidate the screen leaves below the bound is evaluated
+                expected = eta[i] + shift[i] if lower < bound else lower
+                assert v == expected and v <= eta[i] + shift[i]
+                exact += v < bound
+                witness_rejects += radius_max[i] + shift[i] < bound <= lower
+    assert exact > 0 and witness_rejects > 0
+    # with every trajectory a witness, the screen of a candidate below the
+    # bound leaves no trajectory to evaluate, and is its margin
+    grid.witnesses = set(range(k))
+    assert grid.bounded(q_c, q_r, float(eta.max()) + 1.0).tobytes() == eta.tobytes()
+
+
+def test_stlcg_1_solve_keeps_evals_with_fewer_monitor_calls(monkeypatch):
+    # the seed-0 solve consumes the same 4333 trials as a one-trial-per-call
+    # poll, but screens them in sweeps: the pair poll made 2342 monitor calls
+    config = load_config(ROOT / "configs" / "stlcg_1.yaml")
+    shapes = _monitor_calls(monkeypatch)
+    result = solve_sop(config.instance(), config.solver_settings(seed=0))
+    assert result.diagnostics["objective_evals"] == 4333
+    assert len(shapes) < 800
+
+
 # ---------------------------------------------------------------------------
 # pattern search
 # ---------------------------------------------------------------------------
@@ -273,12 +342,22 @@ def _quantized_bowl(rng, d):
                                         for ai, xi, ci in zip(a, x, c))) / 8
 
 
-def _batched(f, x0, lb, ub, **kw):
-    """pattern_search on f, with the log of every batch it sent and its values."""
+def _batched(f, x0, lb, ub, rng=None, **kw):
+    """pattern_search on f, with the log of every batch it sent and its values.
+
+    With rng, a value at or above the bound is replaced by a random lower
+    bound of it that is still >= bound (often the bound itself, a tie), as
+    the contract lets func return."""
     log = []
 
-    def func(points):
-        values = np.array([f(p.tolist()) for p in points])
+    def func(points, bound=math.inf):
+        values = []
+        for p in points:
+            v = f(p.tolist())
+            if rng is not None and v >= bound:
+                v = float(rng.choice([bound, v, rng.uniform(bound, v)]))
+            values.append(v)
+        values = np.array(values)
         log.append((points.copy(), values))
         return values
 
@@ -286,18 +365,40 @@ def _batched(f, x0, lb, ub, **kw):
                           np.asarray(ub, dtype=float), **kw), log
 
 
-def _consumed(log):
+def _sweep(x, lb, ub, cur, first):
+    """The trials of a sequential poll's sweep from coordinate first at x,
+    + before -, without collapsed axes and trials that clip onto x[j]."""
+    trials = []
+    for j in range(first, len(x)):
+        if lb[j] == ub[j]:
+            continue
+        for sgn in (1.0, -1.0):
+            t = min(max(x[j] + sgn * cur * (ub[j] - lb[j]), lb[j]), ub[j])
+            if t != x[j]:
+                trials.append(x[:j] + [t] + x[j + 1:])
+    return trials
+
+
+def _consumed(log, lb, ub, step, budget):
     """The logged points in the order a one-trial-per-call poll consumes
     them, and the accepted ones: a batch ends at its first strict improvement
-    on the best value so far."""
+    on the best value so far.  Checks that each batch is a suffix of one
+    sweep at the incumbent, cut to the budget left."""
+    lb, ub = lb.tolist(), ub.tolist()
     (x0,), (best,) = log[0]
-    points, accepted = [x0.tolist()], []
+    x = x0.tolist()
+    points, accepted = [x], []
+    steps = [step / 2 ** k for k in range(12)]
     for batch, values in log[1:]:
+        batch = batch.tolist()
+        assert any(batch == sweep[:len(batch)] and len(batch) in (len(sweep), budget - len(points))
+                   for cur in steps for first in range(len(x))
+                   for sweep in [_sweep(x, lb, ub, cur, first)])
         for p, v in zip(batch, values):
-            points.append(p.tolist())
+            points.append(p)
             if v < best:
-                best = v
-                accepted.append(p.tolist())
+                best, x = v, p
+                accepted.append(p)
                 break
     return points, accepted
 
@@ -305,7 +406,8 @@ def _consumed(log):
 def test_pattern_search_matches_sequential_oracle():
     rng = np.random.default_rng(11)
     target_stops = 0
-    for _ in range(300):
+    multi_sweeps = 0
+    for case in range(600):
         d = int(rng.integers(1, 5))
         lb = rng.uniform(-2.0, 0.0, size=d)
         ub = lb + rng.uniform(0.5, 3.0, size=d)
@@ -326,14 +428,15 @@ def test_pattern_search_matches_sequential_oracle():
             return f(x)
 
         x_ref, f_ref, evals_ref, accepted_ref = oracle_pattern_search(one, x0, lb, ub, **kw)
-        (x, fx, evals), log = _batched(f, x0, lb, ub, **kw)
-        points, accepted = _consumed(log)
+        # even cases get exact values, odd ones random lower bounds
+        (x, fx, evals), log = _batched(f, x0, lb, ub, rng=rng if case % 2 else None, **kw)
+        points, accepted = _consumed(log, lb, ub, kw["step"], kw["budget"])
         assert (x.tolist(), fx, evals) == (x_ref, f_ref, evals_ref)
         assert points == polled
         assert accepted == accepted_ref
-        assert all(len(batch) <= 2 for batch, _ in log)
+        multi_sweeps += any(len(batch) > 2 for batch, _ in log)
         target_stops += kw["target"] is not None and fx <= kw["target"] and evals < kw["budget"]
-    assert target_stops > 0
+    assert target_stops > 0 and multi_sweeps > 0
 
 
 def test_pattern_search_pairs_budget_clipping_and_target():
