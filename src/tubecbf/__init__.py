@@ -44,7 +44,6 @@ from .stl import (
     Signal,
     UndefinedPredicateError,
     Until,
-    bind_predicates,
     horizon,
     parse,
     robustness,
@@ -61,7 +60,6 @@ from .synthesis import (
     SynthesisResult,
     build_cover,
     combine_constants,
-    combined_lipschitz,
     recheck_constraints,
     solve_sop,
     sop_objective,

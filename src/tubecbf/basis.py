@@ -1,8 +1,8 @@
 """Polynomial basis families for the tube's center and radius curves.
 
 Both families expose values and exact first/second time derivatives on
-[0, t_f], plus coefficient-based bounds on first and second derivatives used
-when certifying Lipschitz constants.
+[0, t_f], plus a coefficient-based bound on the second derivative used when
+certifying Lipschitz constants.
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ class MonomialBasis:
         for k in range(2, self.count):
             out[k] = k * (k - 1) * ts ** (k - 2)
         return out[:, 0] if scalar else out
-
-    def derivative_bound(self, coeffs) -> float:
-        coeffs = np.asarray(coeffs, dtype=float)
-        return float(sum(abs(coeffs[k]) * k * self.t_f ** (k - 1)
-                         for k in range(1, self.count)))
 
     def second_derivative_bound(self, coeffs) -> float:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -125,12 +120,6 @@ class BernsteinBasis:
                 if k <= d - 2:
                     out[k] += scale * lower[k]
         return out[:, 0] if scalar else out
-
-    def derivative_bound(self, coeffs) -> float:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if self.degree < 1:
-            return 0.0
-        return float(self.degree / self.t_f * np.max(np.abs(np.diff(coeffs))))
 
     def second_derivative_bound(self, coeffs) -> float:
         coeffs = np.asarray(coeffs, dtype=float)

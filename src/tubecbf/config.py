@@ -199,7 +199,7 @@ class ScenarioConfig:
 
     def instance(self) -> SOPInstance:
         b = self.basis
-        return SOPInstance.build(
+        return SOPInstance(
             self.build_formula(), n=self.dimension, t_f=self.t_f,
             state_bounds=self.state_bounds, min_radius=self.min_radius,
             basis_kind=b.get("kind", "bernstein"),

@@ -296,37 +296,6 @@ def iter_predicates(f: Formula):
             stack.append(node.child)
 
 
-def bind_predicates(f: Formula, table: Mapping[str, PredicateFn]) -> Formula:
-    """Return a copy of the formula with predicate handles attached by name.
-
-    Raises UndefinedPredicateError listing every name missing from the table.
-    """
-    missing = {p.name for p in iter_predicates(f) if p.name not in table}
-    if missing:
-        raise UndefinedPredicateError(missing)
-
-    def rebuild(node: Formula) -> Formula:
-        if isinstance(node, Predicate):
-            return Predicate(node.name, table[node.name])
-        if isinstance(node, TrueFormula):
-            return node
-        if isinstance(node, Not):
-            return Not(rebuild(node.child))
-        if isinstance(node, And):
-            return And(rebuild(node.left), rebuild(node.right))
-        if isinstance(node, Or):
-            return Or(rebuild(node.left), rebuild(node.right))
-        if isinstance(node, Until):
-            return Until(node.start, node.end, rebuild(node.left), rebuild(node.right))
-        if isinstance(node, Eventually):
-            return Eventually(node.start, node.end, rebuild(node.child))
-        if isinstance(node, Always):
-            return Always(node.start, node.end, rebuild(node.child))
-        raise TypeError(f"unknown formula node {node!r}")
-
-    return rebuild(f)
-
-
 def horizon(f: Formula) -> float:
     """Largest lookahead needed to evaluate the formula from its anchor time."""
     if isinstance(f, (Predicate, TrueFormula)):
@@ -395,21 +364,6 @@ class Signal:
     @property
     def end_time(self) -> float:
         return float(self.times[-1])
-
-    def at(self, t: float) -> np.ndarray:
-        """State at time t by linear interpolation between bracketing samples."""
-        times = self.times
-        if t < times[0] - _TIME_SLACK or t > times[-1] + _TIME_SLACK:
-            raise ValueError(f"time {t} outside signal range [{times[0]}, {times[-1]}]")
-        t = min(max(t, times[0]), times[-1])
-        j = int(np.searchsorted(times, t, side="right"))
-        if j >= len(times):
-            return self.states[-1].copy()
-        i = max(j - 1, 0)
-        if times[i] == t:
-            return self.states[i].copy()
-        w = (t - times[i]) / (times[j] - times[i])
-        return (1.0 - w) * self.states[i] + w * self.states[j]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +28,8 @@ from .stl import (
     robustness_batch,
     robustness_lipschitz,
 )
-from .tube import Tube, sphere_map_many, tube_lipschitz, tube_to_record, tube_from_record
+from .tube import (Basis, Tube, sphere_map_many, tube_lipschitz, tube_to_record,
+                   tube_from_record)
 
 
 class CoverError(ValueError):
@@ -195,94 +196,91 @@ def combine_constants(l_rho: float, l_center: float, l_radius: float,
                          combined=combined)
 
 
-def combined_lipschitz(tube: Tube, formula: Formula) -> LipschitzInfo:
-    tl = tube_lipschitz(tube)
-    return combine_constants(robustness_lipschitz(formula), tl.center, tl.radius,
-                             tl.radius_max, tube.dimension)
-
-
 # ---------------------------------------------------------------------------
 # problem instance and objective
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SOPInstance:
-    """Sampled tube-synthesis problem over box-bounded coefficients."""
+    """Sampled tube-synthesis problem over box-bounded coefficients.
+
+    The constructor's arguments are the problem's inputs.  From them it
+    derives, once, everything a solve reads: the coefficient boxes, the
+    bases of the center and radius curves, and the formula's robustness
+    constant l_rho, which every Lipschitz bound of a candidate tube reuses.
+
+    The center box bounds the control polygon, not the curve, and control
+    points must overshoot interior waypoints, so it is the state bounds
+    inflated about their midpoint by center_box_scale; pin_start fixes its
+    first control point to start_center.  The radius box is [min_radius,
+    radius_max], radius_max defaulting to a quarter of the narrowest state
+    range.
+    """
 
     formula: Formula
     n: int
     t_f: float
-    min_radius: float
-    basis_kind: str
-    center_count: int
-    radius_count: int
-    center_box: np.ndarray   # (n, z_c, 2)
-    radius_box: np.ndarray   # (z_r, 2)
     state_bounds: np.ndarray  # (n, 2)
+    min_radius: float = 0.25
+    basis_kind: str = "bernstein"
+    center_count: int = 5
+    radius_count: int = 4
+    radius_max: Optional[float] = None
     cover: Optional[CoverSpec] = None
     start_center: Optional[np.ndarray] = None
+    pin_start: bool = False
+    center_box_scale: float = 1.5
     until_convention: str = "paper"
+    center_box: np.ndarray = field(init=False)   # (n, z_c, 2)
+    radius_box: np.ndarray = field(init=False)   # (z_r, 2)
+    center_basis: Basis = field(init=False)
+    radius_basis: Basis = field(init=False)
+    l_rho: float = field(init=False)
 
     def __post_init__(self):
         if self.min_radius <= 0:
             raise ValueError("minimum tube radius must be positive")
-        cb = np.asarray(self.center_box, dtype=float)
-        rb = np.asarray(self.radius_box, dtype=float)
-        if cb.shape != (self.n, self.center_count, 2):
-            raise ValueError("center box must be (n, z_c, 2)")
-        if rb.shape != (self.radius_count, 2):
-            raise ValueError("radius box must be (z_r, 2)")
-        if np.any(cb[..., 1] < cb[..., 0]) or np.any(rb[:, 1] < rb[:, 0]):
-            raise ValueError("coefficient boxes must be nonempty")
+        bounds = np.asarray(self.state_bounds, dtype=float)
+        if bounds.shape != (self.n, 2):
+            raise ValueError("state bounds must be (n, 2)")
         if horizon(self.formula) > self.t_f + 1e-9:
             raise ValueError(
                 f"formula horizon {horizon(self.formula)} exceeds tube horizon {self.t_f}")
-        object.__setattr__(self, "center_box", cb)
-        object.__setattr__(self, "radius_box", rb)
-        object.__setattr__(self, "state_bounds",
-                           np.asarray(self.state_bounds, dtype=float))
-
-    @classmethod
-    def build(cls, formula: Formula, n: int, t_f: float, state_bounds,
-              min_radius: float = 0.25, basis_kind: str = "bernstein",
-              center_count: int = 5, radius_count: int = 4,
-              radius_max: Optional[float] = None, cover: Optional[CoverSpec] = None,
-              start_center=None, pin_start: bool = False,
-              center_box_scale: float = 1.5,
-              until_convention: str = "paper") -> "SOPInstance":
-        """Instance with coefficient boxes derived from the state bounds.
-
-        The center box bounds the control polygon, not the curve, and control
-        points must overshoot interior waypoints, so it defaults to the state
-        bounds inflated about their midpoint by center_box_scale.
-        """
-        bounds = np.asarray(state_bounds, dtype=float)
-        if bounds.shape != (n, 2):
-            raise ValueError("state bounds must be (n, 2)")
         mid = bounds.mean(axis=1)
-        half = (bounds[:, 1] - bounds[:, 0]) / 2.0 * center_box_scale
+        half = (bounds[:, 1] - bounds[:, 0]) / 2.0 * self.center_box_scale
         inflated = np.column_stack([mid - half, mid + half])
-        center_box = np.repeat(inflated[:, None, :], center_count, axis=1).copy()
+        center_box = np.repeat(inflated[:, None, :], self.center_count, axis=1)
+        radius_max = self.radius_max
         if radius_max is None:
             radius_max = float(np.min(bounds[:, 1] - bounds[:, 0])) / 4.0
-        radius_box = np.tile([min_radius, max(radius_max, min_radius)], (radius_count, 1))
-        start = None if start_center is None else np.asarray(start_center, dtype=float)
-        if pin_start:
+        radius_box = np.tile([self.min_radius, max(radius_max, self.min_radius)],
+                             (self.radius_count, 1))
+        start = None if self.start_center is None else np.asarray(self.start_center, dtype=float)
+        if self.pin_start:
             if start is None:
                 raise ValueError("pin_start requires a start center")
             center_box[:, 0, 0] = start
             center_box[:, 0, 1] = start
-        return cls(formula=formula, n=n, t_f=t_f, min_radius=min_radius,
-                   basis_kind=basis_kind, center_count=center_count,
-                   radius_count=radius_count, center_box=center_box,
-                   radius_box=radius_box, state_bounds=bounds, cover=cover,
-                   start_center=start, until_convention=until_convention)
+        if np.any(center_box[..., 1] < center_box[..., 0]):
+            raise ValueError("coefficient boxes must be nonempty")
+        derived = {
+            "state_bounds": bounds, "start_center": start,
+            "center_box": center_box, "radius_box": radius_box,
+            "center_basis": make_basis(self.basis_kind, self.center_count, self.t_f),
+            "radius_basis": make_basis(self.basis_kind, self.radius_count, self.t_f),
+            "l_rho": robustness_lipschitz(self.formula),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def make_tube(self, q_c: np.ndarray, q_r: np.ndarray) -> Tube:
         return Tube(np.asarray(q_c, dtype=float).reshape(self.n, self.center_count),
-                    np.asarray(q_r, dtype=float),
-                    make_basis(self.basis_kind, self.center_count, self.t_f),
-                    make_basis(self.basis_kind, self.radius_count, self.t_f))
+                    np.asarray(q_r, dtype=float), self.center_basis, self.radius_basis)
+
+    def lipschitz(self, tube: Tube) -> LipschitzInfo:
+        """Combined Lipschitz constant of a tube of this instance."""
+        tl = tube_lipschitz(tube)
+        return combine_constants(self.l_rho, tl.center, tl.radius, tl.radius_max, self.n)
 
 
 class _ObjectiveGrid:
@@ -294,16 +292,15 @@ class _ObjectiveGrid:
     one block, because a monitor call costs mostly a fixed per-call overhead
     at search-cover sizes.
 
-    bounded serves a search that only needs to know whether a candidate beats
-    a bound.  A value it returns below the bound is the candidate's exact
-    margin; any other value is a lower bound of it.  The screen that gives
-    the lower bound takes the radius terms, which need no monitor call, and
-    then, for the candidates still below the bound, -rho on the witness
-    trajectories: those that were the argmax of one of bounded's exact
-    evaluations so far.  Only the candidates still below the bound after
-    that get the other trajectories.  Every term is bit-identical whatever
-    batch it is computed in, so a screen value is the max over a subset of
-    evaluate's terms.
+    A search that only needs to know whether a candidate beats a bound
+    passes that bound, and evaluate screens the candidates against it
+    before their full evaluation.  The screen takes the radius terms, which
+    need no monitor call, and then, for the candidates still below the
+    bound, -rho on the witness trajectories: those that were the argmax of
+    one of the grid's full evaluations so far.  Only the candidates still
+    below the bound after that get the other trajectories.  Every term is
+    bit-identical whatever batch it is computed in, so a screen value is
+    the max over a subset of the full evaluation's terms.
     """
 
     # A monitor call takes at most _BLOCK_FLOATS // len(times) trajectories,
@@ -325,10 +322,8 @@ class _ObjectiveGrid:
         self.instance = instance
         taus = cover.taus
         self.times = np.concatenate([[0.0], taus, [instance.t_f]])
-        cb = make_basis(instance.basis_kind, instance.center_count, instance.t_f)
-        rb = make_basis(instance.basis_kind, instance.radius_count, instance.t_f)
-        self.p_center = cb.values(self.times)
-        self.p_radius = rb.values(self.times)
+        self.p_center = instance.center_basis.values(self.times)
+        self.p_radius = instance.radius_basis.values(self.times)
         lams = cover.lams
         dirs = cover.directions
         # trajectory k = i_lambda * K_dir + j_dir carries lambda_i * s(theta_j);
@@ -390,50 +385,37 @@ class _ObjectiveGrid:
     def _radius_terms(self, radii):
         return self.instance.min_radius - radii[1:-1].T
 
-    @staticmethod
-    def _argmax(radius_terms, neg_rho):
-        terms = np.concatenate([radius_terms, neg_rho], axis=1)
-        idx = np.argmax(terms, axis=1)
-        return terms[np.arange(len(idx)), idx], idx
-
-    def evaluate(self, q_c: np.ndarray, q_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Margins and (deterministic, lowest-first) argmax constraint indices
-        of M candidates; q_c is (M, n, z_c) and q_r (M, z_r).
-
-        Candidate m's margin and index are bit-identical to evaluating it
-        alone.  Indices 0..m_tau-1 are radius constraints; the rest are
-        robustness constraints in trajectory order.
-        """
-        center, radii = self._curves(q_c, q_r)
-        return self._argmax(self._radius_terms(radii),
-                            -self._rho(center, radii, self.scaled_dirs))
-
-    def bounded(self, q_c: np.ndarray, q_r: np.ndarray, bound: float = math.inf,
-                slack: Optional[np.ndarray] = None) -> np.ndarray:
+    def evaluate(self, q_c: np.ndarray, q_r: np.ndarray, bound: float = math.inf,
+                 slack: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
         """Margins of M candidates, plus slack (M,) when given, screened
-        against bound.
+        against bound, and their (deterministic, lowest-first) argmax
+        constraint indices; q_c is (M, n, z_c) and q_r (M, z_r).
 
-        A value below bound is exact: evaluate's margin plus slack, bit for
-        bit.  Any other value is a lower bound of it, since the screen's max
-        over a subset of the terms is <= their full max and adding slack
-        rounds monotonically.  With bound=inf every value is exact.  Only a
-        candidate whose screen value is below bound gets the trajectories
-        outside the witness set, and the argmax trajectory of each such
+        A value below bound is exact: the candidate's margin plus slack,
+        bit-identical to evaluating it alone.  Any other value is a lower
+        bound of it, since the screen's max over a subset of the terms is <=
+        their full max and adding slack rounds monotonically; its index is
+        -1 if the screen stopped it.  With bound=inf every value is exact.
+        Indices 0..m_tau-1 are radius constraints; the rest are robustness
+        constraints in trajectory order.  The argmax trajectory of each full
         evaluation joins the witnesses.
         """
         def plus_slack(v, rows):
             return v if slack is None else v + slack[rows]
 
         center, radii = self._curves(q_c, q_r)
-        radius_terms = self._radius_terms(radii)
-        everyone = np.arange(radii.shape[1])
-        values = plus_slack(radius_terms.max(axis=1), everyone)
+        m, k, t = radii.shape[1], self.trajectory_count, self.tau_count
+        # one row of terms per candidate: t radius terms, then k of -rho
+        terms = np.empty((m, t + k))
+        terms[:, :t] = self._radius_terms(radii)
+        neg_rho = terms[:, t:]
+        values = plus_slack(terms[:, :t].max(axis=1), slice(None))
+        idx = np.full(m, -1)
         live = np.flatnonzero(values < bound)
-        neg_rho = np.empty((len(everyone), self.trajectory_count))
         # a screen costs a monitor call of its own, so it is skipped when the
         # full evaluation of every live candidate fits one call anyway (and
         # with bound=inf, when every candidate is evaluated in full)
-        fits = len(live) * self.trajectory_count <= self._per_call
+        fits = len(live) * k <= self._per_call
         seen = sorted(self.witnesses) if bound < math.inf and not fits else []
         if seen and len(live):
             block = -self._rho(center[:, :, live], radii[:, live], self.scaled_dirs[:, seen])
@@ -441,14 +423,17 @@ class _ObjectiveGrid:
             values[live] = np.maximum(values[live], plus_slack(block.max(axis=1), live))
             live = live[values[live] < bound]
         if len(live):
-            rest = np.setdiff1d(np.arange(self.trajectory_count), seen)
-            if len(rest):
-                neg_rho[np.ix_(live, rest)] = -self._rho(center[:, :, live], radii[:, live],
-                                                         self.scaled_dirs[:, rest])
-            eta, idx = self._argmax(radius_terms[live], neg_rho[live])
-            values[live] = plus_slack(eta, live)
-            self.witnesses.update(int(i) - self.tau_count for i in idx if i >= self.tau_count)
-        return values
+            rest = np.ones(k, dtype=bool)
+            rest[seen] = False
+            if rest.any():
+                # with no witness columns, every trajectory: no copy of the directions
+                dirs = self.scaled_dirs[:, rest] if seen else self.scaled_dirs
+                neg_rho[np.ix_(live, rest)] = -self._rho(center[:, :, live], radii[:, live], dirs)
+            full = terms[live]
+            idx[live] = np.argmax(full, axis=1)
+            values[live] = plus_slack(full[np.arange(len(live)), idx[live]], live)
+            self.witnesses.update(int(i) - t for i in idx[live] if i >= t)
+        return values, idx
 
     def describe(self, idx: int) -> str:
         if idx < self.tau_count:
@@ -460,7 +445,8 @@ class _ObjectiveGrid:
 
 def sop_objective(instance: SOPInstance, q_c: np.ndarray, q_r: np.ndarray,
                   cover: Optional[Cover] = None):
-    """Sampled constraint margin eta and a label for the worst constraint."""
+    """Sampled constraint margin eta of one tube and a label for its worst
+    constraint, on the given cover or else the instance's."""
     if cover is None:
         if instance.cover is None:
             raise ValueError("instance has no cover; pass one explicitly")
@@ -548,8 +534,7 @@ def warm_start(instance: SOPInstance) -> tuple[np.ndarray, np.ndarray]:
     grid = np.linspace(0.0, t_f, 201)
     path = np.stack([np.interp(grid, knot_t, knot_x[:, i]) for i in range(n)])
 
-    cb = make_basis(instance.basis_kind, instance.center_count, t_f)
-    rb = make_basis(instance.basis_kind, instance.radius_count, t_f)
+    cb, rb = instance.center_basis, instance.radius_basis
     # weighted fit: anchor rows force the curve through the waypoints, and a
     # curvature penalty on the control polygon keeps near-interpolating fits
     # from oscillating to huge coefficients
@@ -806,7 +791,7 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
                 q[..., nq_c:])
 
     def objective(qs, bound=math.inf):
-        return search_grid.bounded(*unpack(qs), bound)
+        return search_grid.evaluate(*unpack(qs), bound)[0]
 
     q0 = np.concatenate([q_c0.ravel(), q_r0])
     best, _, evals, rounds = _minimize_margin(objective, q0, lb, ub, settings, rng)
@@ -818,9 +803,8 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
         eps_cert = cert_spec.radius
 
         def margin_objective(qs, bound=math.inf):
-            lips = [combined_lipschitz(instance.make_tube(*unpack(q)), instance.formula).combined
-                    for q in qs]
-            return search_grid.bounded(*unpack(qs), bound, slack=np.array(lips) * eps_cert)
+            lips = [instance.lipschitz(instance.make_tube(*unpack(q))).combined for q in qs]
+            return search_grid.evaluate(*unpack(qs), bound, slack=np.array(lips) * eps_cert)[0]
 
         m0 = float(margin_objective(best[None])[0])
         evals += 1
@@ -836,10 +820,8 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
     q_c, q_r = unpack(best)
     tube = instance.make_tube(q_c, q_r)
 
-    lip = combined_lipschitz(tube, instance.formula)
-    cert_grid = _ObjectiveGrid(instance, build_cover(cert_spec))
-    eta, worst = cert_grid.evaluate(q_c[None], q_r[None])
-    eta_star, worst_idx = float(eta[0]), int(worst[0])
+    lip = instance.lipschitz(tube)
+    eta_star, worst = sop_objective(instance, q_c, q_r)
 
     wall = time.perf_counter() - t_start
     diagnostics = {
@@ -855,7 +837,7 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
     }
     result = SynthesisResult(tube=tube, eta_star=eta_star, lipschitz=lip,
                              epsilon=cert_spec.radius, certificate_ok=False,
-                             worst_constraint=cert_grid.describe(worst_idx),
+                             worst_constraint=worst,
                              diagnostics=diagnostics, wall_time=wall)
     result.certificate_ok = verify_certificate(result)
     return result
@@ -866,6 +848,5 @@ def recheck_constraints(instance: SOPInstance, tube: Tube, factor: int = 10) -> 
     cover (certified tubes must stay <= 0 everywhere)."""
     if instance.cover is None:
         raise ValueError("no cover to refine")
-    grid = _ObjectiveGrid(instance, build_cover(instance.cover.refined(factor)))
-    value, _ = grid.evaluate(tube.center_coeffs[None], tube.radius_coeffs[None])
-    return float(value[0])
+    return sop_objective(instance, tube.center_coeffs, tube.radius_coeffs,
+                         cover=build_cover(instance.cover.refined(factor)))[0]

@@ -22,7 +22,6 @@ from tubecbf.stl import (
     TrueFormula,
     UndefinedPredicateError,
     Until,
-    bind_predicates,
     horizon,
     parse,
     robustness,
@@ -110,20 +109,6 @@ def test_parse_undeclared_predicate():
     with pytest.raises(UndefinedPredicateError) as exc:
         parse("F[0,6] T & G[0,6] !Q", TABLE)
     assert "Q" in str(exc.value)
-
-
-def test_bind_predicates():
-    f = parse("F[0,6] T & G[0,6] !O")
-    bound = bind_predicates(f, TABLE)
-    preds = {p.name: p.fn for p in _collect_predicates(bound)}
-    assert preds == TABLE
-    with pytest.raises(UndefinedPredicateError):
-        bind_predicates(parse("A & B"), {"A": T_BOX})
-
-
-def _collect_predicates(f):
-    from tubecbf.stl import iter_predicates
-    return list(iter_predicates(f))
 
 
 def test_interval_constructor_validation():
@@ -244,17 +229,6 @@ def test_signal_validation():
         Signal(np.array([0.0, 1.0]), np.zeros((3, 1)))
     with pytest.raises(ValueError):
         Signal(np.array([0.0, 1.0]), np.array([[np.nan], [0.0]]))
-
-
-def test_signal_interpolation():
-    x = Signal(np.array([0.0, 1.0, 3.0]), np.array([[0.0, 0.0], [2.0, -2.0], [4.0, 0.0]]))
-    assert np.allclose(x.at(0.5), [1.0, -1.0])
-    assert np.allclose(x.at(2.0), [3.0, -1.0])
-    assert np.allclose(x.at(3.0), [4.0, 0.0])
-    with pytest.raises(ValueError):
-        x.at(3.5)
-    with pytest.raises(ValueError):
-        x.at(-0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +23,6 @@ from tubecbf.synthesis import (
     axis_midpoints,
     build_cover,
     combine_constants,
-    combined_lipschitz,
     pattern_search,
     recheck_constraints,
     solve_sop,
@@ -41,11 +44,11 @@ def _instance(formula_text, table, t_f, bounds, *, basis="monomial", cover=None,
               start=None, pin=False, min_radius=0.25, radius_max=None,
               center_count=4, radius_count=4):
     f = parse(formula_text, table)
-    return SOPInstance.build(f, n=2, t_f=t_f, state_bounds=bounds,
-                             min_radius=min_radius, basis_kind=basis,
-                             center_count=center_count, radius_count=radius_count,
-                             radius_max=radius_max, cover=cover,
-                             start_center=start, pin_start=pin)
+    return SOPInstance(f, n=2, t_f=t_f, state_bounds=bounds,
+                       min_radius=min_radius, basis_kind=basis,
+                       center_count=center_count, radius_count=radius_count,
+                       radius_max=radius_max, cover=cover,
+                       start_center=start, pin_start=pin)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +174,8 @@ def test_objective_affine_in_radius_floor():
 def test_objective_batch_matches_single_evaluations(formula, convention, monkeypatch):
     table = {"A": BoxInfNorm((1.0, 1.0), 0.8), "O": BallNorm2((-1.0, 0.5), 0.6),
              "H": AffineHalfspace((0.3, -1.0), 2.5)}
-    inst = SOPInstance.build(parse(formula, table), n=2, t_f=4.0,
-                             state_bounds=[[-3, 3], [-3, 3]], until_convention=convention)
+    inst = SOPInstance(parse(formula, table), n=2, t_f=4.0,
+                       state_bounds=[[-3, 3], [-3, 3]], until_convention=convention)
     grid = _ObjectiveGrid(inst, build_cover(CoverSpec.from_counts([12], 3, 17, 4.0)))
     rng = np.random.default_rng(3)
     m = 6
@@ -266,9 +269,10 @@ SHIPPED = sorted(path.stem for path in (ROOT / "configs").glob("*.yaml"))
 @pytest.mark.parametrize("name", SHIPPED)
 def test_bounded_screen_matches_full_batch(name):
     # on each shipped search grid, -rho on a subset of the trajectories is
-    # byte-identical to those columns of the full batch; bounded returns the
-    # exact margin (plus slack) below the bound and, at or above it, the max
-    # of the radius terms and the witness columns, never above the margin
+    # byte-identical to those columns of the full batch; a bounded evaluate
+    # returns the exact margin (plus slack) below the bound and, at or above
+    # it, the max of the radius terms and the witness columns, never above
+    # the margin
     config = load_config(ROOT / "configs" / f"{name}.yaml")
     instance = config.instance()
     spec = config.solver_settings().search_cover or instance.cover
@@ -290,7 +294,7 @@ def test_bounded_screen_matches_full_batch(name):
     part = -grid._rho(center, radii, grid.scaled_dirs[:, subset])
     assert part.tobytes() == neg_rho[:, subset].tobytes()
 
-    # a block one trajectory short of a candidate never lets bounded skip the
+    # a block one trajectory short of a candidate never lets evaluate skip the
     # witness screen, and splits every candidate's trajectories over calls
     grid._BLOCK_FLOATS = len(grid.times) * (k - 1)
     radius_max = (instance.min_radius - radii[1:-1].T).max(axis=1)
@@ -302,21 +306,24 @@ def test_bounded_screen_matches_full_batch(name):
         shift = np.zeros(m) if slack is None else slack
         for bound in (np.median(eta + shift), (radius_max[j] + eta[j]) / 2 + shift[j]):
             grid.witnesses = set(subset.tolist())
-            values = grid.bounded(q_c, q_r, float(bound), slack)
+            values, screened_idx = grid.evaluate(q_c, q_r, float(bound), slack)
             for i, v in enumerate(values):
                 lower = radius_max[i] + shift[i]
                 if lower < bound:
                     lower = max(radius_max[i], neg_rho[i, subset].max()) + shift[i]
-                # a candidate the screen leaves below the bound is evaluated
+                # a candidate the screen leaves below the bound is evaluated;
+                # one it stops has no argmax
                 expected = eta[i] + shift[i] if lower < bound else lower
                 assert v == expected and v <= eta[i] + shift[i]
+                assert screened_idx[i] == (idx[i] if lower < bound else -1)
                 exact += v < bound
                 witness_rejects += radius_max[i] + shift[i] < bound <= lower
     assert exact > 0 and witness_rejects > 0
     # with every trajectory a witness, the screen of a candidate below the
     # bound leaves no trajectory to evaluate, and is its margin
     grid.witnesses = set(range(k))
-    assert grid.bounded(q_c, q_r, float(eta.max()) + 1.0).tobytes() == eta.tobytes()
+    values, _ = grid.evaluate(q_c, q_r, float(eta.max()) + 1.0)
+    assert values.tobytes() == eta.tobytes()
 
 
 def test_stlcg_1_solve_keeps_evals_with_fewer_monitor_calls(monkeypatch):
@@ -327,6 +334,42 @@ def test_stlcg_1_solve_keeps_evals_with_fewer_monitor_calls(monkeypatch):
     result = solve_sop(config.instance(), config.solver_settings(seed=0))
     assert result.diagnostics["objective_evals"] == 4333
     assert len(shapes) < 800
+
+
+@pytest.mark.parametrize("name, tube_bounds", [("stlcg_1", 745), ("quadrotor_cycle", 803)])
+def test_solve_reuses_the_instance_bases_and_robustness_constant(name, tube_bounds,
+                                                                 monkeypatch):
+    # the instance derives its bases and the formula's constant once; a
+    # solve builds no basis and bounds each polish trial's tube and the
+    # result's, as many tubes as when every trial rebuilt both
+    config = load_config(ROOT / "configs" / f"{name}.yaml")
+    instance = config.instance()
+    calls = Counter()
+    for attr in ("make_basis", "robustness_lipschitz", "tube_lipschitz"):
+        def counting(*args, _attr=attr, _original=getattr(synthesis, attr), **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(synthesis, attr, counting)
+    solve_sop(instance, config.solver_settings(seed=0))
+    assert calls["make_basis"] == 0
+    assert calls["robustness_lipschitz"] == 0
+    assert calls["tube_lipschitz"] == tube_bounds
+
+
+def test_stlcg_1_solve_does_not_import_numpy_ma():
+    # numpy.ma costs a solve process about 1 MB of resident memory, and
+    # np.setdiff1d imports it on its first call
+    config = ROOT / "configs" / "stlcg_1.yaml"
+    code = ("import sys\n"
+            "from tubecbf.config import load_config\n"
+            "from tubecbf.synthesis import solve_sop\n"
+            f"config = load_config({str(config)!r})\n"
+            "solve_sop(config.instance(), config.solver_settings(seed=0))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +534,7 @@ def test_combine_constants_monotone_in_radius_max():
 def test_combined_lipschitz_uses_tube_bounds():
     inst = _instance("G[0,2] B", BIG_BOX, 2.0, [[-5, 5], [-5, 5]])
     tube = inst.make_tube(np.zeros((2, 4)), np.array([2.0, 0.0, 0.0, 0.0]))
-    info = combined_lipschitz(tube, inst.formula)
+    info = inst.lipschitz(tube)
     tl = tube_lipschitz(tube)
     assert info.radius_max == pytest.approx(tl.radius_max)
     assert info.robustness == pytest.approx(math.sqrt(2.0))
@@ -661,7 +704,7 @@ def test_eta_shift_bounded_between_covers():
                                       coarse_spec.tau_count * 2, coarse_spec.t_f)
     eta_coarse, _ = sop_objective(inst, q_c, q_r, cover=build_cover(coarse_spec))
     eta_fine, _ = sop_objective(inst, q_c, q_r, cover=build_cover(fine_spec))
-    lip = combined_lipschitz(inst.make_tube(q_c, q_r), inst.formula).combined
+    lip = inst.lipschitz(inst.make_tube(q_c, q_r)).combined
     delta = coarse_spec.radius - fine_spec.radius
     assert eta_fine >= eta_coarse - lip * delta - 1e-9
     assert eta_fine <= eta_coarse + lip * coarse_spec.radius + 1e-9

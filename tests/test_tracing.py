@@ -2,9 +2,12 @@
 rename or removal of one of them must fail here, not mid-benchmark."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import tubecbf
+from tubecbf.stl import BoxInfNorm, parse
+from tubecbf.synthesis import CoverSpec, SOPInstance, SolverSettings, solve_sop
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -26,3 +29,26 @@ def test_tracer_installs_and_restores_every_wrapped_attribute():
     finally:
         tracer.uninstall()
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_tracer_sees_every_layer_a_solve_calls_through():
+    # a solve that bypassed one of the wrapped attributes would drop that
+    # layer, or the search/certificate split of the covers, from the trace
+    table = {"T": BoxInfNorm((4.5, 4.5), 3.5)}
+    instance = SOPInstance(parse("F[0,4] T & G[0,4] T", table), n=2, t_f=4.0,
+                           state_bounds=[[0, 9], [0, 9]], radius_max=2.0,
+                           cover=CoverSpec.for_radius(0.2, 2, 4.0),
+                           start_center=(4.5, 4.5), pin_start=True)
+    tracer = _load_tracing().Tracer()
+    tracer.install(tubecbf)
+    try:
+        with tracer.solving():
+            solve_sop(instance, SolverSettings(seed=0, budget=100))
+    finally:
+        tracer.uninstall()
+    names = Counter(span[0] for span in tracer.spans)
+    assert names["synthesis.build_cover"] == 2
+    assert names["synthesis.warm_start"] == 1
+    assert names["tube.lipschitz"] > 0 and names["stl.robustness_batch"] > 0
+    tags = {span[5]["tag"] for span in tracer.spans if span[0] == "stl.robustness_batch"}
+    assert tags == {"search", "certificate"}
