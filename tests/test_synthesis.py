@@ -339,9 +339,9 @@ def test_stlcg_1_solve_keeps_evals_with_fewer_monitor_calls(monkeypatch):
 @pytest.mark.parametrize("name, tube_bounds", [("stlcg_1", 745), ("quadrotor_cycle", 803)])
 def test_solve_reuses_the_instance_bases_and_robustness_constant(name, tube_bounds,
                                                                  monkeypatch):
-    # the instance derives its bases and the formula's constant once; a
-    # solve builds no basis and bounds each polish trial's tube and the
-    # result's, as many tubes as when every trial rebuilt both
+    # the instance derives its bases and the formula's constant once, so a
+    # solve builds no basis and never re-derives l_rho; it still bounds one
+    # tube per certificate-polish trial plus the result's
     config = load_config(ROOT / "configs" / f"{name}.yaml")
     instance = config.instance()
     calls = Counter()
