@@ -68,7 +68,9 @@ class UndefinedPredicateError(ValueError):
 # Predicate functions
 # ---------------------------------------------------------------------------
 # value(planes) takes the states as their n coordinate arrays x_0 .. x_{n-1},
-# all of one shape, and returns h elementwise in that shape.
+# all of one shape, and returns h elementwise in that shape.  value_scale(b)
+# bounds the magnitude of every intermediate of value, and of the result, at
+# states whose coordinates are at most b in magnitude.
 
 @dataclass(frozen=True)
 class AffineHalfspace:
@@ -87,6 +89,9 @@ class AffineHalfspace:
 
     def lipschitz_2norm(self) -> float:
         return float(np.linalg.norm(self.weights))
+
+    def value_scale(self, bound: float) -> float:
+        return float(np.sum(np.abs(self.weights))) * bound + abs(self.offset)
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,9 @@ class BoxInfNorm:
         # the sqrt(n) conversion factor (conservative upper bound).
         return math.sqrt(len(self.center))
 
+    def value_scale(self, bound: float) -> float:
+        return bound + float(np.max(np.abs(self.center))) + abs(self.halfwidth)
+
 
 @dataclass(frozen=True)
 class BallNorm2:
@@ -128,6 +136,11 @@ class BallNorm2:
 
     def lipschitz_2norm(self) -> float:
         return 1.0
+
+    def value_scale(self, bound: float) -> float:
+        # of the distance, not of the sum of squares under its root
+        return (math.sqrt(len(self.center)) * (bound + float(np.max(np.abs(self.center))))
+                + abs(self.radius))
 
 
 PredicateFn = Union[AffineHalfspace, BoxInfNorm, BallNorm2]

@@ -4,6 +4,7 @@ solution generalizes to the continuous domain via Lipschitz constants."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -25,6 +26,7 @@ from .stl import (
     Predicate,
     Always,
     horizon,
+    iter_predicates,
     robustness_batch,
     robustness_lipschitz,
 )
@@ -200,9 +202,11 @@ def combine_constants(l_rho: float, l_center: float, l_radius: float,
 # problem instance and objective
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SOPInstance:
     """Sampled tube-synthesis problem over box-bounded coefficients.
+
+    Instances compare and hash by identity: their fields hold arrays.
 
     The constructor's arguments are the problem's inputs.  From them it
     derives, once, everything a solve reads: the coefficient boxes, the
@@ -306,13 +310,14 @@ class _ObjectiveGrid:
     # A monitor call takes at most _BLOCK_FLOATS // len(times) trajectories,
     # so each (T, K) state plane holds at most _BLOCK_FLOATS floats (96 KiB)
     # whatever n is, and the monitor's (rows, K) tables stay of that order.
-    # Temporaries this small are reused from the malloc heap call after call;
-    # multi-megabyte blocks made each one a fresh mapping for the kernel to
-    # zero, and the dense re-check spent more than half its time in the
-    # kernel.  In a sweep of the 10x re-check of the omni_reach_avoid and
-    # stlcg_2 reference tubes, blocks up to this size took a few hundred page
-    # faults per job in either scenario order; from 14336 floats up, one
-    # order or both took 60k-300k.
+    # That is under glibc's 128 KiB mmap threshold, so temporaries are reused
+    # from the malloc heap call after call instead of being mapped afresh for
+    # the kernel to zero.  The calls that need it are full evaluations of
+    # large covers, such as eta* on the certificate cover or sop_objective on
+    # a refined one.  Evaluating the 36,800 trajectories of the 10x cover of
+    # the omni_reach_avoid reference tube took about 500 minor page faults
+    # and 0.29 s CPU at this size, and 152k faults and 0.54 s at 65,536
+    # floats.
     _BLOCK_FLOATS = 12_288
 
     def __init__(self, instance: SOPInstance, cover: Cover):
@@ -324,19 +329,29 @@ class _ObjectiveGrid:
         self.times = np.concatenate([[0.0], taus, [instance.t_f]])
         self.p_center = instance.center_basis.values(self.times)
         self.p_radius = instance.radius_basis.values(self.times)
-        lams = cover.lams
-        dirs = cover.directions
-        # trajectory k = i_lambda * K_dir + j_dir carries lambda_i * s(theta_j);
-        # stored as one row of K per coordinate
-        self.scaled_dirs = np.ascontiguousarray(
-            (lams[:, None, None] * dirs[None, :, :]).reshape(-1, instance.n).T)
-        self.dir_count = dirs.shape[0]
+        # trajectory k = i_lambda * K_dir + j_dir carries lambda_i * s(theta_j)
+        self.lams = cover.lams
+        self.directions = cover.directions
+        self.theta_counts = cover.spec.theta_counts
+        self.dir_count = cover.directions.shape[0]
         self.tau_count = len(taus)
         self.witnesses: set[int] = set()
 
+    @functools.cached_property
+    def scaled_dirs(self) -> np.ndarray:
+        """Scaled direction of every trajectory, one row of K per coordinate."""
+        return np.ascontiguousarray(
+            (self.lams[:, None, None] * self.directions[None, :, :])
+            .reshape(-1, self.instance.n).T)
+
+    def _dirs(self, ks: np.ndarray) -> np.ndarray:
+        """Columns ks of scaled_dirs, with the same bits, without building it."""
+        i_lam, j_dir = np.divmod(ks, self.dir_count)
+        return self.lams[i_lam] * self.directions[j_dir].T
+
     @property
     def trajectory_count(self) -> int:
-        return self.scaled_dirs.shape[1]
+        return len(self.lams) * self.dir_count
 
     @property
     def _per_call(self) -> int:
@@ -434,6 +449,84 @@ class _ObjectiveGrid:
             values[live] = plus_slack(full[np.arange(len(live)), idx[live]], live)
             self.witnesses.update(int(i) - t for i in idx[live] if i >= t)
         return values, idx
+
+    def cell_max(self, q_c: np.ndarray, q_r: np.ndarray, factor: int) -> tuple[float, int]:
+        """Margin of one candidate (q_c is (n, z_c), q_r (z_r,)) and its
+        lowest-first argmax index, both as evaluate gives them, scoring the
+        trajectories of a cell of the factor-times-coarser cover only while
+        its Lipschitz bound reaches the running max (see recheck_constraints)."""
+        center, radii = self._curves(np.asarray(q_c)[None], np.asarray(q_r)[None])
+        terms = self._radius_terms(radii)[0]
+        best = int(np.argmax(terms))
+        value = terms[best]
+        t = self.tau_count
+
+        def fold(ks, neg_rho):
+            # keep the lowest index among equal values, as np.argmax does
+            nonlocal value, best
+            top = np.flatnonzero(neg_rho == neg_rho.max())
+            j = top[np.argmin(ks[top])]
+            if neg_rho[j] > value or (neg_rho[j] == value and t + ks[j] < best):
+                value, best = neg_rho[j], t + int(ks[j])
+
+        # fine index a on each axis lies in coarse cell a // factor, whose
+        # anchor is its fine index at offset factor // 2; cell c = i * D + j
+        # for lambda cell i and direction cell j, as trajectories are ordered
+        coarse = tuple(c // factor for c in self.theta_counts)
+        axes = np.unravel_index(np.arange(self.dir_count), self.theta_counts)
+        dir_cell = np.ravel_multi_index(tuple(a // factor for a in axes), coarse)
+        # members[j]: the fine directions of direction cell j
+        members = np.argsort(dir_cell, kind="stable").reshape(-1, factor ** len(coarse))
+        d_cells = len(members)
+        cell_axes = np.unravel_index(np.arange(d_cells), coarse)
+        anchor_dir = np.ravel_multi_index(tuple(a * factor + factor // 2 for a in cell_axes),
+                                          self.theta_counts)
+        lam_cells = len(self.lams) // factor
+        anchors = ((np.arange(lam_cells) * factor + factor // 2)[:, None] * self.dir_count
+                   + anchor_dir).ravel()
+        anchor_dirs = self._dirs(anchors)
+        neg_anchor = -self._rho(center, radii, anchor_dirs)[0]
+        fold(anchors, neg_anchor)
+
+        # max over each cell of ||lambda_k s_k - lambda_a s_a||, one lambda row
+        # at a time
+        spread = np.zeros((lam_cells, d_cells))
+        for i, lam in enumerate(self.lams):
+            row = spread[i // factor]
+            own = anchor_dirs[:, (i // factor) * d_cells:(i // factor + 1) * d_cells]
+            dist = np.linalg.norm(lam * self.directions.T - own[:, dir_cell], axis=0)
+            np.maximum(row, dist[members].max(axis=1), out=row)
+        bound = (neg_anchor + self.instance.l_rho * float(np.abs(radii).max()) * spread.ravel()
+                 + self._rounding_tol(center, radii))
+
+        # refine highest bound first; a cell whose bound falls below the
+        # running max, partly scored or not, is dropped
+        queue = [int(c) for c in np.argsort(-bound, kind="stable")]
+        ks, kb = np.empty(0, dtype=int), np.empty(0)
+        pos, per = 0, self._per_call
+        while True:
+            while len(ks) < per and pos < len(queue) and bound[queue[pos]] >= value:
+                c = queue[pos]
+                pos += 1
+                i, j = divmod(c, d_cells)
+                cell = ((i * factor + np.arange(factor))[:, None] * self.dir_count
+                        + members[j]).ravel()
+                cell = cell[cell != anchors[c]]
+                ks = np.concatenate([ks, cell])
+                kb = np.concatenate([kb, np.full(len(cell), bound[c])])
+            if not len(ks):
+                return float(value), best
+            fold(ks[:per], -self._rho(center, radii, self._dirs(ks[:per]))[0])
+            keep = kb[per:] >= value
+            ks, kb = ks[per:][keep], kb[per:][keep]
+
+    def _rounding_tol(self, center, radii) -> float:
+        """Rounding allowance of cell_max's bounds (see recheck_constraints)."""
+        n, l_rho = self.instance.n, self.instance.l_rho
+        x = float(np.max(np.abs(center).max(axis=0) + np.abs(radii)))
+        sigma = max((p.fn.value_scale(x) for p in iter_predicates(self.instance.formula)),
+                    default=0.0)
+        return 16 * (n + 2) * 2.0**-53 * (sigma + math.sqrt(n) * l_rho * x)
 
     def describe(self, idx: int) -> str:
         if idx < self.tau_count:
@@ -845,8 +938,48 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
 
 def recheck_constraints(instance: SOPInstance, tube: Tube, factor: int = 10) -> float:
     """Max raw constraint value on a factor-times-finer grid of the instance's
-    cover (certified tubes must stay <= 0 everywhere)."""
+    cover (certified tubes must stay <= 0 everywhere).
+
+    It is sop_objective's value on the refined cover, bit for bit, from far
+    fewer trajectories.  Each cell c of the instance's cover holds factor
+    refined samples per theta and lambda axis; its anchor a is the one at
+    offset factor // 2 on each axis.  M starts as the max of the radius
+    terms and the anchors' -rho, all on the refined time grid.  A cell is
+    scored in full, highest bound first and in block-sized calls with M
+    updated after each, only while its bound
+
+        B_c = -rho(x_a) + l_rho * R * max_{k in c} ||lam_k s_k - lam_a s_a||_2 + tol,
+
+    with R = max_i |r(t_i)| over the grid, is >= M.  A pruned cell cannot
+    hold the max:
+
+    - States.  Trajectories k and a of one candidate differ at grid time t_i
+      by r(t_i) (lam_k s_k - lam_a s_a).  The monitor reads a trajectory only
+      at grid samples and at convex combinations of two adjacent ones (the
+      off-grid window endpoints), so each state it reads of x_k is within
+      R ||lam_k s_k - lam_a s_a||_2 of the one it reads of x_a at that time.
+    - Monitor.  Every predicate is l_rho-Lipschitz in the 2-norm.  Not
+      negates; And, Or, F and G take the min or max of finitely many values
+      read at fixed times; U, in both conventions, is a max of mins of such
+      values.  Each keeps the constant, so |rho(x_k) - rho(x_a)| <=
+      l_rho R ||lam_k s_k - lam_a s_a||_2, and -rho(x_k) <= B_c - tol.
+    - Max and argmax.  A pruned cell has B_c < M, so each of its terms is
+      strictly below M, which is itself a term.  So neither the max nor the
+      lowest-first argmax of all the terms lies in the cell, and both come
+      out as sop_objective finds them.
+    - Rounding.  With u = 2**-53, every coordinate the monitor reads is at
+      most X = max_i (||c(t_i)||_inf + |r(t_i)|) in magnitude, to a factor
+      1 + O(u).  Forming c + r lam s and interpolating round it by at most
+      5uX, which moves a predicate by at most 5 sqrt(n) l_rho uX.  A
+      predicate takes at most 2n + 2 rounded operations on values bounded by
+      its value_scale(X) <= sigma; min, max and negation are exact.  Adding
+      the rounding of B_c itself (the norm, the products, the sums and l_rho
+      as a float) and the off-grid weights' sum of up to 1 + u, all of it
+      stays below u ((10 sqrt(n) + 4n + 18) l_rho X + (4n + 6) sigma).  tol
+      = 16 (n + 2) u (sigma + sqrt(n) l_rho X) is at least twice that for
+      n >= 2.
+    """
     if instance.cover is None:
         raise ValueError("no cover to refine")
-    return sop_objective(instance, tube.center_coeffs, tube.radius_coeffs,
-                         cover=build_cover(instance.cover.refined(factor)))[0]
+    grid = _ObjectiveGrid(instance, build_cover(instance.cover.refined(factor)))
+    return grid.cell_max(tube.center_coeffs, tube.radius_coeffs, factor)[0]

@@ -245,9 +245,10 @@ def test_objective_monitor_calls_stay_within_the_block(monkeypatch):
 
 def test_dense_recheck_values_and_memory():
     # the 10x re-check of two certified reference tubes gives the values the
-    # monitor gave on one multi-megabyte block per call, bit for bit; its
-    # traced heap peak is the refined cover's tables plus one block, not
-    # the full state array (about 121 MB and 160 MB with 6M-float blocks)
+    # monitor gave on one multi-megabyte block per call, bit for bit; it
+    # holds no array over the refined cover (the 36,800 scaled directions of
+    # omni_reach_avoid alone take 0.56 MiB), so its traced heap peak stays
+    # under 1 MiB
     expected = {"omni_reach_avoid": "-0x1.e666666666662p-1",
                 "stlcg_2": "-0x1.3333333333330p-1"}
     for name, want in expected.items():
@@ -260,7 +261,96 @@ def test_dense_recheck_values_and_memory():
         finally:
             tracemalloc.stop()
         assert value.hex() == want
-        assert peak < 8 * 2**20, (name, peak)
+        assert peak < 2**20, (name, peak)
+
+
+REFERENCE = sorted(path.stem[:-len("_tube")]
+                   for path in (ROOT / "perfbench" / "ref").glob("*_tube.json"))
+
+
+def _exhaustive_and_pruned(instance, q_c, q_r, factor):
+    """(value, argmax) of the full refined cover and of its pruned re-check."""
+    cover = build_cover(instance.cover.refined(factor))
+    eta, idx = _ObjectiveGrid(instance, cover).evaluate(q_c[None], q_r[None])
+    pruned = _ObjectiveGrid(instance, cover).cell_max(q_c, q_r, factor)
+    return (float(eta[0]), int(idx[0])), pruned
+
+
+@pytest.mark.parametrize("name", REFERENCE)
+def test_pruned_recheck_matches_exhaustive_on_reference_tubes(name):
+    config, tube = _reference(name)
+    instance = config.instance()
+    full = build_cover(instance.cover.refined(3))
+    want, _ = sop_objective(instance, tube.center_coeffs, tube.radius_coeffs, cover=full)
+    assert recheck_constraints(instance, tube, factor=3).hex() == want.hex()
+    exhaustive, pruned = _exhaustive_and_pruned(instance, tube.center_coeffs,
+                                                tube.radius_coeffs, 3)
+    assert pruned == exhaustive
+
+
+def test_pruned_recheck_refines_a_cell_whose_anchor_misses_an_obstacle(monkeypatch):
+    # a still tube of radius 1 about the origin; in the 3x cover, a small
+    # ball O sits on a non-anchor trajectory (lambda index 5, theta index 0)
+    # and a smaller one P on the anchor of the opposite cell (lambda index 4,
+    # theta index 13), which sets the running max at 0.02.  The anchor of O's
+    # cell clears O by far more than that, so only the cell's Lipschitz
+    # bound sends it to be refined, where the max 0.05 lies.
+    cover = CoverSpec.from_counts([8], 2, 4, 2.0)
+    fine = build_cover(cover.refined(3))
+    table = {"O": BallNorm2(tuple(fine.lams[5] * fine.directions[0]), 0.05),
+             "P": BallNorm2(tuple(fine.lams[4] * fine.directions[13]), 0.02)}
+    inst = SOPInstance(parse("G[0,2] !O & G[0,2] !P", table), n=2, t_f=2.0,
+                       state_bounds=[[-5, 5], [-5, 5]], radius_max=2.0, cover=cover)
+    q_c, q_r = np.zeros((2, 5)), np.ones(4)
+    eta, idx = _ObjectiveGrid(inst, fine).evaluate(q_c[None], q_r[None])
+    assert eta[0] == pytest.approx(0.05) and idx[0] == fine.spec.tau_count + 5 * 24
+    shapes = _monitor_calls(monkeypatch)
+    pruned = _ObjectiveGrid(inst, fine).cell_max(q_c, q_r, 3)
+    assert pruned == (float(eta[0]), int(idx[0]))
+    # the 16 anchors, then some of the 216 trajectories, not all
+    assert 16 < sum(k for k, _, _ in shapes) < len(fine.lams) * len(fine.directions)
+
+
+def test_pruned_recheck_keeps_the_lowest_index_among_ties():
+    # under !true every trajectory scores +inf, and the first one is the
+    # argmax, though no anchor is; no cell can be pruned, and the refined
+    # cells' ties must replace the anchors' higher indices
+    inst = SOPInstance(parse("!true"), n=2, t_f=2.0, state_bounds=[[-5, 5], [-5, 5]],
+                       cover=CoverSpec.from_counts([4], 2, 3, 2.0))
+    exhaustive, pruned = _exhaustive_and_pruned(inst, np.zeros((2, 5)), np.ones(4), 3)
+    assert exhaustive == (math.inf, 9)
+    assert pruned == exhaustive
+
+
+def test_pruned_recheck_rounding_allowance_at_large_coordinates(monkeypatch):
+    # far from the origin, with a radius of 1.8 ulps of the coordinates, a
+    # state's rounding moves its robustness by more than the Lipschitz bound
+    # of its cell; without the rounding allowance the pruned re-check misses
+    # the max, with it the value is exhaustive's
+    c = np.array([1e6, -1e6])
+    r = 1.8 * np.spacing(1e6)
+    inst = SOPInstance(parse("G[0.13,1.71] !O", {"O": BallNorm2(tuple(c), 1.0)}), n=2,
+                       t_f=2.0, state_bounds=np.column_stack([c - 5, c + 5]), min_radius=r / 4, radius_max=2 * r,
+                       cover=CoverSpec.from_counts([6], 2, 4, 2.0))
+    q_c = c[:, None] + np.array([[1.0, 1.2, 0.8, 1.1, 0.9], [0.0, 0.3, -0.2, 0.1, 0.0]])
+    q_r = np.full(4, r)
+    exhaustive, pruned = _exhaustive_and_pruned(inst, q_c, q_r, 3)
+    assert pruned == exhaustive
+    monkeypatch.setattr(_ObjectiveGrid, "_rounding_tol", lambda self, center, radii: 0.0)
+    assert _ObjectiveGrid(inst, build_cover(inst.cover.refined(3))).cell_max(
+        q_c, q_r, 3)[0] < exhaustive[0]
+
+
+def test_omni_dense_recheck_scores_only_the_anchors(monkeypatch):
+    # at 10x, every robustness term of the omni_reach_avoid reference tube
+    # is provably below its max radius term, so only the 368 anchors (one per
+    # cell of the 16,192-sample cover, 46 directions by 8 radial fractions)
+    # of the 36,800 trajectories are scored
+    config, tube = _reference("omni_reach_avoid")
+    shapes = _monitor_calls(monkeypatch)
+    assert recheck_constraints(config.instance(), tube, factor=10).hex() == \
+        "-0x1.e666666666662p-1"
+    assert sum(k for k, _, _ in shapes) <= 368
 
 
 SHIPPED = sorted(path.stem for path in (ROOT / "configs").glob("*.yaml"))
@@ -708,6 +798,15 @@ def test_eta_shift_bounded_between_covers():
     delta = coarse_spec.radius - fine_spec.radius
     assert eta_fine >= eta_coarse - lip * delta - 1e-9
     assert eta_fine <= eta_coarse + lip * coarse_spec.radius + 1e-9
+
+
+def test_instance_compares_and_hashes_by_identity():
+    config = load_config(ROOT / "configs" / "stlcg_1.yaml")
+    inst = config.instance()
+    assert inst == inst
+    assert config.instance() != config.instance()
+    assert hash(inst) == hash(inst)
+    assert {inst: 1}[inst] == 1
 
 
 def test_instance_validation():
