@@ -278,14 +278,15 @@ def _exhaustive_and_pruned(instance, q_c, q_r, factor):
 
 @pytest.mark.parametrize("name", REFERENCE)
 def test_pruned_recheck_matches_exhaustive_on_reference_tubes(name):
+    # the value bits, and the worst constraint as sop_objective names it
     config, tube = _reference(name)
     instance = config.instance()
-    full = build_cover(instance.cover.refined(3))
-    want, _ = sop_objective(instance, tube.center_coeffs, tube.radius_coeffs, cover=full)
+    cover = build_cover(instance.cover.refined(3))
+    want, worst = sop_objective(instance, tube.center_coeffs, tube.radius_coeffs, cover=cover)
     assert recheck_constraints(instance, tube, factor=3).hex() == want.hex()
-    exhaustive, pruned = _exhaustive_and_pruned(instance, tube.center_coeffs,
-                                                tube.radius_coeffs, 3)
-    assert pruned == exhaustive
+    grid = _ObjectiveGrid(instance, cover)
+    value, idx = grid.cell_max(tube.center_coeffs, tube.radius_coeffs, 3)
+    assert value.hex() == want.hex() and grid.describe(idx) == worst
 
 
 def test_pruned_recheck_refines_a_cell_whose_anchor_misses_an_obstacle(monkeypatch):

@@ -52,3 +52,24 @@ def test_tracer_sees_every_layer_a_solve_calls_through():
     assert names["tube.lipschitz"] > 0 and names["stl.robustness_batch"] > 0
     tags = {span[5]["tag"] for span in tracer.spans if span[0] == "stl.robustness_batch"}
     assert tags == {"search", "certificate"}
+
+
+def test_tracer_sees_the_recheck_layers():
+    # the dense re-check lives in its own module but must build its cover and
+    # call the monitor through the synthesis attributes the tracer wraps
+    table = {"T": BoxInfNorm((4.5, 4.5), 3.5)}
+    instance = SOPInstance(parse("G[0,4] T", table), n=2, t_f=4.0,
+                           state_bounds=[[0, 9], [0, 9]], radius_max=2.0,
+                           cover=CoverSpec.from_counts([6], 2, 4, 4.0))
+    tube = instance.make_tube(*tubecbf.warm_start(instance))
+    tracer = _load_tracing().Tracer()
+    tracer.install(tubecbf)
+    try:
+        with tracer.rechecking():
+            tubecbf.recheck_constraints(instance, tube, factor=3)
+    finally:
+        tracer.uninstall()
+    names = Counter(span[0] for span in tracer.spans)
+    assert names["synthesis.build_cover"] == 1 and names["stl.robustness_batch"] > 0
+    tags = {span[5]["tag"] for span in tracer.spans if span[0] == "stl.robustness_batch"}
+    assert tags == {"recheck"}
