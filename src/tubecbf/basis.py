@@ -50,10 +50,14 @@ class MonomialBasis:
             out[k] = k * (k - 1) * ts ** (k - 2)
         return out[:, 0] if scalar else out
 
-    def second_derivative_bound(self, coeffs) -> float:
+    def second_derivative_bound(self, coeffs) -> np.ndarray:
+        """Bound on |f''| over [0, t_f] for coefficients (..., count), one
+        per leading index: sum_k |q_k| k (k-1) t_f^(k-2), summed in k order."""
         coeffs = np.asarray(coeffs, dtype=float)
-        return float(sum(abs(coeffs[k]) * k * (k - 1) * self.t_f ** (k - 2)
-                         for k in range(2, self.count)))
+        total = np.zeros(coeffs.shape[:-1])
+        for k in range(2, self.count):
+            total = total + np.abs(coeffs[..., k]) * k * (k - 1) * self.t_f ** (k - 2)
+        return total
 
 
 def _bernstein_matrix(degree: int, u: np.ndarray) -> np.ndarray:
@@ -121,12 +125,15 @@ class BernsteinBasis:
                     out[k] += scale * lower[k]
         return out[:, 0] if scalar else out
 
-    def second_derivative_bound(self, coeffs) -> float:
+    def second_derivative_bound(self, coeffs) -> np.ndarray:
+        """Bound on |f''| over [0, t_f] for coefficients (..., count), one
+        per leading index: d(d-1)/t_f^2 times the largest second difference
+        of the control points."""
         coeffs = np.asarray(coeffs, dtype=float)
         if self.degree < 2:
-            return 0.0
+            return np.zeros(coeffs.shape[:-1])
         dd = np.diff(coeffs, n=2)
-        return float(self.degree * (self.degree - 1) / self.t_f**2 * np.max(np.abs(dd)))
+        return self.degree * (self.degree - 1) / self.t_f**2 * np.max(np.abs(dd), axis=-1)
 
 
 BASIS_KINDS = {"monomial": MonomialBasis, "bernstein": BernsteinBasis}

@@ -30,8 +30,8 @@ from .stl import (
     robustness_batch,
     robustness_lipschitz,
 )
-from .tube import (Basis, Tube, sphere_map_many, tube_lipschitz, tube_to_record,
-                   tube_from_record)
+from .tube import (BLOCK_FLOATS, Basis, Tube, sphere_map_many, tube_lipschitz,
+                   tube_lipschitz_many, tube_to_record, tube_from_record)
 
 
 class CoverError(ValueError):
@@ -296,15 +296,19 @@ class _ObjectiveGrid:
     one block, because a monitor call costs mostly a fixed per-call overhead
     at search-cover sizes.
 
-    A search that only needs to know whether a candidate beats a bound
-    passes that bound, and evaluate screens the candidates against it
-    before their full evaluation.  The screen takes the radius terms, which
-    need no monitor call, and then, for the candidates still below the
-    bound, -rho on the witness trajectories: those that were the argmax of
-    one of the grid's full evaluations so far.  Only the candidates still
-    below the bound after that get the other trajectories.  Every term is
-    bit-identical whatever batch it is computed in, so a screen value is
-    the max over a subset of the full evaluation's terms.
+    A search polls candidates in order and stops at the first one that
+    beats a bound, so it passes that bound, and evaluate spends monitor
+    calls only where the poll needs them.  It screens all candidates with
+    the radius terms, which need no monitor call.  Then, one monitor
+    block of candidates at a time and in candidate order, it screens those
+    still below the bound with -rho on the witness trajectories (those that
+    were the argmax of an exact value the grid has returned), and gives the
+    survivors their other trajectories, again one block at a time.  It
+    returns after the first block that completes a value below the bound;
+    the candidates after it are never scored.  Every term is bit-identical
+    whatever batch it is computed in, so a screen value is the max over a
+    subset of the full evaluation's terms, and a full value is the one the
+    candidate gets alone.
     """
 
     # A monitor call takes at most _BLOCK_FLOATS // len(times) trajectories,
@@ -318,7 +322,7 @@ class _ObjectiveGrid:
     # the omni_reach_avoid reference tube took about 500 minor page faults
     # and 0.29 s CPU at this size, and 152k faults and 0.54 s at 65,536
     # floats.
-    _BLOCK_FLOATS = 12_288
+    _BLOCK_FLOATS = BLOCK_FLOATS
 
     def __init__(self, instance: SOPInstance, cover: Cover):
         if cover.spec.dimension != instance.n:
@@ -358,13 +362,16 @@ class _ObjectiveGrid:
         """Trajectories one monitor call takes."""
         return max(1, self._BLOCK_FLOATS // len(self.times))
 
-    def _curves(self, q_c, q_r):
-        """Center (n, T, M) and radius (T, M) of M candidates on the grid."""
-        # one product per candidate: a stacked (M, z) @ (z, T) product may
-        # round differently from a single candidate's
-        radii = np.stack([q @ self.p_radius for q in np.asarray(q_r, dtype=float)], axis=1)
-        center = np.stack([q @ self.p_center for q in np.asarray(q_c, dtype=float)], axis=2)
-        return center, radii
+    # a stack of M products, (M, 1, z_r) or (M, n, z_c) @ (z, T), makes one
+    # product per candidate, the one a single candidate makes; a flat
+    # (M, z) @ (z, T) product may round differently
+    def _radii(self, q_r):
+        """Radius (T, M) of M candidates on the grid."""
+        return (np.asarray(q_r, dtype=float)[:, None, :] @ self.p_radius)[:, 0].T
+
+    def _centers(self, q_c):
+        """Center (n, T, M) of M candidates on the grid."""
+        return np.moveaxis(np.asarray(q_c, dtype=float) @ self.p_center, 0, -1)
 
     def _rho_chunk(self, center, radii, dirs):
         """Robustness of the trajectories of the scaled directions dirs (n, k)
@@ -383,42 +390,45 @@ class _ObjectiveGrid:
         return rho.reshape(m, k)
 
     def _rho(self, center, radii, dirs):
-        """_rho_chunk in block-sized monitor calls: whole candidates while they
-        fit the block and slices of one candidate's trajectories otherwise.
-        rho is joined from the block results, so no full buffer is held
-        during the calls."""
-        m = radii.shape[1]
-        k_total = dirs.shape[1]
-        group = max(1, self._per_call // k_total)
-        span = min(k_total, self._per_call)
-        return np.concatenate([
-            np.concatenate([self._rho_chunk(center[:, :, c:c + group], radii[:, c:c + group],
-                                            dirs[:, lo:lo + span])
-                            for lo in range(0, k_total, span)], axis=1)
-            for c in range(0, m, group)])
+        """_rho_chunk in block-sized monitor calls, in candidate order: whole
+        candidates while they fit the block and slices of one candidate's
+        trajectories otherwise.  Yields (candidates, trajectories, rho) slices
+        per call, so the caller stores each block where it belongs, holds no
+        second buffer, and may stop between calls."""
+        m, k = radii.shape[1], dirs.shape[1]
+        group = max(1, self._per_call // k)
+        span = min(k, self._per_call)
+        for c in range(0, m, group):
+            cs = slice(c, min(c + group, m))
+            for lo in range(0, k, span):
+                ks = slice(lo, min(lo + span, k))
+                yield cs, ks, self._rho_chunk(center[:, :, cs], radii[:, cs], dirs[:, ks])
 
     def _radius_terms(self, radii):
         return self.instance.min_radius - radii[1:-1].T
 
     def evaluate(self, q_c: np.ndarray, q_r: np.ndarray, bound: float = math.inf,
                  slack: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-        """Margins of M candidates, plus slack (M,) when given, screened
-        against bound, and their (deterministic, lowest-first) argmax
-        constraint indices; q_c is (M, n, z_c) and q_r (M, z_r).
+        """Margins of a prefix of M candidates, plus slack (M,) when given,
+        screened against bound, and their (deterministic, lowest-first)
+        argmax constraint indices; q_c is (M, n, z_c) and q_r (M, z_r).
 
-        A value below bound is exact: the candidate's margin plus slack,
+        The prefix ends at the first candidate whose value is below bound;
+        with bound=inf, or when no value is below it, it holds all M.  A
+        value below bound is exact: the candidate's margin plus slack,
         bit-identical to evaluating it alone.  Any other value is a lower
         bound of it, since the screen's max over a subset of the terms is <=
         their full max and adding slack rounds monotonically; its index is
         -1 if the screen stopped it.  With bound=inf every value is exact.
         Indices 0..m_tau-1 are radius constraints; the rest are robustness
-        constraints in trajectory order.  The argmax trajectory of each full
-        evaluation joins the witnesses.
+        constraints in trajectory order.  The argmax trajectory of each
+        exact value returned joins the witnesses.  Center curves are built
+        only for the candidates that pass the radius screen.
         """
         def plus_slack(v, rows):
             return v if slack is None else v + slack[rows]
 
-        center, radii = self._curves(q_c, q_r)
+        radii = self._radii(q_r)
         m, k, t = radii.shape[1], self.trajectory_count, self.tau_count
         # one row of terms per candidate: t radius terms, then k of -rho
         terms = np.empty((m, t + k))
@@ -427,27 +437,74 @@ class _ObjectiveGrid:
         values = plus_slack(terms[:, :t].max(axis=1), slice(None))
         idx = np.full(m, -1)
         live = np.flatnonzero(values < bound)
+        if not len(live):
+            return values, idx
+        # position i of center and radii is candidate live[i]
+        center, radii = self._centers(np.asarray(q_c)[live]), radii[:, live]
         # a screen costs a monitor call of its own, so it is skipped when the
         # full evaluation of every live candidate fits one call anyway (and
         # with bound=inf, when every candidate is evaluated in full)
         fits = len(live) * k <= self._per_call
-        seen = sorted(self.witnesses) if bound < math.inf and not fits else []
-        if seen and len(live):
-            block = -self._rho(center[:, :, live], radii[:, live], self.scaled_dirs[:, seen])
-            neg_rho[np.ix_(live, seen)] = block
-            values[live] = np.maximum(values[live], plus_slack(block.max(axis=1), live))
-            live = live[values[live] < bound]
-        if len(live):
-            rest = np.ones(k, dtype=bool)
-            rest[seen] = False
-            if rest.any():
-                # with no witness columns, every trajectory: no copy of the directions
-                dirs = self.scaled_dirs[:, rest] if seen else self.scaled_dirs
-                neg_rho[np.ix_(live, rest)] = -self._rho(center[:, :, live], radii[:, live], dirs)
-            full = terms[live]
-            idx[live] = np.argmax(full, axis=1)
-            values[live] = plus_slack(full[np.arange(len(live)), idx[live]], live)
-            self.witnesses.update(int(i) - t for i in idx[live] if i >= t)
+        seen = np.array(sorted(self.witnesses) if bound < math.inf and not fits else [],
+                        dtype=int)
+        # the remaining trajectories: every one, with no copy of the
+        # directions or of their indices, or those the witnesses left
+        rest = None
+        if len(seen):
+            mask = np.ones(k, dtype=bool)
+            mask[seen] = False
+            rest = np.flatnonzero(mask)
+        dirs = self.scaled_dirs if rest is None else self.scaled_dirs[:, rest]
+
+        def finish(rows):
+            """Full values of rows; the length of the prefix to return: up
+            to the first value below bound, else m."""
+            full = terms[rows]
+            idx[rows] = np.argmax(full, axis=1)
+            values[rows] = plus_slack(full[np.arange(len(rows)), idx[rows]], rows)
+            below = rows[values[rows] < bound] if bound < math.inf else rows[:0]
+            cut = int(below[0]) + 1 if len(below) else m
+            self.witnesses.update(int(i) - t for i in idx[rows[rows < cut]] if i >= t)
+            return cut
+
+        def score(pos):
+            """The remaining trajectories of live[pos] in block-sized calls, in
+            order, up to the first call that completes a value below bound;
+            the length of the prefix to return."""
+            if not dirs.shape[1]:
+                return finish(live[pos])
+            for cs, ks, rho in self._rho(center[:, :, pos], radii[:, pos], dirs):
+                rows = live[pos[cs]]
+                if rest is None:
+                    neg_rho[rows, ks] = -rho
+                else:
+                    neg_rho[rows[:, None], rest[ks]] = -rho
+                if ks.stop == dirs.shape[1]:
+                    cut = finish(rows)
+                    if cut < m:
+                        return cut
+            return m
+
+        if not len(seen):
+            cut = score(np.arange(len(live)))
+            return values[:cut], idx[:cut]
+        # the witness screen, one call's worth of candidates at a time, each
+        # followed by the remaining trajectories of the candidates it passes
+        screen_dirs = self.scaled_dirs[:, seen]
+        per_screen = max(1, self._per_call // len(seen))
+        for lo in range(0, len(live), per_screen):
+            pos = np.arange(lo, min(lo + per_screen, len(live)))
+            top = np.full(len(pos), -math.inf)
+            for cs, ks, rho in self._rho(center[:, :, pos], radii[:, pos], screen_dirs):
+                neg_rho[live[pos[cs], None], seen[ks]] = neg = -rho
+                np.maximum(top[cs], neg.max(axis=1), out=top[cs])
+            rows = live[pos]
+            values[rows] = np.maximum(values[rows], plus_slack(top, rows))
+            passed = pos[values[rows] < bound]
+            if len(passed):
+                cut = score(passed)
+                if cut < m:
+                    return values[:cut], idx[:cut]
         return values, idx
 
     def cell_max(self, q_c: np.ndarray, q_r: np.ndarray, factor: int) -> tuple[float, int]:
@@ -455,7 +512,7 @@ class _ObjectiveGrid:
         lowest-first argmax index, both as evaluate gives them, scoring the
         trajectories of a cell of the factor-times-coarser cover only while
         its Lipschitz bound reaches the running max (see recheck_constraints)."""
-        center, radii = self._curves(np.asarray(q_c)[None], np.asarray(q_r)[None])
+        center, radii = self._centers(np.asarray(q_c)[None]), self._radii(np.asarray(q_r)[None])
         terms = self._radius_terms(radii)[0]
         best = int(np.argmax(terms))
         value = terms[best]
@@ -485,7 +542,9 @@ class _ObjectiveGrid:
         anchors = ((np.arange(lam_cells) * factor + factor // 2)[:, None] * self.dir_count
                    + anchor_dir).ravel()
         anchor_dirs = self._dirs(anchors)
-        neg_anchor = -self._rho(center, radii, anchor_dirs)[0]
+        neg_anchor = np.empty(len(anchors))
+        for _, ks, rho in self._rho(center, radii, anchor_dirs):
+            neg_anchor[ks] = -rho[0]
         fold(anchors, neg_anchor)
 
         # max over each cell of ||lambda_k s_k - lambda_a s_a||, one lambda row
@@ -516,7 +575,7 @@ class _ObjectiveGrid:
                 kb = np.concatenate([kb, np.full(len(cell), bound[c])])
             if not len(ks):
                 return float(value), best
-            fold(ks[:per], -self._rho(center, radii, self._dirs(ks[:per]))[0])
+            fold(ks[:per], -self._rho_chunk(center, radii, self._dirs(ks[:per]))[0])
             keep = kb[per:] >= value
             ks, kb = ks[per:][keep], kb[per:][keep]
 
@@ -686,21 +745,24 @@ def pattern_search(func, x0, lb, ub, *, step: float, min_step: float,
                    budget: int, target: Optional[float] = None):
     """Greedy coordinate search with per-axis scaling and halving steps.
 
-    func(points, bound=inf) maps an (M, d) array of points to M values,
-    which are minimized.  A value below bound must be that point's exact
-    value; any other value only has to be a lower bound of it.  The search
-    takes its decisions as a sequential poll does: coordinates in order, +
-    step before - step, each trial accepted on strict improvement, which
-    ends that coordinate's poll.  It sends every remaining trial of a sweep
-    to func in one call with bound=fx, the incumbent's value, and replays
-    the values in order: the first one below fx is accepted, every trial
-    before it is consumed, and the sweep restarts at the next coordinate
-    from the new point.  A rejected trial only needs a value >= fx, so func
-    may stop refining it there.  The returned count, which budget bounds,
-    counts the trials that sequential poll consumes, not the trials computed;
-    a sweep is cut to the budget left.  Trials that clip back onto x[j], and
-    axes whose box is collapsed to a point, are skipped.  Stops early once
-    the value is <= target.
+    func(points, bound=inf) maps an (M, d) array of points to values, which
+    are minimized: one per point, or one for each point of a prefix that
+    ends at the first value below bound.  With bound=inf, or when no value
+    is below bound, it must return all M.  A value below bound must be that
+    point's exact value; any other value only has to be a lower bound of
+    it.  The search takes its decisions as a sequential poll does:
+    coordinates in order, + step before - step, each trial accepted on
+    strict improvement, which ends that coordinate's poll.  It sends every
+    remaining trial of a sweep to func in one call with bound=fx, the
+    incumbent's value, and replays the values in order: the first one below
+    fx is accepted, every trial before it is consumed, and the sweep
+    restarts at the next coordinate from the new point.  So func may stop
+    refining a rejected trial at a value >= fx, and need not score the
+    trials after an accepted one at all.  The returned count, which budget
+    bounds, counts the trials that sequential poll consumes, not the trials
+    computed; a sweep is cut to the budget left.  Trials that clip back onto
+    x[j], and axes whose box is collapsed to a point, are skipped.  Stops
+    early once the value is <= target.
     """
     x = np.asarray(x0, dtype=float).copy()
     scale = ub - lb
@@ -896,8 +958,12 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
         eps_cert = cert_spec.radius
 
         def margin_objective(qs, bound=math.inf):
-            lips = [instance.lipschitz(instance.make_tube(*unpack(q))).combined for q in qs]
-            return search_grid.evaluate(*unpack(qs), bound, slack=np.array(lips) * eps_cert)[0]
+            # every trial's L in one batched pass over its curves
+            q_c, q_r = unpack(qs)
+            tl = tube_lipschitz_many(q_c, q_r, instance.center_basis, instance.radius_basis)
+            lips = [combine_constants(instance.l_rho, *c, instance.n).combined
+                    for c in zip(tl.center.tolist(), tl.radius.tolist(), tl.radius_max.tolist())]
+            return search_grid.evaluate(q_c, q_r, bound, slack=np.array(lips) * eps_cert)[0]
 
         m0 = float(margin_objective(best[None])[0])
         evals += 1

@@ -159,7 +159,8 @@ def boundary_point(tube: Tube, theta, lam: float, tau: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TubeLipschitz:
-    """Certified upper bounds: max ||center'(t)||, max |radius'(t)|, max radius(t)."""
+    """Certified upper bounds: max ||center'(t)||, max |radius'(t)|, max
+    radius(t); floats for one tube, (M,) arrays for M tubes."""
 
     center: float
     radius: float
@@ -169,12 +170,18 @@ class TubeLipschitz:
 # tube_lipschitz maximizes the curves' derivatives on this many grid points
 LIPSCHITZ_GRID_POINTS = 1000
 
+# Largest float count of one batched working table: tube_lipschitz_many's
+# (M, n, LIPSCHITZ_GRID_POINTS) derivative table, and the monitor's state
+# planes (synthesis._ObjectiveGrid, where the size is measured).  96 KiB is
+# under glibc's 128 KiB mmap threshold, so such tables are reused from the
+# malloc heap instead of being mapped afresh for the kernel to zero.
+BLOCK_FLOATS = 12_288
+
 
 @functools.lru_cache(maxsize=8)
 def _lipschitz_tables(center_basis: Basis, radius_basis: Basis):
     """Read-only center derivatives, radius derivatives and radius values on
-    the tube_lipschitz grid; they depend on the bases alone, and the
-    certificate polish calls tube_lipschitz once per trial point."""
+    the tube_lipschitz grid; they depend on the bases alone."""
     ts = np.linspace(0.0, center_basis.t_f, LIPSCHITZ_GRID_POINTS)
     tables = (center_basis.derivatives(ts), radius_basis.derivatives(ts),
               radius_basis.values(ts))
@@ -190,22 +197,49 @@ def tube_lipschitz(tube: Tube) -> TubeLipschitz:
     (second-derivative bound) * h/2 makes each value a certified upper bound
     for the continuous maximum (any t lies within h/2 of a grid point).
     """
-    h = tube.t_f / (LIPSCHITZ_GRID_POINTS - 1)
-    c_der, r_der, r_val = _lipschitz_tables(tube.center_basis, tube.radius_basis)
+    many = tube_lipschitz_many(tube.center_coeffs[None], tube.radius_coeffs[None],
+                               tube.center_basis, tube.radius_basis)
+    return TubeLipschitz(center=float(many.center[0]), radius=float(many.radius[0]),
+                         radius_max=float(many.radius_max[0]))
 
-    cdot = tube.center_coeffs @ c_der
-    speed_max = float(np.max(np.linalg.norm(cdot, axis=0)))
-    c2 = np.sqrt(sum(tube.center_basis.second_derivative_bound(row) ** 2
-                     for row in tube.center_coeffs))
+
+def tube_lipschitz_many(center_coeffs, radius_coeffs, center_basis: Basis,
+                        radius_basis: Basis) -> TubeLipschitz:
+    """tube_lipschitz of M tubes on shared bases, as (M,) arrays, from center
+    coefficients (M, n, z_c) and radius coefficients (M, z_r).
+
+    Each tube's constants are bit-identical to its own tube_lipschitz: the
+    products are one (n, z_c) @ (z_c, grid) matrix product and one vector
+    product per tube, as for a single tube, and the rest is elementwise or a
+    per-tube reduction.  Tubes go through in passes whose derivative table
+    holds at most BLOCK_FLOATS floats.
+    """
+    center_coeffs = np.asarray(center_coeffs, dtype=float)
+    radius_coeffs = np.asarray(radius_coeffs, dtype=float)
+    m, n = center_coeffs.shape[:2]
+    h = center_basis.t_f / (LIPSCHITZ_GRID_POINTS - 1)
+    c_der, r_der, r_val = _lipschitz_tables(center_basis, radius_basis)
+    per = max(1, BLOCK_FLOATS // (n * LIPSCHITZ_GRID_POINTS))
+    speed_max, rdot_max, rval_max = np.empty(m), np.empty(m), np.empty(m)
+    for lo in range(0, m, per):
+        rows = slice(lo, lo + per)
+        # (k, n, z_c) @ (z_c, grid) runs one matrix product per tube, and a
+        # (k, 1, z_r) row stack one vector product per tube
+        cdot = center_coeffs[rows] @ c_der
+        speed_max[rows] = np.max(np.linalg.norm(cdot, axis=-2), axis=-1)
+        radius = radius_coeffs[rows, None, :]
+        rdot_max[rows] = np.max(np.abs(radius @ r_der), axis=(-2, -1))
+        rval_max[rows] = np.max(radius @ r_val, axis=(-2, -1))
+
+    # a Python float's ** 2 is libm's pow, which differs from b * b in the
+    # last bit for about one value in 1300; the constants keep the pow form,
+    # so saved results keep their bits
+    c2 = np.sqrt([sum(b ** 2 for b in row)
+                  for row in center_basis.second_derivative_bound(center_coeffs).tolist()])
     l_center = speed_max + c2 * h / 2.0
-
-    rdot = tube.radius_coeffs @ r_der
-    r2 = tube.radius_basis.second_derivative_bound(tube.radius_coeffs)
-    l_radius = float(np.max(np.abs(rdot))) + r2 * h / 2.0
-
-    rvals = tube.radius_coeffs @ r_val
-    radius_max = float(np.max(rvals)) + l_radius * h / 2.0
-
+    r2 = radius_basis.second_derivative_bound(radius_coeffs)
+    l_radius = rdot_max + r2 * h / 2.0
+    radius_max = rval_max + l_radius * h / 2.0
     return TubeLipschitz(center=l_center, radius=l_radius, radius_max=radius_max)
 
 

@@ -181,6 +181,11 @@ def test_objective_batch_matches_single_evaluations(formula, convention, monkeyp
     m = 6
     q_c = rng.uniform(inst.center_box[..., 0], inst.center_box[..., 1], size=(m, 2, 5))
     q_r = rng.uniform(inst.radius_box[:, 0], inst.radius_box[:, 1], size=(m, 4))
+    # the batch's curves are each candidate's own products, bit for bit
+    center, radii = grid._centers(q_c), grid._radii(q_r)
+    for i in range(m):
+        assert (q_c[i] @ grid.p_center).tobytes() == np.ascontiguousarray(center[..., i]).tobytes()
+        assert (q_r[i] @ grid.p_radius).tobytes() == np.ascontiguousarray(radii[:, i]).tobytes()
     single = [grid.evaluate(q_c[i:i + 1], q_r[i:i + 1]) for i in range(m)]
     eta_1 = np.concatenate([eta for eta, _ in single])
     idx_1 = [int(idx[0]) for _, idx in single]
@@ -357,13 +362,24 @@ def test_omni_dense_recheck_scores_only_the_anchors(monkeypatch):
 SHIPPED = sorted(path.stem for path in (ROOT / "configs").glob("*.yaml"))
 
 
+def _neg_rho(grid, center, radii, dirs):
+    """-rho of every candidate and trajectory, assembled from _rho's blocks."""
+    out = np.empty((radii.shape[1], dirs.shape[1]))
+    for cs, ks, rho in grid._rho(center, radii, dirs):
+        out[cs, ks] = -rho
+    return out
+
+
 @pytest.mark.parametrize("name", SHIPPED)
 def test_bounded_screen_matches_full_batch(name):
     # on each shipped search grid, -rho on a subset of the trajectories is
-    # byte-identical to those columns of the full batch; a bounded evaluate
-    # returns the exact margin (plus slack) below the bound and, at or above
-    # it, the max of the radius terms and the witness columns, never above
-    # the margin
+    # byte-identical to those columns of the full batch.  A bounded evaluate
+    # returns a prefix of the candidates that ends at the first one whose
+    # margin (plus slack) is below the bound, or all of them: that last value
+    # is the exact margin with its argmax, and each earlier one is at or
+    # above the bound and never above the margin: the max of the radius
+    # terms and the witness columns where that reaches the bound, else the
+    # margin itself
     config = load_config(ROOT / "configs" / f"{name}.yaml")
     instance = config.instance()
     spec = config.solver_settings().search_cover or instance.cover
@@ -375,56 +391,75 @@ def test_bounded_screen_matches_full_batch(name):
     q_c = np.clip(q_c0 + rng.normal(scale=0.2, size=(m,) + q_c0.shape) * (hi - lo), lo, hi)
     # radii across the whole box, so that trajectories bind, not the floor
     q_r = rng.uniform(instance.radius_box[:, 0], instance.radius_box[:, 1], size=(m,) + q_r0.shape)
-    center, radii = grid._curves(q_c, q_r)
-    neg_rho = -grid._rho(center, radii, grid.scaled_dirs)
+    radius_max = (instance.min_radius - grid._radii(q_r)[1:-1].T).max(axis=1)
+    # the candidate whose trajectories bind most, its margin farthest above
+    # its radius terms, goes first, so that every prefix holds it
+    eta, _ = grid.evaluate(q_c, q_r)
+    first = int(np.argmax(eta - radius_max))
+    order = np.r_[first, np.delete(np.arange(m), first)]
+    q_c, q_r, radius_max = q_c[order], q_r[order], radius_max[order]
+    center, radii = grid._centers(q_c), grid._radii(q_r)
+    neg_rho = _neg_rho(grid, center, radii, grid.scaled_dirs)
     eta, idx = grid.evaluate(q_c, q_r)
     # random trajectories plus the argmax ones of the candidates, as the
     # witnesses a search collects
     argmax = idx[idx >= grid.tau_count] - grid.tau_count
     subset = np.union1d(rng.choice(k, size=max(1, k // 5), replace=False), argmax)
-    part = -grid._rho(center, radii, grid.scaled_dirs[:, subset])
+    part = _neg_rho(grid, center, radii, grid.scaled_dirs[:, subset])
     assert part.tobytes() == neg_rho[:, subset].tobytes()
 
     # a block one trajectory short of a candidate never lets evaluate skip the
     # witness screen, and splits every candidate's trajectories over calls
     grid._BLOCK_FLOATS = len(grid.times) * (k - 1)
-    radius_max = (instance.min_radius - radii[1:-1].T).max(axis=1)
-    # the second bound splits the candidate whose trajectories bind most
-    # between its radius terms and its margin, so a witness column rejects it
-    j = int(np.argmax(eta - radius_max))
+    # the second bound splits the first candidate between its radius terms
+    # and its margin, so a witness column rejects it; no margin is below the
+    # third, so the prefix holds every candidate
     exact = witness_rejects = 0
+    lengths = set()
     for slack in (None, rng.uniform(0.0, 0.5, size=m)):
         shift = np.zeros(m) if slack is None else slack
-        for bound in (np.median(eta + shift), (radius_max[j] + eta[j]) / 2 + shift[j]):
+        margin = eta + shift
+        for bound in (np.median(margin), (radius_max[0] + eta[0]) / 2 + shift[0], margin.min()):
             grid.witnesses = set(subset.tolist())
             values, screened_idx = grid.evaluate(q_c, q_r, float(bound), slack)
-            for i, v in enumerate(values):
+            below = np.flatnonzero(margin < bound)
+            earlier = below[0] if len(below) else m
+            cut = earlier + 1 if len(below) else m
+            assert len(values) == len(screened_idx) == cut
+            lengths.add(cut)
+            if len(below):
+                assert values[-1] == margin[earlier] and screened_idx[-1] == idx[earlier]
+            for i, v in enumerate(values[:earlier]):
                 lower = radius_max[i] + shift[i]
                 if lower < bound:
                     lower = max(radius_max[i], neg_rho[i, subset].max()) + shift[i]
                 # a candidate the screen leaves below the bound is evaluated;
                 # one it stops has no argmax
-                expected = eta[i] + shift[i] if lower < bound else lower
-                assert v == expected and v <= eta[i] + shift[i]
+                expected = margin[i] if lower < bound else lower
+                assert bound <= v == expected <= margin[i]
                 assert screened_idx[i] == (idx[i] if lower < bound else -1)
-                exact += v < bound
                 witness_rejects += radius_max[i] + shift[i] < bound <= lower
+            exact += values[-1] < bound
     assert exact > 0 and witness_rejects > 0
+    assert m in lengths and min(lengths) < m
     # with every trajectory a witness, the screen of a candidate below the
     # bound leaves no trajectory to evaluate, and is its margin
     grid.witnesses = set(range(k))
-    values, _ = grid.evaluate(q_c, q_r, float(eta.max()) + 1.0)
+    values = np.concatenate([grid.evaluate(q_c[i:i + 1], q_r[i:i + 1], float(eta.max()) + 1.0)[0]
+                             for i in range(m)])
     assert values.tobytes() == eta.tobytes()
 
 
 def test_stlcg_1_solve_keeps_evals_with_fewer_monitor_calls(monkeypatch):
     # the seed-0 solve consumes the same 4333 trials as a one-trial-per-call
-    # poll, but screens them in sweeps: the pair poll made 2342 monitor calls
+    # poll, but screens them in sweeps and scores a sweep only up to its
+    # accepted trial: the pair poll made 2342 monitor calls, the full sweep
+    # 538, and the in-order sweep 466
     config = load_config(ROOT / "configs" / "stlcg_1.yaml")
     shapes = _monitor_calls(monkeypatch)
     result = solve_sop(config.instance(), config.solver_settings(seed=0))
     assert result.diagnostics["objective_evals"] == 4333
-    assert len(shapes) < 800
+    assert len(shapes) <= 480
 
 
 @pytest.mark.parametrize("name, tube_bounds", [("stlcg_1", 745), ("quadrotor_cycle", 803)])
@@ -432,19 +467,25 @@ def test_solve_reuses_the_instance_bases_and_robustness_constant(name, tube_boun
                                                                  monkeypatch):
     # the instance derives its bases and the formula's constant once, so a
     # solve builds no basis and never re-derives l_rho; it still bounds one
-    # tube per certificate-polish trial plus the result's
+    # tube per certificate-polish trial plus the result's, but the trials of
+    # a sweep in one batched pass (745 and 803 single-tube calls before)
+    passes = {"stlcg_1": 48, "quadrotor_cycle": 26}[name]
     config = load_config(ROOT / "configs" / f"{name}.yaml")
     instance = config.instance()
-    calls = Counter()
-    for attr in ("make_basis", "robustness_lipschitz", "tube_lipschitz"):
+    calls, pass_sizes = Counter(), []
+    for attr in ("make_basis", "robustness_lipschitz", "tube_lipschitz",
+                 "tube_lipschitz_many"):
         def counting(*args, _attr=attr, _original=getattr(synthesis, attr), **kwargs):
             calls[_attr] += 1
+            if _attr == "tube_lipschitz_many":
+                pass_sizes.append(len(args[0]))
             return _original(*args, **kwargs)
         monkeypatch.setattr(synthesis, attr, counting)
     solve_sop(instance, config.solver_settings(seed=0))
     assert calls["make_basis"] == 0
     assert calls["robustness_lipschitz"] == 0
-    assert calls["tube_lipschitz"] == tube_bounds
+    assert calls["tube_lipschitz"] == 1
+    assert len(pass_sizes) == passes and sum(pass_sizes) + 1 == tube_bounds
 
 
 def test_stlcg_1_solve_does_not_import_numpy_ma():
@@ -476,12 +517,13 @@ def _quantized_bowl(rng, d):
                                         for ai, xi, ci in zip(a, x, c))) / 8
 
 
-def _batched(f, x0, lb, ub, rng=None, **kw):
+def _batched(f, x0, lb, ub, rng=None, prefix=False, **kw):
     """pattern_search on f, with the log of every batch it sent and its values.
 
     With rng, a value at or above the bound is replaced by a random lower
     bound of it that is still >= bound (often the bound itself, a tie), as
-    the contract lets func return."""
+    the contract lets func return.  With prefix, func returns the values only
+    up to the first one below the bound, as the contract also lets it."""
     log = []
 
     def func(points, bound=math.inf):
@@ -491,6 +533,8 @@ def _batched(f, x0, lb, ub, rng=None, **kw):
             if rng is not None and v >= bound:
                 v = float(rng.choice([bound, v, rng.uniform(bound, v)]))
             values.append(v)
+            if prefix and v < bound:
+                break
         values = np.array(values)
         log.append((points.copy(), values))
         return values
@@ -541,6 +585,7 @@ def test_pattern_search_matches_sequential_oracle():
     rng = np.random.default_rng(11)
     target_stops = 0
     multi_sweeps = 0
+    cut_sweeps = 0
     for case in range(600):
         d = int(rng.integers(1, 5))
         lb = rng.uniform(-2.0, 0.0, size=d)
@@ -568,9 +613,15 @@ def test_pattern_search_matches_sequential_oracle():
         assert (x.tolist(), fx, evals) == (x_ref, f_ref, evals_ref)
         assert points == polled
         assert accepted == accepted_ref
+        # a func that returns each sweep only up to its first value below the
+        # bound takes the same path and count
+        (x_p, fx_p, evals_p), log_p = _batched(f, x0, lb, ub, prefix=True, **kw)
+        assert (x_p.tolist(), fx_p, evals_p) == (x.tolist(), fx, evals)
+        assert _consumed(log_p, lb, ub, kw["step"], kw["budget"]) == (points, accepted)
+        cut_sweeps += any(len(values) < len(batch) for batch, values in log_p)
         multi_sweeps += any(len(batch) > 2 for batch, _ in log)
         target_stops += kw["target"] is not None and fx <= kw["target"] and evals < kw["budget"]
-    assert target_stops > 0 and multi_sweeps > 0
+    assert target_stops > 0 and multi_sweeps > 0 and cut_sweeps > 0
 
 
 def test_pattern_search_pairs_budget_clipping_and_target():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,10 @@ from tubecbf.tube import (
     sphere_map,
     sphere_map_many,
     tube_from_record,
+    BLOCK_FLOATS,
+    LIPSCHITZ_GRID_POINTS,
     tube_lipschitz,
+    tube_lipschitz_many,
     tube_to_record,
 )
 
@@ -305,6 +309,46 @@ def test_tube_lipschitz_upper_bounds_fine_grid():
             # empirical difference quotients never exceed the bound
             dr = np.abs(np.diff(rvals)) / np.diff(ts)
             assert np.all(dr <= tl.radius + 1e-9)
+
+
+def test_tube_lipschitz_many_matches_each_tube_bit_for_bit():
+    # random coefficient batches on both basis kinds, among them batches
+    # larger than one pass; the stacked second-derivative bounds match the
+    # per-row ones, and every constant matches the tube's own tube_lipschitz
+    rng = np.random.default_rng(12)
+    for kind in ("bernstein", "monomial"):
+        for n, z_c, z_r in ((2, 5, 4), (3, 6, 3), (2, 2, 1), (3, 3, 7)):
+            per = BLOCK_FLOATS // (n * LIPSCHITZ_GRID_POINTS)
+            t_f = float(rng.uniform(1.0, 40.0))
+            cb, rb = make_basis(kind, z_c, t_f), make_basis(kind, z_r, t_f)
+            for m in (1, per + 1, 3 * per + 2):
+                q_c = rng.normal(size=(m, n, z_c)) * 10.0 ** rng.uniform(-2, 2, size=(m, 1, 1))
+                q_r = rng.uniform(0.1, 3.0, size=(m, z_r))
+                stacked = cb.second_derivative_bound(q_c)
+                assert stacked.shape == (m, n)
+                assert all(stacked[i, j] == float(cb.second_derivative_bound(q_c[i, j]))
+                           for i in range(m) for j in range(n))
+                many = tube_lipschitz_many(q_c, q_r, cb, rb)
+                for i in range(m):
+                    one = tube_lipschitz(Tube(q_c[i], q_r[i], cb, rb))
+                    assert (many.center[i].hex(), many.radius[i].hex(), many.radius_max[i].hex()) \
+                        == (one.center.hex(), one.radius.hex(), one.radius_max.hex())
+
+
+def test_tube_lipschitz_many_caps_its_derivative_table():
+    # a pass holds at most BLOCK_FLOATS floats of derivatives; 50 3-D tubes
+    # in one pass would hold a 1.2 MB table and as much again in squares
+    rng = np.random.default_rng(4)
+    cb, rb = make_basis("bernstein", 5, 8.0), make_basis("bernstein", 4, 8.0)
+    q_c, q_r = rng.normal(size=(50, 3, 5)), rng.uniform(0.1, 3.0, size=(50, 4))
+    tube_lipschitz_many(q_c[:1], q_r[:1], cb, rb)  # tabulate the bases
+    tracemalloc.start()
+    try:
+        tube_lipschitz_many(q_c, q_r, cb, rb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * BLOCK_FLOATS, peak
 
 
 # ---------------------------------------------------------------------------
