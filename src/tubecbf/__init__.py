@@ -6,7 +6,7 @@ generalization certificate), convert the tube into a time-varying barrier,
 and run a QP-filtered closed loop that stays inside it.
 """
 
-from .basis import BernsteinBasis, MonomialBasis, make_basis
+from .basis import BernsteinBasis
 from .cbf import (
     Barrier,
     ControlStep,

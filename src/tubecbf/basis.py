@@ -1,8 +1,8 @@
-"""Polynomial basis families for the tube's center and radius curves.
+"""The Bernstein polynomial basis of the tube's center and radius curves.
 
-Both families expose values and exact first/second time derivatives on
-[0, t_f], plus a coefficient-based bound on the second derivative used when
-certifying Lipschitz constants.
+It exposes values and exact first/second time derivatives on [0, t_f], plus
+a control-point bound on the second derivative used when certifying
+Lipschitz constants.
 """
 
 from __future__ import annotations
@@ -16,48 +16,6 @@ import numpy as np
 def _as_grid(t) -> tuple[np.ndarray, bool]:
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     return arr, np.ndim(t) == 0
-
-
-@dataclass(frozen=True)
-class MonomialBasis:
-    """Powers {1, t, t^2, ...} on [0, t_f]."""
-
-    count: int
-    t_f: float
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("basis needs at least one function")
-        if self.t_f <= 0:
-            raise ValueError("t_f must be positive")
-
-    def values(self, t) -> np.ndarray:
-        ts, scalar = _as_grid(t)
-        out = np.vander(ts, self.count, increasing=True).T
-        return out[:, 0] if scalar else out
-
-    def derivatives(self, t) -> np.ndarray:
-        ts, scalar = _as_grid(t)
-        out = np.zeros((self.count, len(ts)))
-        for k in range(1, self.count):
-            out[k] = k * ts ** (k - 1)
-        return out[:, 0] if scalar else out
-
-    def second_derivatives(self, t) -> np.ndarray:
-        ts, scalar = _as_grid(t)
-        out = np.zeros((self.count, len(ts)))
-        for k in range(2, self.count):
-            out[k] = k * (k - 1) * ts ** (k - 2)
-        return out[:, 0] if scalar else out
-
-    def second_derivative_bound(self, coeffs) -> np.ndarray:
-        """Bound on |f''| over [0, t_f] for coefficients (..., count), one
-        per leading index: sum_k |q_k| k (k-1) t_f^(k-2), summed in k order."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        total = np.zeros(coeffs.shape[:-1])
-        for k in range(2, self.count):
-            total = total + np.abs(coeffs[..., k]) * k * (k - 1) * self.t_f ** (k - 2)
-        return total
 
 
 def _bernstein_matrix(degree: int, u: np.ndarray) -> np.ndarray:
@@ -135,13 +93,3 @@ class BernsteinBasis:
         dd = np.diff(coeffs, n=2)
         return self.degree * (self.degree - 1) / self.t_f**2 * np.max(np.abs(dd), axis=-1)
 
-
-BASIS_KINDS = {"monomial": MonomialBasis, "bernstein": BernsteinBasis}
-
-
-def make_basis(kind: str, count: int, t_f: float):
-    try:
-        cls = BASIS_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown basis kind {kind!r}; choose from {sorted(BASIS_KINDS)}")
-    return cls(count, t_f)

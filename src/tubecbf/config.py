@@ -11,7 +11,6 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .basis import BASIS_KINDS
 from .cbf import Barrier
 from .dynamics import dynamics_kind
 from .simulate import RunReport, run_closed_loop
@@ -76,6 +75,15 @@ def _check_number(key: str, value) -> None:
         raise ConfigError(f"{key} must be a number, got {value!r}")
 
 
+def _check_integer(key: str, value, least: int) -> None:
+    # int() would truncate a count of 4.6 to 4, so a count must be a true
+    # integer (YAML reads `true` as a bool, which is an int in Python)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value}")
+
+
 @dataclass
 class ScenarioConfig:
     """Plain-data scenario description; see configs/ for worked examples."""
@@ -90,13 +98,10 @@ class ScenarioConfig:
     epsilon: Optional[float] = None
     cover_counts: Optional[dict] = None
     search_cover: Optional[dict] = None
-    basis: dict = field(default_factory=lambda: {"kind": "bernstein",
-                                                 "center_count": 5,
-                                                 "radius_count": 4})
+    basis: dict = field(default_factory=lambda: {"center_count": 5, "radius_count": 4})
     radius_max: Optional[float] = None
     center_box_scale: float = 1.5
     start: Optional[list] = None
-    pin_start: bool = False
     solver: dict = field(default_factory=dict)
     dynamics: dict = field(default_factory=lambda: {"kind": "omni"})
     x0: Optional[list] = None
@@ -109,12 +114,12 @@ class ScenarioConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        for key in ("dimension", "t_f", "dt", "min_radius", "epsilon", "center_box_scale",
-                    "gain", "input_bound", "radius_max", "x0_seed"):
+        _check_integer("dimension", self.dimension, 1)
+        _check_integer("x0_seed", self.x0_seed, 0)
+        for key in ("t_f", "dt", "min_radius", "epsilon", "center_box_scale",
+                    "gain", "input_bound", "radius_max"):
             if getattr(self, key) is not None:
                 _check_number(key, getattr(self, key))
-        if self.dimension < 1:
-            raise ConfigError("dimension must be positive")
         if self.t_f <= 0:
             raise ConfigError("t_f must be positive")
         if self.dt <= 0:
@@ -141,33 +146,35 @@ class ScenarioConfig:
             _check_number("control_weight", w)
         if self.control_weight is not None and not all(w > 0 for w in self.control_weight):
             raise ConfigError("control_weight diagonal must be positive")
-        if not self.x0_seed >= 0:
-            raise ConfigError(f"x0_seed must be non-negative, got {self.x0_seed}")
         for name in ("cover_counts", "search_cover"):
             block = getattr(self, name)
             if block is not None:
                 _check_block(name, block, _COVER_KEYS, _COVER_KEYS)
-                if len(block["theta"]) != self.dimension - 1:
-                    raise ConfigError(f"{name}: theta needs {self.dimension - 1} "
+                theta = block["theta"]
+                if not isinstance(theta, list) or len(theta) != self.dimension - 1:
+                    raise ConfigError(f"{name}: theta needs a list of {self.dimension - 1} "
                                       f"counts in dimension {self.dimension}")
+                for count in theta:
+                    _check_integer(f"{name}: theta", count, 1)
+                _check_integer(f"{name}: lambda", block["lambda"], 1)
+                _check_integer(f"{name}: tau", block["tau"], 1)
         _check_block("solver", self.solver, set(), {"seed", "budget"})
-        for key, value in self.solver.items():
-            _check_number(f"solver: {key}", value)
-        if not self.solver.get("budget", 1) >= 1:
-            raise ConfigError(f"solver: budget must be at least 1, got {self.solver['budget']}")
-        _check_block("basis", self.basis, set(), {"kind", "center_count", "radius_count"})
-        if self.basis.get("kind", "bernstein") not in BASIS_KINDS:
-            raise ConfigError(f"basis: unknown kind {self.basis.get('kind')!r}; "
-                              f"choose from {sorted(BASIS_KINDS)}")
+        for key, least in (("seed", 0), ("budget", 1)):
+            if key in self.solver:
+                _check_integer(f"solver: {key}", self.solver[key], least)
+        _check_block("basis", self.basis, set(), {"center_count", "radius_count"})
+        for key, value in self.basis.items():
+            _check_integer(f"basis: {key}", value, 1)
         # predicates and formula are validated together in build_formula
         self.build_formula()
-        if self.pin_start and self.start is None:
-            raise ConfigError("pin_start requires a start point")
         # building the model checks its parameters too (e.g. a diffdrive
         # look-ahead must be positive), so a bad one fails here, not in simulate
+        if not isinstance(self.dynamics, dict):
+            raise ConfigError("dynamics must be a mapping")
         try:
-            dynamics_kind(self.dynamics.get("kind"), self.dimension).build(
-                self.dimension, self.dynamics)
+            spec = dynamics_kind(self.dynamics.get("kind"), self.dimension)
+            _check_block("dynamics", self.dynamics, {"kind"}, {"kind", *spec.params})
+            spec.build(self.dimension, self.dynamics)
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from None
         if self.control_weight is not None and len(self.control_weight) != self.input_dimension:
@@ -202,11 +209,10 @@ class ScenarioConfig:
         return SOPInstance(
             self.build_formula(), n=self.dimension, t_f=self.t_f,
             state_bounds=self.state_bounds, min_radius=self.min_radius,
-            basis_kind=b.get("kind", "bernstein"),
-            center_count=int(b.get("center_count", 5)),
-            radius_count=int(b.get("radius_count", 4)),
+            center_count=b.get("center_count", 5),
+            radius_count=b.get("radius_count", 4),
             radius_max=self.radius_max, cover=self.cover_spec(),
-            start_center=self.start, pin_start=self.pin_start,
+            start_center=self.start,
             center_box_scale=self.center_box_scale,
             until_convention=self.until_convention)
 
@@ -217,8 +223,8 @@ class ScenarioConfig:
             sc = self.search_cover
             search = CoverSpec.from_counts(sc["theta"], sc["lambda"], sc["tau"], self.t_f)
         return SolverSettings(
-            seed=int(s.get("seed", 0)) if seed is None else int(seed),
-            budget=int(s.get("budget", 4000)),
+            seed=s.get("seed", 0) if seed is None else int(seed),
+            budget=s.get("budget", 4000),
             search_cover=search,
         )
 
@@ -270,7 +276,6 @@ class ScenarioConfig:
             "min_radius": self.min_radius,
             "basis": dict(self.basis),
             "center_box_scale": self.center_box_scale,
-            "pin_start": self.pin_start,
             "solver": dict(self.solver),
             "dynamics": dict(self.dynamics),
             "x0_seed": self.x0_seed,

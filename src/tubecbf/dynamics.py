@@ -100,8 +100,9 @@ class DynamicsKind:
     """A vehicle model a scenario can name."""
 
     dimensions: tuple             # output dimensions n the model supports
-    build: Callable               # (n, params) -> model; other params are ignored
+    build: Callable               # (n, params) -> model
     inputs: Optional[int] = None  # input dimension m; None means m = n
+    params: tuple = ()            # the parameter names build reads
 
     def input_dimension(self, n: int) -> int:
         return n if self.inputs is None else self.inputs
@@ -120,7 +121,7 @@ DYNAMICS_KINDS = {
     "omni": DynamicsKind((2, 3), _omni),
     # kinematic position model of a quadrotor: the 3-D single integrator
     "quadrotor": DynamicsKind((3,), _omni),
-    "diffdrive": DynamicsKind((2,), _diffdrive, inputs=2),
+    "diffdrive": DynamicsKind((2,), _diffdrive, inputs=2, params=("lookahead", "phi0")),
 }
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import make_basis
+from .basis import BernsteinBasis
 from .stl import (
     And,
     BallNorm2,
@@ -30,7 +30,7 @@ from .stl import (
     robustness_batch,
     robustness_lipschitz,
 )
-from .tube import (BLOCK_FLOATS, Basis, Tube, sphere_map_many, tube_lipschitz,
+from .tube import (BLOCK_FLOATS, Tube, sphere_map_many, tube_lipschitz,
                    tube_lipschitz_many, tube_to_record, tube_from_record)
 
 
@@ -215,10 +215,10 @@ class SOPInstance:
 
     The center box bounds the control polygon, not the curve, and control
     points must overshoot interior waypoints, so it is the state bounds
-    inflated about their midpoint by center_box_scale; pin_start fixes its
-    first control point to start_center.  The radius box is [min_radius,
-    radius_max], radius_max defaulting to a quarter of the narrowest state
-    range.
+    inflated about their midpoint by center_box_scale; a start_center pins
+    its first control point, where the curve starts.  The radius box is
+    [min_radius, radius_max], radius_max defaulting to a quarter of the
+    narrowest state range.
     """
 
     formula: Formula
@@ -226,19 +226,17 @@ class SOPInstance:
     t_f: float
     state_bounds: np.ndarray  # (n, 2)
     min_radius: float = 0.25
-    basis_kind: str = "bernstein"
     center_count: int = 5
     radius_count: int = 4
     radius_max: Optional[float] = None
     cover: Optional[CoverSpec] = None
     start_center: Optional[np.ndarray] = None
-    pin_start: bool = False
     center_box_scale: float = 1.5
     until_convention: str = "paper"
     center_box: np.ndarray = field(init=False)   # (n, z_c, 2)
     radius_box: np.ndarray = field(init=False)   # (z_r, 2)
-    center_basis: Basis = field(init=False)
-    radius_basis: Basis = field(init=False)
+    center_basis: BernsteinBasis = field(init=False)
+    radius_basis: BernsteinBasis = field(init=False)
     l_rho: float = field(init=False)
 
     def __post_init__(self):
@@ -260,18 +258,15 @@ class SOPInstance:
         radius_box = np.tile([self.min_radius, max(radius_max, self.min_radius)],
                              (self.radius_count, 1))
         start = None if self.start_center is None else np.asarray(self.start_center, dtype=float)
-        if self.pin_start:
-            if start is None:
-                raise ValueError("pin_start requires a start center")
-            center_box[:, 0, 0] = start
-            center_box[:, 0, 1] = start
+        if start is not None:
+            center_box[:, 0] = start[:, None]
         if np.any(center_box[..., 1] < center_box[..., 0]):
             raise ValueError("coefficient boxes must be nonempty")
         derived = {
             "state_bounds": bounds, "start_center": start,
             "center_box": center_box, "radius_box": radius_box,
-            "center_basis": make_basis(self.basis_kind, self.center_count, self.t_f),
-            "radius_basis": make_basis(self.basis_kind, self.radius_count, self.t_f),
+            "center_basis": BernsteinBasis(self.center_count, self.t_f),
+            "radius_basis": BernsteinBasis(self.radius_count, self.t_f),
             "l_rho": robustness_lipschitz(self.formula),
         }
         for name, value in derived.items():
@@ -691,14 +686,9 @@ def warm_start(instance: SOPInstance) -> tuple[np.ndarray, np.ndarray]:
     # curvature penalty on the control polygon keeps near-interpolating fits
     # from oscillating to huge coefficients
     anchor_w = 30.0
-    rows = [cb.values(grid).T, anchor_w * cb.values(knot_t).T]
-    zc = instance.center_count
-    if instance.basis_kind == "bernstein" and zc > 2:
-        d2 = np.zeros((zc - 2, zc))
-        for i in range(zc - 2):
-            d2[i, i:i + 3] = [1.0, -2.0, 1.0]
-        rows.append(2.0 * d2)
-    a_c = np.vstack(rows)
+    second_differences = np.diff(np.eye(instance.center_count), n=2, axis=0)
+    a_c = np.vstack([cb.values(grid).T, anchor_w * cb.values(knot_t).T,
+                     2.0 * second_differences])
     pad = np.zeros(a_c.shape[0] - len(grid) - len(knot_t))
     q_c = np.stack([
         np.linalg.lstsq(a_c, np.concatenate([path[i], anchor_w * knot_x[:, i], pad]),

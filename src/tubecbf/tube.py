@@ -7,13 +7,10 @@ import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
-from .basis import BernsteinBasis, MonomialBasis, make_basis
-
-Basis = Union[MonomialBasis, BernsteinBasis]
+from .basis import BernsteinBasis
 
 _RANGE_SLACK = 1e-9
 
@@ -28,8 +25,8 @@ class Tube:
 
     center_coeffs: np.ndarray  # (n, z_c)
     radius_coeffs: np.ndarray  # (z_r,)
-    center_basis: Basis
-    radius_basis: Basis
+    center_basis: BernsteinBasis
+    radius_basis: BernsteinBasis
 
     def __post_init__(self):
         qc = np.array(self.center_coeffs, dtype=float)
@@ -179,7 +176,7 @@ BLOCK_FLOATS = 12_288
 
 
 @functools.lru_cache(maxsize=8)
-def _lipschitz_tables(center_basis: Basis, radius_basis: Basis):
+def _lipschitz_tables(center_basis: BernsteinBasis, radius_basis: BernsteinBasis):
     """Read-only center derivatives, radius derivatives and radius values on
     the tube_lipschitz grid; they depend on the bases alone."""
     ts = np.linspace(0.0, center_basis.t_f, LIPSCHITZ_GRID_POINTS)
@@ -203,8 +200,8 @@ def tube_lipschitz(tube: Tube) -> TubeLipschitz:
                          radius_max=float(many.radius_max[0]))
 
 
-def tube_lipschitz_many(center_coeffs, radius_coeffs, center_basis: Basis,
-                        radius_basis: Basis) -> TubeLipschitz:
+def tube_lipschitz_many(center_coeffs, radius_coeffs, center_basis: BernsteinBasis,
+                        radius_basis: BernsteinBasis) -> TubeLipschitz:
     """tube_lipschitz of M tubes on shared bases, as (M,) arrays, from center
     coefficients (M, n, z_c) and radius coefficients (M, z_r).
 
@@ -248,14 +245,10 @@ def tube_lipschitz_many(center_coeffs, radius_coeffs, center_basis: Basis,
 # ---------------------------------------------------------------------------
 
 def tube_to_record(tube: Tube) -> dict:
-    kind = {MonomialBasis: "monomial", BernsteinBasis: "bernstein"}[type(tube.center_basis)]
-    kind_r = {MonomialBasis: "monomial", BernsteinBasis: "bernstein"}[type(tube.radius_basis)]
-    if kind_r != kind:
-        raise ValueError("record format stores a single basis kind for both curves")
     return {
         "n": tube.dimension,
         "t_f": tube.t_f,
-        "basis": kind,
+        "basis": "bernstein",
         "z_c": tube.center_basis.count,
         "z_r": tube.radius_basis.count,
         "q_c": [float(v) for v in tube.center_coeffs.ravel()],  # row-major
@@ -264,13 +257,14 @@ def tube_to_record(tube: Tube) -> dict:
 
 
 def tube_from_record(rec: dict) -> Tube:
+    if rec["basis"] != "bernstein":
+        raise ValueError(f"unknown tube basis {rec['basis']!r}; "
+                         "tube records hold Bernstein control points")
     n, z_c, z_r = int(rec["n"]), int(rec["z_c"]), int(rec["z_r"])
     q_c = np.asarray(rec["q_c"], dtype=float).reshape(n, z_c)
     q_r = np.asarray(rec["q_r"], dtype=float)
     t_f = float(rec["t_f"])
-    return Tube(q_c, q_r,
-                make_basis(rec["basis"], z_c, t_f),
-                make_basis(rec["basis"], z_r, t_f))
+    return Tube(q_c, q_r, BernsteinBasis(z_c, t_f), BernsteinBasis(z_r, t_f))
 
 
 def save_tube(tube: Tube, path) -> None:

@@ -1,9 +1,13 @@
-"""Seeded random generators for formulas and signals shared across test modules."""
+"""Seeded random generators for formulas and signals, and tubes given in
+power form, shared across test modules."""
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
+from tubecbf.basis import BernsteinBasis
 from tubecbf.stl import (
     TRUE,
     AffineHalfspace,
@@ -19,6 +23,7 @@ from tubecbf.stl import (
     Until,
     horizon,
 )
+from tubecbf.tube import Tube
 
 
 def random_predicate(rng: np.random.Generator, dim: int) -> Predicate:
@@ -87,3 +92,23 @@ def formula_and_signal(rng: np.random.Generator, dim: int = 2, depth: int = 3,
     f = random_formula(rng, depth, dim)
     span = horizon(f) + float(rng.uniform(1.0, 3.0))
     return f, random_signal(rng, dim, span, max_len=max_len)
+
+
+def bernstein_points(power_coeffs, t_f: float) -> np.ndarray:
+    """Bernstein control points on [0, t_f] of the polynomials sum_k a_k t^k
+    whose power-form coefficients a run along the last axis:
+    b_j = sum_{k<=j} C(j,k) / C(d,k) * a_k * t_f^k."""
+    a = np.asarray(power_coeffs, dtype=float)
+    d = a.shape[-1] - 1
+    change = np.array([[comb(j, k) / comb(d, k) * t_f**k if k <= j else 0.0
+                        for k in range(d + 1)] for j in range(d + 1)])
+    return a @ change.T
+
+
+def power_tube(q_c, q_r, t_f: float) -> Tube:
+    """The tube whose center rows and radius are the power-form polynomials
+    q_c (n, z_c) and q_r (z_r,), written in the Bernstein basis."""
+    q_c = np.atleast_2d(np.asarray(q_c, dtype=float))
+    q_r = np.asarray(q_r, dtype=float)
+    return Tube(bernstein_points(q_c, t_f), bernstein_points(q_r, t_f),
+                BernsteinBasis(q_c.shape[1], t_f), BernsteinBasis(len(q_r), t_f))

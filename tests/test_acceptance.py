@@ -19,9 +19,9 @@ from tubecbf.simulate import read_trajectory_signal
 from tubecbf.stl import robustness
 from tubecbf.synthesis import SynthesisResult, recheck_constraints
 from tubecbf.tube import Tube, sphere_map, sphere_map_many
-from tubecbf.basis import make_basis
+from tubecbf.basis import BernsteinBasis
 
-from gen import formula_and_signal
+from gen import formula_and_signal, power_tube
 from oracles import oracle_min_norm_qp, oracle_robustness
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -176,15 +176,12 @@ def test_criterion_2_sphere_map():
 
 def _test_tubes():
     rng = np.random.default_rng(3)
-    tubes = []
-    for kind in ("bernstein", "monomial"):
-        q_c = rng.uniform(-1.5, 1.5, size=(2, 5))
-        q_r = rng.uniform(0.6, 1.8, size=4)
-        if kind == "monomial":
-            q_c = q_c / np.array([1.0, 4.0, 16.0, 64.0, 256.0])
-            q_r = np.abs(q_r) / np.array([1.0, 4.0, 16.0, 64.0]) + 0.4
-        tubes.append(Tube(q_c, q_r, make_basis(kind, 5, 4.0), make_basis(kind, 4, 4.0)))
-    return tubes
+    control = Tube(rng.uniform(-1.5, 1.5, size=(2, 5)), rng.uniform(0.6, 1.8, size=4),
+                   BernsteinBasis(5, 4.0), BernsteinBasis(4, 4.0))
+    # curves drawn in power form, scaled so each term stays of order one on [0, 4]
+    q_c = rng.uniform(-1.5, 1.5, size=(2, 5)) / np.array([1.0, 4.0, 16.0, 64.0, 256.0])
+    q_r = rng.uniform(0.6, 1.8, size=4) / np.array([1.0, 4.0, 16.0, 64.0]) + 0.4
+    return [control, power_tube(q_c, q_r, 4.0)]
 
 
 def test_criterion_3_gradient_checks():

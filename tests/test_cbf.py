@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tubecbf.basis import BernsteinBasis, MonomialBasis
+from tubecbf.basis import BernsteinBasis
 from tubecbf.cbf import (
     Barrier,
     InfeasibleStepError,
@@ -13,15 +13,14 @@ from tubecbf.cbf import (
 from tubecbf.dynamics import OmniRobot
 from tubecbf.tube import Tube
 
+from gen import power_tube
 from oracles import oracle_min_norm_qp
 
 
 def _static_tube(center, radius, t_f=10.0):
     center = np.asarray(center, dtype=float)
     n = len(center)
-    q_c = np.column_stack([center, np.zeros(n)])
-    return Tube(q_c, np.array([radius, 0.0]),
-                MonomialBasis(2, t_f), MonomialBasis(2, t_f))
+    return power_tube(np.column_stack([center, np.zeros(n)]), [radius, 0.0], t_f)
 
 
 def _moving_tube(t_f=6.0, n=2, seed=0):

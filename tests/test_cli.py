@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 import yaml
 
-from tubecbf.basis import MonomialBasis
 from tubecbf.cli import main
 from tubecbf.config import ConfigError, ScenarioConfig, load_config, save_config
 from tubecbf.simulate import read_trajectory_signal
 from tubecbf.synthesis import SynthesisResult
-from tubecbf.tube import Tube, tube_to_record
+from tubecbf.tube import tube_to_record
+
+from gen import power_tube
 
 
 BASE = {
@@ -24,10 +25,9 @@ BASE = {
     "min_radius": 0.25,
     "epsilon": 0.2,
     "search_cover": {"theta": [10], "lambda": 3, "tau": 12},
-    "basis": {"kind": "bernstein", "center_count": 5, "radius_count": 4},
+    "basis": {"center_count": 5, "radius_count": 4},
     "radius_max": 2.0,
     "start": [4.5, 4.5],
-    "pin_start": True,
     "solver": {"seed": 0, "budget": 800},
     "dynamics": {"kind": "omni"},
     "dt": 0.05,
@@ -121,11 +121,16 @@ def test_check_missing_config_exits_2(tmp_path):
     ({"cover_counts": {"theta": [10], "tau": 12}}, "lambda"),
     ({"cover_counts": {"theta": [10, 3], "lambda": 3, "tau": 12}}, "theta"),
     ({"search_cover": {"theta": [10], "lambda": 3, "tau": 12, "phi": 2}}, "phi"),
-    ({"basis": {"kind": "bezier", "center_count": 5, "radius_count": 4}}, "bezier"),
+    ({"basis": {"kind": "bezier", "center_count": 5, "radius_count": 4}}, "kind"),
     ({"epsilon": None}, "epsilon"),
+    ({"basis": {"kind": "bernstein", "center_count": 5, "radius_count": 4}}, "kind"),
+    ({"pin_start": True}, "pin_start"),
+    ({"dynamics": {"kind": "diffdrive", "lookahed": 0.3}}, "lookahed"),
+    ({"dynamics": {"kind": "omni", "lookahead": 0.3}}, "lookahead"),
 ], ids=["misspelt-solver-key", "removed-solver-key", "cover-counts-missing-key",
         "cover-counts-wrong-dimension", "search-cover-unknown-key", "unknown-basis-kind",
-        "no-cover"])
+        "no-cover", "removed-basis-kind", "removed-pin-start",
+        "misspelt-dynamics-parameter", "dynamics-parameter-of-another-kind"])
 def test_check_bad_nested_block_exits_2(tmp_path, capsys, overrides, named):
     data = {k: v for k, v in {**BASE, **overrides}.items() if v is not None}
     cfg = tmp_path / "scenario.yaml"
@@ -144,6 +149,11 @@ def test_check_bad_nested_block_exits_2(tmp_path, capsys, overrides, named):
     ({"input_bound": -1.0}, "input_bound"),
     ({"solver": {"seed": 0, "budget": -5}}, "budget"),
     ({"x0_seed": -1}, "x0_seed"),
+    ({"basis": {"center_count": 0, "radius_count": 4}}, "center_count"),
+    ({"search_cover": {"theta": [10], "lambda": 0, "tau": 12}}, "lambda"),
+    ({"cover_counts": {"theta": [0], "lambda": 3, "tau": 12}}, "theta"),
+    ({"cover_counts": {"theta": [10], "lambda": 3, "tau": -4}}, "tau"),
+    ({"solver": {"seed": -1, "budget": 800}}, "seed"),
 ])
 def test_check_out_of_range_value_exits_2(tmp_path, capsys, overrides, named):
     cfg = _write_config(tmp_path, overrides)
@@ -151,7 +161,16 @@ def test_check_out_of_range_value_exits_2(tmp_path, capsys, overrides, named):
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("dt", "fast"), ("gain", "five")])
+@pytest.mark.parametrize("key, value", [
+    ("dt", "fast"),
+    ("gain", "five"),
+    # counts must be true integers: int() would truncate 4.6 to 4
+    ("basis", {"center_count": 4.6, "radius_count": 4}),
+    ("basis", {"center_count": True, "radius_count": 4}),
+    ("search_cover", {"theta": ["a"], "lambda": 4, "tau": 24}),
+    ("solver", {"seed": 0, "budget": 10.7}),
+    ("solver", {"seed": 0.9, "budget": 2500}),
+])
 def test_check_non_numeric_scalar_exits_2(tmp_path, capsys, key, value):
     data = yaml.safe_load((ROOT / "configs" / "omni_reach_avoid.yaml").read_text())
     data[key] = value
@@ -281,14 +300,26 @@ def test_simulate_bad_start_exits_4(tmp_path):
 
 def test_simulate_vanishing_radius_exits_4(tmp_path, capsys):
     # r(t) = 1 - 0.5 t reaches zero at t = 2, inside the horizon
-    tube = Tube(np.array([[4.5, 0.0], [4.5, 0.0]]), np.array([1.0, -0.5]),
-                MonomialBasis(2, 4.0), MonomialBasis(2, 4.0))
+    tube = power_tube([[4.5, 0.0], [4.5, 0.0]], [1.0, -0.5], 4.0)
     tube_path = tmp_path / "shrinking_tube.json"
     tube_path.write_text(json.dumps(tube_to_record(tube)))
     cfg = _write_config(tmp_path)
     assert main(["simulate", "--config", str(cfg), "--tube", str(tube_path),
                  "--out", str(tmp_path / "out")]) == 4
     assert "tube radius" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_tube_record_of_another_basis(tmp_path, capsys):
+    # a record's q_c and q_r are Bernstein control points; read as such, the
+    # power-form coefficients of this static tube would describe another curve
+    record = {"n": 2, "t_f": 4.0, "basis": "monomial", "z_c": 2, "z_r": 2,
+              "q_c": [4.5, 0.0, 4.5, 0.0], "q_r": [1.0, 0.0]}
+    tube_path = tmp_path / "monomial_tube.json"
+    tube_path.write_text(json.dumps(record))
+    cfg = _write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg), "--tube", str(tube_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "monomial" in capsys.readouterr().err
 
 
 def test_verify_rejects_obstacle_crossing(tmp_path):

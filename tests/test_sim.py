@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gen import power_tube
 from oracles import oracle_closed_loop
 from tubecbf import cbf, simulate
-from tubecbf.basis import BernsteinBasis, MonomialBasis
+from tubecbf.basis import BernsteinBasis
 from tubecbf.cbf import Barrier, InfeasibleStepError
 from tubecbf.config import load_config
 from tubecbf.dynamics import DiffDrive, OmniRobot, make_dynamics
@@ -19,7 +20,7 @@ from tubecbf.simulate import (
     write_trajectory_log,
 )
 from tubecbf.stl import Always, BoxInfNorm, Predicate
-from tubecbf.tube import Tube, load_tube
+from tubecbf.tube import load_tube
 
 ROOT = Path(__file__).resolve().parent.parent
 REF_SCENARIOS = ("omni_reach_avoid", "diffdrive_sequential", "stlcg_1", "stlcg_2",
@@ -28,17 +29,13 @@ REF_SCENARIOS = ("omni_reach_avoid", "diffdrive_sequential", "stlcg_1", "stlcg_2
 
 def _static_tube(center, radius, t_f=2.0):
     center = np.asarray(center, dtype=float)
-    q_c = np.column_stack([center, np.zeros(len(center))])
-    return Tube(q_c, np.array([radius, 0.0]),
-                MonomialBasis(2, t_f), MonomialBasis(2, t_f))
+    return power_tube(np.column_stack([center, np.zeros(len(center))]), [radius, 0.0], t_f)
 
 
 def _drifting_tube(v, radius, t_f=4.0):
     # center moves at constant velocity v from the origin
     v = np.asarray(v, dtype=float)
-    q_c = np.column_stack([np.zeros(len(v)), v])
-    return Tube(q_c, np.array([radius, 0.0]),
-                MonomialBasis(2, t_f), MonomialBasis(2, t_f))
+    return power_tube(np.column_stack([np.zeros(len(v)), v]), [radius, 0.0], t_f)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +265,7 @@ def test_closed_loop_vanishing_radius_raises_like_step_by_step_loop():
     # r(t) = 1 - 0.5 t reaches zero at t = 2; the first control instant past
     # it is 2.025 (2.0250000000000004 in binary64), and the tabulated radius
     # must still be checked there
-    tube = Tube(np.array([[4.5, 0.0], [4.5, 0.0]]), np.array([1.0, -0.5]),
-                MonomialBasis(2, 4.0), MonomialBasis(2, 4.0))
+    tube = power_tube([[4.5, 0.0], [4.5, 0.0]], [1.0, -0.5], 4.0)
     args = (OmniRobot(2), Barrier(tube), np.array([4.5, 4.5]), 0.05, STAY)
     with pytest.raises(InfeasibleStepError) as want:
         oracle_closed_loop(*args)

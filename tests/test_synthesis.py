@@ -40,15 +40,13 @@ ROOT = Path(__file__).resolve().parent.parent
 BIG_BOX = {"B": BoxInfNorm((0.0, 0.0), 10.0)}
 
 
-def _instance(formula_text, table, t_f, bounds, *, basis="monomial", cover=None,
-              start=None, pin=False, min_radius=0.25, radius_max=None,
-              center_count=4, radius_count=4):
+def _instance(formula_text, table, t_f, bounds, *, cover=None, start=None,
+              min_radius=0.25, radius_max=None, center_count=4, radius_count=4):
     f = parse(formula_text, table)
     return SOPInstance(f, n=2, t_f=t_f, state_bounds=bounds,
-                       min_radius=min_radius, basis_kind=basis,
+                       min_radius=min_radius,
                        center_count=center_count, radius_count=radius_count,
-                       radius_max=radius_max, cover=cover,
-                       start_center=start, pin_start=pin)
+                       radius_max=radius_max, cover=cover, start_center=start)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +130,12 @@ def test_cover_refined_shrinks_radius():
 # ---------------------------------------------------------------------------
 
 def test_objective_radius_constraint_active_at_equality():
+    # a degree-0 radius is its one control point exactly; higher degrees sum
+    # the control points' weights to 1 only up to rounding
     inst = _instance("G[0,2] B", BIG_BOX, 2.0, [[-5, 5], [-5, 5]],
-                     cover=CoverSpec.for_radius(0.4, 2, 2.0))
+                     cover=CoverSpec.for_radius(0.4, 2, 2.0), radius_count=1)
     q_c = np.zeros((2, 4))
-    q_r = np.array([0.25, 0.0, 0.0, 0.0])  # radius identically at the floor
+    q_r = np.array([0.25])  # radius identically at the floor
     eta, worst = sop_objective(inst, q_c, q_r)
     assert eta == 0.0
     assert worst.startswith("radius@")
@@ -146,8 +146,8 @@ def test_objective_detects_planted_violation():
     inst = _instance("G[0,2] B & G[0,2] !O", table, 2.0, [[-5, 5], [-5, 5]],
                      cover=CoverSpec.for_radius(0.4, 2, 2.0))
     q_c = np.zeros((2, 4))
-    q_c[0, 0] = 2.0  # park the tube inside the obstacle
-    q_r = np.array([0.5, 0.0, 0.0, 0.0])
+    q_c[0] = 2.0  # park the tube inside the obstacle
+    q_r = np.full(4, 0.5)
     eta, worst = sop_objective(inst, q_c, q_r)
     assert eta >= 0.5  # at least the center's violation depth
     assert worst.startswith("robustness@")
@@ -160,7 +160,7 @@ def test_objective_affine_in_radius_floor():
     inst2 = _instance("G[0,2] B", BIG_BOX, 2.0, [[-5, 5], [-5, 5]], cover=cover,
                       min_radius=0.25 + delta)
     q_c = np.zeros((2, 4))
-    q_r = np.array([0.25, 0.0, 0.0, 0.0])
+    q_r = np.full(4, 0.25)
     eta1, _ = sop_objective(inst1, q_c, q_r)
     eta2, _ = sop_objective(inst2, q_c, q_r)
     assert eta2 - eta1 == pytest.approx(delta, abs=1e-12)
@@ -466,14 +466,15 @@ def test_stlcg_1_solve_keeps_evals_with_fewer_monitor_calls(monkeypatch):
 def test_solve_reuses_the_instance_bases_and_robustness_constant(name, tube_bounds,
                                                                  monkeypatch):
     # the instance derives its bases and the formula's constant once, so a
-    # solve builds no basis and never re-derives l_rho; it still bounds one
-    # tube per certificate-polish trial plus the result's, but the trials of
-    # a sweep in one batched pass (745 and 803 single-tube calls before)
+    # solve constructs no BernsteinBasis and never re-derives l_rho; it still
+    # bounds one tube per certificate-polish trial plus the result's, but the
+    # trials of a sweep in one batched pass (745 and 803 single-tube calls
+    # before)
     passes = {"stlcg_1": 48, "quadrotor_cycle": 26}[name]
     config = load_config(ROOT / "configs" / f"{name}.yaml")
     instance = config.instance()
     calls, pass_sizes = Counter(), []
-    for attr in ("make_basis", "robustness_lipschitz", "tube_lipschitz",
+    for attr in ("BernsteinBasis", "robustness_lipschitz", "tube_lipschitz",
                  "tube_lipschitz_many"):
         def counting(*args, _attr=attr, _original=getattr(synthesis, attr), **kwargs):
             calls[_attr] += 1
@@ -482,7 +483,7 @@ def test_solve_reuses_the_instance_bases_and_robustness_constant(name, tube_boun
             return _original(*args, **kwargs)
         monkeypatch.setattr(synthesis, attr, counting)
     solve_sop(instance, config.solver_settings(seed=0))
-    assert calls["make_basis"] == 0
+    assert calls["BernsteinBasis"] == 0
     assert calls["robustness_lipschitz"] == 0
     assert calls["tube_lipschitz"] == 1
     assert len(pass_sizes) == passes and sum(pass_sizes) + 1 == tube_bounds
@@ -675,7 +676,7 @@ def test_combine_constants_monotone_in_radius_max():
 
 def test_combined_lipschitz_uses_tube_bounds():
     inst = _instance("G[0,2] B", BIG_BOX, 2.0, [[-5, 5], [-5, 5]])
-    tube = inst.make_tube(np.zeros((2, 4)), np.array([2.0, 0.0, 0.0, 0.0]))
+    tube = inst.make_tube(np.zeros((2, 4)), np.full(4, 2.0))
     info = inst.lipschitz(tube)
     tl = tube_lipschitz(tube)
     assert info.radius_max == pytest.approx(tl.radius_max)
@@ -694,7 +695,7 @@ def _result_with(eta, combined, eps):
     info = LipschitzInfo(robustness=1.0, center=0.0, radius=0.0, radius_max=1.0,
                          sphere=1.0, mu=1.0, combined=combined)
     inst = _instance("G[0,1] B", BIG_BOX, 1.0, [[-5, 5], [-5, 5]])
-    tube = inst.make_tube(np.zeros((2, 4)), np.array([1.0, 0, 0, 0]))
+    tube = inst.make_tube(np.zeros((2, 4)), np.full(4, 1.0))
     return SynthesisResult(tube=tube, eta_star=eta, lipschitz=info, epsilon=eps,
                            certificate_ok=eta + combined * eps <= 0,
                            worst_constraint="radius@tau[0]", diagnostics={})
@@ -718,8 +719,8 @@ def test_warm_start_respects_boxes_and_pin():
         "O": BoxInfNorm((10.5, 7.5), 1.5),
     }
     inst = _instance("S => F[6,7] (T1 | T2) & F[14,15] Gl & G[0,15] !O",
-                     table, 15.0, [[-1, 22], [-1, 19]], basis="bernstein",
-                     start=(0.15, 0.15), pin=True, center_count=5)
+                     table, 15.0, [[-1, 22], [-1, 19]], start=(0.15, 0.15),
+                     center_count=5)
     q_c, q_r = warm_start(inst)
     assert np.all(q_c >= inst.center_box[..., 0] - 1e-12)
     assert np.all(q_c <= inst.center_box[..., 1] + 1e-12)
@@ -737,8 +738,7 @@ def test_warm_start_dwell_scheduling():
         "Gn": BoxInfNorm((6.5, 2.5), 1.75),
     }
     inst = _instance("F[0,10] G[0,5] R & F[0,10] G[0,5] Gn", table, 15.0,
-                     [[0, 9], [0, 9]], basis="bernstein", start=(2.5, 2.5),
-                     center_count=7)
+                     [[0, 9], [0, 9]], start=(2.5, 2.5), center_count=7)
     from tubecbf.synthesis import _reach_items
     items = _reach_items(inst.formula)
     assert len(items) == 2
@@ -761,8 +761,8 @@ def _stay_instance(cover_radius=0.2):
     # radius_max also caps the combined Lipschitz constant, so it is part of
     # the certification budget together with the cover radius
     return _instance("F[0,4] T & G[0,4] T", STAY_TABLE, 4.0, [[0, 9], [0, 9]],
-                     basis="bernstein", cover=CoverSpec.for_radius(cover_radius, 2, 4.0),
-                     start=(4.5, 4.5), pin=True, radius_max=2.0)
+                     cover=CoverSpec.for_radius(cover_radius, 2, 4.0),
+                     start=(4.5, 4.5), radius_max=2.0)
 
 
 def test_solve_sop_feasible_stay_task_certifies():
@@ -778,9 +778,9 @@ def test_solve_sop_feasible_stay_task_certifies():
 
 def test_solve_sop_reach_task_feasible():
     table = {"T": BoxInfNorm((5.0, 5.0), 2.5)}
-    inst = _instance("F[0,4] T", table, 4.0, [[0, 8], [0, 8]], basis="bernstein",
+    inst = _instance("F[0,4] T", table, 4.0, [[0, 8], [0, 8]],
                      cover=CoverSpec.for_radius(0.35, 2, 4.0), start=(1.5, 1.5),
-                     pin=True, radius_max=1.5, center_count=5)
+                     radius_max=1.5, center_count=5)
     result = solve_sop(inst, SolverSettings(seed=1, budget=1500))
     assert result.eta_star <= 0.0
     # the sampled solution is feasible well beyond the sampled grid
@@ -790,7 +790,7 @@ def test_solve_sop_reach_task_feasible():
 def test_solve_sop_contradiction_stays_infeasible():
     table = {"T": BoxInfNorm((2.0, 2.0), 1.0)}
     inst = _instance("F[0,1] T & G[0,1] !T", table, 1.0, [[0, 4], [0, 4]],
-                     basis="bernstein", cover=CoverSpec.for_radius(0.4, 2, 1.0))
+                     cover=CoverSpec.for_radius(0.4, 2, 1.0))
     result = solve_sop(inst, SolverSettings(seed=2, budget=400))
     assert result.eta_star > 0.0
     assert not result.certificate_ok
@@ -798,7 +798,7 @@ def test_solve_sop_contradiction_stays_infeasible():
 
 def test_solve_sop_requires_a_cover():
     inst = _instance("F[0,4] T & G[0,4] T", STAY_TABLE, 4.0, [[0, 9], [0, 9]],
-                     basis="bernstein", start=(4.5, 4.5), pin=True)
+                     start=(4.5, 4.5))
     with pytest.raises(ValueError, match="no cover"):
         solve_sop(inst, SolverSettings(seed=0, budget=100))
 
@@ -827,8 +827,7 @@ def test_solve_sop_box_enlargement_never_hurts_with_warm_start():
     r_small = solve_sop(inst_small, settings)
 
     bigger = _instance("F[0,4] T & G[0,4] T", STAY_TABLE, 4.0, [[-1, 10], [-1, 10]],
-                       basis="bernstein", cover=inst_small.cover,
-                       start=(4.5, 4.5), pin=True, radius_max=3.0)
+                       cover=inst_small.cover, start=(4.5, 4.5), radius_max=3.0)
     warm = (r_small.tube.center_coeffs, r_small.tube.radius_coeffs)
     r_big = solve_sop(bigger, settings, warm=warm)
     assert r_big.eta_star <= r_small.eta_star + 1e-12

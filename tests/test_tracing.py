@@ -38,7 +38,7 @@ def test_tracer_sees_every_layer_a_solve_calls_through():
     instance = SOPInstance(parse("F[0,4] T & G[0,4] T", table), n=2, t_f=4.0,
                            state_bounds=[[0, 9], [0, 9]], radius_max=2.0,
                            cover=CoverSpec.for_radius(0.2, 2, 4.0),
-                           start_center=(4.5, 4.5), pin_start=True)
+                           start_center=(4.5, 4.5))
     tracer = _load_tracing().Tracer()
     tracer.install(tubecbf)
     try:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubecbf.basis import BernsteinBasis, MonomialBasis, make_basis
+from tubecbf.basis import BernsteinBasis
 from tubecbf.tube import (
     SampledTube,
     Tube,
@@ -22,32 +22,21 @@ from tubecbf.tube import (
     tube_to_record,
 )
 
-
-def _monomial_tube(q_c, q_r, t_f=10.0):
-    q_c = np.atleast_2d(np.asarray(q_c, dtype=float))
-    q_r = np.asarray(q_r, dtype=float)
-    return Tube(q_c, q_r,
-                MonomialBasis(q_c.shape[1], t_f),
-                MonomialBasis(len(q_r), t_f))
+from gen import bernstein_points, power_tube
 
 
-def _random_tube(rng, n=2, z_c=4, z_r=4, t_f=5.0, kind="bernstein"):
-    return Tube(rng.uniform(-2, 2, size=(n, z_c)),
-                rng.uniform(0.3, 2.0, size=z_r),
-                make_basis(kind, z_c, t_f),
-                make_basis(kind, z_r, t_f))
+def _random_tube(rng, n=2, z_c=4, z_r=4, t_f=5.0, power=False):
+    # power=True reads the draws as power-form coefficients of the curves,
+    # whose Bernstein control points reach far beyond the draws' range
+    q_c, q_r = rng.uniform(-2, 2, size=(n, z_c)), rng.uniform(0.3, 2.0, size=z_r)
+    if power:
+        return power_tube(q_c, q_r, t_f)
+    return Tube(q_c, q_r, BernsteinBasis(z_c, t_f), BernsteinBasis(z_r, t_f))
 
 
 # ---------------------------------------------------------------------------
-# basis families
+# basis
 # ---------------------------------------------------------------------------
-
-def test_monomial_values_and_derivatives():
-    b = MonomialBasis(3, 10.0)
-    assert np.allclose(b.values(2.0), [1.0, 2.0, 4.0])
-    assert np.allclose(b.derivatives(2.0), [0.0, 1.0, 4.0])
-    assert np.allclose(b.second_derivatives(2.0), [0.0, 0.0, 2.0])
-
 
 def test_bernstein_partition_of_unity():
     b = BernsteinBasis(5, 4.0)
@@ -62,9 +51,11 @@ def test_bernstein_partition_of_unity():
 def test_basis_derivative_matches_finite_differences():
     rng = np.random.default_rng(0)
     h = 1e-6
-    for kind in ("monomial", "bernstein"):
-        b = make_basis(kind, 5, 7.0)
+    b = BernsteinBasis(5, 7.0)
+    for power in (True, False):
         coeffs = rng.uniform(-2, 2, size=5)
+        if power:
+            coeffs = bernstein_points(coeffs, 7.0)
         for t in rng.uniform(0.1, 6.9, size=20):
             f = lambda u: float(coeffs @ b.values(u))
             fd = (f(t + h) - f(t - h)) / (2 * h)
@@ -78,17 +69,14 @@ def test_basis_derivative_matches_finite_differences():
 
 def test_basis_bounds_dominate_grid():
     rng = np.random.default_rng(1)
-    for kind in ("monomial", "bernstein"):
-        b = make_basis(kind, 5, 3.0)
+    b = BernsteinBasis(5, 3.0)
+    for power in (True, False):
         coeffs = rng.uniform(-2, 2, size=5)
+        if power:
+            coeffs = bernstein_points(coeffs, 3.0)
         ts = np.linspace(0, 3.0, 500)
         d2 = np.abs(coeffs @ b.second_derivatives(ts)).max()
         assert b.second_derivative_bound(coeffs) >= d2 - 1e-12
-
-
-def test_make_basis_unknown_kind():
-    with pytest.raises(ValueError):
-        make_basis("fourier", 4, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +84,7 @@ def test_make_basis_unknown_kind():
 # ---------------------------------------------------------------------------
 
 def test_center_monomial_examples():
-    tube = _monomial_tube([[1.0, 2.0]], [1.0], t_f=10.0)
+    tube = power_tube([[1.0, 2.0]], [1.0], t_f=10.0)
     assert tube.center(0.0)[0] == pytest.approx(1.0)
     assert tube.center(3.0)[0] == pytest.approx(7.0)
 
@@ -111,11 +99,11 @@ def test_bernstein_constant_coefficients():
 
 
 def test_radius_and_derivatives():
-    tube = _monomial_tube([[0.0, 0.0]], [2.0, 0.0], t_f=10.0)
+    tube = power_tube([[0.0, 0.0]], [2.0, 0.0], t_f=10.0)
     assert tube.radius(4.2) == pytest.approx(2.0)
     assert tube.radius_dot(4.2) == pytest.approx(0.0)
 
-    tube2 = _monomial_tube([[0.0, 0.0]], [0.0, 1.0], t_f=10.0)
+    tube2 = power_tube([[0.0, 0.0]], [0.0, 1.0], t_f=10.0)
     assert tube2.radius(5.0) == pytest.approx(5.0)
     assert tube2.radius_dot(5.0) == pytest.approx(1.0)
 
@@ -123,8 +111,8 @@ def test_radius_and_derivatives():
 def test_tube_derivatives_match_finite_differences():
     rng = np.random.default_rng(2)
     h = 1e-6
-    for kind in ("monomial", "bernstein"):
-        tube = _random_tube(rng, kind=kind)
+    for power in (True, False):
+        tube = _random_tube(rng, power=power)
         for t in rng.uniform(0.1, 4.9, size=25):
             cd_fd = (tube.center(t + h) - tube.center(t - h)) / (2 * h)
             assert np.allclose(tube.center_dot(t), cd_fd, atol=1e-5)
@@ -133,7 +121,7 @@ def test_tube_derivatives_match_finite_differences():
 
 
 def test_time_range_checked():
-    tube = _monomial_tube([[0.0, 1.0]], [1.0], t_f=2.0)
+    tube = power_tube([[0.0, 1.0]], [1.0], t_f=2.0)
     with pytest.raises(ValueError):
         tube.center(2.5)
     with pytest.raises(ValueError):
@@ -174,12 +162,12 @@ def _sampled_view_cases():
     for path in sorted(ref.glob("*_tube.json")):
         yield path.stem, load_tube(path), 0.05
     rng = np.random.default_rng(21)
-    for kind in ("monomial", "bernstein"):
+    for form in ("power", "bernstein"):
         for n in (2, 3):
             for z in range(2, 13):
                 t_f = float(rng.uniform(1.0, 30.0))
-                tube = _random_tube(rng, n=n, z_c=z, z_r=z, t_f=t_f, kind=kind)
-                yield f"{kind}-{n}-{z}", tube, t_f / int(rng.integers(20, 60))
+                tube = _random_tube(rng, n=n, z_c=z, z_r=z, t_f=t_f, power=form == "power")
+                yield f"{form}-{n}-{z}", tube, t_f / int(rng.integers(20, 60))
 
 
 def test_sampled_view_is_bit_identical_at_closed_loop_times():
@@ -197,7 +185,7 @@ def test_sampled_view_is_bit_identical_at_closed_loop_times():
 
 def test_sampled_view_clamps_like_the_tube():
     rng = np.random.default_rng(5)
-    tube = _random_tube(rng, kind="bernstein")
+    tube = _random_tube(rng)
     ts = [-1e-12, 0.0, 2.5, tube.t_f, tube.t_f + 1e-12]
     _assert_view_matches(SampledTube(tube, ts), tube, ts)
     with pytest.raises(ValueError):
@@ -241,7 +229,7 @@ def test_sphere_map_covers_directions():
 # ---------------------------------------------------------------------------
 
 def test_boundary_point_examples():
-    tube = _monomial_tube([[0.0, 0.0], [0.0, 0.0]], [2.0], t_f=10.0)
+    tube = power_tube([[0.0, 0.0], [0.0, 0.0]], [2.0], t_f=10.0)
     assert np.allclose(boundary_point(tube, [0.0], 0.0, 1.0), tube.center(1.0))
     assert np.allclose(boundary_point(tube, [0.0], 1.0, 1.0), [2.0, 0.0])
     with pytest.raises(ValueError):
@@ -262,7 +250,7 @@ def test_boundary_point_distance_identity():
 
 def test_boundary_points_cover_ball():
     rng = np.random.default_rng(6)
-    tube = _monomial_tube([[1.0, 0.0], [2.0, 0.0]], [1.5], t_f=1.0)
+    tube = power_tube([[1.0, 0.0], [2.0, 0.0]], [1.5], t_f=1.0)
     thetas = np.linspace(0, 2 * math.pi, 126)[:, None]
     lams = np.linspace(0, 1, 40)
     dirs = sphere_map_many(thetas)
@@ -280,14 +268,14 @@ def test_boundary_points_cover_ball():
 # ---------------------------------------------------------------------------
 
 def test_tube_lipschitz_constant_radius():
-    tube = _monomial_tube([[0.0, 0.0]], [2.0, 0.0], t_f=10.0)
+    tube = power_tube([[0.0, 0.0]], [2.0, 0.0], t_f=10.0)
     tl = tube_lipschitz(tube)
     assert tl.radius == pytest.approx(0.0, abs=1e-12)
     assert tl.radius_max == pytest.approx(2.0, abs=1e-9)
 
 
 def test_tube_lipschitz_linear_radius():
-    tube = _monomial_tube([[0.0, 0.0]], [0.0, 1.0], t_f=10.0)
+    tube = power_tube([[0.0, 0.0]], [0.0, 1.0], t_f=10.0)
     tl = tube_lipschitz(tube)
     assert tl.radius == pytest.approx(1.0, abs=1e-9)
     assert tl.radius_max == pytest.approx(10.0, rel=1e-3)
@@ -295,9 +283,9 @@ def test_tube_lipschitz_linear_radius():
 
 def test_tube_lipschitz_upper_bounds_fine_grid():
     rng = np.random.default_rng(7)
-    for kind in ("monomial", "bernstein"):
+    for power in (True, False):
         for _ in range(5):
-            tube = _random_tube(rng, z_c=4, z_r=4, kind=kind)
+            tube = _random_tube(rng, z_c=4, z_r=4, power=power)
             tl = tube_lipschitz(tube)
             ts = np.linspace(0, tube.t_f, 10000)
             speeds = np.linalg.norm(tube.center_coeffs @ tube.center_basis.derivatives(ts), axis=0)
@@ -312,18 +300,21 @@ def test_tube_lipschitz_upper_bounds_fine_grid():
 
 
 def test_tube_lipschitz_many_matches_each_tube_bit_for_bit():
-    # random coefficient batches on both basis kinds, among them batches
-    # larger than one pass; the stacked second-derivative bounds match the
-    # per-row ones, and every constant matches the tube's own tube_lipschitz
+    # random coefficient batches, drawn as control points and as power-form
+    # coefficients, among them batches larger than one pass; the stacked
+    # second-derivative bounds match the per-row ones, and every constant
+    # matches the tube's own tube_lipschitz
     rng = np.random.default_rng(12)
-    for kind in ("bernstein", "monomial"):
+    for form in ("bernstein", "power"):
         for n, z_c, z_r in ((2, 5, 4), (3, 6, 3), (2, 2, 1), (3, 3, 7)):
             per = BLOCK_FLOATS // (n * LIPSCHITZ_GRID_POINTS)
             t_f = float(rng.uniform(1.0, 40.0))
-            cb, rb = make_basis(kind, z_c, t_f), make_basis(kind, z_r, t_f)
+            cb, rb = BernsteinBasis(z_c, t_f), BernsteinBasis(z_r, t_f)
             for m in (1, per + 1, 3 * per + 2):
                 q_c = rng.normal(size=(m, n, z_c)) * 10.0 ** rng.uniform(-2, 2, size=(m, 1, 1))
                 q_r = rng.uniform(0.1, 3.0, size=(m, z_r))
+                if form == "power":
+                    q_c, q_r = bernstein_points(q_c, t_f), bernstein_points(q_r, t_f)
                 stacked = cb.second_derivative_bound(q_c)
                 assert stacked.shape == (m, n)
                 assert all(stacked[i, j] == float(cb.second_derivative_bound(q_c[i, j]))
@@ -339,7 +330,7 @@ def test_tube_lipschitz_many_caps_its_derivative_table():
     # a pass holds at most BLOCK_FLOATS floats of derivatives; 50 3-D tubes
     # in one pass would hold a 1.2 MB table and as much again in squares
     rng = np.random.default_rng(4)
-    cb, rb = make_basis("bernstein", 5, 8.0), make_basis("bernstein", 4, 8.0)
+    cb, rb = BernsteinBasis(5, 8.0), BernsteinBasis(4, 8.0)
     q_c, q_r = rng.normal(size=(50, 3, 5)), rng.uniform(0.1, 3.0, size=(50, 4))
     tube_lipschitz_many(q_c[:1], q_r[:1], cb, rb)  # tabulate the bases
     tracemalloc.start()
@@ -357,7 +348,7 @@ def test_tube_lipschitz_many_caps_its_derivative_table():
 
 def test_tube_record_round_trip(tmp_path):
     rng = np.random.default_rng(8)
-    tube = _random_tube(rng, n=3, z_c=5, z_r=4, kind="bernstein")
+    tube = _random_tube(rng, n=3, z_c=5, z_r=4)
     rec = tube_to_record(tube)
     back = tube_from_record(rec)
     assert np.array_equal(back.center_coeffs, tube.center_coeffs)
