@@ -24,8 +24,8 @@ class Barrier:
 
     b is 1 at the tube center, 0 on the boundary, and negative outside; it is
     well defined whenever the (certified) radius stays positive.  The tube may
-    be a `SampledTube` view, whose answers equal the tube's bit for bit; the
-    radius checks below then read its tabulated radius.
+    be a `SampledTube`, whose tabulated answers equal the tube's bit for bit;
+    the radius checks below then read its tabulated radius.
     """
 
     tube: Union[Tube, SampledTube]
@@ -73,12 +73,11 @@ def min_norm_input(weight: np.ndarray, a: np.ndarray, psi: float) -> np.ndarray:
     u = W^-1 a' (-psi) / (a W^-1 a').  Raises InfeasibleStepError when a = 0
     while psi < 0.
     """
+    if psi >= 0.0:
+        return np.zeros(len(a))
     a = np.asarray(a, dtype=float)
     weight = np.asarray(weight, dtype=float)
-    m = len(a)
-    if psi >= 0.0:
-        return np.zeros(m)
-    if not np.any(a):
+    if not a.any():
         raise InfeasibleStepError(f"constraint row vanished with psi={psi} < 0")
     w_inv_a = np.linalg.solve(weight, a)
     denom = float(a @ w_inv_a)
@@ -87,7 +86,7 @@ def min_norm_input(weight: np.ndarray, a: np.ndarray, psi: float) -> np.ndarray:
     return w_inv_a * (-psi / denom)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ControlStep:
     """QP input/output at one (t, x): barrier data, Lie derivatives, input."""
 

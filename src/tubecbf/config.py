@@ -34,16 +34,16 @@ class ConfigError(ValueError):
 
 def _predicate_from_dict(name: str, spec: dict, dim: int):
     kind = spec.get("kind")
-    if kind == "box":
+    if kind in ("box", "ball"):
         center = tuple(float(v) for v in spec["center"])
         if len(center) != dim:
             raise ConfigError(f"predicate {name!r}: center has wrong dimension")
-        return BoxInfNorm(center, float(spec["halfwidth"]))
-    if kind == "ball":
-        center = tuple(float(v) for v in spec["center"])
-        if len(center) != dim:
-            raise ConfigError(f"predicate {name!r}: center has wrong dimension")
-        return BallNorm2(center, float(spec["radius"]))
+        # without a positive size no state satisfies the predicate robustly
+        size_key, shape = ("halfwidth", BoxInfNorm) if kind == "box" else ("radius", BallNorm2)
+        size = float(spec[size_key])
+        if not size > 0:
+            raise ConfigError(f"predicate {name!r}: {size_key} must be positive, got {size}")
+        return shape(center, size)
     if kind == "halfspace":
         weights = tuple(float(v) for v in spec["weights"])
         if len(weights) != dim:
@@ -129,10 +129,18 @@ class ScenarioConfig:
             raise ConfigError("state_bounds must be one nonempty [lo, hi] per dimension")
         if self.until_convention not in ("paper", "standard"):
             raise ConfigError(f"unknown until_convention {self.until_convention!r}")
-        if self.x0 is not None and len(self.x0) != self.dimension:
-            raise ConfigError("x0 has wrong dimension")
-        if self.start is not None and len(self.start) != self.dimension:
-            raise ConfigError("start has wrong dimension")
+        for key in ("x0", "start"):
+            point = getattr(self, key)
+            if point is None:
+                continue
+            if len(point) != self.dimension:
+                raise ConfigError(f"{key} has wrong dimension")
+            for v in point:
+                _check_number(key, v)
+        # the tube's center starts at start, which must lie in the workspace
+        if self.start is not None and not all(
+                lo <= v <= hi for v, (lo, hi) in zip(self.start, bounds)):
+            raise ConfigError(f"start {list(self.start)} lies outside state_bounds")
         if self.epsilon is None and self.cover_counts is None:
             raise ConfigError("no certification cover: set epsilon or cover_counts")
         for key in ("min_radius", "epsilon", "center_box_scale", "gain", "input_bound"):

@@ -15,6 +15,16 @@ from typing import Callable, Optional
 import numpy as np
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# constant drifts and input matrices, shared by every step
+_ZERO_DRIFT = {n: _read_only(np.zeros(n)) for n in (2, 3)}
+_IDENTITY = {n: _read_only(np.eye(n)) for n in (2, 3)}
+
+
 @dataclass(frozen=True)
 class OmniRobot:
     """Single integrator: xdot = u, in 2 or 3 dimensions."""
@@ -39,10 +49,10 @@ class OmniRobot:
         return np.asarray(state, dtype=float)
 
     def drift(self, t: float, state: np.ndarray) -> np.ndarray:
-        return np.zeros(self.n)
+        return _ZERO_DRIFT[self.n]
 
     def input_matrix(self, t: float, state: np.ndarray) -> np.ndarray:
-        return np.eye(self.n)
+        return _IDENTITY[self.n]
 
     def state_derivative(self, t: float, state: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.asarray(u, dtype=float)
@@ -81,7 +91,7 @@ class DiffDrive:
                          py + self.lookahead * np.sin(phi)])
 
     def drift(self, t: float, state: np.ndarray) -> np.ndarray:
-        return np.zeros(2)
+        return _ZERO_DRIFT[2]
 
     def input_matrix(self, t: float, state: np.ndarray) -> np.ndarray:
         phi = state[2]
@@ -141,6 +151,11 @@ def dynamics_kind(kind, n: Optional[int] = None) -> DynamicsKind:
 
 def make_dynamics(kind: str, n: Optional[int] = None, **params):
     """Model of a named kind with output dimension n (default: the smallest
-    the kind supports)."""
+    the kind supports).  A parameter the kind does not read raises
+    ValueError."""
     spec = dynamics_kind(kind, n)
+    unknown = set(params) - set(spec.params)
+    if unknown:
+        raise ValueError(f"{kind} dynamics: unknown parameters {sorted(unknown)}; "
+                         f"allowed: {sorted(spec.params)}")
     return spec.build(spec.dimensions[0] if n is None else n, params)

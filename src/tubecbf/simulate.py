@@ -3,10 +3,11 @@ and post-hoc robustness monitoring.
 
 A run knows every time it will ask the tube about before its first step: the
 sample instants, the control instants and 0 for the start check.  It
-tabulates the tube's basis rows at those times once (`SampledTube`), so each
-step reads rows instead of re-evaluating the basis polynomials.  Each answer
-is still one `coeffs @ row` product per time, which keeps every barrier value,
-input and log byte equal to a per-step evaluation of the tube.
+tabulates the tube's curves at those times once (`SampledTube`), so each step
+reads stored values instead of evaluating the basis polynomials.  The table
+is filled by stacked per-time products, each the `coeffs @ row` product the
+tube makes, which keeps every barrier value, input and log byte equal to a
+per-step evaluation of the tube.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ def step_rk4(dynamics, t: float, state: np.ndarray, u: np.ndarray, dt: float) ->
         raise ValueError("dt must be positive")
     state = np.asarray(state, dtype=float)
     u = np.asarray(u, dtype=float)
+    half = dt / 2
     k1 = dynamics.state_derivative(t, state, u)
-    k2 = dynamics.state_derivative(t + dt / 2, state + dt / 2 * k1, u)
-    k3 = dynamics.state_derivative(t + dt / 2, state + dt / 2 * k2, u)
+    k2 = dynamics.state_derivative(t + half, state + half * k1, u)
+    k3 = dynamics.state_derivative(t + half, state + half * k2, u)
     k4 = dynamics.state_derivative(t + dt, state + dt * k3, u)
     out = state + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise SimulationError(f"non-finite state after step at t={t}")
     return out
 
@@ -70,10 +72,10 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     saturation count reported; the invariance argument assumes no clamping.
 
     The barrier is rebuilt once per run, with the same gain, over a
-    `SampledTube` of its tube at 0 and every sample and control instant.  The
-    view still makes one `coeffs @ row` product per time, on rows equal to
-    the per-step basis rows; a single stacked product over the whole table
-    would round differently and change the log.
+    `SampledTube` of its tube at 0 and every sample and control instant.  Its
+    table holds one `coeffs @ row` product per time, on rows equal to the
+    per-step basis rows; a flat product over the whole table would round
+    differently and change the log.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -107,8 +109,9 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
                 saturated += 1
                 u = clamped
         # the logged row carries the true barrier at the sample instant and
-        # the input actually applied over the hold interval
-        x = dynamics.output(state)
+        # the input actually applied over the hold interval; qp.x is
+        # output(state), as the state has not moved since the QP
+        x = qp.x
         steps.append(ControlStep(t=t, x=x, b=barrier_value(barrier, t, x),
                                  db_dx=qp.db_dx, db_dt=qp.db_dt, lie_f=qp.lie_f,
                                  lie_g=qp.lie_g, psi=qp.psi, u=u,
@@ -137,21 +140,21 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
 # ---------------------------------------------------------------------------
 
 def write_trajectory_log(path, report: RunReport) -> None:
-    """CSV log: t, x_1..x_n, u_1..u_m, b, psi, active; %.17g round-trips binary64."""
+    """CSV log: t, x_1..x_n, u_1..u_m, b, psi, active; %.17g round-trips binary64.
+
+    Each row is one `%` format of its floats and the active flag, with the
+    `\r\n` line ends of Python's csv writer; no field needs quoting."""
     steps = report.steps
     n = len(steps[0].x)
     m = len(steps[0].u)
     header = (["t"] + [f"x_{i+1}" for i in range(n)] + [f"u_{j+1}" for j in range(m)]
               + ["b", "psi", "active"])
+    row = ",".join(["%.17g"] * (n + m + 3) + ["%d"]) + "\r\n"
+    lines = [",".join(header) + "\r\n"]
+    lines += [row % (s.t, *s.x.tolist(), *s.u.tolist(), s.b, s.psi, s.constraint_active)
+              for s in steps]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for s in steps:
-            row = [f"{s.t:.17g}"]
-            row += [f"{v:.17g}" for v in s.x]
-            row += [f"{v:.17g}" for v in s.u]
-            row += [f"{s.b:.17g}", f"{s.psi:.17g}", "1" if s.constraint_active else "0"]
-            writer.writerow(row)
+        fh.write("".join(lines))
 
 
 def read_trajectory_signal(path) -> Signal:

@@ -80,41 +80,54 @@ class Tube:
 
 
 class SampledTube:
-    """A tube's curves read from basis rows tabulated at fixed times.
+    """A tube's curves tabulated once at fixed times.
 
-    The center and radius bases' values and derivatives at `times` are held as
-    C-contiguous (T, z) row tables, each filled by one vectorized basis call.
-    At a tabulated time every answer is `coeffs @ row`, one product per time:
-    the product the tube itself makes, on a row bit-identical to
-    `basis.values(t)`, so the answers are the tube's to the bit.  (One stacked
-    `coeffs @ table.T` would sum in another order and differ in the last
-    bits.)  A time not in the table raises KeyError.
+    The times are range-checked and clamped in one vectorized pass, as
+    `Tube._check_time` does one at a time, and c(t), c'(t), r(t) and r'(t) are
+    filled by four stacked products, one `coeffs @ row` product per time on
+    basis rows bit-identical to `basis.values(t)`.  Each is the product the
+    tube itself makes, so the answers are the tube's to the bit.  (A flat
+    `coeffs @ table.T` or `table @ q_r` would sum in another order and differ
+    in the last bits.)  A lookup returns the stored row or float; a time not
+    in the table raises KeyError.
     """
 
     def __init__(self, tube: Tube, times):
-        self.tube = tube
         self._row = {t: i for i, t in enumerate(dict.fromkeys(float(t) for t in times))}
-        ts = np.array([tube._check_time(t) for t in self._row], dtype=float)
+        ts = np.array(list(self._row), dtype=float)
+        bad = np.flatnonzero((ts < -_RANGE_SLACK) | (ts > tube.t_f + _RANGE_SLACK))
+        if len(bad):
+            tube._check_time(float(ts[bad[0]]))  # raises the tube's ValueError
+        # min(max(t, 0.0), t_f) to the sign of zero, which np.maximum drops
+        ts = np.where(ts < 0.0, 0.0, ts)
+        ts = np.where(ts > tube.t_f, tube.t_f, ts)
 
-        def rows(fn):
-            return np.ascontiguousarray(fn(ts).T)
+        def center_table(fn):
+            rows = np.ascontiguousarray(fn(ts).T)
+            table = (tube.center_coeffs @ rows[:, :, None])[..., 0]
+            table.setflags(write=False)
+            return table
 
-        self._c_val = rows(tube.center_basis.values)
-        self._c_der = rows(tube.center_basis.derivatives)
-        self._r_val = rows(tube.radius_basis.values)
-        self._r_der = rows(tube.radius_basis.derivatives)
+        def radius_values(fn):
+            rows = np.ascontiguousarray(fn(ts).T)
+            return (rows[:, None, :] @ tube.radius_coeffs[:, None])[:, 0, 0].tolist()
+
+        self._center = center_table(tube.center_basis.values)
+        self._center_dot = center_table(tube.center_basis.derivatives)
+        self._radius = radius_values(tube.radius_basis.values)
+        self._radius_dot = radius_values(tube.radius_basis.derivatives)
 
     def center(self, t: float) -> np.ndarray:
-        return self.tube.center_coeffs @ self._c_val[self._row[t]]
+        return self._center[self._row[t]]
 
     def center_dot(self, t: float) -> np.ndarray:
-        return self.tube.center_coeffs @ self._c_der[self._row[t]]
+        return self._center_dot[self._row[t]]
 
     def radius(self, t: float) -> float:
-        return float(self.tube.radius_coeffs @ self._r_val[self._row[t]])
+        return self._radius[self._row[t]]
 
     def radius_dot(self, t: float) -> float:
-        return float(self.tube.radius_coeffs @ self._r_der[self._row[t]])
+        return self._radius_dot[self._row[t]]
 
 
 def sphere_map(theta) -> np.ndarray:

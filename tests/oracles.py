@@ -5,10 +5,13 @@ direct recursion: no code is shared with the implementation under test beyond
 the formula node types themselves.  The one exception is oracle_closed_loop, a
 replay oracle: the closed loop's step-by-step reference form, which calls the
 library's QP, barrier, integrator and monitor on the plain tube.
+oracle_write_trajectory_log is the trajectory log written field by field
+through Python's csv writer.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -296,3 +299,22 @@ def oracle_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formu
         satisfied=report.satisfied,
         saturated_steps=saturated,
     )
+
+
+def oracle_write_trajectory_log(path, report: RunReport) -> None:
+    """The trajectory log, each field formatted with %.17g (the active flag as
+    1 or 0) and each row written by csv.writer."""
+    steps = report.steps
+    n = len(steps[0].x)
+    m = len(steps[0].u)
+    header = (["t"] + [f"x_{i+1}" for i in range(n)] + [f"u_{j+1}" for j in range(m)]
+              + ["b", "psi", "active"])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for s in steps:
+            row = [f"{s.t:.17g}"]
+            row += [f"{v:.17g}" for v in s.x]
+            row += [f"{v:.17g}" for v in s.u]
+            row += [f"{s.b:.17g}", f"{s.psi:.17g}", "1" if s.constraint_active else "0"]
+            writer.writerow(row)

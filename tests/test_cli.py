@@ -154,6 +154,14 @@ def test_check_bad_nested_block_exits_2(tmp_path, capsys, overrides, named):
     ({"cover_counts": {"theta": [0], "lambda": 3, "tau": 12}}, "theta"),
     ({"cover_counts": {"theta": [10], "lambda": 3, "tau": -4}}, "tau"),
     ({"solver": {"seed": -1, "budget": 800}}, "seed"),
+    ({"start": [100.0, 100.0]}, "start"),
+    ({"start": [4.5, -0.5]}, "start"),
+    ({"predicates": {"T": {"kind": "box", "center": [4.5, 4.5], "halfwidth": -1.0}}},
+     "halfwidth"),
+    ({"predicates": {"T": {"kind": "box", "center": [4.5, 4.5], "halfwidth": 0.0}}},
+     "halfwidth"),
+    ({"predicates": {"T": {"kind": "ball", "center": [4.5, 4.5], "radius": 0.0}}},
+     "radius"),
 ])
 def test_check_out_of_range_value_exits_2(tmp_path, capsys, overrides, named):
     cfg = _write_config(tmp_path, overrides)
@@ -170,6 +178,8 @@ def test_check_out_of_range_value_exits_2(tmp_path, capsys, overrides, named):
     ("search_cover", {"theta": ["a"], "lambda": 4, "tau": 24}),
     ("solver", {"seed": 0, "budget": 10.7}),
     ("solver", {"seed": 0.9, "budget": 2500}),
+    ("x0", ["a", "b"]),
+    ("start", ["a", 1.5]),
 ])
 def test_check_non_numeric_scalar_exits_2(tmp_path, capsys, key, value):
     data = yaml.safe_load((ROOT / "configs" / "omni_reach_avoid.yaml").read_text())

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from gen import power_tube
-from oracles import oracle_closed_loop
+from oracles import oracle_closed_loop, oracle_write_trajectory_log
 from tubecbf import cbf, simulate
 from tubecbf.basis import BernsteinBasis
-from tubecbf.cbf import Barrier, InfeasibleStepError
+from tubecbf.cbf import Barrier, ControlStep, InfeasibleStepError
 from tubecbf.config import load_config
 from tubecbf.dynamics import DiffDrive, OmniRobot, make_dynamics
 from tubecbf.simulate import (
@@ -20,7 +20,7 @@ from tubecbf.simulate import (
     write_trajectory_log,
 )
 from tubecbf.stl import Always, BoxInfNorm, Predicate
-from tubecbf.tube import load_tube
+from tubecbf.tube import SampledTube, load_tube
 
 ROOT = Path(__file__).resolve().parent.parent
 REF_SCENARIOS = ("omni_reach_avoid", "diffdrive_sequential", "stlcg_1", "stlcg_2",
@@ -169,6 +169,15 @@ def test_make_dynamics_unknown():
         make_dynamics("boat")
 
 
+def test_make_dynamics_rejects_parameters_the_kind_does_not_read():
+    # a misspelt look-ahead would otherwise build the default 0.1 model
+    with pytest.raises(ValueError, match="lookahed"):
+        make_dynamics("diffdrive", lookahed=0.3)
+    with pytest.raises(ValueError, match="lookahead"):
+        make_dynamics("omni", lookahead=0.3)
+    assert make_dynamics("diffdrive", lookahead=0.3).lookahead == 0.3
+
+
 # ---------------------------------------------------------------------------
 # tabulated tube against the step-by-step loop
 # ---------------------------------------------------------------------------
@@ -191,6 +200,43 @@ def _loop_args(config, tube, x0_seed):
 def _ref_loop_args(name, x0_seed):
     """_loop_args for one shipped config and its reference tube."""
     return _loop_args(*_reference(name), x0_seed)
+
+
+_CURVES = ("center", "center_dot", "radius", "radius_dot")
+
+
+def _curve_bytes(tube, t):
+    return [np.asarray(getattr(tube, name)(t), dtype=float).tobytes() for name in _CURVES]
+
+
+@pytest.mark.parametrize("name", REF_SCENARIOS)
+def test_tabulated_tube_is_bit_exact_at_every_time_the_loop_asks(monkeypatch, name):
+    config, tube = _reference(name)
+    tables = []
+
+    def recording(tube, times):
+        tables.append((list(times), SampledTube(tube, times)))
+        return tables[-1][1]
+    monkeypatch.setattr(simulate, "SampledTube", recording)
+    config.closed_loop(tube, seed=0)
+    ((times, table),) = tables
+    # 0, then every sample instant and every control instant at the config's dt
+    n_steps = int(round(config.t_f / config.dt))
+    sample = np.linspace(0.0, config.t_f, n_steps + 1).tolist()
+    control = [t + (u - t) / 2.0 for t, u in zip(sample, sample[1:])] + [sample[-1]]
+    assert sorted(set(times)) == sorted({0.0, *sample, *control})
+    for t in times:
+        assert _curve_bytes(table, t) == _curve_bytes(tube, t), t
+    for t in (config.dt / 3.0, config.t_f / 2.0 + 1e-7):
+        for curve in _CURVES:
+            with pytest.raises(KeyError):
+                getattr(table, curve)(t)
+    for t in (-1e-3, config.t_f + 1e-3):
+        with pytest.raises(ValueError) as want:
+            tube.center(t)
+        with pytest.raises(ValueError) as got:
+            SampledTube(tube, [0.0, t, config.t_f])
+        assert str(got.value) == str(want.value)
 
 
 def _assert_same_run(tmp_path, got, want):
@@ -290,6 +336,33 @@ def test_trajectory_log_round_trip(tmp_path):
     sig = read_trajectory_signal(path)
     assert np.array_equal(sig.times, report.trajectory.times)
     assert np.array_equal(sig.states, report.trajectory.states)
+
+
+@pytest.mark.parametrize("name", ["omni_reach_avoid", "diffdrive_sequential", "quadrotor_cycle"])
+def test_trajectory_log_bytes_match_csv_writer(tmp_path, name):
+    config, tube = _reference(name)
+    report = config.closed_loop(tube, seed=0)
+    write_trajectory_log(tmp_path / "got.csv", report)
+    oracle_write_trajectory_log(tmp_path / "want.csv", report)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_trajectory_log_bytes_match_csv_writer_at_extreme_values(tmp_path):
+    def step(t, x, u, b, psi):
+        x, u = np.array(x), np.array(u)
+        return ControlStep(t=t, x=x, b=b, db_dx=np.zeros(2), db_dt=0.0, lie_f=0.0,
+                           lie_g=np.zeros(2), psi=psi, u=u, constraint_active=psi < 0.0)
+    steps = [step(0.0, [-0.0, 1e-300], [1e300, -1e300], 1.0, 0.5),
+             step(0.1, [0.1 + 0.2, -1e-300], [-0.0, 0.0], -0.0, -1e-300),
+             step(0.2, [math.pi, -math.e], [5e-324, 1.7976931348623157e308], 1e-300, -1e300)]
+    report = simulate.RunReport(x0=steps[0].x, trajectory=None, steps=steps, min_b=-0.0,
+                                tube_violations=0, final_robustness=0.0, satisfied=True)
+    write_trajectory_log(tmp_path / "got.csv", report)
+    oracle_write_trajectory_log(tmp_path / "want.csv", report)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"\r\n") == 4 and b",-0," in got
+    assert [line.rsplit(b",", 1)[1] for line in got.splitlines()[1:]] == [b"0", b"1", b"1"]
 
 
 def test_read_trajectory_rejects_other_files(tmp_path):

@@ -5,7 +5,13 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 import tubecbf
+from gen import power_tube
+from tubecbf.cbf import Barrier
+from tubecbf.dynamics import OmniRobot
+from tubecbf.simulate import run_closed_loop
 from tubecbf.stl import BoxInfNorm, parse
 from tubecbf.synthesis import CoverSpec, SOPInstance, SolverSettings, solve_sop
 
@@ -73,3 +79,24 @@ def test_tracer_sees_the_recheck_layers():
     assert names["synthesis.build_cover"] == 1 and names["stl.robustness_batch"] > 0
     tags = {span[5]["tag"] for span in tracer.spans if span[0] == "stl.robustness_batch"}
     assert tags == {"recheck"}
+
+
+def test_tracer_sees_every_closed_loop_step():
+    # the closed loop must call the QP, the integrator, the barrier and the
+    # final monitor through the simulate attributes the tracer wraps
+    tube = power_tube([[4.5, 0.2], [4.5, -0.1]], [1.0, 0.0], 2.0)
+    formula = parse("G[0,2] T", {"T": BoxInfNorm((4.5, 4.5), 3.5)})
+    tracer = _load_tracing().Tracer()
+    tracer.install(tubecbf)
+    try:
+        report = run_closed_loop(OmniRobot(2), Barrier(tube), np.array([4.7, 4.4]), 0.1,
+                                 formula)
+    finally:
+        tracer.uninstall()
+    steps = len(report.steps)
+    assert steps == 21
+    names = Counter(span[0] for span in tracer.spans)
+    assert names["cbf.qp"] == steps
+    assert names["simulate.rk4"] == steps - 1
+    assert names["stl.final_monitor"] == 1
+    assert tracer.counts[(-1, "cbf.barrier_value")] == 2 * steps + 1
