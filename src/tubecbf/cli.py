@@ -51,23 +51,12 @@ def _out_dir(config: ScenarioConfig, args) -> Path:
 
 
 def _format_tree(f, indent: int = 0) -> str:
-    from .stl import And, Or, Not, Until, Eventually, Always, Predicate, TrueFormula
     pad = "  " * indent
-    if isinstance(f, (Predicate, TrueFormula)):
+    if not f.children:
         return f"{pad}{f}"
-    if isinstance(f, Not):
-        return f"{pad}Not\n{_format_tree(f.child, indent + 1)}"
-    if isinstance(f, (And, Or)):
-        name = type(f).__name__
-        return (f"{pad}{name}\n{_format_tree(f.left, indent + 1)}\n"
-                f"{_format_tree(f.right, indent + 1)}")
-    if isinstance(f, (Eventually, Always)):
-        name = "Eventually" if isinstance(f, Eventually) else "Always"
-        return f"{pad}{name}[{f.start:g},{f.end:g}]\n{_format_tree(f.child, indent + 1)}"
-    if isinstance(f, Until):
-        return (f"{pad}Until[{f.start:g},{f.end:g}]\n{_format_tree(f.left, indent + 1)}\n"
-                f"{_format_tree(f.right, indent + 1)}")
-    return f"{pad}{f!r}"
+    window = f"[{f.start:g},{f.end:g}]" if hasattr(f, "end") else ""
+    return "\n".join([f"{pad}{type(f).__name__}{window}"]
+                     + [_format_tree(c, indent + 1) for c in f.children])
 
 
 def _write_tube_profile(tube: Tube, path: Path) -> None:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -160,14 +160,11 @@ class Formula:
         # hashes differ between processes
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
+    @property
+    def children(self) -> tuple:
+        """Child formulas, in field order (left before right)."""
+        return tuple(v for v in (getattr(self, f.name) for f in fields(self))
+                     if isinstance(v, Formula))
 
 
 def _hash_once(cls):
@@ -299,29 +296,12 @@ def iter_predicates(f: Formula):
         node = stack.pop()
         if isinstance(node, Predicate):
             yield node
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, Until):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, (Eventually, Always)):
-            stack.append(node.child)
+        stack.extend(node.children)
 
 
 def horizon(f: Formula) -> float:
     """Largest lookahead needed to evaluate the formula from its anchor time."""
-    if isinstance(f, (Predicate, TrueFormula)):
-        return 0.0
-    if isinstance(f, Not):
-        return horizon(f.child)
-    if isinstance(f, (And, Or)):
-        return max(horizon(f.left), horizon(f.right))
-    if isinstance(f, Until):
-        return f.end + max(horizon(f.left), horizon(f.right))
-    if isinstance(f, (Eventually, Always)):
-        return f.end + horizon(f.child)
-    raise TypeError(f"unknown formula node {f!r}")
+    return getattr(f, "end", 0.0) + max(map(horizon, f.children), default=0.0)
 
 
 def robustness_lipschitz(f: Formula) -> float:
@@ -373,10 +353,6 @@ class Signal:
     @property
     def dimension(self) -> int:
         return self.states.shape[1]
-
-    @property
-    def end_time(self) -> float:
-        return float(self.times[-1])
 
 
 @dataclass(frozen=True)

@@ -389,8 +389,12 @@ class _ObjectiveGrid:
         candidates while they fit the block and slices of one candidate's
         trajectories otherwise.  Yields (candidates, trajectories, rho) slices
         per call, so the caller stores each block where it belongs, holds no
-        second buffer, and may stop between calls."""
+        second buffer, and may stop between calls.  With no trajectories it
+        yields one empty slice of every candidate and makes no call."""
         m, k = radii.shape[1], dirs.shape[1]
+        if not k:
+            yield slice(0, m), slice(0, 0), np.empty((m, 0))
+            return
         group = max(1, self._per_call // k)
         span = min(k, self._per_call)
         for c in range(0, m, group):
@@ -428,7 +432,6 @@ class _ObjectiveGrid:
         # one row of terms per candidate: t radius terms, then k of -rho
         terms = np.empty((m, t + k))
         terms[:, :t] = self._radius_terms(radii)
-        neg_rho = terms[:, t:]
         values = plus_slack(terms[:, :t].max(axis=1), slice(None))
         idx = np.full(m, -1)
         live = np.flatnonzero(values < bound)
@@ -439,67 +442,37 @@ class _ObjectiveGrid:
         # a screen costs a monitor call of its own, so it is skipped when the
         # full evaluation of every live candidate fits one call anyway (and
         # with bound=inf, when every candidate is evaluated in full)
-        fits = len(live) * k <= self._per_call
-        seen = np.array(sorted(self.witnesses) if bound < math.inf and not fits else [],
-                        dtype=int)
-        # the remaining trajectories: every one, with no copy of the
-        # directions or of their indices, or those the witnesses left
-        rest = None
-        if len(seen):
-            mask = np.ones(k, dtype=bool)
-            mask[seen] = False
-            rest = np.flatnonzero(mask)
-        dirs = self.scaled_dirs if rest is None else self.scaled_dirs[:, rest]
-
-        def finish(rows):
-            """Full values of rows; the length of the prefix to return: up
-            to the first value below bound, else m."""
-            full = terms[rows]
-            idx[rows] = np.argmax(full, axis=1)
-            values[rows] = plus_slack(full[np.arange(len(rows)), idx[rows]], rows)
-            below = rows[values[rows] < bound] if bound < math.inf else rows[:0]
-            cut = int(below[0]) + 1 if len(below) else m
-            self.witnesses.update(int(i) - t for i in idx[rows[rows < cut]] if i >= t)
-            return cut
-
-        def score(pos):
-            """The remaining trajectories of live[pos] in block-sized calls, in
-            order, up to the first call that completes a value below bound;
-            the length of the prefix to return."""
-            if not dirs.shape[1]:
-                return finish(live[pos])
-            for cs, ks, rho in self._rho(center[:, :, pos], radii[:, pos], dirs):
+        screened = np.zeros(k, dtype=bool)
+        if bound < math.inf and len(live) * k > self._per_call:
+            screened[list(self.witnesses)] = True
+        seen, rest = np.flatnonzero(screened), np.flatnonzero(~screened)
+        seen_dirs, rest_dirs = self.scaled_dirs[:, seen], self.scaled_dirs[:, rest]
+        # one call's worth of candidates per screen, or all of them unscreened
+        batch = max(1, self._per_call // len(seen)) if len(seen) else len(live)
+        for lo in range(0, len(live), batch):
+            pos = np.arange(lo, min(lo + batch, len(live)))
+            if len(seen):
+                # the witness screen keeps the candidates still below bound
+                for cs, ks, rho in self._rho(center[:, :, pos], radii[:, pos], seen_dirs):
+                    terms[live[pos[cs], None], t + seen[ks]] = -rho
+                rows = live[pos]
+                screen = plus_slack(terms[rows[:, None], t + seen].max(axis=1), rows)
+                values[rows] = np.maximum(values[rows], screen)
+                pos = pos[values[rows] < bound]
+            # the remaining trajectories of the survivors, in candidate order;
+            # a block that completes candidates gives them exact values
+            for cs, ks, rho in self._rho(center[:, :, pos], radii[:, pos], rest_dirs):
                 rows = live[pos[cs]]
-                if rest is None:
-                    neg_rho[rows, ks] = -rho
-                else:
-                    neg_rho[rows[:, None], rest[ks]] = -rho
-                if ks.stop == dirs.shape[1]:
-                    cut = finish(rows)
-                    if cut < m:
-                        return cut
-            return m
-
-        if not len(seen):
-            cut = score(np.arange(len(live)))
-            return values[:cut], idx[:cut]
-        # the witness screen, one call's worth of candidates at a time, each
-        # followed by the remaining trajectories of the candidates it passes
-        screen_dirs = self.scaled_dirs[:, seen]
-        per_screen = max(1, self._per_call // len(seen))
-        for lo in range(0, len(live), per_screen):
-            pos = np.arange(lo, min(lo + per_screen, len(live)))
-            top = np.full(len(pos), -math.inf)
-            for cs, ks, rho in self._rho(center[:, :, pos], radii[:, pos], screen_dirs):
-                neg_rho[live[pos[cs], None], seen[ks]] = neg = -rho
-                np.maximum(top[cs], neg.max(axis=1), out=top[cs])
-            rows = live[pos]
-            values[rows] = np.maximum(values[rows], plus_slack(top, rows))
-            passed = pos[values[rows] < bound]
-            if len(passed):
-                cut = score(passed)
-                if cut < m:
-                    return values[:cut], idx[:cut]
+                terms[rows[:, None], t + rest[ks]] = -rho
+                if ks.stop < len(rest):
+                    continue
+                idx[rows] = np.argmax(terms[rows], axis=1)
+                values[rows] = plus_slack(terms[rows, idx[rows]], rows)
+                below = np.flatnonzero(values[rows] < bound) if bound < math.inf else []
+                done = rows[:below[0] + 1] if len(below) else rows
+                self.witnesses.update((idx[done][idx[done] >= t] - t).tolist())
+                if len(below):
+                    return values[:done[-1] + 1], idx[:done[-1] + 1]
         return values, idx
 
     def cell_max(self, q_c: np.ndarray, q_r: np.ndarray, factor: int) -> tuple[float, int]:

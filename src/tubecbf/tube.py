@@ -89,10 +89,11 @@ class SampledTube:
     tube itself makes, so the answers are the tube's to the bit.  (A flat
     `coeffs @ table.T` or `table @ q_r` would sum in another order and differ
     in the last bits.)  A lookup returns the stored row or float; a time not
-    in the table raises KeyError.
+    in the table raises KeyError.  `t_f` is the tube's.
     """
 
     def __init__(self, tube: Tube, times):
+        self.t_f = tube.t_f
         self._row = {t: i for i, t in enumerate(dict.fromkeys(float(t) for t in times))}
         ts = np.array(list(self._row), dtype=float)
         bad = np.flatnonzero((ts < -_RANGE_SLACK) | (ts > tube.t_f + _RANGE_SLACK))

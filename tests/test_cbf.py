@@ -11,7 +11,7 @@ from tubecbf.cbf import (
     solve_safety_qp,
 )
 from tubecbf.dynamics import OmniRobot
-from tubecbf.tube import Tube
+from tubecbf.tube import SampledTube, Tube
 
 from gen import power_tube
 from oracles import oracle_min_norm_qp
@@ -51,6 +51,12 @@ def test_barrier_level_set_equivalence():
         b = barrier_value(barrier, t, x)
         inside = np.linalg.norm(x - barrier.tube.center(t)) <= barrier.tube.radius(t)
         assert (b >= 0) == inside
+
+
+def test_barrier_horizon_of_a_sampled_tube():
+    # Barrier admits a SampledTube, and its horizon is the tube's
+    tube = _moving_tube()
+    assert Barrier(SampledTube(tube, [0.0, 1.0])).t_f == tube.t_f == 6.0
 
 
 def test_barrier_requires_positive_radius():

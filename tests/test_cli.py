@@ -9,6 +9,7 @@ import yaml
 from tubecbf.cli import main
 from tubecbf.config import ConfigError, ScenarioConfig, load_config, save_config
 from tubecbf.simulate import read_trajectory_signal
+from tubecbf.stl import horizon, iter_predicates
 from tubecbf.synthesis import SynthesisResult
 from tubecbf.tube import tube_to_record
 
@@ -98,6 +99,42 @@ def test_check_happy_path(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "horizon: 4" in out
     assert "lipschitz" in out
+
+
+def test_check_prints_the_tree_of_every_node_kind(tmp_path, capsys):
+    # one formula with every node kind: !, &, |, F, G, U, true, predicates
+    # (one of them twice), and => desugared to ! and |
+    box = {"kind": "box", "center": [4.5, 4.5], "halfwidth": 3.5}
+    formula = "F[0,2] (A U[1,3] B) & (!G[0.5,4] C | true) & (D => F[0,1.5] G[0,1] A)"
+    cfg = _write_config(tmp_path, {"t_f": 5.0, "formula": formula,
+                                   "predicates": {name: box for name in "ABCD"}})
+    assert main(["check", "--config", str(cfg)]) == 0
+    tree = "\n".join([
+        "And",
+        "  And",
+        "    Eventually[0,2]",
+        "      Until[1,3]",
+        "        A",
+        "        B",
+        "    Or",
+        "      Not",
+        "        Always[0.5,4]",
+        "          C",
+        "      true",
+        "  Or",
+        "    Not",
+        "      D",
+        "    Eventually[0,1.5]",
+        "      Always[0,1]",
+        "        A",
+    ])
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"formula: {formula}"
+    assert "\n".join(out[1:-3]) == tree
+    assert out[-3] == "horizon: 5 s"
+    f = load_config(cfg).build_formula()
+    assert horizon(f) == 5.0
+    assert [p.name for p in iter_predicates(f)] == ["A", "D", "C", "B", "A"]
 
 
 def test_check_undeclared_predicate_exits_2(tmp_path, capsys):
