@@ -63,7 +63,6 @@ from .synthesis import (
     recheck_constraints,
     solve_sop,
     sop_objective,
-    verify_certificate,
     warm_start,
 )
 from .tube import (

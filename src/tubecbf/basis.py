@@ -1,8 +1,8 @@
 """The Bernstein polynomial basis of the tube's center and radius curves.
 
-It exposes values and exact first/second time derivatives on [0, t_f], plus
-a control-point bound on the second derivative used when certifying
-Lipschitz constants.
+It exposes values and exact first time derivatives on [0, t_f], plus a
+control-point bound on the second derivative used when certifying Lipschitz
+constants.
 """
 
 from __future__ import annotations
@@ -65,22 +65,6 @@ class BernsteinBasis:
                     out[k] += scale * lower[k - 1]
                 if k <= d - 1:
                     out[k] -= scale * lower[k]
-        return out[:, 0] if scalar else out
-
-    def second_derivatives(self, t) -> np.ndarray:
-        ts, scalar = _as_grid(t)
-        d = self.degree
-        out = np.zeros((self.count, len(ts)))
-        if d >= 2:
-            lower = _bernstein_matrix(d - 2, ts / self.t_f)
-            scale = d * (d - 1) / self.t_f**2
-            for k in range(self.count):
-                if k >= 2:
-                    out[k] += scale * lower[k - 2]
-                if 1 <= k <= d - 1:
-                    out[k] -= 2.0 * scale * lower[k - 1]
-                if k <= d - 2:
-                    out[k] += scale * lower[k]
         return out[:, 0] if scalar else out
 
     def second_derivative_bound(self, coeffs) -> np.ndarray:

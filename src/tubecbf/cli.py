@@ -22,14 +22,7 @@ from .simulate import (
     read_trajectory_signal,
     write_trajectory_log,
 )
-from .stl import (
-    FormulaSyntaxError,
-    IntervalError,
-    UndefinedPredicateError,
-    horizon,
-    robustness,
-    robustness_lipschitz,
-)
+from .stl import horizon, robustness, robustness_lipschitz
 from .synthesis import SynthesisResult, solve_sop
 from .tube import Tube, load_tube, save_tube
 
@@ -38,10 +31,8 @@ EXIT_INPUT = 2
 EXIT_UNCERTIFIED = 3
 EXIT_RUNTIME = 4
 
-# ValueError covers malformed artifact files (tube records, covers, logs)
-_INPUT_ERRORS = (ConfigError, FormulaSyntaxError, IntervalError,
-                 UndefinedPredicateError, FileNotFoundError, KeyError,
-                 ValueError)
+# every input error (configs, formulas, tube records, covers, logs) is a ValueError
+_INPUT_ERRORS = (ValueError, FileNotFoundError)
 
 
 def _out_dir(config: ScenarioConfig, args) -> Path:

@@ -4,7 +4,7 @@ predicates, task formula, solver budgets, and vehicle."""
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -12,7 +12,7 @@ import numpy as np
 import yaml
 
 from .cbf import Barrier
-from .dynamics import dynamics_kind
+from .dynamics import make_dynamics
 from .simulate import RunReport, run_closed_loop
 from .stl import (
     AffineHalfspace,
@@ -33,6 +33,8 @@ class ConfigError(ValueError):
 
 
 def _predicate_from_dict(name: str, spec: dict, dim: int):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"predicates: {name!r} must be a mapping, got {spec!r}")
     kind = spec.get("kind")
     if kind in ("box", "ball"):
         center = tuple(float(v) for v in spec["center"])
@@ -75,6 +77,13 @@ def _check_number(key: str, value) -> None:
         raise ConfigError(f"{key} must be a number, got {value!r}")
 
 
+def _check_vector(key: str, value, length: int) -> None:
+    if np.ndim(value) != 1 or len(value) != length:
+        raise ConfigError(f"{key} must be a list of {length} numbers, got {value!r}")
+    for v in value:
+        _check_number(key, v)
+
+
 def _check_integer(key: str, value, least: int) -> None:
     # int() would truncate a count of 4.6 to 4, so a count must be a true
     # integer (YAML reads `true` as a bool, which is an int in Python)
@@ -82,6 +91,13 @@ def _check_integer(key: str, value, least: int) -> None:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{key} must be at least {least}, got {value}")
+
+
+def _plain(value):
+    """A copy of value with every tuple turned into a list."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return [_plain(v) for v in value] if isinstance(value, (list, tuple)) else value
 
 
 @dataclass
@@ -114,6 +130,11 @@ class ScenarioConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        # name is the stem of every artifact file, so it must not leave --out
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or "/" in self.name or "\\" in self.name):
+            raise ConfigError(f"name must be a file stem with no path separator, "
+                              f"got {self.name!r}")
         _check_integer("dimension", self.dimension, 1)
         _check_integer("x0_seed", self.x0_seed, 0)
         for key in ("t_f", "dt", "min_radius", "epsilon", "center_box_scale",
@@ -130,13 +151,8 @@ class ScenarioConfig:
         if self.until_convention not in ("paper", "standard"):
             raise ConfigError(f"unknown until_convention {self.until_convention!r}")
         for key in ("x0", "start"):
-            point = getattr(self, key)
-            if point is None:
-                continue
-            if len(point) != self.dimension:
-                raise ConfigError(f"{key} has wrong dimension")
-            for v in point:
-                _check_number(key, v)
+            if getattr(self, key) is not None:
+                _check_vector(key, getattr(self, key), self.dimension)
         # the tube's center starts at start, which must lie in the workspace
         if self.start is not None and not all(
                 lo <= v <= hi for v, (lo, hi) in zip(self.start, bounds)):
@@ -150,10 +166,6 @@ class ScenarioConfig:
         if self.radius_max is not None and not self.radius_max >= self.min_radius:
             raise ConfigError(f"radius_max {self.radius_max} is below "
                               f"min_radius {self.min_radius}")
-        for w in self.control_weight or ():
-            _check_number("control_weight", w)
-        if self.control_weight is not None and not all(w > 0 for w in self.control_weight):
-            raise ConfigError("control_weight diagonal must be positive")
         for name in ("cover_counts", "search_cover"):
             block = getattr(self, name)
             if block is not None:
@@ -174,19 +186,21 @@ class ScenarioConfig:
         for key, value in self.basis.items():
             _check_integer(f"basis: {key}", value, 1)
         # predicates and formula are validated together in build_formula
+        if not isinstance(self.predicates, dict):
+            raise ConfigError(f"predicates must be a mapping, got {self.predicates!r}")
         self.build_formula()
         # building the model checks its parameters too (e.g. a diffdrive
         # look-ahead must be positive), so a bad one fails here, not in simulate
         if not isinstance(self.dynamics, dict):
             raise ConfigError("dynamics must be a mapping")
         try:
-            spec = dynamics_kind(self.dynamics.get("kind"), self.dimension)
-            _check_block("dynamics", self.dynamics, {"kind"}, {"kind", *spec.params})
-            spec.build(self.dimension, self.dynamics)
+            model = self.make_dynamics()
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from None
-        if self.control_weight is not None and len(self.control_weight) != self.input_dimension:
-            raise ConfigError("control_weight diagonal has wrong length")
+        if self.control_weight is not None:
+            _check_vector("control_weight", self.control_weight, model.m)
+            if not all(w > 0 for w in self.control_weight):
+                raise ConfigError("control_weight diagonal must be positive")
 
     # -- domain objects ----------------------------------------------------
 
@@ -206,10 +220,12 @@ class ScenarioConfig:
                 f"formula horizon {horizon(f)} exceeds configured t_f {self.t_f}")
         return f
 
+    def _from_counts(self, counts: dict) -> CoverSpec:
+        return CoverSpec.from_counts(counts["theta"], counts["lambda"], counts["tau"], self.t_f)
+
     def cover_spec(self) -> CoverSpec:
         if self.cover_counts is not None:
-            cc = self.cover_counts
-            return CoverSpec.from_counts(cc["theta"], cc["lambda"], cc["tau"], self.t_f)
+            return self._from_counts(self.cover_counts)
         return CoverSpec.for_radius(self.epsilon, self.dimension, self.t_f)
 
     def instance(self) -> SOPInstance:
@@ -226,26 +242,20 @@ class ScenarioConfig:
 
     def solver_settings(self, seed: Optional[int] = None) -> SolverSettings:
         s = self.solver
-        search = None
-        if self.search_cover is not None:
-            sc = self.search_cover
-            search = CoverSpec.from_counts(sc["theta"], sc["lambda"], sc["tau"], self.t_f)
         return SolverSettings(
             seed=s.get("seed", 0) if seed is None else int(seed),
             budget=s.get("budget", 4000),
-            search_cover=search,
+            search_cover=None if self.search_cover is None else self._from_counts(
+                self.search_cover),
         )
 
-    @property
-    def input_dimension(self) -> int:
-        return dynamics_kind(self.dynamics["kind"]).input_dimension(self.dimension)
-
     def make_dynamics(self):
-        return dynamics_kind(self.dynamics["kind"]).build(self.dimension, self.dynamics)
+        params = dict(self.dynamics)
+        return make_dynamics(params.pop("kind", None), self.dimension, **params)
 
     def weight_matrix(self) -> np.ndarray:
         if self.control_weight is None:
-            return np.eye(self.input_dimension)
+            return np.eye(self.make_dynamics().m)
         return np.diag(np.asarray(self.control_weight, dtype=float))
 
     def pick_x0(self, tube, seed: Optional[int] = None) -> np.ndarray:
@@ -274,41 +284,21 @@ class ScenarioConfig:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "dimension": self.dimension,
-            "t_f": self.t_f,
-            "state_bounds": [list(map(float, b)) for b in self.state_bounds],
-            "predicates": {k: dict(v) for k, v in self.predicates.items()},
-            "formula": self.formula,
-            "min_radius": self.min_radius,
-            "basis": dict(self.basis),
-            "center_box_scale": self.center_box_scale,
-            "solver": dict(self.solver),
-            "dynamics": dict(self.dynamics),
-            "x0_seed": self.x0_seed,
-            "dt": self.dt,
-            "gain": self.gain,
-            "until_convention": self.until_convention,
-            "output_dir": self.output_dir,
-        }
-        for key in ("epsilon", "cover_counts", "search_cover", "radius_max",
-                    "start", "x0", "control_weight", "input_bound"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value if not isinstance(value, (list, tuple)) else list(value)
+        """Every set field as plain YAML data, with float state bounds."""
+        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)
+               if getattr(self, f.name) is not None}
+        out["state_bounds"] = [list(map(float, b)) for b in self.state_bounds]
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"name", "dimension", "t_f", "state_bounds", "predicates",
-                   "formula"} - set(data)
+        missing = {f.name for f in fields(cls) if f.default is MISSING
+                   and f.default_factory is MISSING} - set(data)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         return cls(**data)

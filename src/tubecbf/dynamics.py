@@ -109,13 +109,9 @@ class DiffDrive:
 class DynamicsKind:
     """A vehicle model a scenario can name."""
 
-    dimensions: tuple             # output dimensions n the model supports
-    build: Callable               # (n, params) -> model
-    inputs: Optional[int] = None  # input dimension m; None means m = n
-    params: tuple = ()            # the parameter names build reads
-
-    def input_dimension(self, n: int) -> int:
-        return n if self.inputs is None else self.inputs
+    dimensions: tuple   # output dimensions n the model supports
+    build: Callable     # (n, params) -> model
+    params: tuple = ()  # the parameter names build reads
 
 
 def _omni(n: int, params: dict) -> OmniRobot:
@@ -131,13 +127,14 @@ DYNAMICS_KINDS = {
     "omni": DynamicsKind((2, 3), _omni),
     # kinematic position model of a quadrotor: the 3-D single integrator
     "quadrotor": DynamicsKind((3,), _omni),
-    "diffdrive": DynamicsKind((2,), _diffdrive, inputs=2, params=("lookahead", "phi0")),
+    "diffdrive": DynamicsKind((2,), _diffdrive, params=("lookahead", "phi0")),
 }
 
 
-def dynamics_kind(kind, n: Optional[int] = None) -> DynamicsKind:
-    """Table entry of a kind; ValueError for an unknown kind or for an output
-    dimension n the kind does not support."""
+def make_dynamics(kind: str, n: Optional[int] = None, /, **params):
+    """Model of a named kind with output dimension n (default: the smallest
+    the kind supports).  ValueError for an unknown kind, for a dimension the
+    kind does not support, or for a parameter the kind does not read."""
     try:
         spec = DYNAMICS_KINDS[kind]
     except (KeyError, TypeError):
@@ -146,14 +143,6 @@ def dynamics_kind(kind, n: Optional[int] = None) -> DynamicsKind:
     if n is not None and n not in spec.dimensions:
         dims = " or ".join(str(d) for d in spec.dimensions)
         raise ValueError(f"{kind} dynamics support dimension {dims}")
-    return spec
-
-
-def make_dynamics(kind: str, n: Optional[int] = None, **params):
-    """Model of a named kind with output dimension n (default: the smallest
-    the kind supports).  A parameter the kind does not read raises
-    ValueError."""
-    spec = dynamics_kind(kind, n)
     unknown = set(params) - set(spec.params)
     if unknown:
         raise ValueError(f"{kind} dynamics: unknown parameters {sorted(unknown)}; "

@@ -165,7 +165,7 @@ def read_trajectory_signal(path) -> Signal:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[0] != "t":
             raise ValueError(f"{path}: not a trajectory log (missing t column)")
         x_cols = [i for i, name in enumerate(header) if name.startswith("x_")]
@@ -173,6 +173,9 @@ def read_trajectory_signal(path) -> Signal:
             raise ValueError(f"{path}: no state columns found")
         times, states = [], []
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
+                                 f"not {len(header)}")
             times.append(float(row[0]))
             states.append([float(row[i]) for i in x_cols])
     return Signal(np.asarray(times), np.asarray(states))

@@ -240,16 +240,22 @@ class Or(Formula):
         return f"{_paren(self.left)} | {_paren(self.right)}"
 
 
-@_hash_once
 @dataclass(frozen=True)
-class Until(Formula):
+class _Window(Formula):
+    """A temporal operator: its window [start, end] comes before its children."""
+
     start: float
     end: float
-    left: Formula
-    right: Formula
 
     def __post_init__(self):
         _check_interval(self.start, self.end)
+
+
+@_hash_once
+@dataclass(frozen=True)
+class Until(_Window):
+    left: Formula
+    right: Formula
 
     def __str__(self) -> str:
         return f"{_paren(self.left)} U[{self.start:g},{self.end:g}] {_paren(self.right)}"
@@ -257,13 +263,8 @@ class Until(Formula):
 
 @_hash_once
 @dataclass(frozen=True)
-class Eventually(Formula):
-    start: float
-    end: float
+class Eventually(_Window):
     child: Formula
-
-    def __post_init__(self):
-        _check_interval(self.start, self.end)
 
     def __str__(self) -> str:
         return f"F[{self.start:g},{self.end:g}] {_paren(self.child)}"
@@ -271,13 +272,8 @@ class Eventually(Formula):
 
 @_hash_once
 @dataclass(frozen=True)
-class Always(Formula):
-    start: float
-    end: float
+class Always(_Window):
     child: Formula
-
-    def __post_init__(self):
-        _check_interval(self.start, self.end)
 
     def __str__(self) -> str:
         return f"G[{self.start:g},{self.end:g}] {_paren(self.child)}"

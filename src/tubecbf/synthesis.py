@@ -8,7 +8,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -824,7 +824,6 @@ class SynthesisResult:
     eta_star: float
     lipschitz: LipschitzInfo
     epsilon: float
-    certificate_ok: bool
     worst_constraint: str
     diagnostics: dict
     wall_time: float = 0.0  # informational; never serialized
@@ -833,19 +832,16 @@ class SynthesisResult:
     def margin(self) -> float:
         return self.eta_star + self.lipschitz.combined * self.epsilon
 
+    @property
+    def certificate_ok(self) -> bool:
+        """Sampled margin plus Lipschitz slack must clear zero."""
+        return self.margin <= 0.0
+
     def to_dict(self) -> dict:
         return {
             "tube": tube_to_record(self.tube),
             "eta_star": self.eta_star,
-            "lipschitz": {
-                "robustness": self.lipschitz.robustness,
-                "center": self.lipschitz.center,
-                "radius": self.lipschitz.radius,
-                "radius_max": self.lipschitz.radius_max,
-                "sphere": self.lipschitz.sphere,
-                "mu": self.lipschitz.mu,
-                "combined": self.lipschitz.combined,
-            },
+            "lipschitz": asdict(self.lipschitz),
             "epsilon": self.epsilon,
             "certificate_ok": self.certificate_ok,
             "margin": self.margin,
@@ -855,12 +851,9 @@ class SynthesisResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthesisResult":
-        lip = LipschitzInfo(**d["lipschitz"])
         return cls(tube=tube_from_record(d["tube"]), eta_star=d["eta_star"],
-                   lipschitz=lip, epsilon=d["epsilon"],
-                   certificate_ok=d["certificate_ok"],
-                   worst_constraint=d["worst_constraint"],
-                   diagnostics=d["diagnostics"])
+                   lipschitz=LipschitzInfo(**d["lipschitz"]), epsilon=d["epsilon"],
+                   worst_constraint=d["worst_constraint"], diagnostics=d["diagnostics"])
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -868,11 +861,6 @@ class SynthesisResult:
     @classmethod
     def load(cls, path) -> "SynthesisResult":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def verify_certificate(result: SynthesisResult) -> bool:
-    """Sampled margin plus Lipschitz slack must clear zero."""
-    return result.margin <= 0.0
 
 
 def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
@@ -957,12 +945,9 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
         },
         "cover_samples": cert_spec.sample_count,
     }
-    result = SynthesisResult(tube=tube, eta_star=eta_star, lipschitz=lip,
-                             epsilon=cert_spec.radius, certificate_ok=False,
-                             worst_constraint=worst,
-                             diagnostics=diagnostics, wall_time=wall)
-    result.certificate_ok = verify_certificate(result)
-    return result
+    return SynthesisResult(tube=tube, eta_star=eta_star, lipschitz=lip,
+                           epsilon=cert_spec.radius, worst_constraint=worst,
+                           diagnostics=diagnostics, wall_time=wall)
 
 
 def recheck_constraints(instance: SOPInstance, tube: Tube, factor: int = 10) -> float:

@@ -271,13 +271,20 @@ def tube_to_record(tube: Tube) -> dict:
 
 
 def tube_from_record(rec: dict) -> Tube:
-    if rec["basis"] != "bernstein":
+    """Inverse of tube_to_record; ValueError names a missing or malformed field."""
+    def read(key, convert):
+        try:
+            return convert(rec[key])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"tube record: missing or malformed {key!r}") from None
+
+    if read("basis", str) != "bernstein":
         raise ValueError(f"unknown tube basis {rec['basis']!r}; "
                          "tube records hold Bernstein control points")
-    n, z_c, z_r = int(rec["n"]), int(rec["z_c"]), int(rec["z_r"])
-    q_c = np.asarray(rec["q_c"], dtype=float).reshape(n, z_c)
-    q_r = np.asarray(rec["q_r"], dtype=float)
-    t_f = float(rec["t_f"])
+    n, z_c, z_r = read("n", int), read("z_c", int), read("z_r", int)
+    q_c = read("q_c", lambda v: np.asarray(v, dtype=float).reshape(n, z_c))
+    q_r = read("q_r", lambda v: np.asarray(v, dtype=float))
+    t_f = read("t_f", float)
     return Tube(q_c, q_r, BernsteinBasis(z_c, t_f), BernsteinBasis(z_r, t_f))
 
 

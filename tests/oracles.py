@@ -6,7 +6,8 @@ the formula node types themselves.  The one exception is oracle_closed_loop, a
 replay oracle: the closed loop's step-by-step reference form, which calls the
 library's QP, barrier, integrator and monitor on the plain tube.
 oracle_write_trajectory_log is the trajectory log written field by field
-through Python's csv writer.
+through Python's csv writer.  oracle_bernstein_second_derivatives is the
+reference for the basis' control-point bound on the second derivative.
 """
 
 from __future__ import annotations
@@ -31,6 +32,25 @@ from tubecbf.stl import (
     Until,
     robustness,
 )
+
+
+def oracle_bernstein_second_derivatives(count: int, t_f: float, t) -> np.ndarray:
+    """Second time derivatives of the count Bernstein polynomials of degree
+    d = count - 1 on [0, t_f] at the times t, shape (count, len(t)), or
+    (count,) for a scalar t:  d^2/dt^2 B_{k,d}(t/t_f)
+    = d(d-1)/t_f^2 (B_{k-2,d-2} - 2 B_{k-1,d-2} + B_{k,d-2})(t/t_f)."""
+    d = count - 1
+
+    def lower(k, u):  # B_{k,d-2}(u); zero for k outside 0..d-2
+        if not 0 <= k <= d - 2:
+            return 0.0
+        return math.comb(d - 2, k) * u**k * (1.0 - u) ** (d - 2 - k)
+
+    scale = d * (d - 1) / t_f**2
+    ts = [float(s) / t_f for s in np.atleast_1d(t)]
+    out = np.array([[scale * (lower(k - 2, u) - 2.0 * lower(k - 1, u) + lower(k, u))
+                     for u in ts] for k in range(count)])
+    return out[:, 0] if np.ndim(t) == 0 else out
 
 
 def _interp_state(times, states, t):

@@ -62,6 +62,18 @@ def test_config_round_trip(tmp_path):
     assert again == cfg
 
 
+def test_config_built_with_tuples_dumps_and_round_trips():
+    data = {**BASE, "start": (4.5, 4.5), "x0": (4.0, 5.0), "control_weight": (1.0, 2.0),
+            "predicates": {"T": {"kind": "box", "center": (4.5, 4.5), "halfwidth": 3.5}}}
+    cfg = ScenarioConfig(**data)
+    text = yaml.safe_dump(cfg.to_dict(), sort_keys=True)
+    assert "!!python" not in text
+    again = ScenarioConfig.from_dict(yaml.safe_load(text))
+    assert again.to_dict() == cfg.to_dict()
+    assert again == ScenarioConfig.from_dict(cfg.to_dict())
+    assert again.start == [4.5, 4.5] and again.predicates["T"]["center"] == [4.5, 4.5]
+
+
 def test_config_rejects_unknown_and_missing_keys(tmp_path):
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({**BASE, "mystery": 1})
@@ -164,10 +176,19 @@ def test_check_missing_config_exits_2(tmp_path):
     ({"pin_start": True}, "pin_start"),
     ({"dynamics": {"kind": "diffdrive", "lookahed": 0.3}}, "lookahed"),
     ({"dynamics": {"kind": "omni", "lookahead": 0.3}}, "lookahead"),
+    ({"dynamics": {"kind": "omni", "n": 3}}, "['n']"),
+    ({"name": "../escaped"}, "name"),
+    ({"name": "sub/dir"}, "name"),
+    ({"name": ".."}, "name"),
+    ({"name": ""}, "name"),
+    ({"name": 7}, "name"),
 ], ids=["misspelt-solver-key", "removed-solver-key", "cover-counts-missing-key",
         "cover-counts-wrong-dimension", "search-cover-unknown-key", "unknown-basis-kind",
         "no-cover", "removed-basis-kind", "removed-pin-start",
-        "misspelt-dynamics-parameter", "dynamics-parameter-of-another-kind"])
+        "misspelt-dynamics-parameter", "dynamics-parameter-of-another-kind",
+        "dynamics-parameter-named-like-an-argument",
+        "name-leaves-out-dir", "name-with-separator", "name-parent-dir", "empty-name",
+        "name-not-a-string"])
 def test_check_bad_nested_block_exits_2(tmp_path, capsys, overrides, named):
     data = {k: v for k, v in {**BASE, **overrides}.items() if v is not None}
     cfg = tmp_path / "scenario.yaml"
@@ -217,6 +238,11 @@ def test_check_out_of_range_value_exits_2(tmp_path, capsys, overrides, named):
     ("solver", {"seed": 0.9, "budget": 2500}),
     ("x0", ["a", "b"]),
     ("start", ["a", 1.5]),
+    ("predicates", [1, 2]),
+    ("predicates", {"T": 5}),
+    ("x0", 1.5),
+    ("start", 1.5),
+    ("control_weight", 2.0),
 ])
 def test_check_non_numeric_scalar_exits_2(tmp_path, capsys, key, value):
     data = yaml.safe_load((ROOT / "configs" / "omni_reach_avoid.yaml").read_text())
@@ -367,6 +393,42 @@ def test_simulate_rejects_a_tube_record_of_another_basis(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--tube", str(tube_path),
                  "--out", str(tmp_path / "out")]) == 2
     assert "monomial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record, named", [
+    ([], "malformed 'basis'"),
+    ({"n": None, "t_f": 4.0, "basis": "bernstein", "z_c": 2, "z_r": 1,
+      "q_c": [4.5, 4.5, 4.5, 4.5], "q_r": [1.0]}, "malformed 'n'"),
+    ({"n": 2, "t_f": 4.0, "basis": "bernstein", "z_c": 2, "z_r": 1,
+      "q_c": [4.5, 4.5, 4.5, 4.5]}, "malformed 'q_r'"),
+    ({"n": 2, "t_f": 4.0, "basis": "bernstein", "z_c": 3, "z_r": 1,
+      "q_c": [4.5, 4.5, 4.5, 4.5], "q_r": [1.0]}, "malformed 'q_c'"),
+], ids=["list", "null-n", "missing-q_r", "q_c-of-wrong-size"])
+def test_simulate_malformed_tube_record_exits_2(tmp_path, capsys, record, named):
+    tube_path = tmp_path / "bad_tube.json"
+    tube_path.write_text(json.dumps(record))
+    cfg = _write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg), "--tube", str(tube_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+_LOG = "t,x_1,x_2,u_1,u_2,b,psi,active\n0,4.5,4.5,0,0,1,0,0\n4,4.5,4.5,0,0,1,0,0\n"
+
+
+@pytest.mark.parametrize("text, named", [
+    ("", "not a trajectory log"),
+    (_LOG + "\n", "line 4"),
+    (_LOG + "4.5,4.5,4.5\n", "line 4"),
+], ids=["empty-file", "trailing-blank-line", "short-row"])
+def test_verify_malformed_log_exits_2(tmp_path, capsys, text, named):
+    log = tmp_path / "run.csv"
+    log.write_text(text)
+    cfg = _write_config(tmp_path)
+    assert main(["verify", "--config", str(cfg), "--log", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_verify_rejects_obstacle_crossing(tmp_path):

@@ -27,7 +27,6 @@ from tubecbf.synthesis import (
     recheck_constraints,
     solve_sop,
     sop_objective,
-    verify_certificate,
     warm_start,
 )
 from tubecbf.synthesis import _ObjectiveGrid
@@ -693,8 +692,6 @@ def test_combined_lipschitz_uses_tube_bounds():
 # ---------------------------------------------------------------------------
 
 def _result_with(eta, combined, eps):
-    info = combine_constants(1.0, 0.0, 0.0, 1.0, 2)
-    object.__setattr__(info, "combined", combined) if False else None
     # build a LipschitzInfo with the requested combined constant
     from tubecbf.synthesis import LipschitzInfo
     info = LipschitzInfo(robustness=1.0, center=0.0, radius=0.0, radius_max=1.0,
@@ -702,13 +699,12 @@ def _result_with(eta, combined, eps):
     inst = _instance("G[0,1] B", BIG_BOX, 1.0, [[-5, 5], [-5, 5]])
     tube = inst.make_tube(np.zeros((2, 4)), np.full(4, 1.0))
     return SynthesisResult(tube=tube, eta_star=eta, lipschitz=info, epsilon=eps,
-                           certificate_ok=eta + combined * eps <= 0,
                            worst_constraint="radius@tau[0]", diagnostics={})
 
 
 def test_verify_certificate_threshold():
-    assert verify_certificate(_result_with(-0.5, 2.0, 0.1)) is True
-    assert verify_certificate(_result_with(-0.1, 2.0, 0.1)) is False
+    assert _result_with(-0.5, 2.0, 0.1).certificate_ok is True
+    assert _result_with(-0.1, 2.0, 0.1).certificate_ok is False
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +772,6 @@ def test_solve_sop_feasible_stay_task_certifies():
     result = solve_sop(inst, settings)
     assert result.eta_star <= 0.0
     assert result.certificate_ok
-    assert verify_certificate(result)
     # dense re-check: every constraint still clears zero on a 10x finer grid
     assert recheck_constraints(inst, result.tube, factor=10) <= 0.0
 

