@@ -310,6 +310,8 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = yaml.safe_load(path.read_text())
+    except IsADirectoryError:
+        raise ConfigError(f"{path} is a directory, not a config file") from None
     except yaml.YAMLError as e:
         raise ConfigError(f"{path}: {e}")
     return ScenarioConfig.from_dict(data)

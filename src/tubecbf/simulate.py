@@ -163,7 +163,11 @@ def read_trajectory_signal(path) -> Signal:
     Deliberately ignores every other column so verification stays independent
     of the simulator's own barrier and robustness bookkeeping.
     """
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except IsADirectoryError:
+        raise ValueError(f"{path} is a directory, not a trajectory log") from None
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "t":

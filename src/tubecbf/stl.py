@@ -23,14 +23,24 @@ The states come as n coordinate planes (n, T, K), so a predicate reads each
 coordinate of its grid rows as one contiguous (rows, K) block and runs its
 inner loop over the trajectories.  Off-grid rows come from interpolation:
 each call first interpolates the planes once at every distinct set of
-off-grid times the plan's leaves need, and each leaf applies its predicate
-to the planes of its own set, so leaves that need the same times, such as
-the two conjuncts of F G p & F G q, share one interpolation.
+off-grid times the plan's leaves need, with one gather of both neighbouring
+samples of every time across all n planes, weighted in place and summed into
+the planes the leaves read, so leaves that need the same times, such as the
+two conjuncts of F G p & F G q, share one interpolation.  A leaf allocates one table and has its predicate
+write the grid rows, then the off-grid rows of its set, into it.
 F and G reduce each window as its two endpoint rows plus a doubling table of
 min/max over the grid rows, built one level at a time; a lone window reduces
 its grid slice directly.  Until sweeps the columns of a (Q, W) table of
 window-member rows.  So memory stays O(rows * K) per live node, and nothing
 is ever gathered per (query, window member, trajectory).
+
+Tables are reused in place within a call.  Every node returns a fresh table
+that its parent may overwrite: Not negates its child's table in place, And
+and Or write the min or max into their left child's table, a lone F or G
+window folds its interior into the row of its two endpoints, and predicates
+run their arithmetic in their own arrays.  The states are only read, and no
+buffer outlives the call.  Every operation keeps its operands and their
+order, so a value does not depend on where it is computed.
 """
 
 from __future__ import annotations
@@ -67,10 +77,12 @@ class UndefinedPredicateError(ValueError):
 # ---------------------------------------------------------------------------
 # Predicate functions
 # ---------------------------------------------------------------------------
-# value(planes) takes the states as their n coordinate arrays x_0 .. x_{n-1},
-# all of one shape, and returns h elementwise in that shape.  value_scale(b)
-# bounds the magnitude of every intermediate of value, and of the result, at
-# states whose coordinates are at most b in magnitude.
+# value(planes, out=None) takes the states as their n coordinate arrays
+# x_0 .. x_{n-1}, all of one shape, and returns h elementwise in that shape,
+# written into out when it is given.  It never writes into the planes, and
+# after its first operation every step runs in place on its own array.
+# value_scale(b) bounds the magnitude of every intermediate of value, and of
+# the result, at states whose coordinates are at most b in magnitude.
 
 @dataclass(frozen=True)
 class AffineHalfspace:
@@ -79,13 +91,14 @@ class AffineHalfspace:
     weights: tuple
     offset: float
 
-    def value(self, planes) -> np.ndarray:
+    def value(self, planes, out=None) -> np.ndarray:
         # summed one coordinate at a time in a fixed order, so a state's value
         # does not depend on the layout of the batch it is evaluated in
-        out = planes[0] * self.weights[0]
+        out = np.multiply(planes[0], self.weights[0], out=out)
+        term = np.empty_like(out)
         for c in range(1, len(self.weights)):
-            out = out + planes[c] * self.weights[c]
-        return out + self.offset
+            np.add(out, np.multiply(planes[c], self.weights[c], out=term), out=out)
+        return np.add(out, self.offset, out=out)
 
     def lipschitz_2norm(self) -> float:
         return float(np.linalg.norm(self.weights))
@@ -101,12 +114,13 @@ class BoxInfNorm:
     center: tuple
     halfwidth: float
 
-    def value(self, planes) -> np.ndarray:
+    def value(self, planes, out=None) -> np.ndarray:
         # a chained maximum reads each coordinate array contiguously
-        m = np.abs(planes[0] - self.center[0])
+        m = np.abs(np.subtract(planes[0], self.center[0], out=out), out=out)
+        d = np.empty_like(m)
         for c in range(1, len(self.center)):
-            m = np.maximum(m, np.abs(planes[c] - self.center[c]))
-        return self.halfwidth - m
+            np.maximum(m, np.abs(np.subtract(planes[c], self.center[c], out=d), out=d), out=m)
+        return np.subtract(self.halfwidth, m, out=m)
 
     def lipschitz_2norm(self) -> float:
         # 1-Lipschitz in the inf-norm; reported in the 2-norm convention via
@@ -124,15 +138,15 @@ class BallNorm2:
     center: tuple
     radius: float
 
-    def value(self, planes) -> np.ndarray:
+    def value(self, planes, out=None) -> np.ndarray:
         # below eight coordinates, np.linalg.norm(axis=-1) adds the squares
         # in this same left-to-right order, so the values are bit-identical
-        d = planes[0] - self.center[0]
-        total = d * d
+        d = np.subtract(planes[0], self.center[0])
+        total = np.multiply(d, d, out=out)
         for c in range(1, len(self.center)):
-            d = planes[c] - self.center[c]
-            total = total + d * d
-        return self.radius - np.sqrt(total)
+            np.subtract(planes[c], self.center[c], out=d)
+            np.add(total, np.multiply(d, d, out=d), out=total)
+        return np.subtract(self.radius, np.sqrt(total, out=total), out=total)
 
     def lipschitz_2norm(self) -> float:
         return 1.0
@@ -434,9 +448,13 @@ def _window_reducer(op, grid: np.ndarray, rows: _Rows, lo, hi, s, e):
     identity = -np.inf if op is np.maximum else np.inf
     if len(lo) == 1:
         # one window: reduce its grid slice directly, no table needed
-        a, b = int(s[0] - rows.g0), int(e[0] - rows.g0)
-        return lambda child: op(op(child[rl], child[rh]),
-                                op.reduce(child[a:b], axis=0, initial=identity))
+        (a, b), l0, h0 = (int(s[0] - rows.g0), int(e[0] - rows.g0)), int(rl[0]), int(rh[0])
+
+        def reduce_one(child):
+            out = op(child[l0:l0 + 1], child[h0:h0 + 1])
+            return op(out, op.reduce(child[a:b], axis=0, initial=identity), out=out)
+
+        return reduce_one
     lengths = e - s
     nonempty = lengths > 0
     if not nonempty.any():
@@ -491,14 +509,25 @@ def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
         return lambda states, off: np.full((count, states.shape[2]), np.inf)
     if isinstance(node, Predicate):
         return _compile_predicate(node, grid, rows, interps)
+    # every node's table is fresh and its parent's to overwrite
     if isinstance(node, Not):
         child = _compile(node.child, grid, rows, convention, interps)
-        return lambda states, off: np.negative(child(states, off))
+
+        def negate(states, off):
+            table = child(states, off)
+            return np.negative(table, out=table)
+
+        return negate
     if isinstance(node, (And, Or)):
         left = _compile(node.left, grid, rows, convention, interps)
         right = _compile(node.right, grid, rows, convention, interps)
         op = np.minimum if isinstance(node, And) else np.maximum
-        return lambda states, off: op(left(states, off), right(states, off))
+
+        def combine(states, off):
+            table = left(states, off)
+            return op(table, right(states, off), out=table)
+
+        return combine
 
     q = rows.times(grid)
     lo, hi, s, e = _windows(grid, q, node.start, node.end)
@@ -553,16 +582,25 @@ def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
 
 def _interpolator(grid: np.ndarray, off: np.ndarray):
     """Function mapping the state planes (n, T, K) to their n planes at the
-    off-grid times off, each value (1-w)*s_i + w*s_j.  Times outside the grid
-    clamp to its ends (weight 0 on the end sample)."""
+    off-grid times off, (n, len(off), K), each value (1-w)*s_i + w*s_j.
+    Times outside the grid clamp to its ends (weight 0 on the end sample)."""
     t_c = np.clip(off, grid[0], grid[-1])
     j = np.searchsorted(grid, t_c, side="right")
     i = np.maximum(j - 1, 0)
     exact = grid[i] == t_c
     j = np.where(exact, i, np.minimum(j, len(grid) - 1))
     w = (t_c - grid[i]) / np.where(exact, 1.0, grid[j] - grid[i])
-    w_i, w_j = (1.0 - w)[:, None], w[:, None]
-    return lambda states: [w_i * plane[i] + w_j * plane[j] for plane in states]
+    # the rows s_i then s_j of every time, and their weights 1-w then w
+    ends, weights, count = np.concatenate([i, j]), np.concatenate([1.0 - w, w])[:, None], len(off)
+
+    def interpolate(states):
+        # one gather across all n planes, weighted in place; the sum is a
+        # table of its own, so the gather is freed before the leaves run
+        both = states.take(ends, axis=1)
+        both *= weights
+        return np.add(both[:, :count], both[:, count:])
+
+    return interpolate
 
 
 def _compile_predicate(node: Predicate, grid: np.ndarray, rows: _Rows, interps: dict):
@@ -573,12 +611,19 @@ def _compile_predicate(node: Predicate, grid: np.ndarray, rows: _Rows, interps: 
         raise ValueError(f"predicate {node.name!r} is unbound; no function handle")
     g0, g1 = rows.g0, rows.g1
     if len(rows.off) == 0:
-        return lambda states, off: np.asarray(fn.value(states[:, g0:g1]), dtype=float)
+        return lambda states, off: fn.value(states[:, g0:g1])
     key = rows.off.tobytes()
     if key not in interps:
         interps[key] = _interpolator(grid, rows.off)
-    return lambda states, off: np.concatenate([fn.value(states[:, g0:g1]),
-                                               fn.value(off[key])])
+    split, count = rows.grid_rows, rows.grid_rows + len(rows.off)
+
+    def leaf(states, off):
+        table = np.empty((count, states.shape[2]))
+        fn.value(states[:, g0:g1], out=table[:split])
+        fn.value(off[key], out=table[split:])
+        return table
+
+    return leaf
 
 
 @functools.lru_cache(maxsize=8)

@@ -304,6 +304,12 @@ class _ObjectiveGrid:
     whatever batch it is computed in, so a screen value is the max over a
     subset of the full evaluation's terms, and a full value is the one the
     candidate gets alone.
+
+    What a call repeats is kept small: a block's states take one multiply
+    and one add into a fresh C-contiguous buffer, the center curves are
+    built only for the candidates the radius screen keeps, and batches and
+    direction columns are views unless the witness screen splits them.
+    Nothing is kept from one call to the next but the witnesses.
     """
 
     # A monitor call takes at most _BLOCK_FLOATS // len(times) trajectories,
@@ -366,19 +372,19 @@ class _ObjectiveGrid:
 
     def _centers(self, q_c):
         """Center (n, T, M) of M candidates on the grid."""
-        return np.moveaxis(np.asarray(q_c, dtype=float) @ self.p_center, 0, -1)
+        return (np.asarray(q_c, dtype=float) @ self.p_center).transpose(1, 2, 0)
 
     def _rho_chunk(self, center, radii, dirs):
         """Robustness of the trajectories of the scaled directions dirs (n, k)
         about every candidate in center (n, T, M) and radii (T, M), as (M, k)."""
         n, t, m = center.shape
         k = dirs.shape[1]
-        # built one coordinate plane at a time into the (n, T, M, K) layout
-        # the monitor reads, and passed as the (M*K, T, n) transpose; no
-        # temporary is larger than one plane
+        # built in place, as r * dirs and then center + that, in the
+        # C-contiguous (n, T, M, K) layout the monitor reads, and passed as
+        # the (M*K, T, n) transpose; no temporary is allocated
         states = np.empty((n, t, m, k))
-        for c in range(n):
-            np.add(center[c][:, :, None], radii[:, :, None] * dirs[c], out=states[c])
+        np.multiply(radii[:, :, None], dirs[:, None, None, :], out=states)
+        np.add(center[..., None], states, out=states)
         rho = robustness_batch(self.instance.formula, self.times,
                                states.reshape(n, t, m * k).transpose(2, 1, 0), 0.0,
                                until_convention=self.instance.until_convention)
@@ -428,7 +434,7 @@ class _ObjectiveGrid:
             return v if slack is None else v + slack[rows]
 
         radii = self._radii(q_r)
-        m, k, t = radii.shape[1], self.trajectory_count, self.tau_count
+        m, k, t, per_call = radii.shape[1], self.trajectory_count, self.tau_count, self._per_call
         # one row of terms per candidate: t radius terms, then k of -rho
         terms = np.empty((m, t + k))
         terms[:, :t] = self._radius_terms(radii)
@@ -438,30 +444,39 @@ class _ObjectiveGrid:
         if not len(live):
             return values, idx
         # position i of center and radii is candidate live[i]
-        center, radii = self._centers(np.asarray(q_c)[live]), radii[:, live]
+        if len(live) < m:
+            q_c, radii = np.asarray(q_c)[live], radii[:, live]
+        center = self._centers(q_c)
         # a screen costs a monitor call of its own, so it is skipped when the
         # full evaluation of every live candidate fits one call anyway (and
-        # with bound=inf, when every candidate is evaluated in full)
-        screened = np.zeros(k, dtype=bool)
-        if bound < math.inf and len(live) * k > self._per_call:
-            screened[list(self.witnesses)] = True
-        seen, rest = np.flatnonzero(screened), np.flatnonzero(~screened)
-        seen_dirs, rest_dirs = self.scaled_dirs[:, seen], self.scaled_dirs[:, rest]
-        # one call's worth of candidates per screen, or all of them unscreened
-        batch = max(1, self._per_call // len(seen)) if len(seen) else len(live)
+        # with bound=inf, when every candidate is evaluated in full); the
+        # columns of terms each pass fills are t + seen and t + rest
+        if bound < math.inf and len(live) * k > per_call and self.witnesses:
+            seen = np.array(sorted(self.witnesses))
+            unseen = np.ones(k, dtype=bool)
+            unseen[seen] = False
+            rest = np.flatnonzero(unseen)
+            seen_dirs, rest_dirs = self.scaled_dirs[:, seen], self.scaled_dirs[:, rest]
+            # one call's worth of candidates per screen
+            batch = max(1, per_call // len(seen))
+        else:
+            seen, rest, rest_dirs, batch = (np.empty(0, dtype=int), np.arange(k),
+                                            self.scaled_dirs, len(live))
         for lo in range(0, len(live), batch):
             pos = np.arange(lo, min(lo + batch, len(live)))
+            # the candidates of this batch, as a view until the screen cuts them
+            cut = slice(lo, lo + len(pos))
             if len(seen):
                 # the witness screen keeps the candidates still below bound
-                for cs, ks, rho in self._rho(center[:, :, pos], radii[:, pos], seen_dirs):
+                for cs, ks, rho in self._rho(center[:, :, cut], radii[:, cut], seen_dirs):
                     terms[live[pos[cs], None], t + seen[ks]] = -rho
                 rows = live[pos]
                 screen = plus_slack(terms[rows[:, None], t + seen].max(axis=1), rows)
                 values[rows] = np.maximum(values[rows], screen)
-                pos = pos[values[rows] < bound]
+                pos = cut = pos[values[rows] < bound]
             # the remaining trajectories of the survivors, in candidate order;
             # a block that completes candidates gives them exact values
-            for cs, ks, rho in self._rho(center[:, :, pos], radii[:, pos], rest_dirs):
+            for cs, ks, rho in self._rho(center[:, :, cut], radii[:, cut], rest_dirs):
                 rows = live[pos[cs]]
                 terms[rows[:, None], t + rest[ks]] = -rho
                 if ks.stop < len(rest):
@@ -729,6 +744,9 @@ def pattern_search(func, x0, lb, ub, *, step: float, min_step: float,
     """
     x = np.asarray(x0, dtype=float).copy()
     scale = ub - lb
+    # the axes whose box is not collapsed, each polled + before -
+    moving = np.flatnonzero(scale != 0.0)
+    signs = np.tile([1.0, -1.0], len(moving))
     fx = float(func(x[None])[0])
     evals = 1
     cur = step
@@ -738,21 +756,19 @@ def pattern_search(func, x0, lb, ub, *, step: float, min_step: float,
         improved = False
         first = 0
         while evals < budget:
-            axes, trials = [], []
-            for j in range(first, len(x)):
-                if scale[j] == 0.0:
-                    continue
-                for sgn in (1.0, -1.0):
-                    trial = float(min(max(x[j] + sgn * cur * scale[j], lb[j]), ub[j]))
-                    if trial != x[j]:
-                        axes.append(j)
-                        trials.append(trial)
-            axes, trials = axes[:budget - evals], trials[:budget - evals]
-            if not trials:
+            # x[j] + (sgn * cur) * scale[j] on each moving axis from first on,
+            # clipped as min(max(trial, lb), ub) clips it
+            axes = np.repeat(moving[moving >= first], 2)
+            trials = x[axes] + signs[:len(axes)] * cur * scale[axes]
+            trials = np.where(lb[axes] > trials, lb[axes], trials)
+            trials = np.where(ub[axes] < trials, ub[axes], trials)
+            moved = trials != x[axes]
+            axes, trials = axes[moved][:budget - evals], trials[moved][:budget - evals]
+            if not len(trials):
                 break
             points = np.repeat(x[None], len(trials), axis=0)
             points[np.arange(len(trials)), axes] = trials
-            for j, point, value in zip(axes, points, func(points, bound=fx)):
+            for j, point, value in zip(axes.tolist(), points, func(points, bound=fx)):
                 evals += 1
                 if value < fx:
                     x, fx = point.copy(), float(value)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -278,12 +279,27 @@ def tube_from_record(rec: dict) -> Tube:
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"tube record: missing or malformed {key!r}") from None
 
+    def count(v):
+        # int() would truncate 2.7 to 2 and read "2", and reshape would infer
+        # a count of -1, so a count must be a true positive integer
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+            raise ValueError
+        return v
+
+    def points(size):
+        def convert(v):
+            q = np.asarray(v, dtype=float)
+            if q.shape != (size,):
+                raise ValueError
+            return q
+        return convert
+
     if read("basis", str) != "bernstein":
         raise ValueError(f"unknown tube basis {rec['basis']!r}; "
                          "tube records hold Bernstein control points")
-    n, z_c, z_r = read("n", int), read("z_c", int), read("z_r", int)
-    q_c = read("q_c", lambda v: np.asarray(v, dtype=float).reshape(n, z_c))
-    q_r = read("q_r", lambda v: np.asarray(v, dtype=float))
+    n, z_c, z_r = read("n", count), read("z_c", count), read("z_r", count)
+    q_c = read("q_c", points(n * z_c)).reshape(n, z_c)
+    q_r = read("q_r", points(z_r))
     t_f = read("t_f", float)
     return Tube(q_c, q_r, BernsteinBasis(z_c, t_f), BernsteinBasis(z_r, t_f))
 
@@ -293,4 +309,8 @@ def save_tube(tube: Tube, path) -> None:
 
 
 def load_tube(path) -> Tube:
-    return tube_from_record(json.loads(Path(path).read_text()))
+    try:
+        text = Path(path).read_text()
+    except IsADirectoryError:
+        raise ValueError(f"{path} is a directory, not a tube record") from None
+    return tube_from_record(json.loads(text))

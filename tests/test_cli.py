@@ -403,7 +403,16 @@ def test_simulate_rejects_a_tube_record_of_another_basis(tmp_path, capsys):
       "q_c": [4.5, 4.5, 4.5, 4.5]}, "malformed 'q_r'"),
     ({"n": 2, "t_f": 4.0, "basis": "bernstein", "z_c": 3, "z_r": 1,
       "q_c": [4.5, 4.5, 4.5, 4.5], "q_r": [1.0]}, "malformed 'q_c'"),
-], ids=["list", "null-n", "missing-q_r", "q_c-of-wrong-size"])
+    ({"n": -1, "t_f": 4.0, "basis": "bernstein", "z_c": 2, "z_r": 1,
+      "q_c": [4.5, 4.5, 4.5, 4.5], "q_r": [1.0]}, "malformed 'n'"),
+    ({"n": 2.7, "t_f": 4.0, "basis": "bernstein", "z_c": 2, "z_r": 1,
+      "q_c": [4.5, 4.5, 4.5, 4.5], "q_r": [1.0]}, "malformed 'n'"),
+    ({"n": 2, "t_f": 4.0, "basis": "bernstein", "z_c": "2", "z_r": True,
+      "q_c": [4.5, 4.5, 4.5, 4.5], "q_r": [1.0]}, "malformed 'z_c'"),
+    ({"n": 2, "t_f": 4.0, "basis": "bernstein", "z_c": 2, "z_r": 1,
+      "q_c": [4.5, 4.5, 4.5, 4.5], "q_r": [1.0, 1.0]}, "malformed 'q_r'"),
+], ids=["list", "null-n", "missing-q_r", "q_c-of-wrong-size", "negative-n", "fractional-n",
+        "string-z_c", "q_r-of-wrong-size"])
 def test_simulate_malformed_tube_record_exits_2(tmp_path, capsys, record, named):
     tube_path = tmp_path / "bad_tube.json"
     tube_path.write_text(json.dumps(record))
@@ -412,6 +421,19 @@ def test_simulate_malformed_tube_record_exits_2(tmp_path, capsys, record, named)
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "verify"])
+def test_directory_given_as_an_input_path_exits_2(tmp_path, capsys, command):
+    # reading a directory raises IsADirectoryError, which is an OSError and
+    # not an input error; each reader reports it as one
+    cfg = _write_config(tmp_path)
+    argv = {"check": ["check", "--config", str(tmp_path)],
+            "simulate": ["simulate", "--config", str(cfg), "--tube", str(tmp_path),
+                         "--out", str(tmp_path / "out")],
+            "verify": ["verify", "--config", str(cfg), "--log", str(tmp_path)]}[command]
+    assert main(argv) == 2
+    assert f"error: {tmp_path} is a directory" in capsys.readouterr().err
 
 
 _LOG = "t,x_1,x_2,u_1,u_2,b,psi,active\n0,4.5,4.5,0,0,1,0,0\n4,4.5,4.5,0,0,1,0,0\n"

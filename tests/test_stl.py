@@ -579,3 +579,63 @@ def test_batch_memory_stays_linear_in_table():
     finally:
         tracemalloc.stop()
     assert peak < 6 * count * length * 8
+
+
+# ---------------------------------------------------------------------------
+# in-place plan: fresh tables only, and the oracle's operations bit for bit
+# ---------------------------------------------------------------------------
+
+_INPLACE_TABLE = {"p": BoxInfNorm((0.5, -0.5, 0.0), 1.5), "q": BallNorm2((1.0, 0.0, 0.5), 2.0),
+                  "h": AffineHalfspace((0.3, -1.0, 0.2), 2.5)}
+# nested windows whose endpoints fall between samples, Not over windows, and
+# Until inside and around windows
+_INPLACE_FORMULAS = (
+    "F[0.3,2.7] G[0.15,1.1] (p | !q) & G[0,3] h",
+    "G[0.2,2.9] F[0.35,0.95] (h & p) | !q",
+    "!F[0.25,1.3] (p & !G[0.1,0.7] q)",
+    "!G[0.45,2.05] !F[0.3,0.3] h",
+    "(p U[0.4,2.3] (!q)) & G[0.1,1.2] (h U[0.3,0.8] (F[0.2,0.6] p))",
+    "!(q U[0,1.7] (G[0.05,0.9] h))",
+)
+
+
+def test_batch_never_writes_the_states():
+    # every node overwrites only tables the plan allocated; a read-only
+    # (n, T, K) buffer, read in place through its (K, T, n) transpose, and a
+    # read-only (K, T, n) batch, copied into planes, give the same bytes
+    rng = np.random.default_rng(56)
+    times, states = _jittered_batch(rng, 9, 4.5, 41, dim=3)
+    planes = np.ascontiguousarray(states.transpose(2, 1, 0))
+    frozen = states.copy()
+    before = planes.tobytes()
+    planes.setflags(write=False)
+    frozen.setflags(write=False)
+    for text in _INPLACE_FORMULAS:
+        f = parse(text, _INPLACE_TABLE)
+        for convention in ("paper", "standard"):
+            want = robustness_batch(f, times, states.copy(), until_convention=convention)
+            for batch in (planes.transpose(2, 1, 0), frozen):
+                got = robustness_batch(f, times, batch, until_convention=convention)
+                assert got.tobytes() == want.tobytes()
+    assert planes.tobytes() == before and np.array_equal(frozen, states)
+
+
+def _assert_bits_match_oracle(f, times, states, convention):
+    # the oracle interpolates, applies the predicates and takes min/max with
+    # the monitor's operations in the monitor's order, so no bit may differ
+    got = robustness_batch(f, times, states, until_convention=convention)
+    want = np.array([oracle_robustness(f, times, x, convention=convention) for x in states])
+    assert got.tobytes() == want.tobytes(), (str(f), convention)
+
+
+def test_batch_in_place_plan_matches_oracle_bits():
+    rng = np.random.default_rng(57)
+    times, states = _jittered_batch(rng, 6, 6.0, 43, dim=3)
+    for text in _INPLACE_FORMULAS:
+        for convention in ("paper", "standard"):
+            _assert_bits_match_oracle(parse(text, _INPLACE_TABLE), times, states, convention)
+    for _ in range(30):
+        f, x = formula_and_signal(rng, dim=2, depth=3, max_len=25)
+        batch = x.states[None] + rng.normal(scale=0.5, size=(4,) + x.states.shape)
+        for convention in ("paper", "standard"):
+            _assert_bits_match_oracle(f, x.times, batch, convention)

@@ -629,6 +629,40 @@ def test_pattern_search_matches_sequential_oracle():
     assert target_stops > 0 and multi_sweeps > 0 and cut_sweeps > 0
 
 
+def test_pattern_search_trials_match_a_scalar_poll_bit_for_bit():
+    # a sweep's trials are built with array operations; each consumed one
+    # must carry the bits of the scalar min(max(x[j] + sgn * cur * scale[j],
+    # lb[j]), ub[j]) that a one-trial-per-call poll computes, signed zeros
+    # included.  Dyadic boxes and starts put many trials exactly on a bound
+    # or back on x[j]
+    rng = np.random.default_rng(13)
+    on_bound = 0
+    for _ in range(300):
+        d = int(rng.integers(1, 6))
+        lb = rng.choice([-2.0, -1.0, -0.5, -0.0, 0.0], size=d)
+        ub = lb + rng.choice([0.0, 0.5, 1.0, 3.0], size=d)
+        x0 = lb + (ub - lb) * rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=d)
+        x0[rng.random(d) < 0.3] = -0.0
+        x0 = np.clip(x0, lb, ub)
+        f = _quantized_bowl(rng, d)
+        kw = dict(step=float(rng.choice([0.25, 0.5, 1.0])), min_step=1e-2,
+                  budget=int(rng.integers(1, 60)))
+        polled = []
+
+        def one(x):
+            polled.append(list(x))
+            return f(x)
+
+        x_ref, _, evals_ref, _ = oracle_pattern_search(one, x0.tolist(), lb, ub, **kw)
+        (x, _, evals), log = _batched(f, x0, lb, ub, **kw)
+        points, _ = _consumed(log, lb, ub, kw["step"], kw["budget"])
+        assert evals == evals_ref and len(points) == len(polled)
+        assert np.array(points).tobytes() == np.array(polled).tobytes()
+        assert x.tobytes() == np.array(x_ref).tobytes()
+        on_bound += sum(v in (lo, hi) for p in points[1:] for v, lo, hi in zip(p, lb, ub))
+    assert on_bound > 0
+
+
 def test_pattern_search_pairs_budget_clipping_and_target():
     lb, ub = [0.0, 1.0], [1.0, 1.0]  # axis 1 is collapsed and never polled
 

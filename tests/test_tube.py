@@ -367,6 +367,27 @@ def test_tube_record_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
+_RECORD = {"n": 2, "t_f": 4.0, "basis": "bernstein", "z_c": 2, "z_r": 1,
+           "q_c": [4.5, 0.0, 4.5, 0.0], "q_r": [1.0]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", -1), ("n", 2.7), ("n", 0), ("n", True), ("n", "2"),
+    ("z_c", 2.0), ("z_c", -2), ("z_r", False), ("z_r", "1"),
+    ("q_c", [4.5, 0.0, 4.5]), ("q_c", [[4.5, 0.0], [4.5, 0.0]]),
+    ("q_r", [1.0, 1.0]), ("q_r", []),
+], ids=["negative-n", "fractional-n", "zero-n", "bool-n", "string-n", "float-z_c",
+        "negative-z_c", "bool-z_r", "string-z_r", "short-q_c", "nested-q_c", "long-q_r",
+        "empty-q_r"])
+def test_tube_record_rejects_malformed_counts(field, value):
+    # int() used to read "n": -1 and "n": 2.7 as a 2-D tube (reshape inferred
+    # -1, int truncated 2.7); counts are positive integers and the control
+    # points are flat lists of exactly n * z_c and z_r values
+    assert tube_from_record(_RECORD).dimension == 2
+    with pytest.raises(ValueError, match=f"malformed '{field}'"):
+        tube_from_record({**_RECORD, field: value})
+
+
 def test_tube_shape_validation():
     basis = BernsteinBasis(3, 2.0)
     with pytest.raises(ValueError):
