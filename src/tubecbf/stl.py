@@ -26,8 +26,9 @@ each call first interpolates the planes once at every distinct set of
 off-grid times the plan's leaves need, with one gather of both neighbouring
 samples of every time across all n planes, weighted in place and summed into
 the planes the leaves read, so leaves that need the same times, such as the
-two conjuncts of F G p & F G q, share one interpolation.  A leaf allocates one table and has its predicate
-write the grid rows, then the off-grid rows of its set, into it.
+two conjuncts of F G p & F G q, share one interpolation.  A leaf allocates
+one table and has its predicate write the grid rows, then the off-grid rows
+of its set, into it.
 F and G reduce each window as its two endpoint rows plus a doubling table of
 min/max over the grid rows, built one level at a time; a lone window reduces
 its grid slice directly.  Until sweeps the columns of a (Q, W) table of
@@ -448,7 +449,8 @@ def _window_reducer(op, grid: np.ndarray, rows: _Rows, lo, hi, s, e):
     identity = -np.inf if op is np.maximum else np.inf
     if len(lo) == 1:
         # one window: reduce its grid slice directly, no table needed
-        (a, b), l0, h0 = (int(s[0] - rows.g0), int(e[0] - rows.g0)), int(rl[0]), int(rh[0])
+        a, b = int(s[0] - rows.g0), int(e[0] - rows.g0)
+        l0, h0 = int(rl[0]), int(rh[0])
 
         def reduce_one(child):
             out = op(child[l0:l0 + 1], child[h0:h0 + 1])
@@ -591,7 +593,8 @@ def _interpolator(grid: np.ndarray, off: np.ndarray):
     j = np.where(exact, i, np.minimum(j, len(grid) - 1))
     w = (t_c - grid[i]) / np.where(exact, 1.0, grid[j] - grid[i])
     # the rows s_i then s_j of every time, and their weights 1-w then w
-    ends, weights, count = np.concatenate([i, j]), np.concatenate([1.0 - w, w])[:, None], len(off)
+    ends, weights = np.concatenate([i, j]), np.concatenate([1.0 - w, w])[:, None]
+    count = len(off)
 
     def interpolate(states):
         # one gather across all n planes, weighted in place; the sum is a
