@@ -23,25 +23,23 @@ The states come as n coordinate planes (n, T, K), so a predicate reads each
 coordinate of its grid rows as one contiguous (rows, K) block and runs its
 inner loop over the trajectories.  Off-grid rows come from interpolation:
 each call first interpolates the planes once at every distinct set of
-off-grid times the plan's leaves need, with one gather of both neighbouring
-samples of every time across all n planes, weighted in place and summed into
-the planes the leaves read, so leaves that need the same times, such as the
-two conjuncts of F G p & F G q, share one interpolation.  A leaf allocates
-one table and has its predicate write the grid rows, then the off-grid rows
-of its set, into it.
+off-grid times the plan's leaves need, gathering the earlier and then the
+later neighbour of every time across all n planes and weighting each in
+place, so leaves that need the same times, such as the two conjuncts of
+F G p & F G q, share one interpolation.  A leaf writes its grid rows, then
+the off-grid rows of its set, into one table.
 F and G reduce each window as its two endpoint rows plus a doubling table of
 min/max over the grid rows, built one level at a time; a lone window reduces
 its grid slice directly.  Until sweeps the columns of a (Q, W) table of
 window-member rows.  So memory stays O(rows * K) per live node, and nothing
 is ever gathered per (query, window member, trajectory).
 
-Tables are reused in place within a call.  Every node returns a fresh table
-that its parent may overwrite: Not negates its child's table in place, And
-and Or write the min or max into their left child's table, a lone F or G
-window folds its interior into the row of its two endpoints, and predicates
-run their arithmetic in their own arrays.  The states are only read, and no
-buffer outlives the call.  Every operation keeps its operands and their
-order, so a value does not depend on where it is computed.
+Tables are reused in place within a call: every node returns a fresh table
+that its parent may overwrite (Not negates it, And and Or write into their
+left child's, a lone F or G window folds its interior into its endpoint
+row), the states are only read, and no buffer outlives the call.  Every
+operation keeps its operands and their order, so a value does not depend on
+where it is computed.
 """
 
 from __future__ import annotations
@@ -592,16 +590,17 @@ def _interpolator(grid: np.ndarray, off: np.ndarray):
     exact = grid[i] == t_c
     j = np.where(exact, i, np.minimum(j, len(grid) - 1))
     w = (t_c - grid[i]) / np.where(exact, 1.0, grid[j] - grid[i])
-    # the rows s_i then s_j of every time, and their weights 1-w then w
-    ends, weights = np.concatenate([i, j]), np.concatenate([1.0 - w, w])[:, None]
-    count = len(off)
+    w_i, w_j = (1.0 - w)[:, None], w[:, None]
 
     def interpolate(states):
-        # one gather across all n planes, weighted in place; the sum is a
-        # table of its own, so the gather is freed before the leaves run
-        both = states.take(ends, axis=1)
-        both *= weights
-        return np.add(both[:, :count], both[:, count:])
+        # the rows s_i of all n planes, weighted in place, plus the rows s_j:
+        # at most two arrays of the result's size are alive
+        out = states.take(i, axis=1)
+        out *= w_i
+        other = states.take(j, axis=1)
+        other *= w_j
+        out += other
+        return out
 
     return interpolate
 

@@ -306,10 +306,9 @@ class _ObjectiveGrid:
     candidate gets alone.
 
     What a call repeats is kept small: a block's states take one multiply
-    and one add into a fresh C-contiguous buffer, the center curves are
-    built only for the candidates the radius screen keeps, and batches and
-    direction columns are views unless the witness screen splits them.
-    Nothing is kept from one call to the next but the witnesses.
+    and one add into a fresh C-contiguous buffer, and the center curves are
+    built only for the candidates the radius screen keeps.  Nothing is kept
+    from one call to the next but the witnesses.
     """
 
     # A monitor call takes at most _BLOCK_FLOATS // len(times) trajectories,
@@ -434,7 +433,7 @@ class _ObjectiveGrid:
             return v if slack is None else v + slack[rows]
 
         radii = self._radii(q_r)
-        m, k, t, per_call = radii.shape[1], self.trajectory_count, self.tau_count, self._per_call
+        m, k, t = radii.shape[1], self.trajectory_count, self.tau_count
         # one row of terms per candidate: t radius terms, then k of -rho
         terms = np.empty((m, t + k))
         terms[:, :t] = self._radius_terms(radii)
@@ -444,39 +443,30 @@ class _ObjectiveGrid:
         if not len(live):
             return values, idx
         # position i of center and radii is candidate live[i]
-        if len(live) < m:
-            q_c, radii = np.asarray(q_c)[live], radii[:, live]
-        center = self._centers(q_c)
+        center, radii = self._centers(np.asarray(q_c)[live]), radii[:, live]
         # a screen costs a monitor call of its own, so it is skipped when the
         # full evaluation of every live candidate fits one call anyway (and
-        # with bound=inf, when every candidate is evaluated in full); the
-        # columns of terms each pass fills are t + seen and t + rest
-        if bound < math.inf and len(live) * k > per_call and self.witnesses:
-            seen = np.array(sorted(self.witnesses))
-            unseen = np.ones(k, dtype=bool)
-            unseen[seen] = False
-            rest = np.flatnonzero(unseen)
-            seen_dirs, rest_dirs = self.scaled_dirs[:, seen], self.scaled_dirs[:, rest]
-            # one call's worth of candidates per screen
-            batch = max(1, per_call // len(seen))
-        else:
-            seen, rest, rest_dirs, batch = (np.empty(0, dtype=int), np.arange(k),
-                                            self.scaled_dirs, len(live))
+        # with bound=inf, when every candidate is evaluated in full)
+        screened = np.zeros(k, dtype=bool)
+        if bound < math.inf and len(live) * k > self._per_call:
+            screened[list(self.witnesses)] = True
+        seen, rest = np.flatnonzero(screened), np.flatnonzero(~screened)
+        seen_dirs, rest_dirs = self.scaled_dirs[:, seen], self.scaled_dirs[:, rest]
+        # one call's worth of candidates per screen, or all of them unscreened
+        batch = max(1, self._per_call // len(seen)) if len(seen) else len(live)
         for lo in range(0, len(live), batch):
             pos = np.arange(lo, min(lo + batch, len(live)))
-            # the candidates of this batch, as a view until the screen cuts them
-            cut = slice(lo, lo + len(pos))
             if len(seen):
                 # the witness screen keeps the candidates still below bound
-                for cs, ks, rho in self._rho(center[:, :, cut], radii[:, cut], seen_dirs):
+                for cs, ks, rho in self._rho(center[:, :, pos], radii[:, pos], seen_dirs):
                     terms[live[pos[cs], None], t + seen[ks]] = -rho
                 rows = live[pos]
                 screen = plus_slack(terms[rows[:, None], t + seen].max(axis=1), rows)
                 values[rows] = np.maximum(values[rows], screen)
-                pos = cut = pos[values[rows] < bound]
+                pos = pos[values[rows] < bound]
             # the remaining trajectories of the survivors, in candidate order;
             # a block that completes candidates gives them exact values
-            for cs, ks, rho in self._rho(center[:, :, cut], radii[:, cut], rest_dirs):
+            for cs, ks, rho in self._rho(center[:, :, pos], radii[:, pos], rest_dirs):
                 rows = live[pos[cs]]
                 terms[rows[:, None], t + rest[ks]] = -rho
                 if ks.stop < len(rest):
