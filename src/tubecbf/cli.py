@@ -24,7 +24,7 @@ from .simulate import (
 )
 from .stl import horizon, robustness, robustness_lipschitz
 from .synthesis import SynthesisResult, solve_sop
-from .tube import Tube, load_tube, save_tube
+from .tube import SampledTube, Tube, load_tube, save_tube
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -51,15 +51,14 @@ def _format_tree(f, indent: int = 0) -> str:
 
 
 def _write_tube_profile(tube: Tube, path: Path) -> None:
-    ts = np.linspace(0.0, tube.t_f, 201)
-    centers = tube.center_grid(ts)
-    radii = tube.radius_grid(ts)
-    header = "t," + ",".join(f"c_{i+1}" for i in range(tube.dimension)) + ",r"
-    rows = [header]
-    for k, t in enumerate(ts):
-        vals = [f"{t:.17g}"] + [f"{v:.17g}" for v in centers[:, k]] + [f"{radii[k]:.17g}"]
-        rows.append(",".join(vals))
-    path.write_text("\n".join(rows) + "\n")
+    """t, c(t) and r(t) at 201 times, the tube's own values, one %.17g row each."""
+    ts = np.linspace(0.0, tube.t_f, 201).tolist()
+    table = SampledTube(tube, ts)
+    n = tube.dimension
+    header = "t," + ",".join(f"c_{i+1}" for i in range(n)) + ",r\n"
+    row = ",".join(["%.17g"] * (n + 2)) + "\n"
+    path.write_text(header + "".join(row % (t, *table.center(t).tolist(), table.radius(t))
+                                     for t in ts))
 
 
 # ---------------------------------------------------------------------------

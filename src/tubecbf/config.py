@@ -3,6 +3,7 @@ predicates, task formula, solver budgets, and vehicle."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -36,21 +37,26 @@ def _predicate_from_dict(name: str, spec: dict, dim: int):
     if not isinstance(spec, dict):
         raise ConfigError(f"predicates: {name!r} must be a mapping, got {spec!r}")
     kind = spec.get("kind")
+
+    def number(key, value):
+        _check_number(f"predicate {name!r}: {key}", value)
+        return float(value)
+
     if kind in ("box", "ball"):
-        center = tuple(float(v) for v in spec["center"])
+        center = tuple(number("center", v) for v in spec["center"])
         if len(center) != dim:
             raise ConfigError(f"predicate {name!r}: center has wrong dimension")
         # without a positive size no state satisfies the predicate robustly
         size_key, shape = ("halfwidth", BoxInfNorm) if kind == "box" else ("radius", BallNorm2)
-        size = float(spec[size_key])
+        size = number(size_key, spec[size_key])
         if not size > 0:
             raise ConfigError(f"predicate {name!r}: {size_key} must be positive, got {size}")
         return shape(center, size)
     if kind == "halfspace":
-        weights = tuple(float(v) for v in spec["weights"])
+        weights = tuple(number("weights", v) for v in spec["weights"])
         if len(weights) != dim:
             raise ConfigError(f"predicate {name!r}: weights have wrong dimension")
-        return AffineHalfspace(weights, float(spec["offset"]))
+        return AffineHalfspace(weights, number("offset", spec["offset"]))
     raise ConfigError(f"predicate {name!r}: unknown kind {kind!r}")
 
 
@@ -72,9 +78,12 @@ def _check_block(name: str, block, required: set, allowed: set) -> None:
 
 def _check_number(key: str, value) -> None:
     # YAML reads `dt: fast` as a string; comparing it with a number would
-    # raise TypeError, which is not an input error
+    # raise TypeError, which is not an input error.  YAML's .nan and .inf
+    # pass every range check and break the solve or the run later on.
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
 
 
 def _check_vector(key: str, value, length: int) -> None:
@@ -114,7 +123,7 @@ class ScenarioConfig:
     epsilon: Optional[float] = None
     cover_counts: Optional[dict] = None
     search_cover: Optional[dict] = None
-    basis: dict = field(default_factory=lambda: {"center_count": 5, "radius_count": 4})
+    basis: dict = field(default_factory=dict)
     radius_max: Optional[float] = None
     center_box_scale: float = 1.5
     start: Optional[list] = None
@@ -146,8 +155,10 @@ class ScenarioConfig:
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         bounds = np.asarray(self.state_bounds, dtype=float)
-        if bounds.shape != (self.dimension, 2) or np.any(bounds[:, 1] <= bounds[:, 0]):
-            raise ConfigError("state_bounds must be one nonempty [lo, hi] per dimension")
+        if (bounds.shape != (self.dimension, 2) or not np.isfinite(bounds).all()
+                or np.any(bounds[:, 1] <= bounds[:, 0])):
+            raise ConfigError("state_bounds must be one finite, nonempty [lo, hi] "
+                              "per dimension")
         if self.until_convention not in ("paper", "standard"):
             raise ConfigError(f"unknown until_convention {self.until_convention!r}")
         for key in ("x0", "start"):
@@ -229,25 +240,20 @@ class ScenarioConfig:
         return CoverSpec.for_radius(self.epsilon, self.dimension, self.t_f)
 
     def instance(self) -> SOPInstance:
-        b = self.basis
         return SOPInstance(
             self.build_formula(), n=self.dimension, t_f=self.t_f,
             state_bounds=self.state_bounds, min_radius=self.min_radius,
-            center_count=b.get("center_count", 5),
-            radius_count=b.get("radius_count", 4),
             radius_max=self.radius_max, cover=self.cover_spec(),
             start_center=self.start,
             center_box_scale=self.center_box_scale,
-            until_convention=self.until_convention)
+            until_convention=self.until_convention, **self.basis)
 
     def solver_settings(self, seed: Optional[int] = None) -> SolverSettings:
-        s = self.solver
+        """The solver block's settings; a given seed overrides its seed."""
+        solver = self.solver if seed is None else {**self.solver, "seed": int(seed)}
         return SolverSettings(
-            seed=s.get("seed", 0) if seed is None else int(seed),
-            budget=s.get("budget", 4000),
             search_cover=None if self.search_cover is None else self._from_counts(
-                self.search_cover),
-        )
+                self.search_cover), **solver)
 
     def make_dynamics(self):
         params = dict(self.dynamics)

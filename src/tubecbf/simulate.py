@@ -50,7 +50,7 @@ class RunReport:
 
     x0: np.ndarray          # requested initial output
     trajectory: Signal
-    steps: list
+    steps: list             # one ControlStep per sample instant
     min_b: float
     tube_violations: int
     final_robustness: float
@@ -98,29 +98,23 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
         raise SimulationError(f"initial state outside the tube: b(0, x0) = {b0}")
 
     steps: list[ControlStep] = []
-    outputs = np.empty((n_steps + 1, dynamics.n))
     saturated = 0
     for k, (t, h, t_ctrl) in enumerate(zip(sample_ts, holds, control_ts)):
-        qp = solve_safety_qp(barrier, dynamics, weight, t_ctrl, state)
-        u = qp.u
+        step = solve_safety_qp(barrier, dynamics, weight, t_ctrl, state)
         if input_bound is not None:
-            clamped = np.clip(u, -input_bound, input_bound)
-            if not np.array_equal(clamped, u):
+            clamped = np.clip(step.u, -input_bound, input_bound)
+            if not np.array_equal(clamped, step.u):
                 saturated += 1
-                u = clamped
-        # the logged row carries the true barrier at the sample instant and
-        # the input actually applied over the hold interval; qp.x is
+                step.u = clamped
+        # the record carries the true barrier at the sample instant and the
+        # input actually applied over the hold interval; step.x is
         # output(state), as the state has not moved since the QP
-        x = qp.x
-        steps.append(ControlStep(t=t, x=x, b=barrier_value(barrier, t, x),
-                                 db_dx=qp.db_dx, db_dt=qp.db_dt, lie_f=qp.lie_f,
-                                 lie_g=qp.lie_g, psi=qp.psi, u=u,
-                                 constraint_active=qp.constraint_active))
-        outputs[k] = x
+        step.t, step.b = t, barrier_value(barrier, t, step.x)
+        steps.append(step)
         if k < n_steps:
-            state = step_rk4(dynamics, t, state, u, h)
+            state = step_rk4(dynamics, t, state, step.u, h)
 
-    trajectory = Signal(times, outputs)
+    trajectory = Signal(times, np.array([s.x for s in steps]))
     b_vals = np.array([s.b for s in steps])
     report = robustness(formula, trajectory, 0.0, until_convention=until_convention)
     return RunReport(

@@ -72,13 +72,6 @@ class Tube:
     def radius_dot(self, t: float) -> float:
         return float(self.radius_coeffs @ self.radius_basis.derivatives(self._check_time(t)))
 
-    def center_grid(self, ts: np.ndarray) -> np.ndarray:
-        """Centers at many times, shape (n, len(ts)); no range check."""
-        return self.center_coeffs @ self.center_basis.values(np.asarray(ts, dtype=float))
-
-    def radius_grid(self, ts: np.ndarray) -> np.ndarray:
-        return self.radius_coeffs @ self.radius_basis.values(np.asarray(ts, dtype=float))
-
 
 class SampledTube:
     """A tube's curves tabulated once at fixed times.
@@ -286,10 +279,10 @@ def tube_from_record(rec: dict) -> Tube:
             raise ValueError
         return v
 
-    def points(size):
+    def floats(shape):
         def convert(v):
             q = np.asarray(v, dtype=float)
-            if q.shape != (size,):
+            if q.shape != shape or not np.isfinite(q).all():
                 raise ValueError
             return q
         return convert
@@ -298,9 +291,9 @@ def tube_from_record(rec: dict) -> Tube:
         raise ValueError(f"unknown tube basis {rec['basis']!r}; "
                          "tube records hold Bernstein control points")
     n, z_c, z_r = read("n", count), read("z_c", count), read("z_r", count)
-    q_c = read("q_c", points(n * z_c)).reshape(n, z_c)
-    q_r = read("q_r", points(z_r))
-    t_f = read("t_f", float)
+    q_c = read("q_c", floats((n * z_c,))).reshape(n, z_c)
+    q_r = read("q_r", floats((z_r,)))
+    t_f = float(read("t_f", floats(())))
     return Tube(q_c, q_r, BernsteinBasis(z_c, t_f), BernsteinBasis(z_r, t_f))
 
 

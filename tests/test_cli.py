@@ -11,7 +11,7 @@ from tubecbf.config import ConfigError, ScenarioConfig, load_config, save_config
 from tubecbf.simulate import read_trajectory_signal
 from tubecbf.stl import horizon, iter_predicates
 from tubecbf.synthesis import SynthesisResult
-from tubecbf.tube import tube_to_record
+from tubecbf.tube import load_tube, tube_to_record
 
 from gen import power_tube
 
@@ -38,6 +38,7 @@ BASE = {
 
 
 ROOT = Path(__file__).resolve().parent.parent
+INF, NAN = float("inf"), float("nan")
 
 
 def _write_config(tmp_path, overrides=None, name="scenario.yaml"):
@@ -220,6 +221,35 @@ def test_check_bad_nested_block_exits_2(tmp_path, capsys, overrides, named):
      "halfwidth"),
     ({"predicates": {"T": {"kind": "ball", "center": [4.5, 4.5], "radius": 0.0}}},
      "radius"),
+    # YAML's .nan and .inf are numbers that pass every range check
+    ({"t_f": INF}, "t_f"),
+    ({"t_f": NAN}, "t_f"),
+    ({"dt": NAN}, "dt"),
+    ({"min_radius": INF, "radius_max": None}, "min_radius"),
+    ({"epsilon": INF}, "epsilon"),
+    ({"center_box_scale": INF}, "center_box_scale"),
+    ({"radius_max": INF}, "radius_max"),
+    ({"gain": INF}, "gain"),
+    ({"input_bound": INF}, "input_bound"),
+    ({"x0": [NAN, 1.0]}, "x0"),
+    ({"control_weight": [1.0, INF]}, "control_weight"),
+    ({"state_bounds": [[0.0, INF], [0.0, 9.0]]}, "state_bounds"),
+    ({"state_bounds": [[NAN, 9.0], [0.0, 9.0]], "start": None}, "state_bounds"),
+    ({"predicates": {"T": {"kind": "box", "center": [4.5, NAN], "halfwidth": 3.5}}},
+     "center"),
+    ({"predicates": {"T": {"kind": "box", "center": [4.5, 4.5], "halfwidth": INF}}},
+     "halfwidth"),
+    ({"predicates": {"T": {"kind": "ball", "center": [4.5, 4.5], "radius": INF}}},
+     "radius"),
+    ({"predicates": {"T": {"kind": "halfspace", "weights": [1.0, INF], "offset": 1.0}}},
+     "weights"),
+    ({"predicates": {"T": {"kind": "halfspace", "weights": [1.0, 0.0], "offset": NAN}}},
+     "offset"),
+    # a predicate's numbers are numbers, as every other number of the config
+    ({"predicates": {"T": {"kind": "box", "center": ["4.5", 4.5], "halfwidth": 3.5}}},
+     "center"),
+    ({"predicates": {"T": {"kind": "box", "center": [4.5, 4.5], "halfwidth": True}}},
+     "halfwidth"),
 ])
 def test_check_out_of_range_value_exits_2(tmp_path, capsys, overrides, named):
     cfg = _write_config(tmp_path, overrides)
@@ -411,8 +441,17 @@ def test_simulate_rejects_a_tube_record_of_another_basis(tmp_path, capsys):
       "q_c": [4.5, 4.5, 4.5, 4.5], "q_r": [1.0]}, "malformed 'z_c'"),
     ({"n": 2, "t_f": 4.0, "basis": "bernstein", "z_c": 2, "z_r": 1,
       "q_c": [4.5, 4.5, 4.5, 4.5], "q_r": [1.0, 1.0]}, "malformed 'q_r'"),
+    # a NaN control point used to load and fail the run with exit 4
+    ({"n": 2, "t_f": 4.0, "basis": "bernstein", "z_c": 2, "z_r": 1,
+      "q_c": [4.5, NAN, 4.5, 4.5], "q_r": [1.0]}, "malformed 'q_c'"),
+    ({"n": 2, "t_f": 4.0, "basis": "bernstein", "z_c": 2, "z_r": 1,
+      "q_c": [4.5, 4.5, 4.5, 4.5], "q_r": [INF]}, "malformed 'q_r'"),
+    ({"n": 2, "t_f": NAN, "basis": "bernstein", "z_c": 2, "z_r": 1,
+      "q_c": [4.5, 4.5, 4.5, 4.5], "q_r": [1.0]}, "malformed 't_f'"),
+    ({"n": 2, "t_f": INF, "basis": "bernstein", "z_c": 2, "z_r": 1,
+      "q_c": [4.5, 4.5, 4.5, 4.5], "q_r": [1.0]}, "malformed 't_f'"),
 ], ids=["list", "null-n", "missing-q_r", "q_c-of-wrong-size", "negative-n", "fractional-n",
-        "string-z_c", "q_r-of-wrong-size"])
+        "string-z_c", "q_r-of-wrong-size", "nan-q_c", "inf-q_r", "nan-t_f", "inf-t_f"])
 def test_simulate_malformed_tube_record_exits_2(tmp_path, capsys, record, named):
     tube_path = tmp_path / "bad_tube.json"
     tube_path.write_text(json.dumps(record))
@@ -421,6 +460,21 @@ def test_simulate_malformed_tube_record_exits_2(tmp_path, capsys, record, named)
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["omni_reach_avoid", "quadrotor_cycle"])
+def test_tube_profile_holds_the_tubes_own_values(tmp_path, name):
+    tube_path = ROOT / "perfbench" / "ref" / f"{name}_tube.json"
+    assert main(["simulate", "--config", str(ROOT / "configs" / f"{name}.yaml"),
+                 "--tube", str(tube_path), "--seed", "0", "--out", str(tmp_path),
+                 "--emit-plot-data"]) == 0
+    tube = load_tube(tube_path)
+    lines = (tmp_path / f"{name}_tube_profile.csv").read_text().splitlines()
+    assert lines[0] == "t," + ",".join(f"c_{i+1}" for i in range(tube.dimension)) + ",r"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == np.linspace(0.0, tube.t_f, 201).tolist()
+    for t, *center, radius in rows:
+        assert center == tube.center(t).tolist() and radius == tube.radius(t), t
 
 
 @pytest.mark.parametrize("command", ["check", "simulate", "verify"])

@@ -376,13 +376,16 @@ _RECORD = {"n": 2, "t_f": 4.0, "basis": "bernstein", "z_c": 2, "z_r": 1,
     ("z_c", 2.0), ("z_c", -2), ("z_r", False), ("z_r", "1"),
     ("q_c", [4.5, 0.0, 4.5]), ("q_c", [[4.5, 0.0], [4.5, 0.0]]),
     ("q_r", [1.0, 1.0]), ("q_r", []),
+    ("q_c", [4.5, math.nan, 4.5, 0.0]), ("q_c", [4.5, 0.0, -math.inf, 0.0]),
+    ("q_r", [math.inf]), ("t_f", math.nan), ("t_f", math.inf),
 ], ids=["negative-n", "fractional-n", "zero-n", "bool-n", "string-n", "float-z_c",
         "negative-z_c", "bool-z_r", "string-z_r", "short-q_c", "nested-q_c", "long-q_r",
-        "empty-q_r"])
+        "empty-q_r", "nan-q_c", "inf-q_c", "inf-q_r", "nan-t_f", "inf-t_f"])
 def test_tube_record_rejects_malformed_counts(field, value):
     # int() used to read "n": -1 and "n": 2.7 as a 2-D tube (reshape inferred
-    # -1, int truncated 2.7); counts are positive integers and the control
-    # points are flat lists of exactly n * z_c and z_r values
+    # -1, int truncated 2.7); counts are positive integers, the control
+    # points are flat lists of exactly n * z_c and z_r finite values, and t_f
+    # is finite
     assert tube_from_record(_RECORD).dimension == 2
     with pytest.raises(ValueError, match=f"malformed '{field}'"):
         tube_from_record({**_RECORD, field: value})
