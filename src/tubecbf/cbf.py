@@ -43,22 +43,23 @@ class Barrier:
         return self.tube.t_f
 
 
-def barrier_value(barrier: Barrier, t: float, x: np.ndarray) -> float:
-    tube = barrier.tube
+def _radius_and_offset(tube, t: float, x: np.ndarray):
+    """r(t) and x - c(t); the barrier is undefined unless r(t) > 0."""
     r = tube.radius(t)
     if r <= 0:
         raise InfeasibleStepError(f"tube radius {r} not positive at t={t}; barrier undefined")
-    d = np.asarray(x, dtype=float) - tube.center(t)
+    return r, np.asarray(x, dtype=float) - tube.center(t)
+
+
+def barrier_value(barrier: Barrier, t: float, x: np.ndarray) -> float:
+    r, d = _radius_and_offset(barrier.tube, t, x)
     return 1.0 - float(d @ d) / r**2
 
 
 def barrier_gradients(barrier: Barrier, t: float, x: np.ndarray):
     """Spatial gradient (n,) and time partial of the barrier at (t, x)."""
     tube = barrier.tube
-    r = tube.radius(t)
-    if r <= 0:
-        raise InfeasibleStepError(f"tube radius {r} not positive at t={t}; barrier undefined")
-    d = np.asarray(x, dtype=float) - tube.center(t)
+    r, d = _radius_and_offset(tube, t, x)
     db_dx = -2.0 * d / r**2
     db_dt = 2.0 * float(tube.center_dot(t) @ d) / r**2 \
         + 2.0 * tube.radius_dot(t) * float(d @ d) / r**3

@@ -16,6 +16,7 @@ from .cbf import Barrier
 from .dynamics import make_dynamics
 from .simulate import RunReport, run_closed_loop
 from .stl import (
+    UNTIL_CONVENTIONS,
     AffineHalfspace,
     BallNorm2,
     BoxInfNorm,
@@ -119,23 +120,22 @@ class ScenarioConfig:
     state_bounds: list
     predicates: dict
     formula: str
-    min_radius: float = 0.25
+    min_radius: float = SOPInstance.min_radius
     epsilon: Optional[float] = None
     cover_counts: Optional[dict] = None
     search_cover: Optional[dict] = None
     basis: dict = field(default_factory=dict)
     radius_max: Optional[float] = None
-    center_box_scale: float = 1.5
+    center_box_scale: float = SOPInstance.center_box_scale
     start: Optional[list] = None
     solver: dict = field(default_factory=dict)
     dynamics: dict = field(default_factory=lambda: {"kind": "omni"})
     x0: Optional[list] = None
-    x0_seed: int = 0
     dt: float = 0.05
-    gain: float = 5.0
+    gain: float = Barrier.gain
     control_weight: Optional[list] = None
     input_bound: Optional[float] = None
-    until_convention: str = "paper"
+    until_convention: str = SOPInstance.until_convention
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -145,35 +145,30 @@ class ScenarioConfig:
             raise ConfigError(f"name must be a file stem with no path separator, "
                               f"got {self.name!r}")
         _check_integer("dimension", self.dimension, 1)
-        _check_integer("x0_seed", self.x0_seed, 0)
         for key in ("t_f", "dt", "min_radius", "epsilon", "center_box_scale",
                     "gain", "input_bound", "radius_max"):
-            if getattr(self, key) is not None:
-                _check_number(key, getattr(self, key))
-        if self.t_f <= 0:
-            raise ConfigError("t_f must be positive")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        bounds = np.asarray(self.state_bounds, dtype=float)
-        if (bounds.shape != (self.dimension, 2) or not np.isfinite(bounds).all()
-                or np.any(bounds[:, 1] <= bounds[:, 0])):
-            raise ConfigError("state_bounds must be one finite, nonempty [lo, hi] "
-                              "per dimension")
-        if self.until_convention not in ("paper", "standard"):
+            value = getattr(self, key)
+            if value is not None:
+                _check_number(key, value)
+                if not value > 0:
+                    raise ConfigError(f"{key} must be positive, got {value}")
+        if np.ndim(self.state_bounds) != 2 or len(self.state_bounds) != self.dimension:
+            raise ConfigError("state_bounds must be one [lo, hi] per dimension")
+        for lo_hi in self.state_bounds:
+            _check_vector("state_bounds", lo_hi, 2)
+            if not lo_hi[0] < lo_hi[1]:
+                raise ConfigError(f"state_bounds {list(lo_hi)} is empty")
+        if self.until_convention not in UNTIL_CONVENTIONS:
             raise ConfigError(f"unknown until_convention {self.until_convention!r}")
         for key in ("x0", "start"):
             if getattr(self, key) is not None:
                 _check_vector(key, getattr(self, key), self.dimension)
         # the tube's center starts at start, which must lie in the workspace
         if self.start is not None and not all(
-                lo <= v <= hi for v, (lo, hi) in zip(self.start, bounds)):
+                lo <= v <= hi for v, (lo, hi) in zip(self.start, self.state_bounds)):
             raise ConfigError(f"start {list(self.start)} lies outside state_bounds")
         if self.epsilon is None and self.cover_counts is None:
             raise ConfigError("no certification cover: set epsilon or cover_counts")
-        for key in ("min_radius", "epsilon", "center_box_scale", "gain", "input_bound"):
-            value = getattr(self, key)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{key} must be positive, got {value}")
         if self.radius_max is not None and not self.radius_max >= self.min_radius:
             raise ConfigError(f"radius_max {self.radius_max} is below "
                               f"min_radius {self.min_radius}")
@@ -265,10 +260,11 @@ class ScenarioConfig:
         return np.diag(np.asarray(self.control_weight, dtype=float))
 
     def pick_x0(self, tube, seed: Optional[int] = None) -> np.ndarray:
-        """Configured start state, or a sample from the r(0)/2 interior ball."""
+        """Configured start state, or a sample from the r(0)/2 interior ball
+        drawn with seed, by default the solver's."""
         if self.x0 is not None:
             return np.asarray(self.x0, dtype=float)
-        rng = np.random.default_rng(self.x0_seed if seed is None else seed)
+        rng = np.random.default_rng(self.solver_settings().seed if seed is None else seed)
         direction = rng.normal(size=self.dimension)
         direction /= max(np.linalg.norm(direction), 1e-12)
         rho = tube.radius(0.0) / 2.0 * rng.uniform() ** (1.0 / self.dimension)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .cbf import Barrier, ControlStep, barrier_value, solve_safety_qp
-from .stl import Formula, Signal, robustness
+from .stl import UNTIL_CONVENTIONS, Formula, Signal, robustness
 from .tube import SampledTube
 
 
@@ -61,7 +61,7 @@ class RunReport:
 def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
                     formula: Formula, *, weight: Optional[np.ndarray] = None,
                     input_bound: Optional[float] = None,
-                    until_convention: str = "paper") -> RunReport:
+                    until_convention: str = UNTIL_CONVENTIONS[0]) -> RunReport:
     """Iterate the safety QP and RK4 over [0, t_f] and monitor the result.
 
     x0 is the initial certified output and must satisfy b(0, x0) >= 0.  The

@@ -333,6 +333,9 @@ def robustness_lipschitz(f: Formula) -> float:
 
 _TIME_SLACK = 1e-9
 
+# Until conventions (see the module docstring); the first is every default
+UNTIL_CONVENTIONS = ("paper", "standard")
+
 
 @dataclass(frozen=True)
 class Signal:
@@ -544,10 +547,10 @@ def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
     # out = max over window members u of min(point(u), running min up to u);
     # the running min covers [t+start, u] (paper) or [t, u] (standard)
     point_rows = _rows_for(grid, ends, s, e)
-    if convention == "paper":
+    if convention == UNTIL_CONVENTIONS[0]:
         point_node, running_node = node.left, node.right
         running_rows, prefix = point_rows, None
-    elif convention == "standard":
+    else:
         # the running clause starts at the evaluation time, not at t+start;
         # the prefix [t, t+start) holds t+start only when it is a grid time
         point_node, running_node = node.right, node.left
@@ -556,8 +559,6 @@ def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
         running_rows = _rows_for(grid, np.concatenate([ends, p_lo, p_hi]),
                                  np.concatenate([s, p_s]), np.concatenate([e, p_e]))
         prefix = _window_reducer(np.minimum, grid, running_rows, p_lo, p_hi, p_s, p_e)
-    else:
-        raise ValueError(f"unknown until_convention {convention!r}")
     point = _compile(point_node, grid, point_rows, convention, interps)
     running = _compile(running_node, grid, running_rows, convention, interps)
     point_cols = _members(grid, point_rows, lo, hi, s, e)
@@ -633,6 +634,8 @@ def _plan(f: Formula, times_key: bytes, t: float, convention: str):
     """Compiled evaluation of f at time t on the grid whose float64 bytes are
     times_key; returns a function of the state planes (n, T, K) that
     interpolates each off-grid time set once, then evaluates the tree."""
+    if convention not in UNTIL_CONVENTIONS:
+        raise ValueError(f"unknown until_convention {convention!r}")
     grid = np.frombuffer(times_key)
     if t + horizon(f) > grid[-1] + _TIME_SLACK:
         raise ValueError(
@@ -647,8 +650,8 @@ def _plan(f: Formula, times_key: bytes, t: float, convention: str):
         states, {key: interp(states) for key, interp in interps.items()})
 
 
-def robustness_batch(f: Formula, times: np.ndarray, states: np.ndarray,
-                     t: float = 0.0, *, until_convention: str = "paper") -> np.ndarray:
+def robustness_batch(f: Formula, times: np.ndarray, states: np.ndarray, t: float = 0.0, *,
+                     until_convention: str = UNTIL_CONVENTIONS[0]) -> np.ndarray:
     """Robustness of K trajectories sharing one time grid; states is (K, T, n).
 
     The monitor reads the states as n coordinate planes (n, T, K), so a
@@ -664,7 +667,7 @@ def robustness_batch(f: Formula, times: np.ndarray, states: np.ndarray,
 
 
 def robustness(f: Formula, x: Signal, t: float = 0.0, *,
-               until_convention: str = "paper") -> RobustnessReport:
+               until_convention: str = UNTIL_CONVENTIONS[0]) -> RobustnessReport:
     """Quantitative satisfaction margin of the formula on the signal at time t.
 
     Positive robustness means the formula is satisfied (strict inequality).

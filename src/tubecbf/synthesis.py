@@ -16,6 +16,7 @@ import numpy as np
 
 from .basis import BernsteinBasis
 from .stl import (
+    UNTIL_CONVENTIONS,
     And,
     BallNorm2,
     BoxInfNorm,
@@ -43,7 +44,7 @@ COVER_SAMPLE_BUDGET = 50_000_000
 
 
 # ---------------------------------------------------------------------------
-# covers of the augmented domain W = angles x [0,1] x [0,t_f]
+# covers of the augmented domain W = angles x lambda x tau
 # ---------------------------------------------------------------------------
 
 def axis_midpoints(lo: float, hi: float, count: int) -> np.ndarray:
@@ -57,19 +58,18 @@ def axis_midpoints(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + h / 2 + h * np.arange(count)
 
 
-def _angle_ranges(n: int) -> list[tuple[float, float]]:
-    # n-1 angles: the first n-2 span [0, pi], the last spans [0, 2*pi]
+def _axis_ranges(n: int, t_f: float) -> list[tuple[float, float]]:
+    """(lo, hi) of each of W's n+1 axes: n-1 angles, the first n-2 spanning
+    [0, pi] and the last [0, 2*pi], then lambda in [0, 1] and tau in [0, t_f]."""
     if n < 2:
         raise CoverError("tube dimension must be at least 2")
-    return [(0.0, math.pi)] * (n - 2) + [(0.0, 2.0 * math.pi)]
+    return [(0.0, math.pi)] * (n - 2) + [(0.0, 2.0 * math.pi), (0.0, 1.0), (0.0, t_f)]
 
 
-def _implied_radius(theta_counts, lambda_count: int, tau_count: int, t_f: float) -> float:
-    """Radius covered by the midpoint grid with these axis counts."""
+def _implied_radius(counts, t_f: float) -> float:
+    """Radius covered by the midpoint grid with these counts, one per axis of W."""
     halves = [(hi - lo) / (2 * m)
-              for (lo, hi), m in zip(_angle_ranges(len(theta_counts) + 1), theta_counts)]
-    halves.append(1.0 / (2 * lambda_count))
-    halves.append(t_f / (2 * tau_count))
+              for (lo, hi), m in zip(_axis_ranges(len(counts) - 1, t_f), counts)]
     return math.sqrt(sum(h * h for h in halves))
 
 
@@ -86,10 +86,9 @@ class CoverSpec:
     def __post_init__(self):
         if self.radius <= 0:
             raise CoverError(f"cover radius must be positive, got {self.radius}")
-        if self.lambda_count < 1 or self.tau_count < 1 or any(c < 1 for c in self.theta_counts):
+        if min(self.counts) < 1:
             raise CoverError("all axis counts must be at least 1")
-        needed = _implied_radius(self.theta_counts, self.lambda_count, self.tau_count,
-                                 self.t_f)
+        needed = _implied_radius(self.counts, self.t_f)
         if needed > self.radius + 1e-12:
             raise CoverError(
                 f"grid spacing only covers radius {needed:.6g} > requested {self.radius:.6g}")
@@ -97,6 +96,11 @@ class CoverSpec:
     @property
     def dimension(self) -> int:
         return len(self.theta_counts) + 1
+
+    @property
+    def counts(self) -> tuple:
+        """Sample count of each axis of W, in _axis_ranges order."""
+        return (*self.theta_counts, self.lambda_count, self.tau_count)
 
     @property
     def sample_count(self) -> int:
@@ -107,12 +111,11 @@ class CoverSpec:
         """Equal-contribution split: every axis gets spacing 2*radius/sqrt(d)."""
         if radius <= 0:
             raise CoverError(f"cover radius must be positive, got {radius}")
-        ranges = _angle_ranges(n) + [(0.0, 1.0), (0.0, t_f)]
-        d = len(ranges)
-        h = 2.0 * radius / math.sqrt(d)
-        counts = [max(1, math.ceil((hi - lo) / h)) for lo, hi in ranges]
-        spec = cls(radius=radius, theta_counts=tuple(counts[:n - 1]),
-                   lambda_count=counts[-2], tau_count=counts[-1], t_f=t_f)
+        ranges = _axis_ranges(n, t_f)
+        h = 2.0 * radius / math.sqrt(len(ranges))
+        *theta, lam, tau = [max(1, math.ceil((hi - lo) / h)) for lo, hi in ranges]
+        spec = cls(radius=radius, theta_counts=tuple(theta), lambda_count=lam,
+                   tau_count=tau, t_f=t_f)
         if spec.sample_count > COVER_SAMPLE_BUDGET:
             raise CoverError(
                 f"cover needs {spec.sample_count} samples, over the budget "
@@ -125,7 +128,7 @@ class CoverSpec:
                     t_f: float) -> "CoverSpec":
         """Spec with the smallest radius the given counts actually cover."""
         theta_counts = tuple(theta_counts)
-        radius = _implied_radius(theta_counts, lambda_count, tau_count, t_f)
+        radius = _implied_radius((*theta_counts, lambda_count, tau_count), t_f)
         return cls(radius=radius, theta_counts=theta_counts,
                    lambda_count=lambda_count, tau_count=tau_count, t_f=t_f)
 
@@ -148,21 +151,15 @@ class Cover:
 
 
 def build_cover(spec: CoverSpec) -> Cover:
-    n = spec.dimension
-    grids = [axis_midpoints(lo, hi, m)
-             for (lo, hi), m in zip(_angle_ranges(n), spec.theta_counts)]
+    *grids, lams, taus = [axis_midpoints(lo, hi, m) for (lo, hi), m
+                          in zip(_axis_ranges(spec.dimension, spec.t_f), spec.counts)]
     if len(grids) == 1:
         thetas = grids[0][:, None]
     else:
         mesh = np.meshgrid(*grids, indexing="ij")
         thetas = np.column_stack([g.ravel() for g in mesh])
-    return Cover(
-        spec=spec,
-        thetas=thetas,
-        directions=sphere_map_many(thetas),
-        lams=axis_midpoints(0.0, 1.0, spec.lambda_count),
-        taus=axis_midpoints(0.0, spec.t_f, spec.tau_count),
-    )
+    return Cover(spec=spec, thetas=thetas, directions=sphere_map_many(thetas),
+                 lams=lams, taus=taus)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +229,7 @@ class SOPInstance:
     cover: Optional[CoverSpec] = None
     start_center: Optional[np.ndarray] = None
     center_box_scale: float = 1.5
-    until_convention: str = "paper"
+    until_convention: str = UNTIL_CONVENTIONS[0]
     center_box: np.ndarray = field(init=False)   # (n, z_c, 2)
     radius_box: np.ndarray = field(init=False)   # (z_r, 2)
     center_basis: BernsteinBasis = field(init=False)

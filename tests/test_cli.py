@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -183,13 +185,14 @@ def test_check_missing_config_exits_2(tmp_path):
     ({"name": ".."}, "name"),
     ({"name": ""}, "name"),
     ({"name": 7}, "name"),
+    ({"x0_seed": 0}, "x0_seed"),
 ], ids=["misspelt-solver-key", "removed-solver-key", "cover-counts-missing-key",
         "cover-counts-wrong-dimension", "search-cover-unknown-key", "unknown-basis-kind",
         "no-cover", "removed-basis-kind", "removed-pin-start",
         "misspelt-dynamics-parameter", "dynamics-parameter-of-another-kind",
         "dynamics-parameter-named-like-an-argument",
         "name-leaves-out-dir", "name-with-separator", "name-parent-dir", "empty-name",
-        "name-not-a-string"])
+        "name-not-a-string", "removed-x0-seed"])
 def test_check_bad_nested_block_exits_2(tmp_path, capsys, overrides, named):
     data = {k: v for k, v in {**BASE, **overrides}.items() if v is not None}
     cfg = tmp_path / "scenario.yaml"
@@ -250,6 +253,8 @@ def test_check_bad_nested_block_exits_2(tmp_path, capsys, overrides, named):
      "center"),
     ({"predicates": {"T": {"kind": "box", "center": [4.5, 4.5], "halfwidth": True}}},
      "halfwidth"),
+    # synthesize refuses this cover before it solves, so check refuses it too
+    ({"epsilon": 0.002}, "over the budget"),
 ])
 def test_check_out_of_range_value_exits_2(tmp_path, capsys, overrides, named):
     cfg = _write_config(tmp_path, overrides)
@@ -273,6 +278,10 @@ def test_check_out_of_range_value_exits_2(tmp_path, capsys, overrides, named):
     ("x0", 1.5),
     ("start", 1.5),
     ("control_weight", 2.0),
+    # state bounds are read as every other number, not cast to float
+    ("state_bounds", [["0", 10.0], [0.0, 10.0]]),
+    ("state_bounds", [[False, 10.0], [0.0, 10.0]]),
+    ("state_bounds", [["1e0", 10.0], [0.0, 10.0]]),
 ])
 def test_check_non_numeric_scalar_exits_2(tmp_path, capsys, key, value):
     data = yaml.safe_load((ROOT / "configs" / "omni_reach_avoid.yaml").read_text())
@@ -290,6 +299,22 @@ def test_check_and_verify_take_no_output_flags(tmp_path, command, extra):
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(cfg), *extra, "--seed", "1"])
     assert exc.value.code == 2
+
+
+def test_start_state_draw_uses_the_solver_seed():
+    tube = power_tube([[4.5], [4.5]], [1.0], BASE["t_f"])
+    config = ScenarioConfig.from_dict({**BASE, "solver": {"seed": 3, "budget": 800}})
+    assert np.array_equal(config.pick_x0(tube), config.pick_x0(tube, seed=3))
+    assert not np.array_equal(config.pick_x0(tube), config.pick_x0(tube, seed=0))
+
+
+def test_readme_lists_every_config_key():
+    # the backticked keys before each bullet's colon in the README's key list
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Scenario configuration", 1)[1].split("\n\n")[2]
+    bullets = section.split("\n- ")
+    keys = [k for b in bullets for k in re.findall(r"`(\w+)`", b.split(":", 1)[0])]
+    assert sorted(keys) == sorted(f.name for f in fields(ScenarioConfig))
 
 
 def test_check_bad_dynamics_parameter_exits_2(tmp_path, capsys):

@@ -508,6 +508,18 @@ def test_batch_until_both_conventions():
             _assert_batch_matches_oracle(f, times, states, convention=convention)
 
 
+def test_unknown_until_convention_raises_without_an_until():
+    # the convention is checked for every formula, not only where an Until reads it
+    f = Eventually(0.0, 1.0, Predicate("p", BoxInfNorm((0.0, 0.0), 1.0)))
+    times = np.linspace(0.0, 2.0, 11)
+    states = np.zeros((1, 11, 2))
+    with pytest.raises(ValueError, match="until_convention 'Paper'"):
+        robustness_batch(f, times, states, until_convention="Paper")
+    with pytest.raises(ValueError, match="until_convention 'Paper'"):
+        robustness(f, Signal(times, states[0]), until_convention="Paper")
+    assert robustness(f, Signal(times, states[0])).value == 1.0
+
+
 def test_batch_anchor_point_windows_and_true():
     rng = np.random.default_rng(51)
     p = Predicate("p", BoxInfNorm((0.0, 0.0), 1.0))
