@@ -87,8 +87,15 @@ def _check_number(key: str, value) -> None:
         raise ConfigError(f"{key} must be finite, got {value!r}")
 
 
+def _is_list(value) -> bool:
+    # np.ndim would raise numpy's own ValueError on a ragged list, which names
+    # no key, so only the outer level is checked here and each entry by itself
+    return isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray)
+                                                and value.ndim >= 1)
+
+
 def _check_vector(key: str, value, length: int) -> None:
-    if np.ndim(value) != 1 or len(value) != length:
+    if not _is_list(value) or len(value) != length:
         raise ConfigError(f"{key} must be a list of {length} numbers, got {value!r}")
     for v in value:
         _check_number(key, v)
@@ -152,7 +159,7 @@ class ScenarioConfig:
                 _check_number(key, value)
                 if not value > 0:
                     raise ConfigError(f"{key} must be positive, got {value}")
-        if np.ndim(self.state_bounds) != 2 or len(self.state_bounds) != self.dimension:
+        if not _is_list(self.state_bounds) or len(self.state_bounds) != self.dimension:
             raise ConfigError("state_bounds must be one [lo, hi] per dimension")
         for lo_hi in self.state_bounds:
             _check_vector("state_bounds", lo_hi, 2)

@@ -5,10 +5,17 @@ RK4) and the certified output, a position-level point whose dynamics are
 control-affine (drift + input_matrix).  For the holonomic models the two
 coincide; the differential drive controls a look-ahead point so its position
 loop is square and invertible.
+
+The closed loop calls these terms on every step with states of n <= 3
+entries, so they are computed on Python floats (`math.cos`/`math.sin`) and
+only the result is wrapped in an array.  Each model also has `_rates(t,
+state, u)`, its state derivative on lists of floats, which `step_rk4` calls
+in place of `state_derivative`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -57,6 +64,9 @@ class OmniRobot:
     def state_derivative(self, t: float, state: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.asarray(u, dtype=float)
 
+    def _rates(self, t: float, state: list, u: list) -> list:
+        return u
+
 
 @dataclass(frozen=True)
 class DiffDrive:
@@ -81,28 +91,30 @@ class DiffDrive:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (2,):
             raise ValueError("initial output must be a 2-D point")
-        heading = np.array([np.cos(self.phi0), np.sin(self.phi0)])
-        p = x0 - self.lookahead * heading
-        return np.array([p[0], p[1], self.phi0])
+        px, py = x0.tolist()
+        return np.array([px - self.lookahead * math.cos(self.phi0),
+                         py - self.lookahead * math.sin(self.phi0), self.phi0])
 
     def output(self, state: np.ndarray) -> np.ndarray:
-        px, py, phi = state
-        return np.array([px + self.lookahead * np.cos(phi),
-                         py + self.lookahead * np.sin(phi)])
+        px, py, phi = np.asarray(state, dtype=float).tolist()
+        return np.array([px + self.lookahead * math.cos(phi),
+                         py + self.lookahead * math.sin(phi)])
 
     def drift(self, t: float, state: np.ndarray) -> np.ndarray:
         return _ZERO_DRIFT[2]
 
     def input_matrix(self, t: float, state: np.ndarray) -> np.ndarray:
         phi = state[2]
-        c, s = np.cos(phi), np.sin(phi)
-        return np.array([[c, -self.lookahead * s],
-                         [s, self.lookahead * c]])
+        c, s = math.cos(phi), math.sin(phi)
+        return np.array([c, -self.lookahead * s, s, self.lookahead * c]).reshape(2, 2)
 
     def state_derivative(self, t: float, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return np.array(self._rates(t, state, u))
+
+    def _rates(self, t: float, state: list, u: list) -> list:
         phi = state[2]
         v, omega = u
-        return np.array([v * np.cos(phi), v * np.sin(phi), omega])
+        return [v * math.cos(phi), v * math.sin(phi), omega]
 
 
 @dataclass(frozen=True)

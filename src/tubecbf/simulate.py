@@ -8,17 +8,24 @@ reads stored values instead of evaluating the basis polynomials.  The table
 is filled by stacked per-time products, each the `coeffs @ row` product the
 tube makes, which keeps every barrier value, input and log byte equal to a
 per-step evaluation of the tube.
+
+The steps themselves run on Python floats: the barrier, its gradients, the
+Lie terms, the QP (a Cholesky factorization of the weight and two
+triangular sweeps) and the RK4 stages sum in index order, as a BLAS without
+fused multiply-add sums them, and no step calls BLAS or LAPACK.  With n <= 3
+the numpy call overhead outweighed the arithmetic many times over.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .cbf import Barrier, ControlStep, barrier_value, solve_safety_qp
+from .cbf import Barrier, ControlStep, _cholesky, _floats, barrier_value, solve_safety_qp
 from .stl import UNTIL_CONVENTIONS, Formula, Signal, robustness
 from .tube import SampledTube
 
@@ -28,20 +35,28 @@ class SimulationError(RuntimeError):
 
 
 def step_rk4(dynamics, t: float, state: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
-    """Classical 4th-order Runge-Kutta step holding u constant over [t, t+dt]."""
+    """Classical 4th-order Runge-Kutta step holding u constant over [t, t+dt].
+
+    The stages are combined on Python floats.  A model with `_rates(t, x, u)`,
+    its state derivative on lists of floats, is called through that; any
+    other through `state_derivative`, with the stage states and u as lists."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    state = np.asarray(state, dtype=float)
-    u = np.asarray(u, dtype=float)
+    x, u = _floats(state), _floats(u)
+    rate = getattr(dynamics, "_rates", None)
+    if rate is None:
+        def rate(t, x, u):
+            return _floats(dynamics.state_derivative(t, x, u))
     half = dt / 2
-    k1 = dynamics.state_derivative(t, state, u)
-    k2 = dynamics.state_derivative(t + half, state + half * k1, u)
-    k3 = dynamics.state_derivative(t + half, state + half * k2, u)
-    k4 = dynamics.state_derivative(t + dt, state + dt * k3, u)
-    out = state + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.isfinite(out).all():
+    k1 = rate(t, x, u)
+    k2 = rate(t + half, [xi + half * ki for xi, ki in zip(x, k1)], u)
+    k3 = rate(t + half, [xi + half * ki for xi, ki in zip(x, k2)], u)
+    k4 = rate(t + dt, [xi + dt * ki for xi, ki in zip(x, k3)], u)
+    sixth = dt / 6
+    out = [xi + sixth * (a + 2 * b + 2 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
         raise SimulationError(f"non-finite state after step at t={t}")
-    return out
+    return np.array(out)
 
 
 @dataclass
@@ -70,12 +85,16 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     moving tube without the O(dt) lag of sampling at the interval start.
     When input_bound is given, inputs are clamped per component and the
     saturation count reported; the invariance argument assumes no clamping.
+    The weight (identity by default) must be an (m, m) symmetric positive
+    definite matrix, checked by its Cholesky factorization before the first
+    step, which raises a ValueError naming `weight`.
 
     The barrier is rebuilt once per run, with the same gain, over a
     `SampledTube` of its tube at 0 and every sample and control instant.  Its
     table holds one `coeffs @ row` product per time, on rows equal to the
     per-step basis rows; a flat product over the whole table would round
-    differently and change the log.
+    differently and change the log.  Each step sums on Python floats in index
+    order and calls neither BLAS nor LAPACK (see the module docstring).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -90,6 +109,7 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     barrier = Barrier(SampledTube(barrier.tube, [0.0, *sample_ts, *control_ts]),
                       gain=barrier.gain)
     weight = np.eye(dynamics.m) if weight is None else np.asarray(weight, dtype=float)
+    _cholesky(weight, dynamics.m)
 
     x0 = np.asarray(x0, dtype=float)
     state = dynamics.initial_state(x0)
@@ -102,10 +122,11 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     for k, (t, h, t_ctrl) in enumerate(zip(sample_ts, holds, control_ts)):
         step = solve_safety_qp(barrier, dynamics, weight, t_ctrl, state)
         if input_bound is not None:
-            clamped = np.clip(step.u, -input_bound, input_bound)
-            if not np.array_equal(clamped, step.u):
+            u = step.u.tolist()
+            clamped = [min(max(v, -input_bound), input_bound) for v in u]
+            if clamped != u:
                 saturated += 1
-                step.u = clamped
+                step.u = np.array(clamped)
         # the record carries the true barrier at the sample instant and the
         # input actually applied over the hold interval; step.x is
         # output(state), as the state has not moved since the QP

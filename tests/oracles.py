@@ -5,6 +5,9 @@ direct recursion: no code is shared with the implementation under test beyond
 the formula node types themselves.  The one exception is oracle_closed_loop, a
 replay oracle: the closed loop's step-by-step reference form, which calls the
 library's QP, barrier, integrator and monitor on the plain tube.
+oracle_numpy_closed_loop is the closed loop in the numpy step arithmetic the
+library ran before its steps moved to Python floats: BLAS products, an
+np.linalg.solve minimum-norm input and array RK4 stages.
 oracle_write_trajectory_log is the trajectory log written field by field
 through Python's csv writer.  oracle_bernstein_second_derivatives is the
 reference for the basis' control-point bound on the second derivative.
@@ -32,6 +35,7 @@ from tubecbf.stl import (
     Until,
     robustness,
 )
+from tubecbf.tube import SampledTube
 
 
 def oracle_bernstein_second_derivatives(count: int, t_f: float, t) -> np.ndarray:
@@ -319,6 +323,102 @@ def oracle_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formu
         satisfied=report.satisfied,
         saturated_steps=saturated,
     )
+
+
+def _numpy_model(dynamics):
+    """initial_state, output, drift, input_matrix and state_derivative of one
+    of the package's models, in numpy arithmetic on arrays."""
+    if type(dynamics).__name__ == "DiffDrive":
+        look, phi0 = dynamics.lookahead, dynamics.phi0
+
+        def initial(x0):
+            p = x0 - look * np.array([np.cos(phi0), np.sin(phi0)])
+            return np.array([p[0], p[1], phi0])
+
+        def output(state):
+            px, py, phi = state
+            return np.array([px + look * np.cos(phi), py + look * np.sin(phi)])
+
+        def input_matrix(state):
+            c, s = np.cos(state[2]), np.sin(state[2])
+            return np.array([[c, -look * s], [s, look * c]])
+
+        def derivative(state, u):
+            v, omega = u
+            return np.array([v * np.cos(state[2]), v * np.sin(state[2]), omega])
+
+        return initial, output, np.zeros(2), input_matrix, derivative
+    # the single integrator, in 2-D or 3-D (the quadrotor)
+    n = dynamics.n
+    return (np.array, np.asarray, np.zeros(n), lambda state: np.eye(n),
+            lambda state, u: np.asarray(u, dtype=float))
+
+
+def oracle_numpy_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formula, *,
+                             weight=None, input_bound=None,
+                             until_convention: str = "paper") -> RunReport:
+    """run_closed_loop with every step in numpy arithmetic: d @ d and the Lie
+    terms as BLAS products, W^-1 a from np.linalg.solve, and RK4 on arrays.
+    The tube is read through the same SampledTube table."""
+    initial, output, drift, input_matrix, derivative = _numpy_model(dynamics)
+    t_f = barrier.t_f
+    n_steps = int(round(t_f / dt))
+    sample_ts = np.linspace(0.0, t_f, n_steps + 1).tolist()
+    holds = [hi - lo for lo, hi in zip(sample_ts, sample_ts[1:])] + [0.0]
+    control_ts = [t + h / 2.0 for t, h in zip(sample_ts, holds)]
+    tube = SampledTube(barrier.tube, [0.0, *sample_ts, *control_ts])
+    weight = np.eye(dynamics.m) if weight is None else np.asarray(weight, dtype=float)
+
+    def value(t, x):
+        d = x - tube.center(t)
+        return 1.0 - float(d @ d) / tube.radius(t) ** 2
+
+    def qp(t, state):
+        x = output(state)
+        r = tube.radius(t)
+        d = x - tube.center(t)
+        db_dx = -2.0 * d / r**2
+        db_dt = 2.0 * float(tube.center_dot(t) @ d) / r**2 \
+            + 2.0 * tube.radius_dot(t) * float(d @ d) / r**3
+        lie_f = float(db_dx @ drift)
+        lie_g = db_dx @ input_matrix(state)
+        psi = lie_f + db_dt + barrier.gain * value(t, x)
+        u = np.zeros(len(lie_g))
+        if psi < 0.0:
+            w_inv_a = np.linalg.solve(weight, lie_g)
+            u = w_inv_a * (-psi / float(lie_g @ w_inv_a))
+        return ControlStep(t=t, x=x, b=0.0, db_dx=db_dx, db_dt=db_dt, lie_f=lie_f,
+                           lie_g=lie_g, psi=psi, u=u, constraint_active=psi < 0.0)
+
+    def rk4(state, u, h):
+        k1 = derivative(state, u)
+        k2 = derivative(state + h / 2 * k1, u)
+        k3 = derivative(state + h / 2 * k2, u)
+        k4 = derivative(state + h * k3, u)
+        return state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    state = initial(np.asarray(x0, dtype=float))
+    steps = []
+    saturated = 0
+    for k, (t, h, t_ctrl) in enumerate(zip(sample_ts, holds, control_ts)):
+        step = qp(t_ctrl, state)
+        if input_bound is not None:
+            clamped = np.clip(step.u, -input_bound, input_bound)
+            if not np.array_equal(clamped, step.u):
+                saturated += 1
+                step.u = clamped
+        step.t, step.b = t, value(t, step.x)
+        steps.append(step)
+        if k < n_steps:
+            state = rk4(state, step.u, h)
+
+    trajectory = Signal(np.array(sample_ts), np.array([s.x for s in steps]))
+    b_vals = np.array([s.b for s in steps])
+    report = robustness(formula, trajectory, 0.0, until_convention=until_convention)
+    return RunReport(x0=np.asarray(x0, dtype=float), trajectory=trajectory, steps=steps,
+                     min_b=float(b_vals.min()), tube_violations=int(np.sum(b_vals < 0.0)),
+                     final_robustness=report.value, satisfied=report.satisfied,
+                     saturated_steps=saturated)
 
 
 def oracle_write_trajectory_log(path, report: RunReport) -> None:

@@ -293,6 +293,24 @@ def test_check_non_numeric_scalar_exits_2(tmp_path, capsys, key, value):
     assert key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("state_bounds", [[0.0, 10.0], [0.0, 10.0, 3.0]]),
+    ("x0", [[1.0, 2.0], 3.0]),
+    ("start", [2.5, [2.5, 1.0]]),
+    ("control_weight", [[1.0, 2.0], 1.0]),
+])
+def test_check_ragged_vector_exits_2(tmp_path, capsys, key, value):
+    # numpy reads a ragged list only to raise its own "inhomogeneous shape"
+    # error, which names no key
+    data = yaml.safe_load((ROOT / "configs" / "omni_reach_avoid.yaml").read_text())
+    data[key] = value
+    cfg = tmp_path / "omni_reach_avoid.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["check", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "inhomogeneous" not in err
+
+
 @pytest.mark.parametrize("command, extra", [("check", []), ("verify", ["--log", "run.csv"])])
 def test_check_and_verify_take_no_output_flags(tmp_path, command, extra):
     cfg = _write_config(tmp_path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gen import power_tube
-from oracles import oracle_closed_loop, oracle_write_trajectory_log
+from oracles import oracle_closed_loop, oracle_numpy_closed_loop, oracle_write_trajectory_log
 from tubecbf import cbf, simulate
 from tubecbf.basis import BernsteinBasis
 from tubecbf.cbf import Barrier, ControlStep, InfeasibleStepError
@@ -274,6 +274,51 @@ def test_closed_loop_input_bound_and_weight_replay_oracle(tmp_path, name, weight
     got = config.closed_loop(tube, seed=0)
     _assert_same_run(tmp_path, got, oracle_closed_loop(*args, **kwargs))
     assert got.saturated_steps > 0
+    _assert_runs_agree(got, oracle_numpy_closed_loop(*args, **kwargs), 1e-7, relative=True)
+
+
+def _assert_runs_agree(got, want, tol, relative=False):
+    """Same steps, active flags and clamp count; x, u, b, psi, min_b and the
+    robustness within tol, absolute or relative to max(1, |want|)."""
+    assert [s.t for s in got.steps] == [s.t for s in want.steps]
+    assert [s.constraint_active for s in got.steps] == \
+        [s.constraint_active for s in want.steps]
+    assert got.saturated_steps == want.saturated_steps
+    pairs = [(np.array([getattr(s, f) for s in got.steps]),
+              np.array([getattr(s, f) for s in want.steps])) for f in ("x", "u", "b", "psi")]
+    pairs += [(got.min_b, want.min_b), (got.final_robustness, want.final_robustness)]
+    for g, w in pairs:
+        scale = np.maximum(1.0, np.abs(w)) if relative else 1.0
+        assert np.all(np.abs(np.asarray(g) - w) <= tol * scale)
+
+
+@pytest.mark.parametrize("name", REF_SCENARIOS)
+def test_closed_loop_matches_numpy_step_arithmetic(name):
+    # the float steps sum in index order, as a BLAS without FMA does, so they
+    # differ from the numpy steps only where BLAS fuses multiply and add
+    config, tube = _reference(name)
+    for x0_seed in range(20):
+        args, kwargs = _loop_args(config, tube, x0_seed)
+        _assert_runs_agree(run_closed_loop(*args, **kwargs),
+                           oracle_numpy_closed_loop(*args, **kwargs), 1e-12)
+
+
+@pytest.mark.parametrize("weight", [np.eye(3), -np.eye(2), np.zeros((2, 2)),
+                                    np.array([[1.0, 0.5], [0.0, 1.0]])],
+                         ids=["3x3", "minus-identity", "zero", "asymmetric"])
+def test_closed_loop_checks_the_weight_before_the_first_step(monkeypatch, weight):
+    # started at the center of a static tube no step is active, so no step's
+    # QP would ever read the weight
+    calls = []
+    monkeypatch.setattr(simulate, "solve_safety_qp",
+                        lambda *a: calls.append(a) or cbf.solve_safety_qp(*a))
+    barrier = Barrier(_static_tube([0.0, 0.0], 1.0))
+    with pytest.raises(ValueError, match="weight"):
+        run_closed_loop(OmniRobot(2), barrier, np.zeros(2), 0.05, STAY, weight=weight)
+    assert calls == []
+    report = run_closed_loop(OmniRobot(2), barrier, np.zeros(2), 0.05, STAY,
+                             weight=np.diag([1.0, 4.0]))
+    assert len(report.steps) == 41 and not any(s.constraint_active for s in report.steps)
 
 
 def test_closed_loop_call_shape(monkeypatch):
