@@ -147,8 +147,8 @@ def _min_norm_input(weight, a: list, psi: float) -> list:
     if not any(a):
         raise InfeasibleStepError(f"constraint row vanished with psi={psi} < 0")
     low = _cholesky(weight, m)
-    # v = W^-1 a from L v = a, then L' v = v in place from the bottom, each
-    # subtracting in index order
+    # v = W^-1 a: solve L y = a top down, then L' v = y in place bottom up,
+    # each subtracting in index order
     v = []
     for ai, li in zip(a, low):
         for lik, vk in zip(li, v):
@@ -172,9 +172,10 @@ def min_norm_input(weight: np.ndarray, a: np.ndarray, psi: float) -> np.ndarray:
 
     When psi >= 0 the unconstrained optimum u = 0 is feasible.  Otherwise the
     constraint is active and the KKT system gives
-    u = W^-1 a' (-psi) / (a W^-1 a').  Raises InfeasibleStepError when a = 0
-    while psi < 0, and ValueError naming `weight` when an active step meets a
-    W that is not symmetric positive definite.
+    u = W^-1 a' (-psi) / (a W^-1 a').  Raises InfeasibleStepError when a = 0,
+    or a W^-1 a' underflows to 0, while psi < 0, and ValueError naming
+    `weight` when an active step meets a W that is not symmetric positive
+    definite.
 
     The arithmetic runs on Python floats, each sum in index order: W gets a
     Cholesky factorization L L' and W^-1 a two triangular sweeps, so no call

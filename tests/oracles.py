@@ -2,11 +2,12 @@
 
 Everything here is deliberately written with plain Python floats, lists, and
 direct recursion: no code is shared with the implementation under test beyond
-the formula node types themselves.  The one exception is oracle_closed_loop, a
-replay oracle: the closed loop's step-by-step reference form, which calls the
-library's QP, barrier, integrator and monitor on the plain tube.
-oracle_numpy_closed_loop is the closed loop in the numpy step arithmetic the
-library ran before its steps moved to Python floats: BLAS products, an
+the formula node types themselves.  The exceptions are the two closed-loop
+oracles.  oracle_closed_loop is a replay oracle: the closed loop's
+step-by-step reference form, which calls the library's QP, barrier,
+integrator and monitor on the plain tube.  oracle_numpy_closed_loop keeps the
+library's tube table and monitor but does each step in the numpy arithmetic
+the library used before its steps moved to Python floats: BLAS products, an
 np.linalg.solve minimum-norm input and array RK4 stages.
 oracle_write_trajectory_log is the trajectory log written field by field
 through Python's csv writer.  oracle_bernstein_second_derivatives is the
