@@ -2,8 +2,9 @@
 minimum-energy safety QP with its single-constraint closed form.
 
 The closed loop calls these once or twice per step on vectors of n, m <= 3,
-so they compute on Python floats, each sum in index order from 0.0 as a BLAS
-without fused multiply-add sums it, and call neither BLAS nor LAPACK."""
+so points, gradients, Lie rows and inputs are lists of Python floats.  Each
+sum runs in index order from 0.0, as a BLAS without fused multiply-add sums
+it, and no call reaches BLAS or LAPACK."""
 
 from __future__ import annotations
 
@@ -49,18 +50,7 @@ class Barrier:
         return self.tube.t_f
 
 
-_FLOAT64 = np.dtype(float)
-
-
-def _floats(v) -> list:
-    """v as (nested) lists of Python floats; a float64 array skips
-    np.asarray, which costs as much again as tolist."""
-    if type(v) is np.ndarray and v.dtype is _FLOAT64:
-        return v.tolist()
-    return np.asarray(v, dtype=float).tolist()
-
-
-def _radius_and_center(tube, t: float, x: list):
+def _radius_and_center(tube, t: float, x) -> tuple:
     """r(t) and c(t) as floats; the barrier is undefined unless r(t) > 0."""
     r = tube.radius(t)
     if r <= 0:
@@ -71,8 +61,7 @@ def _radius_and_center(tube, t: float, x: list):
     return r, c
 
 
-def barrier_value(barrier: Barrier, t: float, x: np.ndarray) -> float:
-    x = _floats(x)
+def barrier_value(barrier: Barrier, t: float, x) -> float:
     r, c = _radius_and_center(barrier.tube, t, x)
     dd = 0.0
     for xi, ci in zip(x, c):
@@ -81,8 +70,10 @@ def barrier_value(barrier: Barrier, t: float, x: np.ndarray) -> float:
     return 1.0 - dd / r**2
 
 
-def _gradients(tube, t: float, x: list):
-    """barrier_gradients on a list of floats x, the gradient as a list."""
+def barrier_gradients(barrier: Barrier, t: float, x) -> tuple:
+    """Spatial gradient (a list of n floats) and time partial of the barrier
+    at (t, x)."""
+    tube = barrier.tube
     r, c = _radius_and_center(tube, t, x)
     r2 = r**2
     dd = cd = 0.0
@@ -93,12 +84,6 @@ def _gradients(tube, t: float, x: list):
         cd += vi * di
         db_dx.append(-2.0 * di / r2)
     return db_dx, 2.0 * cd / r2 + 2.0 * tube.radius_dot(t) * dd / r**3
-
-
-def barrier_gradients(barrier: Barrier, t: float, x: np.ndarray):
-    """Spatial gradient (n,) and time partial of the barrier at (t, x)."""
-    db_dx, db_dt = _gradients(barrier.tube, t, _floats(x))
-    return np.array(db_dx), db_dt
 
 
 def _cholesky(weight, m: int) -> tuple:
@@ -139,8 +124,20 @@ def _factor(entries: bytes, m: int) -> tuple:
     return tuple(low)
 
 
-def _min_norm_input(weight, a: list, psi: float) -> list:
-    """min_norm_input on a list of floats a, returning a list."""
+def min_norm_input(weight, a, psi: float) -> list:
+    """Closed-form solution of  min u'Wu  s.t.  a.u >= -psi.
+
+    When psi >= 0 the unconstrained optimum u = 0 is feasible.  Otherwise the
+    constraint is active and the KKT system gives
+    u = W^-1 a' (-psi) / (a W^-1 a').  Raises InfeasibleStepError when a = 0,
+    or a W^-1 a' underflows to 0, while psi < 0, and ValueError naming
+    `weight` when an active step meets a W that is not symmetric positive
+    definite.
+
+    a and the returned u are lists of m floats.  The arithmetic runs on
+    Python floats, each sum in index order: W gets a Cholesky factorization
+    L L' and W^-1 a two triangular sweeps, so no call reaches BLAS or LAPACK.
+    """
     m = len(a)
     if psi >= 0.0:
         return [0.0] * m
@@ -167,61 +164,44 @@ def _min_norm_input(weight, a: list, psi: float) -> list:
     return [vi * scale for vi in v]
 
 
-def min_norm_input(weight: np.ndarray, a: np.ndarray, psi: float) -> np.ndarray:
-    """Closed-form solution of  min u'Wu  s.t.  a.u >= -psi.
-
-    When psi >= 0 the unconstrained optimum u = 0 is feasible.  Otherwise the
-    constraint is active and the KKT system gives
-    u = W^-1 a' (-psi) / (a W^-1 a').  Raises InfeasibleStepError when a = 0,
-    or a W^-1 a' underflows to 0, while psi < 0, and ValueError naming
-    `weight` when an active step meets a W that is not symmetric positive
-    definite.
-
-    The arithmetic runs on Python floats, each sum in index order: W gets a
-    Cholesky factorization L L' and W^-1 a two triangular sweeps, so no call
-    reaches BLAS or LAPACK.
-    """
-    return np.array(_min_norm_input(weight, _floats(a), psi))
-
-
 @dataclass(slots=True)
 class ControlStep:
-    """QP input/output at one (t, x): barrier data, Lie derivatives, input."""
+    """QP input/output at one (t, x): barrier data, Lie derivatives, input.
+    x, db_dx, lie_g and u are lists of floats."""
 
     t: float
-    x: np.ndarray
+    x: list
     b: float
-    db_dx: np.ndarray
+    db_dx: list
     db_dt: float
     lie_f: float
-    lie_g: np.ndarray
+    lie_g: list
     psi: float
-    u: np.ndarray
+    u: list
     constraint_active: bool
 
 
 def solve_safety_qp(barrier: Barrier, dynamics, weight: np.ndarray,
-                    t: float, state: np.ndarray) -> ControlStep:
+                    t: float, state) -> ControlStep:
     """Minimum-energy input keeping the barrier nonnegative at one step.
 
     dynamics provides the control-affine terms of the certified output:
-    drift(t, state) -> (n,) and input_matrix(t, state) -> (n, m); state is the
-    dynamics-internal state, whose output(state) lives in barrier space.  The
-    Lie terms are index-order sums on Python floats, as in min_norm_input.
+    drift(t, state) -> n floats and input_matrix(t, state) -> n rows of m
+    floats; state is the dynamics-internal state, whose output(state) lives
+    in barrier space.  The Lie terms are index-order sums on Python floats,
+    as in min_norm_input.
     """
     x = dynamics.output(state)
     b = barrier_value(barrier, t, x)
-    db_dx, db_dt = _gradients(barrier.tube, t, _floats(x))
-    f = _floats(dynamics.drift(t, state))
-    g = _floats(dynamics.input_matrix(t, state))
+    db_dx, db_dt = barrier_gradients(barrier, t, x)
+    g = dynamics.input_matrix(t, state)
     lie_f = 0.0
     lie_g = [0.0] * len(g[0])
-    for dbi, fi, gi in zip(db_dx, f, g):
+    for dbi, fi, gi in zip(db_dx, dynamics.drift(t, state), g):
         lie_f += dbi * fi
         for j, gij in enumerate(gi):
             lie_g[j] += dbi * gij
     psi = lie_f + db_dt + barrier.alpha(b)
-    u = np.zeros(len(lie_g)) if psi >= 0.0 else np.array(_min_norm_input(weight, lie_g, psi))
     # positional: keyword arguments cost more than the rest of the record
-    return ControlStep(t, x, b, np.array(db_dx), db_dt, lie_f, np.array(lie_g), psi, u,
-                       psi < 0.0)
+    return ControlStep(t, x, b, db_dx, db_dt, lie_f, lie_g, psi,
+                       min_norm_input(weight, lie_g, psi), psi < 0.0)

@@ -62,6 +62,8 @@ def _predicate_from_dict(name: str, spec: dict, dim: int):
 
 
 _COVER_KEYS = {"theta", "lambda", "tau"}
+# the solver block sets SolverSettings; its search cover is the top-level key
+_SOLVER_KEYS = {f.name for f in fields(SolverSettings)} - {"search_cover"}
 
 
 def _check_block(name: str, block, required: set, allowed: set) -> None:
@@ -191,7 +193,7 @@ class ScenarioConfig:
                     _check_integer(f"{name}: theta", count, 1)
                 _check_integer(f"{name}: lambda", block["lambda"], 1)
                 _check_integer(f"{name}: tau", block["tau"], 1)
-        _check_block("solver", self.solver, set(), {"seed", "budget"})
+        _check_block("solver", self.solver, set(), _SOLVER_KEYS)
         for key, least in (("seed", 0), ("budget", 1)):
             if key in self.solver:
                 _check_integer(f"solver: {key}", self.solver[key], least)

@@ -7,10 +7,8 @@ coincide; the differential drive controls a look-ahead point so its position
 loop is square and invertible.
 
 The closed loop calls these terms on every step with states of n <= 3
-entries, so they are computed on Python floats (`math.cos`/`math.sin`) and
-only the result is wrapped in an array.  Each model also has `_rates(t,
-state, u)`, its state derivative on lists of floats, which `step_rk4` calls
-in place of `state_derivative`.
+entries, so states, outputs, inputs, drifts and input-matrix rows are lists
+or tuples of Python floats (`math.cos`/`math.sin` for the angles).
 """
 
 from __future__ import annotations
@@ -21,15 +19,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 # constant drifts and input matrices, shared by every step
-_ZERO_DRIFT = {n: _read_only(np.zeros(n)) for n in (2, 3)}
-_IDENTITY = {n: _read_only(np.eye(n)) for n in (2, 3)}
+_ZERO_DRIFT = {n: (0.0,) * n for n in (2, 3)}
+_IDENTITY = {n: tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
+             for n in (2, 3)}
 
 
 @dataclass(frozen=True)
@@ -46,25 +39,22 @@ class OmniRobot:
     def m(self) -> int:
         return self.n
 
-    def initial_state(self, x0: np.ndarray) -> np.ndarray:
+    def initial_state(self, x0) -> list:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (self.n,):
             raise ValueError(f"initial state must have dimension {self.n}")
-        return x0.copy()
+        return x0.tolist()
 
-    def output(self, state: np.ndarray) -> np.ndarray:
-        return np.asarray(state, dtype=float)
+    def output(self, state) -> list:
+        return list(state)
 
-    def drift(self, t: float, state: np.ndarray) -> np.ndarray:
+    def drift(self, t: float, state) -> tuple:
         return _ZERO_DRIFT[self.n]
 
-    def input_matrix(self, t: float, state: np.ndarray) -> np.ndarray:
+    def input_matrix(self, t: float, state) -> tuple:
         return _IDENTITY[self.n]
 
-    def state_derivative(self, t: float, state: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.asarray(u, dtype=float)
-
-    def _rates(self, t: float, state: list, u: list) -> list:
+    def state_derivative(self, t: float, state, u):
         return u
 
 
@@ -86,32 +76,29 @@ class DiffDrive:
         if self.lookahead <= 0:
             raise ValueError("look-ahead distance must be positive")
 
-    def initial_state(self, x0: np.ndarray) -> np.ndarray:
+    def initial_state(self, x0) -> list:
         """Internal state whose look-ahead point equals the requested output."""
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (2,):
             raise ValueError("initial output must be a 2-D point")
         px, py = x0.tolist()
-        return np.array([px - self.lookahead * math.cos(self.phi0),
-                         py - self.lookahead * math.sin(self.phi0), self.phi0])
+        phi0 = float(self.phi0)
+        return [px - self.lookahead * math.cos(phi0), py - self.lookahead * math.sin(phi0),
+                phi0]
 
-    def output(self, state: np.ndarray) -> np.ndarray:
-        px, py, phi = np.asarray(state, dtype=float).tolist()
-        return np.array([px + self.lookahead * math.cos(phi),
-                         py + self.lookahead * math.sin(phi)])
+    def output(self, state) -> list:
+        px, py, phi = state
+        return [px + self.lookahead * math.cos(phi), py + self.lookahead * math.sin(phi)]
 
-    def drift(self, t: float, state: np.ndarray) -> np.ndarray:
+    def drift(self, t: float, state) -> tuple:
         return _ZERO_DRIFT[2]
 
-    def input_matrix(self, t: float, state: np.ndarray) -> np.ndarray:
+    def input_matrix(self, t: float, state) -> tuple:
         phi = state[2]
         c, s = math.cos(phi), math.sin(phi)
-        return np.array([c, -self.lookahead * s, s, self.lookahead * c]).reshape(2, 2)
+        return ((c, -self.lookahead * s), (s, self.lookahead * c))
 
-    def state_derivative(self, t: float, state: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.array(self._rates(t, state, u))
-
-    def _rates(self, t: float, state: list, u: list) -> list:
+    def state_derivative(self, t: float, state, u) -> list:
         phi = state[2]
         v, omega = u
         return [v * math.cos(phi), v * math.sin(phi), omega]

@@ -9,11 +9,13 @@ is filled by stacked per-time products, each the `coeffs @ row` product the
 tube makes, which keeps every barrier value, input and log byte equal to a
 per-step evaluation of the tube.
 
-The steps themselves run on Python floats: the barrier, its gradients, the
-Lie terms, the QP (a Cholesky factorization of the weight and two
-triangular sweeps) and the RK4 stages sum in index order, as a BLAS without
-fused multiply-add sums them, and no step calls BLAS or LAPACK.  With n <= 3
-the numpy call overhead outweighed the arithmetic many times over.
+The steps themselves run on Python floats: the model's state, output and
+input are lists of floats from `initial_state` to the log row, and the
+barrier, its gradients, the Lie terms, the QP (a Cholesky factorization of
+the weight and two triangular sweeps) and the RK4 stages sum in index order,
+as a BLAS without fused multiply-add sums them.  No step calls BLAS or
+LAPACK.  With n <= 3 the numpy call overhead outweighed the arithmetic many
+times over.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cbf import Barrier, ControlStep, _cholesky, _floats, barrier_value, solve_safety_qp
+from .cbf import Barrier, ControlStep, _cholesky, barrier_value, solve_safety_qp
 from .stl import UNTIL_CONVENTIONS, Formula, Signal, robustness
 from .tube import SampledTube
 
@@ -34,29 +36,26 @@ class SimulationError(RuntimeError):
     """Closed-loop run cannot proceed (bad initial state or diverged state)."""
 
 
-def step_rk4(dynamics, t: float, state: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
+def step_rk4(dynamics, t: float, state: list, u: list, dt: float) -> list:
     """Classical 4th-order Runge-Kutta step holding u constant over [t, t+dt].
 
-    The stages are combined on Python floats.  A model with `_rates(t, x, u)`,
-    its state derivative on lists of floats, is called through that; any
-    other through `state_derivative`, with the stage states and u as lists."""
+    state, u and what `dynamics.state_derivative(t, state, u)` returns are
+    lists (or tuples) of floats; the stages are combined on Python floats and
+    the next state is returned as a list."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x, u = _floats(state), _floats(u)
-    rate = getattr(dynamics, "_rates", None)
-    if rate is None:
-        def rate(t, x, u):
-            return _floats(dynamics.state_derivative(t, x, u))
+    rate = dynamics.state_derivative
     half = dt / 2
-    k1 = rate(t, x, u)
-    k2 = rate(t + half, [xi + half * ki for xi, ki in zip(x, k1)], u)
-    k3 = rate(t + half, [xi + half * ki for xi, ki in zip(x, k2)], u)
-    k4 = rate(t + dt, [xi + dt * ki for xi, ki in zip(x, k3)], u)
+    k1 = rate(t, state, u)
+    k2 = rate(t + half, [xi + half * ki for xi, ki in zip(state, k1)], u)
+    k3 = rate(t + half, [xi + half * ki for xi, ki in zip(state, k2)], u)
+    k4 = rate(t + dt, [xi + dt * ki for xi, ki in zip(state, k3)], u)
     sixth = dt / 6
-    out = [xi + sixth * (a + 2 * b + 2 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    out = [xi + sixth * (a + 2 * b + 2 * c + d)
+           for xi, a, b, c, d in zip(state, k1, k2, k3, k4)]
     if not all(map(math.isfinite, out)):
         raise SimulationError(f"non-finite state after step at t={t}")
-    return np.array(out)
+    return out
 
 
 @dataclass
@@ -110,6 +109,8 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
                       gain=barrier.gain)
     weight = np.eye(dynamics.m) if weight is None else np.asarray(weight, dtype=float)
     _cholesky(weight, dynamics.m)
+    if input_bound is not None:
+        input_bound = float(input_bound)
 
     x0 = np.asarray(x0, dtype=float)
     state = dynamics.initial_state(x0)
@@ -122,11 +123,10 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     for k, (t, h, t_ctrl) in enumerate(zip(sample_ts, holds, control_ts)):
         step = solve_safety_qp(barrier, dynamics, weight, t_ctrl, state)
         if input_bound is not None:
-            u = step.u.tolist()
-            clamped = [min(max(v, -input_bound), input_bound) for v in u]
-            if clamped != u:
+            clamped = [min(max(v, -input_bound), input_bound) for v in step.u]
+            if clamped != step.u:
                 saturated += 1
-                step.u = np.array(clamped)
+                step.u = clamped
         # the record carries the true barrier at the sample instant and the
         # input actually applied over the hold interval; step.x is
         # output(state), as the state has not moved since the QP
@@ -166,7 +166,7 @@ def write_trajectory_log(path, report: RunReport) -> None:
               + ["b", "psi", "active"])
     row = ",".join(["%.17g"] * (n + m + 3) + ["%d"]) + "\r\n"
     lines = [",".join(header) + "\r\n"]
-    lines += [row % (s.t, *s.x.tolist(), *s.u.tolist(), s.b, s.psi, s.constraint_active)
+    lines += [row % (s.t, *s.x, *s.u, s.b, s.psi, s.constraint_active)
               for s in steps]
     with open(path, "w", newline="") as fh:
         fh.write("".join(lines))

@@ -130,15 +130,7 @@ def sphere_map(theta) -> np.ndarray:
 
     s_1 = cos t1, s_2 = sin t1 cos t2, ..., s_n = sin t1 ... sin t_{n-1}.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    n = len(theta) + 1
-    out = np.empty(n)
-    sin_prod = 1.0
-    for i, th in enumerate(theta):
-        out[i] = sin_prod * np.cos(th)
-        sin_prod *= np.sin(th)
-    out[n - 1] = sin_prod
-    return out
+    return sphere_map_many(theta)[0]
 
 
 def sphere_map_many(thetas: np.ndarray) -> np.ndarray:

@@ -170,7 +170,7 @@ def test_solve_safety_qp_constraint_residual():
         r = barrier.tube.radius(t)
         x = c + rng.uniform(-1, 1, size=2) * r
         step = solve_safety_qp(barrier, robot, np.eye(2), t, x)
-        residual = step.lie_f + float(step.lie_g @ step.u) + step.db_dt + barrier.alpha(step.b)
+        residual = step.lie_f + float(np.asarray(step.lie_g) @ np.asarray(step.u)) + step.db_dt + barrier.alpha(step.b)
         assert residual >= -1e-9
         if step.constraint_active:
             assert abs(residual) <= 1e-9

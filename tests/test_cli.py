@@ -12,7 +12,7 @@ from tubecbf.cli import main
 from tubecbf.config import ConfigError, ScenarioConfig, load_config, save_config
 from tubecbf.simulate import read_trajectory_signal
 from tubecbf.stl import horizon, iter_predicates
-from tubecbf.synthesis import SynthesisResult
+from tubecbf.synthesis import SolverSettings, SynthesisResult
 from tubecbf.tube import load_tube, tube_to_record
 
 from gen import power_tube
@@ -324,6 +324,20 @@ def test_start_state_draw_uses_the_solver_seed():
     config = ScenarioConfig.from_dict({**BASE, "solver": {"seed": 3, "budget": 800}})
     assert np.array_equal(config.pick_x0(tube), config.pick_x0(tube, seed=3))
     assert not np.array_equal(config.pick_x0(tube), config.pick_x0(tube, seed=0))
+
+
+def test_solver_block_takes_every_solver_setting_but_the_search_cover(tmp_path, capsys):
+    # the search cover is the top-level search_cover key, not a solver key
+    defaults = SolverSettings()
+    solver = {f.name: getattr(defaults, f.name) for f in fields(SolverSettings)
+              if f.name != "search_cover"}
+    assert main(["check", "--config", str(_write_config(tmp_path, {"solver": solver}))]) == 0
+    settings = ScenarioConfig.from_dict({**BASE, "solver": solver}).solver_settings()
+    assert {key: getattr(settings, key) for key in solver} == solver
+    for unknown in ("search_cover", "starts"):
+        cfg = _write_config(tmp_path, {"solver": {**solver, unknown: 1}})
+        assert main(["check", "--config", str(cfg)]) == 2
+        assert f"solver: unknown keys ['{unknown}']" in capsys.readouterr().err
 
 
 def test_readme_lists_every_config_key():

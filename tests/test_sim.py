@@ -255,6 +255,44 @@ def test_closed_loop_replays_step_by_step_oracle(tmp_path, name, x0_seed):
                      oracle_closed_loop(*args, **kwargs))
 
 
+class _ListIntegrator:
+    """A 2-D single integrator written against the model contract alone:
+    every state, output, input, drift and input-matrix row a list of floats."""
+
+    n = m = 2
+
+    def initial_state(self, x0):
+        return [float(v) for v in x0]
+
+    def output(self, state):
+        return list(state)
+
+    def drift(self, t, state):
+        return [0.0, 0.0]
+
+    def input_matrix(self, t, state):
+        return [[1.0, 0.0], [0.0, 1.0]]
+
+    def state_derivative(self, t, state, u):
+        return list(u)
+
+
+# an integer bound, as YAML reads `input_bound: 1`, must still clamp to floats
+@pytest.mark.parametrize("input_bound", [None, 1])
+def test_closed_loop_runs_any_model_of_float_lists(tmp_path, input_bound):
+    (omni, *args), kwargs = _ref_loop_args("omni_reach_avoid", 0)
+    kwargs["input_bound"] = input_bound
+    got = run_closed_loop(_ListIntegrator(), *args, **kwargs)
+    want = run_closed_loop(omni, *args, **kwargs)
+    _assert_same_run(tmp_path, got, want)
+    assert any(s.constraint_active for s in got.steps)
+    assert (got.saturated_steps > 0) == (input_bound is not None)
+    for report in (got, want):
+        for s in report.steps:
+            values = [s.t, *s.x, s.b, *s.db_dx, s.db_dt, s.lie_f, *s.lie_g, s.psi, *s.u]
+            assert all(type(v) is float for v in values), s
+
+
 @pytest.mark.parametrize("name, weight", [
     ("omni_reach_avoid", None),
     ("omni_reach_avoid", [1.0, 4.0]),
