@@ -39,8 +39,8 @@ class Barrier:
     gain: float = 5.0
 
     def __post_init__(self):
-        if self.gain <= 0:
-            raise ValueError("class-K gain must be positive")
+        if not self.gain > 0:
+            raise ValueError(f"gain must be positive, got {self.gain}")
 
     def alpha(self, s: float) -> float:
         return self.gain * s
@@ -134,9 +134,8 @@ def min_norm_input(weight, a, psi: float) -> list:
     `weight` when an active step meets a W that is not symmetric positive
     definite.
 
-    a and the returned u are lists of m floats.  The arithmetic runs on
-    Python floats, each sum in index order: W gets a Cholesky factorization
-    L L' and W^-1 a two triangular sweeps, so no call reaches BLAS or LAPACK.
+    a and the returned u are lists of m floats.  W gets a Cholesky
+    factorization L L', and W^-1 a two triangular sweeps in index order.
     """
     m = len(a)
     if psi >= 0.0:

@@ -67,9 +67,7 @@ def _write_tube_profile(tube: Tube, path: Path) -> None:
 
 def cmd_check(args) -> int:
     config = load_config(args.config)
-    # what synthesize builds before it solves, so a cover over budget fails here
-    f = config.instance().formula
-    config.solver_settings()
+    f = config.build_formula()
     print(f"formula: {config.formula}")
     print(_format_tree(f))
     print(f"horizon: {horizon(f):g} s")

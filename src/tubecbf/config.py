@@ -12,11 +12,10 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .cbf import Barrier
+from .cbf import Barrier, _cholesky
 from .dynamics import make_dynamics
-from .simulate import RunReport, run_closed_loop
+from .simulate import RunReport, run_closed_loop, run_settings
 from .stl import (
-    UNTIL_CONVENTIONS,
     AffineHalfspace,
     BallNorm2,
     BoxInfNorm,
@@ -24,7 +23,6 @@ from .stl import (
     FormulaSyntaxError,
     IntervalError,
     UndefinedPredicateError,
-    horizon,
     parse,
 )
 from .synthesis import CoverSpec, SOPInstance, SolverSettings
@@ -62,11 +60,18 @@ def _predicate_from_dict(name: str, spec: dict, dim: int):
 
 
 _COVER_KEYS = {"theta", "lambda", "tau"}
-# the solver block sets SolverSettings; its search cover is the top-level key
-_SOLVER_KEYS = {f.name for f in fields(SolverSettings)} - {"search_cover"}
 
 
-def _check_block(name: str, block, required: set, allowed: set) -> None:
+def _owned(block: Optional[str], build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError re-raised as a ConfigError
+    prefixed with the config block or key the arguments came from, if any."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{block}: {e}" if block else str(e)) from None
+
+
+def _check_block(name: str, block, allowed: set, required: frozenset = frozenset()) -> None:
     """A nested mapping holds every required key and no key outside allowed."""
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be a mapping")
@@ -80,9 +85,8 @@ def _check_block(name: str, block, required: set, allowed: set) -> None:
 
 
 def _check_number(key: str, value) -> None:
-    # YAML reads `dt: fast` as a string; comparing it with a number would
-    # raise TypeError, which is not an input error.  YAML's .nan and .inf
-    # pass every range check and break the solve or the run later on.
+    # YAML reads `dt: fast` as a string, on which a range check would raise
+    # TypeError; YAML's .nan and .inf would break the solve or the run later
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     if not math.isfinite(value):
@@ -101,15 +105,6 @@ def _check_vector(key: str, value, length: int) -> None:
         raise ConfigError(f"{key} must be a list of {length} numbers, got {value!r}")
     for v in value:
         _check_number(key, v)
-
-
-def _check_integer(key: str, value, least: int) -> None:
-    # int() would truncate a count of 4.6 to 4, so a count must be a true
-    # integer (YAML reads `true` as a bool, which is an int in Python)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if value < least:
-        raise ConfigError(f"{key} must be at least {least}, got {value}")
 
 
 def _plain(value):
@@ -148,64 +143,38 @@ class ScenarioConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        # only what YAML input needs is checked here (types, finite numbers,
+        # list shapes, key sets); the library objects built below check ranges
         # name is the stem of every artifact file, so it must not leave --out
         if (not isinstance(self.name, str) or self.name in ("", ".", "..")
                 or "/" in self.name or "\\" in self.name):
             raise ConfigError(f"name must be a file stem with no path separator, "
                               f"got {self.name!r}")
-        _check_integer("dimension", self.dimension, 1)
+        # YAML reads `true` as a bool, which is an int in Python
+        if isinstance(self.dimension, bool) or not isinstance(self.dimension, numbers.Integral):
+            raise ConfigError(f"dimension must be an integer, got {self.dimension!r}")
         for key in ("t_f", "dt", "min_radius", "epsilon", "center_box_scale",
                     "gain", "input_bound", "radius_max"):
-            value = getattr(self, key)
-            if value is not None:
-                _check_number(key, value)
-                if not value > 0:
-                    raise ConfigError(f"{key} must be positive, got {value}")
+            if getattr(self, key) is not None:
+                _check_number(key, getattr(self, key))
         if not _is_list(self.state_bounds) or len(self.state_bounds) != self.dimension:
             raise ConfigError("state_bounds must be one [lo, hi] per dimension")
         for lo_hi in self.state_bounds:
             _check_vector("state_bounds", lo_hi, 2)
-            if not lo_hi[0] < lo_hi[1]:
-                raise ConfigError(f"state_bounds {list(lo_hi)} is empty")
-        if self.until_convention not in UNTIL_CONVENTIONS:
-            raise ConfigError(f"unknown until_convention {self.until_convention!r}")
         for key in ("x0", "start"):
             if getattr(self, key) is not None:
                 _check_vector(key, getattr(self, key), self.dimension)
-        # the tube's center starts at start, which must lie in the workspace
-        if self.start is not None and not all(
-                lo <= v <= hi for v, (lo, hi) in zip(self.start, self.state_bounds)):
-            raise ConfigError(f"start {list(self.start)} lies outside state_bounds")
         if self.epsilon is None and self.cover_counts is None:
             raise ConfigError("no certification cover: set epsilon or cover_counts")
-        if self.radius_max is not None and not self.radius_max >= self.min_radius:
-            raise ConfigError(f"radius_max {self.radius_max} is below "
-                              f"min_radius {self.min_radius}")
         for name in ("cover_counts", "search_cover"):
             block = getattr(self, name)
             if block is not None:
-                _check_block(name, block, _COVER_KEYS, _COVER_KEYS)
-                theta = block["theta"]
-                if not isinstance(theta, list) or len(theta) != self.dimension - 1:
-                    raise ConfigError(f"{name}: theta needs a list of {self.dimension - 1} "
-                                      f"counts in dimension {self.dimension}")
-                for count in theta:
-                    _check_integer(f"{name}: theta", count, 1)
-                _check_integer(f"{name}: lambda", block["lambda"], 1)
-                _check_integer(f"{name}: tau", block["tau"], 1)
-        _check_block("solver", self.solver, set(), _SOLVER_KEYS)
-        for key, least in (("seed", 0), ("budget", 1)):
-            if key in self.solver:
-                _check_integer(f"solver: {key}", self.solver[key], least)
-        _check_block("basis", self.basis, set(), {"center_count", "radius_count"})
-        for key, value in self.basis.items():
-            _check_integer(f"basis: {key}", value, 1)
-        # predicates and formula are validated together in build_formula
+                _check_block(name, block, _COVER_KEYS, required=_COVER_KEYS)
+                _check_vector(f"{name}: theta", block["theta"], self.dimension - 1)
         if not isinstance(self.predicates, dict):
             raise ConfigError(f"predicates must be a mapping, got {self.predicates!r}")
-        self.build_formula()
-        # building the model checks its parameters too (e.g. a diffdrive
-        # look-ahead must be positive), so a bad one fails here, not in simulate
+        self.instance()
+        self.solver_settings()
         if not isinstance(self.dynamics, dict):
             raise ConfigError("dynamics must be a mapping")
         try:
@@ -214,50 +183,51 @@ class ScenarioConfig:
             raise ConfigError(str(e)) from None
         if self.control_weight is not None:
             _check_vector("control_weight", self.control_weight, model.m)
-            if not all(w > 0 for w in self.control_weight):
-                raise ConfigError("control_weight diagonal must be positive")
+            _owned("control_weight", _cholesky, self.weight_matrix(), model.m)
+        _owned(None, run_settings, model.m, self.t_f, self.dt, input_bound=self.input_bound,
+               until_convention=self.until_convention)
+        # a barrier checks its gain when built; each run brings its tube
+        _owned(None, Barrier, None, self.gain)
 
     # -- domain objects ----------------------------------------------------
 
-    def predicate_table(self) -> dict:
-        return {name: _predicate_from_dict(name, spec, self.dimension)
-                for name, spec in self.predicates.items()}
-
     def build_formula(self) -> Formula:
         try:
-            f = parse(self.formula, self.predicate_table())
+            return parse(self.formula, {name: _predicate_from_dict(name, spec, self.dimension)
+                                        for name, spec in self.predicates.items()})
         except (FormulaSyntaxError, IntervalError, UndefinedPredicateError):
             raise
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad predicate declaration: {e}")
-        if horizon(f) > self.t_f + 1e-9:
-            raise ConfigError(
-                f"formula horizon {horizon(f)} exceeds configured t_f {self.t_f}")
-        return f
 
-    def _from_counts(self, counts: dict) -> CoverSpec:
-        return CoverSpec.from_counts(counts["theta"], counts["lambda"], counts["tau"], self.t_f)
+    def _from_counts(self, block: str) -> CoverSpec:
+        counts = getattr(self, block)
+        return _owned(block, CoverSpec.from_counts, counts["theta"], counts["lambda"],
+                      counts["tau"], self.t_f)
 
     def cover_spec(self) -> CoverSpec:
-        if self.cover_counts is not None:
-            return self._from_counts(self.cover_counts)
-        return CoverSpec.for_radius(self.epsilon, self.dimension, self.t_f)
+        if self.epsilon is not None:  # checked even when cover_counts, which wins, is set
+            spec = _owned("epsilon", CoverSpec.for_radius, self.epsilon, self.dimension, self.t_f)
+        return self._from_counts("cover_counts") if self.cover_counts is not None else spec
 
     def instance(self) -> SOPInstance:
-        return SOPInstance(
-            self.build_formula(), n=self.dimension, t_f=self.t_f,
-            state_bounds=self.state_bounds, min_radius=self.min_radius,
-            radius_max=self.radius_max, cover=self.cover_spec(),
-            start_center=self.start,
-            center_box_scale=self.center_box_scale,
-            until_convention=self.until_convention, **self.basis)
+        """The synthesis problem; the basis block sets what no top-level key sets."""
+        args = dict(formula=self.build_formula(), n=self.dimension, t_f=self.t_f,
+                    state_bounds=self.state_bounds, min_radius=self.min_radius,
+                    radius_max=self.radius_max, cover=self.cover_spec(),
+                    start_center=self.start, center_box_scale=self.center_box_scale,
+                    until_convention=self.until_convention)
+        _check_block("basis", self.basis,
+                     {f.name for f in fields(SOPInstance) if f.init} - set(args))
+        return _owned(None, SOPInstance, **args, **self.basis)
 
     def solver_settings(self, seed: Optional[int] = None) -> SolverSettings:
-        """The solver block's settings; a given seed overrides its seed."""
+        """The solver block's settings (but search_cover); a seed overrides its seed."""
+        search_cover = None if self.search_cover is None else self._from_counts("search_cover")
+        _check_block("solver", self.solver,
+                     {f.name for f in fields(SolverSettings)} - {"search_cover"})
         solver = self.solver if seed is None else {**self.solver, "seed": int(seed)}
-        return SolverSettings(
-            search_cover=None if self.search_cover is None else self._from_counts(
-                self.search_cover), **solver)
+        return _owned("solver", SolverSettings, search_cover=search_cover, **solver)
 
     def make_dynamics(self):
         params = dict(self.dynamics)
@@ -303,16 +273,14 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a mapping")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {f.name for f in fields(cls) if f.default is MISSING
-                   and f.default_factory is MISSING} - set(data)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
+        required = {f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING}
+        _check_block("config", data, {f.name for f in fields(cls)}, required)
         return cls(**data)
+
+
+# libyaml's parser where PyYAML was built with it: 5-8x faster on a config
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -320,7 +288,7 @@ def load_config(path) -> ScenarioConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.load(path.read_text(), Loader=_LOADER)
     except IsADirectoryError:
         raise ConfigError(f"{path} is a directory, not a config file") from None
     except yaml.YAMLError as e:

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .cbf import Barrier, ControlStep, _cholesky, barrier_value, solve_safety_qp
-from .stl import UNTIL_CONVENTIONS, Formula, Signal, robustness
+from .stl import UNTIL_CONVENTIONS, Formula, Signal, check_until_convention, robustness
 from .tube import SampledTube
 
 
@@ -72,6 +72,23 @@ class RunReport:
     saturated_steps: int = 0
 
 
+def run_settings(m: int, t_f: float, dt: float, weight=None, input_bound=None,
+                 until_convention: str = UNTIL_CONVENTIONS[0]) -> tuple:
+    """Step count, (m, m) weight (None: identity) and float input bound of a
+    closed-loop run over [0, t_f]; ValueError naming a setting out of range."""
+    n_steps = int(round(t_f / dt)) if dt > 0 else 0
+    if n_steps < 1:
+        raise ValueError(f"dt must be positive and fit one step in t_f {t_f}, got {dt}")
+    weight = np.eye(m) if weight is None else np.asarray(weight, dtype=float)
+    _cholesky(weight, m)
+    if input_bound is not None:
+        input_bound = float(input_bound)
+        if not input_bound > 0:
+            raise ValueError(f"input_bound must be positive, got {input_bound}")
+    check_until_convention(until_convention)
+    return n_steps, weight, input_bound
+
+
 def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
                     formula: Formula, *, weight: Optional[np.ndarray] = None,
                     input_bound: Optional[float] = None,
@@ -84,33 +101,20 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     moving tube without the O(dt) lag of sampling at the interval start.
     When input_bound is given, inputs are clamped per component and the
     saturation count reported; the invariance argument assumes no clamping.
-    The weight (identity by default) must be an (m, m) symmetric positive
-    definite matrix, checked by its Cholesky factorization before the first
-    step, which raises a ValueError naming `weight`.
-
-    The barrier is rebuilt once per run, with the same gain, over a
-    `SampledTube` of its tube at 0 and every sample and control instant.  Its
-    table holds one `coeffs @ row` product per time, on rows equal to the
-    per-step basis rows; a flat product over the whole table would round
-    differently and change the log.  Each step sums on Python floats in index
-    order and calls neither BLAS nor LAPACK (see the module docstring).
+    The weight (identity by default) must be symmetric positive definite.
+    `run_settings` checks every setting before the first step.  The barrier
+    is rebuilt once per run, with the same gain, over a `SampledTube` of its
+    tube (see the module docstring).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     t_f = barrier.t_f
-    n_steps = int(round(t_f / dt))
-    if n_steps < 1:
-        raise ValueError("horizon shorter than one step")
+    n_steps, weight, input_bound = run_settings(dynamics.m, t_f, dt, weight, input_bound,
+                                                until_convention)
     times = np.linspace(0.0, t_f, n_steps + 1)
     sample_ts = times.tolist()
     holds = [hi - lo for lo, hi in zip(sample_ts, sample_ts[1:])] + [0.0]
     control_ts = [t + h / 2.0 for t, h in zip(sample_ts, holds)]
     barrier = Barrier(SampledTube(barrier.tube, [0.0, *sample_ts, *control_ts]),
                       gain=barrier.gain)
-    weight = np.eye(dynamics.m) if weight is None else np.asarray(weight, dtype=float)
-    _cholesky(weight, dynamics.m)
-    if input_bound is not None:
-        input_bound = float(input_bound)
 
     x0 = np.asarray(x0, dtype=float)
     state = dynamics.initial_state(x0)

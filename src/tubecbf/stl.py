@@ -337,6 +337,12 @@ _TIME_SLACK = 1e-9
 UNTIL_CONVENTIONS = ("paper", "standard")
 
 
+def check_until_convention(convention: str) -> None:
+    """ValueError naming until_convention unless it is one of UNTIL_CONVENTIONS."""
+    if convention not in UNTIL_CONVENTIONS:
+        raise ValueError(f"unknown until_convention {convention!r}")
+
+
 @dataclass(frozen=True)
 class Signal:
     """Finite sampled trajectory in R^n with linear interpolation semantics."""
@@ -634,8 +640,7 @@ def _plan(f: Formula, times_key: bytes, t: float, convention: str):
     """Compiled evaluation of f at time t on the grid whose float64 bytes are
     times_key; returns a function of the state planes (n, T, K) that
     interpolates each off-grid time set once, then evaluates the tree."""
-    if convention not in UNTIL_CONVENTIONS:
-        raise ValueError(f"unknown until_convention {convention!r}")
+    check_until_convention(convention)
     grid = np.frombuffer(times_key)
     if t + horizon(f) > grid[-1] + _TIME_SLACK:
         raise ValueError(

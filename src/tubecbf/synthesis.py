@@ -7,8 +7,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -26,6 +27,7 @@ from .stl import (
     Or,
     Predicate,
     Always,
+    check_until_convention,
     horizon,
     iter_predicates,
     robustness_batch,
@@ -41,6 +43,12 @@ class CoverError(ValueError):
 
 # CoverSpec.for_radius refuses covers with more samples than this
 COVER_SAMPLE_BUDGET = 50_000_000
+
+
+def _check_integer(name: str, value, least: int, error=ValueError) -> None:
+    # a bool is an int in Python, and int() would truncate a count of 4.6 to 4
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +94,9 @@ class CoverSpec:
     def __post_init__(self):
         if self.radius <= 0:
             raise CoverError(f"cover radius must be positive, got {self.radius}")
-        if min(self.counts) < 1:
-            raise CoverError("all axis counts must be at least 1")
+        names = ("theta_counts",) * len(self.theta_counts) + ("lambda_count", "tau_count")
+        for name, count in zip(names, self.counts):
+            _check_integer(name, count, 1, CoverError)
         needed = _implied_radius(self.counts, self.t_f)
         if needed > self.radius + 1e-12:
             raise CoverError(
@@ -127,10 +136,9 @@ class CoverSpec:
     def from_counts(cls, theta_counts, lambda_count: int, tau_count: int,
                     t_f: float) -> "CoverSpec":
         """Spec with the smallest radius the given counts actually cover."""
-        theta_counts = tuple(theta_counts)
-        radius = _implied_radius((*theta_counts, lambda_count, tau_count), t_f)
-        return cls(radius=radius, theta_counts=theta_counts,
-                   lambda_count=lambda_count, tau_count=tau_count, t_f=t_f)
+        # built at an infinite radius first, which checks the counts
+        spec = cls(math.inf, tuple(theta_counts), lambda_count, tau_count, t_f)
+        return replace(spec, radius=_implied_radius(spec.counts, t_f))
 
     def refined(self, factor: int) -> "CoverSpec":
         return CoverSpec.from_counts([c * factor for c in self.theta_counts],
@@ -215,7 +223,8 @@ class SOPInstance:
     inflated about their midpoint by center_box_scale; a start_center pins
     its first control point, where the curve starts.  The radius box is
     [min_radius, radius_max], radius_max defaulting to a quarter of the
-    narrowest state range.
+    narrowest state range, or min_radius if that is larger.
+    An argument out of range raises a ValueError that names it.
     """
 
     formula: Formula
@@ -237,28 +246,36 @@ class SOPInstance:
     l_rho: float = field(init=False)
 
     def __post_init__(self):
-        if self.min_radius <= 0:
-            raise ValueError("minimum tube radius must be positive")
+        if not self.min_radius > 0:
+            raise ValueError(f"min_radius must be positive, got {self.min_radius}")
+        if self.radius_max is not None and not self.radius_max >= self.min_radius:
+            raise ValueError(f"radius_max {self.radius_max} is below min_radius {self.min_radius}")
+        if not self.center_box_scale > 0:
+            raise ValueError(f"center_box_scale must be positive, got {self.center_box_scale}")
+        for name in ("center_count", "radius_count"):
+            _check_integer(f"basis {name}", getattr(self, name), 1)
+        check_until_convention(self.until_convention)
         bounds = np.asarray(self.state_bounds, dtype=float)
-        if bounds.shape != (self.n, 2):
-            raise ValueError("state bounds must be (n, 2)")
+        if bounds.shape != (self.n, 2) or not np.all(bounds[:, 0] < bounds[:, 1]):
+            raise ValueError(f"state_bounds must be {self.n} rows [lo, hi] with lo < hi, "
+                             f"got {bounds.tolist()}")
+        lo, hi = bounds[:, 0], bounds[:, 1]
         if horizon(self.formula) > self.t_f + 1e-9:
-            raise ValueError(
-                f"formula horizon {horizon(self.formula)} exceeds tube horizon {self.t_f}")
+            raise ValueError(f"formula horizon {horizon(self.formula)} exceeds t_f {self.t_f}")
+        start = None if self.start_center is None else np.asarray(self.start_center, dtype=float)
+        if start is not None and not (start.shape == (self.n,)
+                                      and np.all((lo <= start) & (start <= hi))):
+            raise ValueError(f"start_center {start.tolist()} lies outside state_bounds")
         mid = bounds.mean(axis=1)
-        half = (bounds[:, 1] - bounds[:, 0]) / 2.0 * self.center_box_scale
+        half = (hi - lo) / 2.0 * self.center_box_scale
         inflated = np.column_stack([mid - half, mid + half])
         center_box = np.repeat(inflated[:, None, :], self.center_count, axis=1)
-        radius_max = self.radius_max
-        if radius_max is None:
-            radius_max = float(np.min(bounds[:, 1] - bounds[:, 0])) / 4.0
-        radius_box = np.tile([self.min_radius, max(radius_max, self.min_radius)],
-                             (self.radius_count, 1))
-        start = None if self.start_center is None else np.asarray(self.start_center, dtype=float)
         if start is not None:
             center_box[:, 0] = start[:, None]
-        if np.any(center_box[..., 1] < center_box[..., 0]):
-            raise ValueError("coefficient boxes must be nonempty")
+        radius_max = self.radius_max
+        if radius_max is None:
+            radius_max = max(float(np.min(hi - lo)) / 4.0, self.min_radius)
+        radius_box = np.tile([self.min_radius, radius_max], (self.radius_count, 1))
         derived = {
             "state_bounds": bounds, "start_center": start,
             "center_box": center_box, "radius_box": radius_box,
@@ -699,11 +716,16 @@ POLISH_SLACK = 0.05
 @dataclass
 class SolverSettings:
     """Random seed, objective-evaluation budget, and the cover the search
-    iterates on (None: the instance's certificate cover)."""
+    iterates on (None: the instance's certificate cover).  ValueError naming
+    the field unless seed >= 0 and budget >= 1 are integers."""
 
     seed: int = 0
     budget: int = 4000
     search_cover: Optional[CoverSpec] = None
+
+    def __post_init__(self):
+        _check_integer("seed", self.seed, 0)
+        _check_integer("budget", self.budget, 1)
 
 
 def pattern_search(func, x0, lb, ub, *, step: float, min_step: float,
@@ -776,7 +798,7 @@ def _minimize_margin(func, q0, lb, ub, settings: SolverSettings,
     best_val = float(func(best[None])[0])
     evals = 1
     width = ub - lb
-    for _ in range(STARTS - 1):
+    for _ in range(min(STARTS - 1, settings.budget - evals)):
         # one at a time: each start perturbs the best point so far
         cand = np.clip(best + rng.normal(scale=0.08, size=len(best)) * width, lb, ub)
         v = float(func(cand[None])[0])
@@ -785,11 +807,13 @@ def _minimize_margin(func, q0, lb, ub, settings: SolverSettings,
             best, best_val = cand, v
 
     chunk = max(150, settings.budget // 10)
-    x, v, used = pattern_search(func, best, lb, ub, step=STEP0, min_step=MIN_STEP,
-                                budget=chunk * 2)
-    evals += used
-    if v < best_val:
-        best, best_val = x, v
+    # pattern_search scores its start even on a budget of 0
+    if evals < settings.budget:
+        x, v, used = pattern_search(func, best, lb, ub, step=STEP0, min_step=MIN_STEP,
+                                    budget=min(chunk * 2, settings.budget - evals))
+        evals += used
+        if v < best_val:
+            best, best_val = x, v
 
     lo, hi = BISECTION
     hi = min(hi, best_val)
@@ -921,11 +945,10 @@ def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
 
         m0 = float(margin_objective(best[None])[0])
         evals += 1
-        if m0 > -POLISH_SLACK:
+        if m0 > -POLISH_SLACK and evals < settings.budget:
             x, v, used = pattern_search(
                 margin_objective, best, lb, ub, step=STEP0 / 4, min_step=MIN_STEP,
-                budget=max(0, settings.budget - evals),
-                target=-POLISH_SLACK)
+                budget=settings.budget - evals, target=-POLISH_SLACK)
             evals += used
             if v < m0:
                 best = x

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from tubecbf import config as config_module
 from tubecbf.cli import main
 from tubecbf.config import ConfigError, ScenarioConfig, load_config, save_config
 from tubecbf.simulate import read_trajectory_signal
@@ -165,6 +166,24 @@ def test_check_empty_formula_exits_2(tmp_path):
 
 def test_check_missing_config_exits_2(tmp_path):
     assert main(["check", "--config", str(tmp_path / "nope.yaml")]) == 2
+
+
+def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "broken.yaml"
+    cfg.write_text("name: [unclosed\ndimension: 2\n")
+    assert main(["check", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_configs_read_alike_under_both_yaml_loaders(path):
+    # load_config parses with libyaml's loader where PyYAML was built with it
+    assert config_module._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    text = path.read_text()
+    data = yaml.load(text, Loader=config_module._LOADER)
+    assert data == yaml.load(text, Loader=yaml.SafeLoader)
+    assert load_config(path) == ScenarioConfig.from_dict(yaml.safe_load(text))
 
 
 @pytest.mark.parametrize("overrides, named", [
@@ -338,6 +357,15 @@ def test_solver_block_takes_every_solver_setting_but_the_search_cover(tmp_path, 
         cfg = _write_config(tmp_path, {"solver": {**solver, unknown: 1}})
         assert main(["check", "--config", str(cfg)]) == 2
         assert f"solver: unknown keys ['{unknown}']" in capsys.readouterr().err
+
+
+def test_epsilon_beside_cover_counts_is_still_checked(tmp_path, capsys):
+    # cover_counts sets the cover, but a set epsilon must be in range too
+    counts = {"theta": [10], "lambda": 3, "tau": 12}
+    cfg = _write_config(tmp_path, {"epsilon": -0.12, "cover_counts": counts})
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert main(["check", "--config", str(_write_config(tmp_path, {"cover_counts": counts}))]) == 0
 
 
 def test_readme_lists_every_config_key():

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +205,22 @@ def _ref_loop_args(name, x0_seed):
     return _loop_args(*_reference(name), x0_seed)
 
 
+def test_closed_loop_does_not_import_numpy_ma():
+    # numpy.ma costs a process about 1 MB of resident memory, and np.unique
+    # imports it on its first call
+    code = ("import sys\n"
+            "from tubecbf.config import load_config\n"
+            "from tubecbf.tube import load_tube\n"
+            f"config = load_config({str(ROOT / 'configs' / 'stlcg_2.yaml')!r})\n"
+            f"tube = load_tube({str(ROOT / 'perfbench' / 'ref' / 'stlcg_2_tube.json')!r})\n"
+            "config.closed_loop(tube)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
+
+
 _CURVES = ("center", "center_dot", "radius", "radius_dot")
 
 
@@ -339,6 +358,26 @@ def test_closed_loop_matches_numpy_step_arithmetic(name):
         args, kwargs = _loop_args(config, tube, x0_seed)
         _assert_runs_agree(run_closed_loop(*args, **kwargs),
                            oracle_numpy_closed_loop(*args, **kwargs), 1e-12)
+
+
+@pytest.mark.parametrize("settings, named", [
+    (dict(input_bound=-1.0), "input_bound"),
+    (dict(input_bound=0.0), "input_bound"),
+    (dict(until_convention="Paper"), "until_convention"),
+    (dict(dt=0.0), "dt"),
+], ids=["negative-bound", "zero-bound", "unknown-convention", "zero-dt"])
+def test_closed_loop_checks_its_settings_before_the_first_step(monkeypatch, settings, named):
+    # a negative bound would clamp every input to it, and an unknown
+    # convention would only fail in the monitor after the whole run
+    calls = []
+    monkeypatch.setattr(simulate, "solve_safety_qp",
+                        lambda *a: calls.append(a) or cbf.solve_safety_qp(*a))
+    args = {"dt": 0.05, **settings}
+    dt = args.pop("dt")
+    with pytest.raises(ValueError, match=named):
+        run_closed_loop(OmniRobot(2), Barrier(_static_tube([0.0, 0.0], 1.0)), np.zeros(2),
+                        dt, STAY, **args)
+    assert calls == []
 
 
 @pytest.mark.parametrize("weight", [np.eye(3), -np.eye(2), np.zeros((2, 2)),

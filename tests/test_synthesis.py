@@ -830,6 +830,59 @@ def test_solve_sop_contradiction_stays_infeasible():
     assert not result.certificate_ok
 
 
+def test_solve_sop_never_spends_more_than_its_budget():
+    # the warm-start perturbations and the first pattern search are capped by
+    # the budget left, as the bisection and the polish are
+    inst = _stay_instance()
+    for budget in range(1, 401):
+        result = solve_sop(inst, SolverSettings(seed=0, budget=budget))
+        assert result.diagnostics["objective_evals"] <= budget, budget
+
+
+@pytest.mark.parametrize("settings, named", [
+    (dict(budget=0), "budget"),
+    (dict(budget=2.5), "budget"),
+    (dict(budget=True), "budget"),
+    (dict(seed=-1), "seed"),
+], ids=["zero-budget", "fractional-budget", "bool-budget", "negative-seed"])
+def test_solver_settings_check_their_ranges(settings, named):
+    with pytest.raises(ValueError, match=named):
+        SolverSettings(**settings)
+
+
+@pytest.mark.parametrize("arguments, named", [
+    (dict(radius_max=0.1), "radius_max"),
+    (dict(min_radius=0.0), "min_radius"),
+    (dict(center_box_scale=0), "center_box_scale"),
+    (dict(start_center=(20, 20)), "start_center"),
+    (dict(start_center=(4.5, 4.5, 4.5)), "start_center"),
+    (dict(until_convention="Paper"), "until_convention"),
+    (dict(center_count=2.5), "center_count"),
+    (dict(radius_count=0), "radius_count"),
+    (dict(state_bounds=[[0, 9], [9, 0]]), "state_bounds"),
+    (dict(t_f=3.0), "t_f"),
+], ids=["radius-max-below-floor", "zero-floor", "zero-box-scale", "start-outside",
+        "start-of-another-dimension", "unknown-convention", "fractional-center-count",
+        "zero-radius-count", "empty-bounds", "horizon-past-t-f"])
+def test_sop_instance_checks_its_ranges(arguments, named):
+    # what a scenario config checks through SOPInstance, a direct caller gets
+    # too: a ValueError naming the argument, not a silently changed box
+    args = dict(formula=parse("F[0,4] T & G[0,4] T", STAY_TABLE), n=2, t_f=4.0,
+                state_bounds=[[0, 9], [0, 9]], radius_max=2.0)
+    with pytest.raises(ValueError, match=named):
+        SOPInstance(**{**args, **arguments})
+
+
+@pytest.mark.parametrize("counts, named", [
+    (([0], 3, 12), "theta_counts"),
+    (([10], 2.5, 12), "lambda_count"),
+    (([10], 3, -4), "tau_count"),
+], ids=["zero-theta", "fractional-lambda", "negative-tau"])
+def test_cover_spec_checks_its_counts(counts, named):
+    with pytest.raises(CoverError, match=named):
+        CoverSpec.from_counts(*counts, 4.0)
+
+
 def test_solve_sop_requires_a_cover():
     inst = _instance("F[0,4] T & G[0,4] T", STAY_TABLE, 4.0, [[0, 9], [0, 9]],
                      start=(4.5, 4.5))

@@ -38,3 +38,17 @@ def test_workload_setup_and_one_job_run_clean(monkeypatch, tmp_path, name):
             f"{scen.config.name}_trajectory.csv" for scen in state)
     else:
         assert result.values["recheck_max"] <= 0.0
+
+
+@pytest.mark.parametrize("name", ["synth_nested", "synth_3d"])
+def test_synth_workload_setup_and_one_job_run_clean(monkeypatch, tmp_path, name):
+    # the synth workloads build their SOPInstance and SolverSettings through
+    # config.instance() and config.solver_settings(), then solve and simulate
+    workloads = _load_workloads(monkeypatch)
+    workload = workloads.WORKLOADS[name]
+    ctx = workloads.Context(tmp_path)
+    state = workload.setup(tubecbf, ctx)
+    result = workload.job(tubecbf, ctx, state, 0, 0)
+    assert result.failures == []
+    assert result.values["objective_evals"] <= state[1].budget
+    assert result.values["steps"] > 0
