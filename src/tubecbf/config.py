@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .cbf import Barrier, _cholesky
+from .cbf import Barrier
 from .dynamics import make_dynamics
 from .simulate import RunReport, run_closed_loop, run_settings
 from .stl import (
@@ -63,8 +63,7 @@ _COVER_KEYS = {"theta", "lambda", "tau"}
 
 
 def _owned(block: Optional[str], build, *args, **kwargs):
-    """build(*args, **kwargs), its ValueError re-raised as a ConfigError
-    prefixed with the config block or key the arguments came from, if any."""
+    """build(*args, **kwargs); a ValueError becomes a ConfigError prefixed with block."""
     try:
         return build(*args, **kwargs)
     except ValueError as e:
@@ -183,9 +182,11 @@ class ScenarioConfig:
             raise ConfigError(str(e)) from None
         if self.control_weight is not None:
             _check_vector("control_weight", self.control_weight, model.m)
-            _owned("control_weight", _cholesky, self.weight_matrix(), model.m)
-        _owned(None, run_settings, model.m, self.t_f, self.dt, input_bound=self.input_bound,
-               until_convention=self.until_convention)
+        try:
+            run_settings(model.m, self.t_f, self.dt, self.weight_matrix(), self.input_bound,
+                         self.until_convention)
+        except ValueError as e:  # run_settings calls the control weight `weight`
+            raise ConfigError(f"control_{e}" if str(e).startswith("weight") else str(e)) from None
         # a barrier checks its gain when built; each run brings its tube
         _owned(None, Barrier, None, self.gain)
 
@@ -279,16 +280,12 @@ class ScenarioConfig:
         return cls(**data)
 
 
-# libyaml's parser where PyYAML was built with it: 5-8x faster on a config
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 def load_config(path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = yaml.load(path.read_text(), Loader=_LOADER)
+        data = yaml.safe_load(path.read_text())
     except IsADirectoryError:
         raise ConfigError(f"{path} is a directory, not a config file") from None
     except yaml.YAMLError as e:

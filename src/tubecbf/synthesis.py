@@ -9,7 +9,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -46,8 +46,9 @@ COVER_SAMPLE_BUDGET = 50_000_000
 
 
 def _check_integer(name: str, value, least: int, error=ValueError) -> None:
-    # a bool is an int in Python, and int() would truncate a count of 4.6 to 4
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    # a bool is an int, int() would truncate 4.6 to 4, and a plain int is quickest
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)) or value < least:
         raise error(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
@@ -71,11 +72,17 @@ def _axis_ranges(n: int, t_f: float) -> list[tuple[float, float]]:
     [0, pi] and the last [0, 2*pi], then lambda in [0, 1] and tau in [0, t_f]."""
     if n < 2:
         raise CoverError("tube dimension must be at least 2")
+    if not t_f > 0:
+        raise CoverError(f"t_f must be positive, got {t_f}")
     return [(0.0, math.pi)] * (n - 2) + [(0.0, 2.0 * math.pi), (0.0, 1.0), (0.0, t_f)]
 
 
 def _implied_radius(counts, t_f: float) -> float:
-    """Radius covered by the midpoint grid with these counts, one per axis of W."""
+    """Radius covered by the midpoint grid with these counts, one per axis of
+    W; CoverError naming the axis of a count not an integer of at least 1."""
+    names = ("theta_counts",) * (len(counts) - 2) + ("lambda_count", "tau_count")
+    for name, count in zip(names, counts):
+        _check_integer(name, count, 1, CoverError)
     halves = [(hi - lo) / (2 * m)
               for (lo, hi), m in zip(_axis_ranges(len(counts) - 1, t_f), counts)]
     return math.sqrt(sum(h * h for h in halves))
@@ -94,9 +101,6 @@ class CoverSpec:
     def __post_init__(self):
         if self.radius <= 0:
             raise CoverError(f"cover radius must be positive, got {self.radius}")
-        names = ("theta_counts",) * len(self.theta_counts) + ("lambda_count", "tau_count")
-        for name, count in zip(names, self.counts):
-            _check_integer(name, count, 1, CoverError)
         needed = _implied_radius(self.counts, self.t_f)
         if needed > self.radius + 1e-12:
             raise CoverError(
@@ -136,9 +140,10 @@ class CoverSpec:
     def from_counts(cls, theta_counts, lambda_count: int, tau_count: int,
                     t_f: float) -> "CoverSpec":
         """Spec with the smallest radius the given counts actually cover."""
-        # built at an infinite radius first, which checks the counts
-        spec = cls(math.inf, tuple(theta_counts), lambda_count, tau_count, t_f)
-        return replace(spec, radius=_implied_radius(spec.counts, t_f))
+        theta_counts = tuple(theta_counts)
+        radius = _implied_radius((*theta_counts, lambda_count, tau_count), t_f)
+        return cls(radius=radius, theta_counts=theta_counts,
+                   lambda_count=lambda_count, tau_count=tau_count, t_f=t_f)
 
     def refined(self, factor: int) -> "CoverSpec":
         return CoverSpec.from_counts([c * factor for c in self.theta_counts],
@@ -211,7 +216,8 @@ def combine_constants(l_rho: float, l_center: float, l_radius: float,
 class SOPInstance:
     """Sampled tube-synthesis problem over box-bounded coefficients.
 
-    Instances compare and hash by identity: their fields hold arrays.
+    Instances compare and hash by identity: their fields hold arrays.  An
+    argument out of range raises a ValueError that names it.
 
     The constructor's arguments are the problem's inputs.  From them it
     derives, once, everything a solve reads: the coefficient boxes, the
@@ -224,7 +230,6 @@ class SOPInstance:
     its first control point, where the curve starts.  The radius box is
     [min_radius, radius_max], radius_max defaulting to a quarter of the
     narrowest state range, or min_radius if that is larger.
-    An argument out of range raises a ValueError that names it.
     """
 
     formula: Formula

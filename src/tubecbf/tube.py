@@ -88,10 +88,8 @@ class SampledTube:
 
     def __init__(self, tube: Tube, times):
         self.t_f = tube.t_f
-        # the sorted distinct times; np.unique would import numpy.ma (~1 MB)
-        ts = np.sort(np.asarray(times, dtype=float))
-        ts = ts[np.append(True, ts[1:] != ts[:-1])]
-        self._row = dict(zip(ts.tolist(), range(len(ts))))
+        self._row = {t: i for i, t in enumerate(dict.fromkeys(float(t) for t in times))}
+        ts = np.array(list(self._row), dtype=float)
         bad = np.flatnonzero((ts < -_RANGE_SLACK) | (ts > tube.t_f + _RANGE_SLACK))
         if len(bad):
             tube._check_time(float(ts[bad[0]]))  # raises the tube's ValueError

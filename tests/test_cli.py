@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 import yaml
 
-from tubecbf import config as config_module
 from tubecbf.cli import main
 from tubecbf.config import ConfigError, ScenarioConfig, load_config, save_config
 from tubecbf.simulate import read_trajectory_signal
@@ -174,16 +173,6 @@ def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys):
     assert main(["check", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert str(cfg) in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")), ids=lambda p: p.stem)
-def test_shipped_configs_read_alike_under_both_yaml_loaders(path):
-    # load_config parses with libyaml's loader where PyYAML was built with it
-    assert config_module._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    text = path.read_text()
-    data = yaml.load(text, Loader=config_module._LOADER)
-    assert data == yaml.load(text, Loader=yaml.SafeLoader)
-    assert load_config(path) == ScenarioConfig.from_dict(yaml.safe_load(text))
 
 
 @pytest.mark.parametrize("overrides, named", [
@@ -357,6 +346,18 @@ def test_solver_block_takes_every_solver_setting_but_the_search_cover(tmp_path, 
         cfg = _write_config(tmp_path, {"solver": {**solver, unknown: 1}})
         assert main(["check", "--config", str(cfg)]) == 2
         assert f"solver: unknown keys ['{unknown}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"t_f": -1.0}, "t_f"),
+    ({"t_f": 0.0}, "t_f"),
+    ({"dt": -0.05}, "dt"),
+    ({"dt": 0.0}, "dt"),
+], ids=["negative-t-f", "zero-t-f", "negative-dt", "zero-dt"])
+def test_check_nonpositive_horizon_or_step_exits_2(tmp_path, capsys, overrides, named):
+    # the cover reads t_f before any other owner does, and run_settings reads dt
+    assert main(["check", "--config", str(_write_config(tmp_path, overrides))]) == 2
+    assert f"{named} must be positive" in capsys.readouterr().err
 
 
 def test_epsilon_beside_cover_counts_is_still_checked(tmp_path, capsys):

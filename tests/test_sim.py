@@ -1,8 +1,5 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -203,22 +200,6 @@ def _loop_args(config, tube, x0_seed):
 def _ref_loop_args(name, x0_seed):
     """_loop_args for one shipped config and its reference tube."""
     return _loop_args(*_reference(name), x0_seed)
-
-
-def test_closed_loop_does_not_import_numpy_ma():
-    # numpy.ma costs a process about 1 MB of resident memory, and np.unique
-    # imports it on its first call
-    code = ("import sys\n"
-            "from tubecbf.config import load_config\n"
-            "from tubecbf.tube import load_tube\n"
-            f"config = load_config({str(ROOT / 'configs' / 'stlcg_2.yaml')!r})\n"
-            f"tube = load_tube({str(ROOT / 'perfbench' / 'ref' / 'stlcg_2_tube.json')!r})\n"
-            "config.closed_loop(tube)\n"
-            "print('numpy.ma' in sys.modules)\n")
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "False"
 
 
 _CURVES = ("center", "center_dot", "radius", "radius_dot")

@@ -883,6 +883,15 @@ def test_cover_spec_checks_its_counts(counts, named):
         CoverSpec.from_counts(*counts, 4.0)
 
 
+@pytest.mark.parametrize("build", [lambda t_f: CoverSpec.for_radius(0.2, 2, t_f),
+                                   lambda t_f: CoverSpec.from_counts([10], 3, 12, t_f)],
+                         ids=["for-radius", "from-counts"])
+def test_cover_spec_checks_t_f(build):
+    for t_f in (-1.0, 0.0):
+        with pytest.raises(CoverError, match="t_f must be positive"):
+            build(t_f)
+
+
 def test_solve_sop_requires_a_cover():
     inst = _instance("F[0,4] T & G[0,4] T", STAY_TABLE, 4.0, [[0, 9], [0, 9]],
                      start=(4.5, 4.5))
