@@ -8,9 +8,19 @@ constants.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _check_integer(name: str, value, least: int, error=ValueError):
+    """value, if it is an integer of at least least; else error naming name."""
+    # a bool is an int, int() would truncate 4.6 to 4, and a plain int is quickest
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)) or value < least:
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+    return value
 
 
 def _as_grid(t) -> tuple[np.ndarray, bool]:
@@ -39,10 +49,9 @@ class BernsteinBasis:
     t_f: float
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("basis needs at least one function")
-        if self.t_f <= 0:
-            raise ValueError("t_f must be positive")
+        _check_integer("count", self.count, 1)
+        if not 0 < self.t_f < math.inf:
+            raise ValueError(f"t_f must be finite and positive, got {self.t_f!r}")
 
     @property
     def degree(self) -> int:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -15,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import BernsteinBasis
+from .basis import BernsteinBasis, _check_integer
 from .stl import (
     UNTIL_CONVENTIONS,
     And,
@@ -43,13 +42,6 @@ class CoverError(ValueError):
 
 # CoverSpec.for_radius refuses covers with more samples than this
 COVER_SAMPLE_BUDGET = 50_000_000
-
-
-def _check_integer(name: str, value, least: int, error=ValueError) -> None:
-    # a bool is an int, int() would truncate 4.6 to 4, and a plain int is quickest
-    if type(value) is not int and (isinstance(value, bool)
-                                   or not isinstance(value, numbers.Integral)) or value < least:
-        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +155,15 @@ class Cover:
     taus: np.ndarray        # (m_tau,)
 
 
+def _check_cover(spec: CoverSpec, n: int, t_f: float) -> None:
+    """ValueError unless spec covers W for a problem of dimension n on [0, t_f]."""
+    if not isinstance(spec, CoverSpec):
+        raise TypeError(f"cover must be a CoverSpec, got {spec!r}")
+    if spec.dimension != n or not abs(spec.t_f - t_f) <= 1e-9:
+        raise ValueError(f"cover of dimension {spec.dimension} on [0, {spec.t_f}] "
+                         f"for an instance of dimension {n} on [0, {t_f}]")
+
+
 def build_cover(spec: CoverSpec) -> Cover:
     *grids, lams, taus = [axis_midpoints(lo, hi, m) for (lo, hi), m
                           in zip(_axis_ranges(spec.dimension, spec.t_f), spec.counts)]
@@ -217,7 +218,8 @@ class SOPInstance:
     """Sampled tube-synthesis problem over box-bounded coefficients.
 
     Instances compare and hash by identity: their fields hold arrays.  An
-    argument out of range raises a ValueError that names it.
+    argument out of range raises a ValueError that names it.  The
+    certification cover is required, and must be of dimension n on [0, t_f].
 
     The constructor's arguments are the problem's inputs.  From them it
     derives, once, everything a solve reads: the coefficient boxes, the
@@ -236,11 +238,11 @@ class SOPInstance:
     n: int
     t_f: float
     state_bounds: np.ndarray  # (n, 2)
+    cover: CoverSpec
     min_radius: float = 0.25
     center_count: int = 5
     radius_count: int = 4
     radius_max: Optional[float] = None
-    cover: Optional[CoverSpec] = None
     start_center: Optional[np.ndarray] = None
     center_box_scale: float = 1.5
     until_convention: str = UNTIL_CONVENTIONS[0]
@@ -267,6 +269,7 @@ class SOPInstance:
         lo, hi = bounds[:, 0], bounds[:, 1]
         if horizon(self.formula) > self.t_f + 1e-9:
             raise ValueError(f"formula horizon {horizon(self.formula)} exceeds t_f {self.t_f}")
+        _check_cover(self.cover, self.n, self.t_f)
         start = None if self.start_center is None else np.asarray(self.start_center, dtype=float)
         if start is not None and not (start.shape == (self.n,)
                                       and np.all((lo <= start) & (start <= hi))):
@@ -344,9 +347,7 @@ class _ObjectiveGrid:
     _BLOCK_FLOATS = BLOCK_FLOATS
 
     def __init__(self, instance: SOPInstance, cover: Cover):
-        if cover.spec.dimension != instance.n:
-            raise ValueError(f"cover of dimension {cover.spec.dimension} "
-                             f"for a {instance.n}-dimensional instance")
+        _check_cover(cover.spec, instance.n, instance.t_f)
         self.instance = instance
         taus = cover.taus
         self.times = np.concatenate([[0.0], taus, [instance.t_f]])
@@ -591,11 +592,7 @@ def sop_objective(instance: SOPInstance, q_c: np.ndarray, q_r: np.ndarray,
                   cover: Optional[Cover] = None):
     """Sampled constraint margin eta of one tube and a label for its worst
     constraint, on the given cover or else the instance's."""
-    if cover is None:
-        if instance.cover is None:
-            raise ValueError("instance has no cover; pass one explicitly")
-        cover = build_cover(instance.cover)
-    grid = _ObjectiveGrid(instance, cover)
+    grid = _ObjectiveGrid(instance, cover if cover is not None else build_cover(instance.cover))
     eta, idx = grid.evaluate(np.asarray(q_c)[None], np.asarray(q_r)[None])
     return float(eta[0]), grid.describe(int(idx[0]))
 
@@ -895,26 +892,21 @@ class SynthesisResult:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def solve_sop(instance: SOPInstance, settings: Optional[SolverSettings] = None,
-              warm: Optional[tuple] = None) -> SynthesisResult:
+def solve_sop(instance: SOPInstance, settings: SolverSettings) -> SynthesisResult:
     """Minimize the sampled margin over box-bounded tube coefficients.
 
     Two-level scheme: an outer bisection on the margin level with an inner
-    multi-start pattern search.  The search runs on settings.search_cover, or
-    on the instance's epsilon-cover when that is None; eta* and the
-    certificate are always evaluated on the instance's cover, which must be
-    set.  Deterministic for a fixed seed.
+    multi-start pattern search, from warm_start.  The search runs on
+    settings.search_cover, or on the instance's epsilon-cover when that is
+    None; eta* and the certificate are always evaluated on the instance's
+    cover.  A search cover of another dimension or horizon than the
+    instance's raises a ValueError before the first evaluation.
+    Deterministic for a fixed seed.
     """
-    if instance.cover is None:
-        raise ValueError("instance has no cover; build it with one")
-    settings = settings if settings is not None else SolverSettings()
     rng = np.random.default_rng(settings.seed)
     t_start = time.perf_counter()
 
-    q_c0, q_r0 = warm if warm is not None else warm_start(instance)
-    q_c0 = np.clip(q_c0, instance.center_box[..., 0], instance.center_box[..., 1])
-    q_r0 = np.clip(q_r0, instance.radius_box[:, 0], instance.radius_box[:, 1])
-
+    q_c0, q_r0 = warm_start(instance)
     cert_spec = instance.cover
     search_spec = settings.search_cover if settings.search_cover is not None else cert_spec
     search_grid = _ObjectiveGrid(instance, build_cover(search_spec))
@@ -1024,7 +1016,5 @@ def recheck_constraints(instance: SOPInstance, tube: Tube, factor: int = 10) -> 
       = 16 (n + 2) u (sigma + sqrt(n) l_rho X) is at least twice that for
       n >= 2.
     """
-    if instance.cover is None:
-        raise ValueError("no cover to refine")
     grid = _ObjectiveGrid(instance, build_cover(instance.cover.refined(factor)))
     return grid.cell_max(tube.center_coeffs, tube.radius_coeffs, factor)[0]

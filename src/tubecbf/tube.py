@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import functools
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .basis import BernsteinBasis
+from .basis import BernsteinBasis, _check_integer
 
 _RANGE_SLACK = 1e-9
 
@@ -264,13 +263,6 @@ def tube_from_record(rec: dict) -> Tube:
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"tube record: missing or malformed {key!r}") from None
 
-    def count(v):
-        # int() would truncate 2.7 to 2 and read "2", and reshape would infer
-        # a count of -1, so a count must be a true positive integer
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-            raise ValueError
-        return v
-
     def floats(shape):
         def convert(v):
             q = np.asarray(v, dtype=float)
@@ -282,7 +274,10 @@ def tube_from_record(rec: dict) -> Tube:
     if read("basis", str) != "bernstein":
         raise ValueError(f"unknown tube basis {rec['basis']!r}; "
                          "tube records hold Bernstein control points")
-    n, z_c, z_r = read("n", count), read("z_c", count), read("z_r", count)
+    # int() would truncate 2.7 to 2 and read "2", and reshape would infer a
+    # count of -1, so a count must be a true positive integer
+    n, z_c, z_r = (read(key, functools.partial(_check_integer, key, least=1))
+                   for key in ("n", "z_c", "z_r"))
     q_c = read("q_c", floats((n * z_c,))).reshape(n, z_c)
     q_r = read("q_r", floats((z_r,)))
     t_f = float(read("t_f", floats(())))

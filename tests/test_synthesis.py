@@ -41,11 +41,13 @@ BIG_BOX = {"B": BoxInfNorm((0.0, 0.0), 10.0)}
 
 def _instance(formula_text, table, t_f, bounds, *, cover=None, start=None,
               min_radius=0.25, radius_max=None, center_count=4, radius_count=4):
+    """A 2-D instance; cover defaults to a small one of its own t_f."""
     f = parse(formula_text, table)
     return SOPInstance(f, n=2, t_f=t_f, state_bounds=bounds,
+                       cover=cover if cover is not None else CoverSpec.from_counts([6], 2, 4, t_f),
                        min_radius=min_radius,
                        center_count=center_count, radius_count=radius_count,
-                       radius_max=radius_max, cover=cover, start_center=start)
+                       radius_max=radius_max, start_center=start)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +176,9 @@ def test_objective_batch_matches_single_evaluations(formula, convention, monkeyp
     table = {"A": BoxInfNorm((1.0, 1.0), 0.8), "O": BallNorm2((-1.0, 0.5), 0.6),
              "H": AffineHalfspace((0.3, -1.0), 2.5)}
     inst = SOPInstance(parse(formula, table), n=2, t_f=4.0,
-                       state_bounds=[[-3, 3], [-3, 3]], until_convention=convention)
-    grid = _ObjectiveGrid(inst, build_cover(CoverSpec.from_counts([12], 3, 17, 4.0)))
+                       state_bounds=[[-3, 3], [-3, 3]],
+                       cover=CoverSpec.from_counts([12], 3, 17, 4.0), until_convention=convention)
+    grid = _ObjectiveGrid(inst, build_cover(inst.cover))
     rng = np.random.default_rng(3)
     m = 6
     q_c = rng.uniform(inst.center_box[..., 0], inst.center_box[..., 1], size=(m, 2, 5))
@@ -860,15 +863,22 @@ def test_solver_settings_check_their_ranges(settings, named):
     (dict(center_count=2.5), "center_count"),
     (dict(radius_count=0), "radius_count"),
     (dict(state_bounds=[[0, 9], [9, 0]]), "state_bounds"),
-    (dict(t_f=3.0), "t_f"),
+    (dict(t_f=3.0, cover=CoverSpec.from_counts([6], 2, 4, 3.0)), "t_f"),
+    (dict(cover=CoverSpec.from_counts([6], 2, 4, 1.0)), "cover"),
+    (dict(cover=CoverSpec.from_counts([6], 2, 4, 5.0)), "cover"),
+    (dict(cover=CoverSpec.from_counts([4, 3], 2, 4, 4.0)), "cover"),
 ], ids=["radius-max-below-floor", "zero-floor", "zero-box-scale", "start-outside",
         "start-of-another-dimension", "unknown-convention", "fractional-center-count",
-        "zero-radius-count", "empty-bounds", "horizon-past-t-f"])
+        "zero-radius-count", "empty-bounds", "horizon-past-t-f", "shorter-cover",
+        "longer-cover", "cover-of-another-dimension"])
 def test_sop_instance_checks_its_ranges(arguments, named):
     # what a scenario config checks through SOPInstance, a direct caller gets
-    # too: a ValueError naming the argument, not a silently changed box
+    # too: a ValueError naming the argument, not a silently changed box.  A
+    # cover of [0, 1] under t_f = 4 speaks only of [0, 1], so the tube it
+    # certifies may violate the task after t = 1
     args = dict(formula=parse("F[0,4] T & G[0,4] T", STAY_TABLE), n=2, t_f=4.0,
-                state_bounds=[[0, 9], [0, 9]], radius_max=2.0)
+                state_bounds=[[0, 9], [0, 9]], cover=CoverSpec.from_counts([6], 2, 4, 4.0),
+                radius_max=2.0)
     with pytest.raises(ValueError, match=named):
         SOPInstance(**{**args, **arguments})
 
@@ -893,10 +903,23 @@ def test_cover_spec_checks_t_f(build):
 
 
 def test_solve_sop_requires_a_cover():
-    inst = _instance("F[0,4] T & G[0,4] T", STAY_TABLE, 4.0, [[0, 9], [0, 9]],
-                     start=(4.5, 4.5))
-    with pytest.raises(ValueError, match="no cover"):
-        solve_sop(inst, SolverSettings(seed=0, budget=100))
+    # the certification cover is part of the problem: no instance lacks one
+    args = dict(formula=parse("F[0,4] T & G[0,4] T", STAY_TABLE), n=2, t_f=4.0,
+                state_bounds=[[0, 9], [0, 9]], start_center=(4.5, 4.5))
+    for cover in ({}, {"cover": None}):
+        with pytest.raises(TypeError, match="cover"):
+            SOPInstance(**args, **cover)
+
+
+def test_solve_sop_refuses_a_search_cover_of_another_horizon(monkeypatch):
+    # a search cover of [0, 1] under t_f = 4 is refused before the search
+    # makes its first monitor call
+    settings = SolverSettings(seed=0, budget=100,
+                              search_cover=CoverSpec.from_counts([10], 3, 12, 1.0))
+    shapes = _monitor_calls(monkeypatch)
+    with pytest.raises(ValueError, match="cover"):
+        solve_sop(_stay_instance(), settings)
+    assert shapes == []
 
 
 def test_solve_sop_deterministic_and_serializable(tmp_path):
@@ -915,18 +938,6 @@ def test_solve_sop_deterministic_and_serializable(tmp_path):
     assert back.eta_star == r1.eta_star
     assert np.array_equal(back.tube.center_coeffs, r1.tube.center_coeffs)
     assert back.certificate_ok == r1.certificate_ok
-
-
-def test_solve_sop_box_enlargement_never_hurts_with_warm_start():
-    inst_small = _stay_instance()
-    settings = SolverSettings(seed=3, budget=600)
-    r_small = solve_sop(inst_small, settings)
-
-    bigger = _instance("F[0,4] T & G[0,4] T", STAY_TABLE, 4.0, [[-1, 10], [-1, 10]],
-                       cover=inst_small.cover, start=(4.5, 4.5), radius_max=3.0)
-    warm = (r_small.tube.center_coeffs, r_small.tube.radius_coeffs)
-    r_big = solve_sop(bigger, settings, warm=warm)
-    assert r_big.eta_star <= r_small.eta_star + 1e-12
 
 
 def test_eta_shift_bounded_between_covers():

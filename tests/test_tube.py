@@ -49,6 +49,18 @@ def test_bernstein_partition_of_unity():
     assert np.allclose(b.derivatives(ts).sum(axis=0), 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("count, t_f, named", [
+    (2.5, 1.0, "count"), (True, 1.0, "count"), (0, 1.0, "count"),
+    (3, math.nan, "t_f"), (3, math.inf, "t_f"), (3, 0.0, "t_f"), (3, -1.0, "t_f"),
+], ids=["fractional-count", "bool-count", "zero-count", "nan-t-f", "infinite-t-f",
+        "zero-t-f", "negative-t-f"])
+def test_bernstein_basis_checks_what_it_reads(count, t_f, named):
+    # unchecked, a fractional count would fail only at the first values()
+    # call, a bool count would read as 1, and a NaN t_f would give NaN values
+    with pytest.raises(ValueError, match=named):
+        BernsteinBasis(count, t_f)
+
+
 def test_basis_derivative_matches_finite_differences():
     rng = np.random.default_rng(0)
     h = 1e-6
