@@ -156,7 +156,8 @@ class Cover:
 
 
 def _check_cover(spec: CoverSpec, n: int, t_f: float) -> None:
-    """ValueError unless spec covers W for a problem of dimension n on [0, t_f]."""
+    """TypeError unless spec is a CoverSpec, ValueError unless it covers W for
+    a problem of dimension n on [0, t_f]."""
     if not isinstance(spec, CoverSpec):
         raise TypeError(f"cover must be a CoverSpec, got {spec!r}")
     if spec.dimension != n or not abs(spec.t_f - t_f) <= 1e-9:
