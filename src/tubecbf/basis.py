@@ -29,12 +29,29 @@ def _as_grid(t) -> tuple[np.ndarray, bool]:
 
 
 def _bernstein_matrix(degree: int, u: np.ndarray) -> np.ndarray:
-    """Rows are B_{k,degree}(u) for k = 0..degree; u already scaled to [0,1]."""
-    out = np.empty((degree + 1, len(u)))
-    v = 1.0 - u
-    for k in range(degree + 1):
-        out[k] = math.comb(degree, k) * u**k * v ** (degree - k)
-    return out
+    """Rows are B_{k,degree}(u) for k = 0..degree; u already scaled to [0,1].
+    Powers are repeated products, as np.power's bits depend on the CPU."""
+    up, vp = [np.ones_like(u)], [np.ones_like(u)]
+    for _ in range(degree):
+        up.append(up[-1] * u)
+        vp.append(vp[-1] * (1.0 - u))
+    return np.stack([math.comb(degree, k) * up[k] * vp[degree - k] for k in range(degree + 1)])
+
+
+def combine(coeffs, rows) -> np.ndarray:
+    """Curve values sum_k coeffs[..., k] * rows[k] of coeffs (..., z) on rows
+    (z, T), or (z,) for one time, as (..., T) or (...).  Each value is summed
+    alone in index order, on elementwise numpy arithmetic with no BLAS call,
+    so its bits do not depend on the batch or on the CPU."""
+    rows = np.asarray(rows, dtype=float)
+    table = rows if rows.ndim == 2 else rows[:, None]
+    if table.shape[1] == 1:
+        # einsum sums a lone column in another order, so it sums two copies
+        table = np.repeat(table, 2, axis=1)
+    # over a C-contiguous table, unoptimized einsum sums each output in index order
+    out = np.einsum("...k,kt->...t", np.asarray(coeffs, dtype=float),
+                    np.ascontiguousarray(table), optimize=False)
+    return out[..., 0] if rows.ndim == 1 else out[..., :rows.shape[1]]
 
 
 @dataclass(frozen=True)
@@ -67,13 +84,10 @@ class BernsteinBasis:
         d = self.degree
         out = np.zeros((self.count, len(ts)))
         if d >= 1:
-            lower = _bernstein_matrix(d - 1, ts / self.t_f)
-            scale = d / self.t_f
-            for k in range(self.count):
-                if k >= 1:
-                    out[k] += scale * lower[k - 1]
-                if k <= d - 1:
-                    out[k] -= scale * lower[k]
+            # B'_k = (d / t_f) (B_{k-1,d-1} - B_{k,d-1})
+            lower = d / self.t_f * _bernstein_matrix(d - 1, ts / self.t_f)
+            out[1:] += lower
+            out[:-1] -= lower
         return out[:, 0] if scalar else out
 
     def second_derivative_bound(self, coeffs) -> np.ndarray:

@@ -3,8 +3,7 @@ minimum-energy safety QP with its single-constraint closed form.
 
 The closed loop calls these once or twice per step on vectors of n, m <= 3,
 so points, gradients, Lie rows and inputs are lists of Python floats.  Each
-sum runs in index order from 0.0, as a BLAS without fused multiply-add sums
-it, and no call reaches BLAS or LAPACK."""
+sum runs in index order from 0.0, and no call reaches BLAS or LAPACK."""
 
 from __future__ import annotations
 
@@ -124,6 +123,21 @@ def _factor(entries: bytes, m: int) -> tuple:
     return tuple(low)
 
 
+def _cholesky_solve(low: tuple, b) -> list:
+    """W^-1 b as a list, for W = L L' factored by _cholesky: L y = b top
+    down, then L' v = y in place bottom up, each subtracting in index order."""
+    v = []
+    for bi, li in zip(b, low):
+        for lik, vk in zip(li, v):
+            bi -= lik * vk
+        v.append(bi / li[-1])
+    for i in reversed(range(len(v))):
+        for k in range(i + 1, len(v)):
+            v[i] -= low[k][i] * v[k]
+        v[i] /= low[i][i]
+    return v
+
+
 def min_norm_input(weight, a, psi: float) -> list:
     """Closed-form solution of  min u'Wu  s.t.  a.u >= -psi.
 
@@ -135,25 +149,14 @@ def min_norm_input(weight, a, psi: float) -> list:
     definite.
 
     a and the returned u are lists of m floats.  W gets a Cholesky
-    factorization L L', and W^-1 a two triangular sweeps in index order.
+    factorization L L', and W^-1 a two triangular sweeps (_cholesky_solve).
     """
     m = len(a)
     if psi >= 0.0:
         return [0.0] * m
     if not any(a):
         raise InfeasibleStepError(f"constraint row vanished with psi={psi} < 0")
-    low = _cholesky(weight, m)
-    # v = W^-1 a: solve L y = a top down, then L' v = y in place bottom up,
-    # each subtracting in index order
-    v = []
-    for ai, li in zip(a, low):
-        for lik, vk in zip(li, v):
-            ai -= lik * vk
-        v.append(ai / li[-1])
-    for i in reversed(range(m)):
-        for k in range(i + 1, m):
-            v[i] -= low[k][i] * v[k]
-        v[i] /= low[i][i]
+    v = _cholesky_solve(_cholesky(weight, m), a)
     denom = 0.0
     for ai, vi in zip(a, v):
         denom += ai * vi

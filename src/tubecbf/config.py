@@ -246,7 +246,7 @@ class ScenarioConfig:
             return np.asarray(self.x0, dtype=float)
         rng = np.random.default_rng(self.solver_settings().seed if seed is None else seed)
         direction = rng.normal(size=self.dimension)
-        direction /= max(np.linalg.norm(direction), 1e-12)
+        direction /= max(math.hypot(*direction), 1e-12)
         rho = tube.radius(0.0) / 2.0 * rng.uniform() ** (1.0 / self.dimension)
         return tube.center(0.0) + rho * direction
 

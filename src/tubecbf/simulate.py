@@ -5,17 +5,16 @@ A run knows every time it will ask the tube about before its first step: the
 sample instants, the control instants and 0 for the start check.  It
 tabulates the tube's curves at those times once (`SampledTube`), so each step
 reads stored values instead of evaluating the basis polynomials.  The table
-is filled by stacked per-time products, each the `coeffs @ row` product the
-tube makes, which keeps every barrier value, input and log byte equal to a
-per-step evaluation of the tube.
+is filled by `basis.combine`, which sums each time alone in index order as
+the tube's own evaluation does, so every barrier value, input and log byte
+equals a per-step evaluation of the tube.
 
 The steps themselves run on Python floats: the model's state, output and
 input are lists of floats from `initial_state` to the log row, and the
 barrier, its gradients, the Lie terms, the QP (a Cholesky factorization of
-the weight and two triangular sweeps) and the RK4 stages sum in index order,
-as a BLAS without fused multiply-add sums them.  No step calls BLAS or
-LAPACK.  With n <= 3 the numpy call overhead outweighed the arithmetic many
-times over.
+the weight and two triangular sweeps) and the RK4 stages sum in index order.
+No step calls BLAS or LAPACK.  With n <= 3 the numpy call overhead
+outweighed the arithmetic many times over.
 """
 
 from __future__ import annotations

@@ -100,7 +100,7 @@ class AffineHalfspace:
         return np.add(out, self.offset, out=out)
 
     def lipschitz_2norm(self) -> float:
-        return float(np.linalg.norm(self.weights))
+        return math.hypot(*self.weights)
 
     def value_scale(self, bound: float) -> float:
         return float(np.sum(np.abs(self.weights))) * bound + abs(self.offset)

@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import BernsteinBasis, _check_integer
+from .basis import BernsteinBasis, _check_integer, combine
+from .cbf import _cholesky, _cholesky_solve
 from .stl import (
     UNTIL_CONVENTIONS,
     And,
@@ -64,8 +65,8 @@ def _axis_ranges(n: int, t_f: float) -> list[tuple[float, float]]:
     [0, pi] and the last [0, 2*pi], then lambda in [0, 1] and tau in [0, t_f]."""
     if n < 2:
         raise CoverError("tube dimension must be at least 2")
-    if not t_f > 0:
-        raise CoverError(f"t_f must be positive, got {t_f}")
+    if not 0 < t_f < math.inf:
+        raise CoverError(f"t_f must be positive and finite, got {t_f}")
     return [(0.0, math.pi)] * (n - 2) + [(0.0, 2.0 * math.pi), (0.0, 1.0), (0.0, t_f)]
 
 
@@ -383,16 +384,13 @@ class _ObjectiveGrid:
         """Trajectories one monitor call takes."""
         return max(1, self._BLOCK_FLOATS // len(self.times))
 
-    # a stack of M products, (M, 1, z_r) or (M, n, z_c) @ (z, T), makes one
-    # product per candidate, the one a single candidate makes; a flat
-    # (M, z) @ (z, T) product may round differently
     def _radii(self, q_r):
         """Radius (T, M) of M candidates on the grid."""
-        return (np.asarray(q_r, dtype=float)[:, None, :] @ self.p_radius)[:, 0].T
+        return combine(q_r, self.p_radius).T
 
     def _centers(self, q_c):
         """Center (n, T, M) of M candidates on the grid."""
-        return (np.asarray(q_c, dtype=float) @ self.p_center).transpose(1, 2, 0)
+        return combine(q_c, self.p_center).transpose(1, 2, 0)
 
     def _rho_chunk(self, center, radii, dirs):
         """Robustness of the trajectories of the scaled directions dirs (n, k)
@@ -639,8 +637,10 @@ def _reach_items(formula: Formula) -> list[tuple[float, float, float, float, np.
 
 def warm_start(instance: SOPInstance) -> tuple[np.ndarray, np.ndarray]:
     """Initial coefficients: a piecewise-linear visit of the reach targets in
-    deadline order, least-squares fitted in the basis, radius at twice the
-    floor.  Everything is clipped into the coefficient boxes."""
+    deadline order, least-squares fitted in the basis, and the radius at
+    twice the floor, which constant control points give exactly as the
+    Bernstein polynomials sum to one.  Everything is clipped into the
+    coefficient boxes."""
     n, t_f = instance.n, instance.t_f
     start = instance.start_center
     if start is None:
@@ -676,22 +676,19 @@ def warm_start(instance: SOPInstance) -> tuple[np.ndarray, np.ndarray]:
     grid = np.linspace(0.0, t_f, 201)
     path = np.stack([np.interp(grid, knot_t, knot_x[:, i]) for i in range(n)])
 
-    cb, rb = instance.center_basis, instance.radius_basis
+    cb = instance.center_basis
     # weighted fit: anchor rows force the curve through the waypoints, and a
     # curvature penalty on the control polygon keeps near-interpolating fits
-    # from oscillating to huge coefficients
+    # from oscillating to huge coefficients; its normal equations A'A q = A'b
+    # are solved by Cholesky, for all n coordinates at once
     anchor_w = 30.0
     second_differences = np.diff(np.eye(instance.center_count), n=2, axis=0)
-    a_c = np.vstack([cb.values(grid).T, anchor_w * cb.values(knot_t).T,
-                     2.0 * second_differences])
-    pad = np.zeros(a_c.shape[0] - len(grid) - len(knot_t))
-    q_c = np.stack([
-        np.linalg.lstsq(a_c, np.concatenate([path[i], anchor_w * knot_x[:, i], pad]),
-                        rcond=None)[0]
-        for i in range(n)
-    ])
-    a_r = rb.values(grid).T
-    q_r = np.linalg.lstsq(a_r, np.full(len(grid), 2.0 * instance.min_radius), rcond=None)[0]
+    a = np.vstack([cb.values(grid).T, anchor_w * cb.values(knot_t).T,
+                   2.0 * second_differences])
+    b = np.vstack([path.T, anchor_w * knot_x, np.zeros((len(second_differences), n))])
+    low = _cholesky(combine(a.T, a), instance.center_count)
+    q_c = np.array([_cholesky_solve(low, rhs) for rhs in combine(a.T, b).T.tolist()])
+    q_r = np.full(instance.radius_count, 2.0 * instance.min_radius)
 
     q_c = np.clip(q_c, instance.center_box[..., 0], instance.center_box[..., 1])
     q_r = np.clip(q_r, instance.radius_box[:, 0], instance.radius_box[:, 1])

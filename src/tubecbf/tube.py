@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import BernsteinBasis, _check_integer
+from .basis import BernsteinBasis, _check_integer, combine
 
 _RANGE_SLACK = 1e-9
 
@@ -60,16 +60,17 @@ class Tube:
         return min(max(t, 0.0), self.t_f)
 
     def center(self, t: float) -> np.ndarray:
-        return self.center_coeffs @ self.center_basis.values(self._check_time(t))
+        return combine(self.center_coeffs, self.center_basis.values(self._check_time(t)))
 
     def center_dot(self, t: float) -> np.ndarray:
-        return self.center_coeffs @ self.center_basis.derivatives(self._check_time(t))
+        return combine(self.center_coeffs, self.center_basis.derivatives(self._check_time(t)))
 
     def radius(self, t: float) -> float:
-        return float(self.radius_coeffs @ self.radius_basis.values(self._check_time(t)))
+        return float(combine(self.radius_coeffs, self.radius_basis.values(self._check_time(t))))
 
     def radius_dot(self, t: float) -> float:
-        return float(self.radius_coeffs @ self.radius_basis.derivatives(self._check_time(t)))
+        return float(combine(self.radius_coeffs,
+                             self.radius_basis.derivatives(self._check_time(t))))
 
 
 class SampledTube:
@@ -77,12 +78,11 @@ class SampledTube:
 
     The times are range-checked and clamped in one vectorized pass, as
     `Tube._check_time` does one at a time, and c(t), c'(t), r(t) and r'(t) are
-    filled by four stacked products, one `coeffs @ row` product per time on
-    basis rows bit-identical to `basis.values(t)`.  Each is the product the
-    tube itself makes, so the answers are the tube's to the bit.  (A flat
-    `coeffs @ table.T` or `table @ q_r` would sum in another order and differ
-    in the last bits.)  A lookup returns the stored row or float; a time not
-    in the table raises KeyError.  `t_f` is the tube's.
+    filled by one `combine` over all the times each.  Its basis rows are
+    bit-identical to `basis.values(t)`, and `combine` sums each time alone in
+    index order, so the answers are the tube's to the bit.  A lookup returns
+    the stored row or float; a time not in the table raises KeyError.  `t_f`
+    is the tube's.
     """
 
     def __init__(self, tube: Tube, times):
@@ -96,20 +96,14 @@ class SampledTube:
         ts = np.where(ts < 0.0, 0.0, ts)
         ts = np.where(ts > tube.t_f, tube.t_f, ts)
 
-        def center_table(fn):
-            rows = np.ascontiguousarray(fn(ts).T)
-            table = (tube.center_coeffs @ rows[:, :, None])[..., 0]
-            table.setflags(write=False)
-            return table
-
-        def radius_values(fn):
-            rows = np.ascontiguousarray(fn(ts).T)
-            return (rows[:, None, :] @ tube.radius_coeffs[:, None])[:, 0, 0].tolist()
-
-        self._center = center_table(tube.center_basis.values)
-        self._center_dot = center_table(tube.center_basis.derivatives)
-        self._radius = radius_values(tube.radius_basis.values)
-        self._radius_dot = radius_values(tube.radius_basis.derivatives)
+        cb, rb = tube.center_basis, tube.radius_basis
+        self._center, self._center_dot = (
+            np.ascontiguousarray(combine(tube.center_coeffs, fn(ts)).T)
+            for fn in (cb.values, cb.derivatives))
+        self._center.setflags(write=False)
+        self._center_dot.setflags(write=False)
+        self._radius, self._radius_dot = (combine(tube.radius_coeffs, fn(ts)).tolist()
+                                          for fn in (rb.values, rb.derivatives))
 
     def center(self, t: float) -> np.ndarray:
         return self._center[self._row[t]]
@@ -205,10 +199,9 @@ def tube_lipschitz_many(center_coeffs, radius_coeffs, center_basis: BernsteinBas
     coefficients (M, n, z_c) and radius coefficients (M, z_r).
 
     Each tube's constants are bit-identical to its own tube_lipschitz: the
-    products are one (n, z_c) @ (z_c, grid) matrix product and one vector
-    product per tube, as for a single tube, and the rest is elementwise or a
-    per-tube reduction.  Tubes go through in passes whose derivative table
-    holds at most BLOCK_FLOATS floats.
+    curves are `combine` sums, and the rest is elementwise or a per-tube
+    reduction.  Tubes go through in passes whose derivative table holds at
+    most BLOCK_FLOATS floats.
     """
     center_coeffs = np.asarray(center_coeffs, dtype=float)
     radius_coeffs = np.asarray(radius_coeffs, dtype=float)
@@ -219,18 +212,12 @@ def tube_lipschitz_many(center_coeffs, radius_coeffs, center_basis: BernsteinBas
     speed_max, rdot_max, rval_max = np.empty(m), np.empty(m), np.empty(m)
     for lo in range(0, m, per):
         rows = slice(lo, lo + per)
-        # (k, n, z_c) @ (z_c, grid) runs one matrix product per tube, and a
-        # (k, 1, z_r) row stack one vector product per tube
-        cdot = center_coeffs[rows] @ c_der
+        cdot = combine(center_coeffs[rows], c_der)
         speed_max[rows] = np.max(np.linalg.norm(cdot, axis=-2), axis=-1)
-        radius = radius_coeffs[rows, None, :]
-        rdot_max[rows] = np.max(np.abs(radius @ r_der), axis=(-2, -1))
-        rval_max[rows] = np.max(radius @ r_val, axis=(-2, -1))
+        rdot_max[rows] = np.max(np.abs(combine(radius_coeffs[rows], r_der)), axis=-1)
+        rval_max[rows] = np.max(combine(radius_coeffs[rows], r_val), axis=-1)
 
-    # a Python float's ** 2 is libm's pow, which differs from b * b in the
-    # last bit for about one value in 1300; the constants keep the pow form,
-    # so saved results keep their bits
-    c2 = np.sqrt([sum(b ** 2 for b in row)
+    c2 = np.sqrt([sum(b * b for b in row)
                   for row in center_basis.second_derivative_bound(center_coeffs).tolist()])
     l_center = speed_max + c2 * h / 2.0
     r2 = radius_basis.second_derivative_bound(radius_coeffs)

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -426,21 +429,59 @@ def test_synthesize_repeat_same_seed_byte_identical(tmp_path):
     assert (out_a / "stay_tube.json").read_bytes() == (out_b / "stay_tube.json").read_bytes()
 
 
+# seed-0 artifacts of the shipped scenarios: each command's exit code and
+# the sha256 of what it writes
+REFERENCE_DIGESTS = json.loads((ROOT / "tests" / "reference_digests.json").read_text())
+
+
+def _assert_digests(out: Path, record: dict) -> None:
+    for name, digest in record["sha256"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 @pytest.mark.parametrize("scenario", ["omni_reach_avoid", "stlcg_2", "stlcg_1",
                                       "quadrotor_cycle", "diffdrive_sequential"])
 def test_synthesize_matches_reference_artifacts(tmp_path, scenario):
-    # perfbench/ref holds seed-0 artifacts with their sha256; a pure speed-up
-    # must reproduce them byte for byte.  quadrotor_cycle is uncertified (exit
-    # 3) and runs the certificate polish; diffdrive_sequential's search grows
-    # the largest witness set.
-    provenance = json.loads((ROOT / "perfbench" / "ref" / "PROVENANCE.json").read_text())
-    record = provenance["scenarios"][scenario]
+    # a pure speed-up must reproduce the table's artifacts byte for byte.
+    # quadrotor_cycle is uncertified (exit 3) and runs the certificate polish;
+    # diffdrive_sequential's search grows the largest witness set.
+    record = REFERENCE_DIGESTS["scenarios"][scenario]["synthesize"]
+    assert set(record["sha256"]) == {f"{scenario}_tube.json", f"{scenario}_result.json"}
     assert main(["synthesize", "--config", str(ROOT / "configs" / f"{scenario}.yaml"),
-                 "--seed", "0", "--out", str(tmp_path)]) == (0 if record["certificate_ok"] else 3)
-    digests = record["sha256"]
-    assert set(digests) == {f"{scenario}_tube.json", f"{scenario}_result.json"}
-    for name, digest in digests.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+                 "--seed", "0", "--out", str(tmp_path)]) == record["exit"]
+    _assert_digests(tmp_path, record)
+
+
+def test_artifacts_match_reference_on_another_cpu_path(tmp_path):
+    # the same bytes whatever kernel OpenBLAS picks and whichever SIMD
+    # targets numpy dispatches to: a fresh process on the Haswell kernel,
+    # with every AVX-512 target this host would use switched off, runs the
+    # CLI's synthesize and simulate commands and writes the table's artifacts
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    avx512 = [f for f in __cpu_dispatch__
+              if (f == "X86_V4" or f.startswith("AVX512")) and __cpu_features__.get(f)]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Haswell",
+           "NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}
+    runs = []
+    for scenario in sorted(REFERENCE_DIGESTS["scenarios"]):
+        config = str(ROOT / "configs" / f"{scenario}.yaml")
+        common = ["--config", config, "--seed", "0", "--out", str(tmp_path / scenario)]
+        runs += [(scenario, "synthesize", ["synthesize", *common]),
+                 (scenario, "simulate", ["simulate", *common, "--tube",
+                                         str(tmp_path / scenario / f"{scenario}_tube.json")])]
+    program = ("import json, sys\n"
+               "from tubecbf.cli import main\n"
+               "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+               "print(json.dumps(codes))\n")
+    out = subprocess.run([sys.executable, "-c", program, json.dumps([argv for *_, argv in runs])],
+                         capture_output=True, text=True, check=True, timeout=300, env=env)
+    codes = json.loads(out.stdout.splitlines()[-1])
+    for (scenario, command, _), code in zip(runs, codes, strict=True):
+        record = REFERENCE_DIGESTS["scenarios"][scenario][command]
+        assert code == record["exit"], (scenario, command)
+        _assert_digests(tmp_path / scenario, record)
 
 
 def test_synthesize_forced_infeasible_exits_3(tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from tubecbf import load_tube, synthesis
+from tubecbf.basis import combine
 from tubecbf.config import load_config
 from tubecbf.stl import AffineHalfspace, BallNorm2, BoxInfNorm, parse, robustness_batch
 from tubecbf.synthesis import (
@@ -183,11 +184,13 @@ def test_objective_batch_matches_single_evaluations(formula, convention, monkeyp
     m = 6
     q_c = rng.uniform(inst.center_box[..., 0], inst.center_box[..., 1], size=(m, 2, 5))
     q_r = rng.uniform(inst.radius_box[:, 0], inst.radius_box[:, 1], size=(m, 4))
-    # the batch's curves are each candidate's own products, bit for bit
+    # the batch's curves are each candidate's own curve sums, bit for bit
     center, radii = grid._centers(q_c), grid._radii(q_r)
     for i in range(m):
-        assert (q_c[i] @ grid.p_center).tobytes() == np.ascontiguousarray(center[..., i]).tobytes()
-        assert (q_r[i] @ grid.p_radius).tobytes() == np.ascontiguousarray(radii[:, i]).tobytes()
+        assert (combine(q_c[i], grid.p_center).tobytes()
+                == np.ascontiguousarray(center[..., i]).tobytes())
+        assert (combine(q_r[i], grid.p_radius).tobytes()
+                == np.ascontiguousarray(radii[:, i]).tobytes())
     single = [grid.evaluate(q_c[i:i + 1], q_r[i:i + 1]) for i in range(m)]
     eta_1 = np.concatenate([eta for eta, _ in single])
     idx_1 = [int(idx[0]) for _, idx in single]
@@ -340,7 +343,7 @@ def test_pruned_recheck_rounding_allowance_at_large_coordinates(monkeypatch):
     inst = SOPInstance(parse("G[0.13,1.71] !O", {"O": BallNorm2(tuple(c), 1.0)}), n=2,
                        t_f=2.0, state_bounds=np.column_stack([c - 5, c + 5]), min_radius=r / 4, radius_max=2 * r,
                        cover=CoverSpec.from_counts([6], 2, 4, 2.0))
-    q_c = c[:, None] + np.array([[1.0, 1.2, 0.8, 1.1, 0.9], [0.0, 0.3, -0.2, 0.1, 0.0]])
+    q_c = c[:, None] + np.array([[1.1, 1.2, 0.9, 1.0, 0.9], [0.0, 0.1, -0.3, -0.3, 0.0]])
     q_r = np.full(4, r)
     exhaustive, pruned = _exhaustive_and_pruned(inst, q_c, q_r, 3)
     assert pruned == exhaustive
@@ -897,8 +900,10 @@ def test_cover_spec_checks_its_counts(counts, named):
                                    lambda t_f: CoverSpec.from_counts([10], 3, 12, t_f)],
                          ids=["for-radius", "from-counts"])
 def test_cover_spec_checks_t_f(build):
-    for t_f in (-1.0, 0.0):
-        with pytest.raises(CoverError, match="t_f must be positive"):
+    # an infinite t_f once gave radius inf and taus [nan, inf, inf] from
+    # from_counts, and an OverflowError from for_radius
+    for t_f in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(CoverError, match="t_f must be positive and finite"):
             build(t_f)
 
 

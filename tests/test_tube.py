@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubecbf.basis import BernsteinBasis
+from tubecbf.basis import BernsteinBasis, combine
 from tubecbf.tube import (
     SampledTube,
     Tube,
@@ -59,6 +59,31 @@ def test_bernstein_basis_checks_what_it_reads(count, t_f, named):
     # call, a bool count would read as 1, and a NaN t_f would give NaN values
     with pytest.raises(ValueError, match=named):
         BernsteinBasis(count, t_f)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["no-lead", "one-lead", "two-lead"])
+@pytest.mark.parametrize("times", [1, 2, 38, 1000])
+def test_combine_sums_in_index_order(times, lead):
+    # every curve value is sum_k coeffs[..., k] * rows[k, t] accumulated from
+    # k = 0 up, on Python floats here, whatever the batch shape; a lone time,
+    # as a column or as a 1-D row, is summed in that order too.  Magnitudes
+    # spread over six decades, so another order would show in the last bits.
+    rng = np.random.default_rng(times)
+    for z in range(1, 14):
+        coeffs = rng.normal(size=(*lead, z)) * 10.0 ** rng.uniform(-3, 3, size=(*lead, z))
+        rows = rng.normal(size=(z, times)) * 10.0 ** rng.uniform(-3, 3, size=(z, times))
+        want = np.empty((*lead, times))
+        for i in np.ndindex(*lead):
+            c = coeffs[i].tolist()
+            for t in range(times):
+                total = 0.0
+                for k in range(z):
+                    total += c[k] * float(rows[k, t])
+                want[(*i, t)] = total
+        got = combine(coeffs, rows)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), z
+        if times == 1:
+            assert combine(coeffs, rows[:, 0]).tobytes() == want[..., 0].tobytes(), z
 
 
 def test_basis_derivative_matches_finite_differences():
