@@ -54,21 +54,20 @@ from .synthesis import (
     Cover,
     CoverError,
     CoverSpec,
-    LipschitzInfo,
     SOPInstance,
     SolverSettings,
     SynthesisResult,
     build_cover,
-    combine_constants,
     recheck_constraints,
     solve_sop,
     sop_objective,
     warm_start,
 )
 from .tube import (
+    LipschitzInfo,
     Tube,
-    TubeLipschitz,
     boundary_point,
+    combine_constants,
     load_tube,
     save_tube,
     sphere_map,

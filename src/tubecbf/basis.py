@@ -54,6 +54,16 @@ def combine(coeffs, rows) -> np.ndarray:
     return out[..., 0] if rows.ndim == 1 else out[..., :rows.shape[1]]
 
 
+def norm_in_order(values) -> float:
+    """2-norm of a sequence of floats, its squares summed from 0.0 in index
+    order.  sum() of floats compensates its rounding from Python 3.12 on,
+    so its bits would depend on the Python version."""
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.sqrt(total)
+
+
 @dataclass(frozen=True)
 class BernsteinBasis:
     """Bernstein polynomials of degree count-1 over [0, t_f].

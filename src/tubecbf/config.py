@@ -163,8 +163,9 @@ class ScenarioConfig:
         for key in ("x0", "start"):
             if getattr(self, key) is not None:
                 _check_vector(key, getattr(self, key), self.dimension)
-        if self.epsilon is None and self.cover_counts is None:
-            raise ConfigError("no certification cover: set epsilon or cover_counts")
+        if (self.epsilon is None) == (self.cover_counts is None):
+            raise ConfigError("the certification cover needs exactly one of epsilon "
+                              "and cover_counts")
         for name in ("cover_counts", "search_cover"):
             block = getattr(self, name)
             if block is not None:
@@ -207,9 +208,9 @@ class ScenarioConfig:
                       counts["tau"], self.t_f)
 
     def cover_spec(self) -> CoverSpec:
-        if self.epsilon is not None:  # checked even when cover_counts, which wins, is set
-            spec = _owned("epsilon", CoverSpec.for_radius, self.epsilon, self.dimension, self.t_f)
-        return self._from_counts("cover_counts") if self.cover_counts is not None else spec
+        if self.cover_counts is not None:
+            return self._from_counts("cover_counts")
+        return _owned("epsilon", CoverSpec.for_radius, self.epsilon, self.dimension, self.t_f)
 
     def instance(self) -> SOPInstance:
         """The synthesis problem; the basis block sets what no top-level key sets."""

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import BernsteinBasis, _check_integer, combine
+from .basis import BernsteinBasis, _check_integer, combine, norm_in_order
 from .cbf import _cholesky, _cholesky_solve
 from .stl import (
     UNTIL_CONVENTIONS,
@@ -33,8 +33,8 @@ from .stl import (
     robustness_batch,
     robustness_lipschitz,
 )
-from .tube import (BLOCK_FLOATS, Tube, sphere_map_many, tube_lipschitz,
-                   tube_lipschitz_many, tube_to_record, tube_from_record)
+from .tube import (BLOCK_FLOATS, LipschitzInfo, Tube, sphere_map_many, tube_lipschitz,
+                   tube_to_record, tube_from_record)
 
 
 class CoverError(ValueError):
@@ -78,7 +78,7 @@ def _implied_radius(counts, t_f: float) -> float:
         _check_integer(name, count, 1, CoverError)
     halves = [(hi - lo) / (2 * m)
               for (lo, hi), m in zip(_axis_ranges(len(counts) - 1, t_f), counts)]
-    return math.sqrt(sum(h * h for h in halves))
+    return norm_in_order(halves)
 
 
 @dataclass(frozen=True)
@@ -179,39 +179,6 @@ def build_cover(spec: CoverSpec) -> Cover:
 
 
 # ---------------------------------------------------------------------------
-# combined Lipschitz constant
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LipschitzInfo:
-    robustness: float   # of the monitor w.r.t. the signal
-    center: float       # of the tube center curve
-    radius: float       # of the tube radius curve
-    radius_max: float   # max radius over the horizon
-    sphere: float       # of the sphere parameterization
-    mu: float           # of the per-direction worst robustness
-    combined: float     # constant entering the certificate
-
-
-def combine_constants(l_rho: float, l_center: float, l_radius: float,
-                      radius_max: float, n: int) -> LipschitzInfo:
-    """Combined constant for the generalization certificate.
-
-    The sphere map is sqrt(n(n-1))-Lipschitz; the per-direction robustness
-    inherits l_rho * r_max * sqrt(l_s^2 + 1); time variation adds
-    l_rho * (l_c + l_r).  The certificate uses the max against the radius
-    constraint's own constant l_r.
-    """
-    l_s = math.sqrt(n * (n - 1))
-    l_mu = l_rho * radius_max * math.sqrt(l_s**2 + 1.0)
-    combined = max(l_radius,
-                   math.sqrt(l_mu**2 + l_rho**2 * (l_center + l_radius) ** 2))
-    return LipschitzInfo(robustness=l_rho, center=l_center, radius=l_radius,
-                         radius_max=radius_max, sphere=l_s, mu=l_mu,
-                         combined=combined)
-
-
-# ---------------------------------------------------------------------------
 # problem instance and objective
 # ---------------------------------------------------------------------------
 
@@ -300,10 +267,11 @@ class SOPInstance:
         return Tube(np.asarray(q_c, dtype=float).reshape(self.n, self.center_count),
                     np.asarray(q_r, dtype=float), self.center_basis, self.radius_basis)
 
-    def lipschitz(self, tube: Tube) -> LipschitzInfo:
-        """Combined Lipschitz constant of a tube of this instance."""
-        tl = tube_lipschitz(tube)
-        return combine_constants(self.l_rho, tl.center, tl.radius, tl.radius_max, self.n)
+    def lipschitz(self, q_c: np.ndarray, q_r: np.ndarray) -> list[LipschitzInfo]:
+        """Certificate constants of M tubes of this instance, one LipschitzInfo
+        each, from center coefficients (M, n, z_c) and radius coefficients
+        (M, z_r)."""
+        return tube_lipschitz(q_c, q_r, self.center_basis, self.radius_basis, self.l_rho)
 
 
 class _ObjectiveGrid:
@@ -933,10 +901,8 @@ def solve_sop(instance: SOPInstance, settings: SolverSettings) -> SynthesisResul
         def margin_objective(qs, bound=math.inf):
             # every trial's L in one batched pass over its curves
             q_c, q_r = unpack(qs)
-            tl = tube_lipschitz_many(q_c, q_r, instance.center_basis, instance.radius_basis)
-            lips = [combine_constants(instance.l_rho, *c, instance.n).combined
-                    for c in zip(tl.center.tolist(), tl.radius.tolist(), tl.radius_max.tolist())]
-            return search_grid.evaluate(q_c, q_r, bound, slack=np.array(lips) * eps_cert)[0]
+            lips = np.array([info.combined for info in instance.lipschitz(q_c, q_r)])
+            return search_grid.evaluate(q_c, q_r, bound, slack=lips * eps_cert)[0]
 
         m0 = float(margin_objective(best[None])[0])
         evals += 1
@@ -951,7 +917,7 @@ def solve_sop(instance: SOPInstance, settings: SolverSettings) -> SynthesisResul
     q_c, q_r = unpack(best)
     tube = instance.make_tube(q_c, q_r)
 
-    lip = instance.lipschitz(tube)
+    lip = instance.lipschitz(q_c[None], q_r[None])[0]
     eta_star, worst = sop_objective(instance, q_c, q_r)
 
     wall = time.perf_counter() - t_start

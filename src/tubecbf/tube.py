@@ -1,16 +1,18 @@
-"""Time-varying spherical tube: basis-expanded center/radius curves plus the
-unit-sphere parameterization used to enumerate tube trajectories."""
+"""Time-varying spherical tube: basis-expanded center/radius curves, the
+unit-sphere parameterization used to enumerate tube trajectories, and the
+Lipschitz constants of the certificate that bound them."""
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .basis import BernsteinBasis, _check_integer, combine
+from .basis import BernsteinBasis, _check_integer, combine, norm_in_order
 
 _RANGE_SLACK = 1e-9
 
@@ -148,19 +150,38 @@ def boundary_point(tube: Tube, theta, lam: float, tau: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TubeLipschitz:
-    """Certified upper bounds: max ||center'(t)||, max |radius'(t)|, max
-    radius(t); floats for one tube, (M,) arrays for M tubes."""
+class LipschitzInfo:
+    robustness: float   # of the monitor w.r.t. the signal
+    center: float       # of the tube center curve
+    radius: float       # of the tube radius curve
+    radius_max: float   # max radius over the horizon
+    sphere: float       # of the sphere parameterization
+    mu: float           # of the per-direction worst robustness
+    combined: float     # constant entering the certificate
 
-    center: float
-    radius: float
-    radius_max: float
+
+def combine_constants(l_rho: float, l_center: float, l_radius: float,
+                      radius_max: float, n: int) -> LipschitzInfo:
+    """Combined constant for the generalization certificate.
+
+    The sphere map is sqrt(n(n-1))-Lipschitz; the per-direction robustness
+    inherits l_rho * r_max * sqrt(l_s^2 + 1); time variation adds
+    l_rho * (l_c + l_r).  The certificate uses the max against the radius
+    constraint's own constant l_r.
+    """
+    l_s = math.sqrt(n * (n - 1))
+    l_mu = l_rho * radius_max * math.sqrt(l_s**2 + 1.0)
+    combined = max(l_radius,
+                   math.sqrt(l_mu**2 + l_rho**2 * (l_center + l_radius) ** 2))
+    return LipschitzInfo(robustness=l_rho, center=l_center, radius=l_radius,
+                         radius_max=radius_max, sphere=l_s, mu=l_mu,
+                         combined=combined)
 
 
 # tube_lipschitz maximizes the curves' derivatives on this many grid points
 LIPSCHITZ_GRID_POINTS = 1000
 
-# Largest float count of one batched working table: tube_lipschitz_many's
+# Largest float count of one batched working table: tube_lipschitz's
 # (M, n, LIPSCHITZ_GRID_POINTS) derivative table, and the monitor's state
 # planes (synthesis._ObjectiveGrid, where the size is measured).  96 KiB is
 # under glibc's 128 KiB mmap threshold, so such tables are reused from the
@@ -180,28 +201,19 @@ def _lipschitz_tables(center_basis: BernsteinBasis, radius_basis: BernsteinBasis
     return tables
 
 
-def tube_lipschitz(tube: Tube) -> TubeLipschitz:
-    """Lipschitz constants of the tube curves over [0, t_f].
+def tube_lipschitz(center_coeffs, radius_coeffs, center_basis: BernsteinBasis,
+                   radius_basis: BernsteinBasis, l_rho: float) -> list[LipschitzInfo]:
+    """Certificate constants of M tubes on shared bases, one LipschitzInfo
+    each, from center coefficients (M, n, z_c), radius coefficients (M, z_r)
+    and the formula's robustness constant l_rho.
 
-    The analytic derivative is maximized on a dense grid; an additive slack of
-    (second-derivative bound) * h/2 makes each value a certified upper bound
-    for the continuous maximum (any t lies within h/2 of a grid point).
-    """
-    many = tube_lipschitz_many(tube.center_coeffs[None], tube.radius_coeffs[None],
-                               tube.center_basis, tube.radius_basis)
-    return TubeLipschitz(center=float(many.center[0]), radius=float(many.radius[0]),
-                         radius_max=float(many.radius_max[0]))
-
-
-def tube_lipschitz_many(center_coeffs, radius_coeffs, center_basis: BernsteinBasis,
-                        radius_basis: BernsteinBasis) -> TubeLipschitz:
-    """tube_lipschitz of M tubes on shared bases, as (M,) arrays, from center
-    coefficients (M, n, z_c) and radius coefficients (M, z_r).
-
-    Each tube's constants are bit-identical to its own tube_lipschitz: the
-    curves are `combine` sums, and the rest is elementwise or a per-tube
-    reduction.  Tubes go through in passes whose derivative table holds at
-    most BLOCK_FLOATS floats.
+    Each curve's derivative is maximized on a grid over [0, t_f]; an additive
+    slack of (second-derivative bound) * h/2 makes each value a certified
+    upper bound for the continuous maximum (any t lies within h/2 of a grid
+    point).  A tube's constants are bit-identical in any batch: the curves
+    are `combine` sums, and the rest is elementwise or a per-tube reduction.
+    Tubes go through in passes whose derivative table holds at most
+    BLOCK_FLOATS floats.
     """
     center_coeffs = np.asarray(center_coeffs, dtype=float)
     radius_coeffs = np.asarray(radius_coeffs, dtype=float)
@@ -217,13 +229,14 @@ def tube_lipschitz_many(center_coeffs, radius_coeffs, center_basis: BernsteinBas
         rdot_max[rows] = np.max(np.abs(combine(radius_coeffs[rows], r_der)), axis=-1)
         rval_max[rows] = np.max(combine(radius_coeffs[rows], r_val), axis=-1)
 
-    c2 = np.sqrt([sum(b * b for b in row)
-                  for row in center_basis.second_derivative_bound(center_coeffs).tolist()])
+    c2 = np.array([norm_in_order(row) for row in
+                   center_basis.second_derivative_bound(center_coeffs).tolist()])
     l_center = speed_max + c2 * h / 2.0
     r2 = radius_basis.second_derivative_bound(radius_coeffs)
     l_radius = rdot_max + r2 * h / 2.0
     radius_max = rval_max + l_radius * h / 2.0
-    return TubeLipschitz(center=l_center, radius=l_radius, radius_max=radius_max)
+    return [combine_constants(l_rho, *c, n)
+            for c in zip(l_center.tolist(), l_radius.tolist(), radius_max.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -112,3 +112,20 @@ def power_tube(q_c, q_r, t_f: float) -> Tube:
     q_r = np.asarray(q_r, dtype=float)
     return Tube(bernstein_points(q_c, t_f), bernstein_points(q_r, t_f),
                 BernsteinBasis(q_c.shape[1], t_f), BernsteinBasis(len(q_r), t_f))
+
+
+def point_pairs(rng: np.random.Generator, hi, count: int):
+    """Pairs of points of the box [0, hi], as two (k, d) arrays, for difference
+    quotients: of count draws, half are independent pairs and half a point and
+    its step of length 10**U(-6, 0) in a random direction, clipped to the box.
+    Pairs under 1e-6 apart (clipped steps) are dropped."""
+    hi = np.asarray(hi, dtype=float)
+    first = rng.uniform(0.0, hi, size=(count, len(hi)))
+    steps = rng.normal(size=(count, len(hi)))
+    steps *= 10.0 ** rng.uniform(-6.0, 0.0, size=(count, 1)) \
+        / np.linalg.norm(steps, axis=1, keepdims=True)
+    second = np.clip(first + steps, 0.0, hi)
+    half = count // 2
+    second[:half] = rng.uniform(0.0, hi, size=(half, len(hi)))
+    keep = np.linalg.norm(first - second, axis=1) >= 1e-6
+    return first[keep], second[keep]

@@ -181,8 +181,8 @@ def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys):
 @pytest.mark.parametrize("overrides, named", [
     ({"solver": {"seed": 0, "budjet": 100}}, "budjet"),
     ({"solver": {"seed": 0, "budget": 800, "starts": 3}}, "starts"),
-    ({"cover_counts": {"theta": [10], "tau": 12}}, "lambda"),
-    ({"cover_counts": {"theta": [10, 3], "lambda": 3, "tau": 12}}, "theta"),
+    ({"epsilon": None, "cover_counts": {"theta": [10], "tau": 12}}, "lambda"),
+    ({"epsilon": None, "cover_counts": {"theta": [10, 3], "lambda": 3, "tau": 12}}, "theta"),
     ({"search_cover": {"theta": [10], "lambda": 3, "tau": 12, "phi": 2}}, "phi"),
     ({"basis": {"kind": "bezier", "center_count": 5, "radius_count": 4}}, "kind"),
     ({"epsilon": None}, "epsilon"),
@@ -224,8 +224,8 @@ def test_check_bad_nested_block_exits_2(tmp_path, capsys, overrides, named):
     ({"x0_seed": -1}, "x0_seed"),
     ({"basis": {"center_count": 0, "radius_count": 4}}, "center_count"),
     ({"search_cover": {"theta": [10], "lambda": 0, "tau": 12}}, "lambda"),
-    ({"cover_counts": {"theta": [0], "lambda": 3, "tau": 12}}, "theta"),
-    ({"cover_counts": {"theta": [10], "lambda": 3, "tau": -4}}, "tau"),
+    ({"epsilon": None, "cover_counts": {"theta": [0], "lambda": 3, "tau": 12}}, "theta"),
+    ({"epsilon": None, "cover_counts": {"theta": [10], "lambda": 3, "tau": -4}}, "tau"),
     ({"solver": {"seed": -1, "budget": 800}}, "seed"),
     ({"start": [100.0, 100.0]}, "start"),
     ({"start": [4.5, -0.5]}, "start"),
@@ -363,13 +363,15 @@ def test_check_nonpositive_horizon_or_step_exits_2(tmp_path, capsys, overrides, 
     assert f"{named} must be positive" in capsys.readouterr().err
 
 
-def test_epsilon_beside_cover_counts_is_still_checked(tmp_path, capsys):
-    # cover_counts sets the cover, but a set epsilon must be in range too
+def test_epsilon_beside_cover_counts_is_refused(tmp_path, capsys):
+    # either key sets the cover, so a config that sets both is ambiguous
     counts = {"theta": [10], "lambda": 3, "tau": 12}
-    cfg = _write_config(tmp_path, {"epsilon": -0.12, "cover_counts": counts})
+    cfg = _write_config(tmp_path, {"epsilon": 0.2, "cover_counts": counts})
     assert main(["check", "--config", str(cfg)]) == 2
-    assert "epsilon" in capsys.readouterr().err
-    assert main(["check", "--config", str(_write_config(tmp_path, {"cover_counts": counts}))]) == 0
+    err = capsys.readouterr().err
+    assert "epsilon" in err and "cover_counts" in err
+    cfg = _write_config(tmp_path, {"epsilon": None, "cover_counts": counts})
+    assert main(["check", "--config", str(cfg)]) == 0
 
 
 def test_readme_lists_every_config_key():

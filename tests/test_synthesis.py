@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import os
@@ -5,13 +6,14 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tubecbf import load_tube, synthesis
-from tubecbf.basis import combine
+from tubecbf.basis import BernsteinBasis, combine
 from tubecbf.config import load_config
 from tubecbf.stl import AffineHalfspace, BallNorm2, BoxInfNorm, parse, robustness_batch
 from tubecbf.synthesis import (
@@ -23,7 +25,6 @@ from tubecbf.synthesis import (
     SynthesisResult,
     axis_midpoints,
     build_cover,
-    combine_constants,
     pattern_search,
     recheck_constraints,
     solve_sop,
@@ -31,8 +32,9 @@ from tubecbf.synthesis import (
     warm_start,
 )
 from tubecbf.synthesis import _ObjectiveGrid
-from tubecbf.tube import tube_lipschitz
+from tubecbf.tube import LipschitzInfo, combine_constants, sphere_map_many, tube_lipschitz
 
+from gen import point_pairs
 from oracles import oracle_pattern_search
 
 
@@ -478,25 +480,24 @@ def test_solve_reuses_the_instance_bases_and_robustness_constant(name, tube_boun
     # the instance derives its bases and the formula's constant once, so a
     # solve constructs no BernsteinBasis and never re-derives l_rho; it still
     # bounds one tube per certificate-polish trial plus the result's, but the
-    # trials of a sweep in one batched pass (745 and 803 single-tube calls
-    # before)
-    passes = {"stlcg_1": 48, "quadrotor_cycle": 26}[name]
+    # trials of a sweep in one batched pass, and the result's in a pass of
+    # its own (745 and 803 single-tube calls before)
+    passes = {"stlcg_1": 49, "quadrotor_cycle": 27}[name]
     config = load_config(ROOT / "configs" / f"{name}.yaml")
     instance = config.instance()
     calls, pass_sizes = Counter(), []
-    for attr in ("BernsteinBasis", "robustness_lipschitz", "tube_lipschitz",
-                 "tube_lipschitz_many"):
+    for attr in ("BernsteinBasis", "robustness_lipschitz", "tube_lipschitz"):
         def counting(*args, _attr=attr, _original=getattr(synthesis, attr), **kwargs):
             calls[_attr] += 1
-            if _attr == "tube_lipschitz_many":
+            if _attr == "tube_lipschitz":
                 pass_sizes.append(len(args[0]))
             return _original(*args, **kwargs)
         monkeypatch.setattr(synthesis, attr, counting)
     solve_sop(instance, config.solver_settings(seed=0))
     assert calls["BernsteinBasis"] == 0
     assert calls["robustness_lipschitz"] == 0
-    assert calls["tube_lipschitz"] == 1
-    assert len(pass_sizes) == passes and sum(pass_sizes) + 1 == tube_bounds
+    assert len(pass_sizes) == passes and pass_sizes[-1] == 1
+    assert sum(pass_sizes) == tube_bounds
 
 
 def test_stlcg_1_solve_does_not_import_numpy_ma():
@@ -720,11 +721,73 @@ def test_combine_constants_monotone_in_radius_max():
 
 def test_combined_lipschitz_uses_tube_bounds():
     inst = _instance("G[0,2] B", BIG_BOX, 2.0, [[-5, 5], [-5, 5]])
-    tube = inst.make_tube(np.zeros((2, 4)), np.full(4, 2.0))
-    info = inst.lipschitz(tube)
-    tl = tube_lipschitz(tube)
-    assert info.radius_max == pytest.approx(tl.radius_max)
+    q_c, q_r = np.zeros((1, 2, 4)), np.full((1, 4), 2.0)
+    [info] = inst.lipschitz(q_c, q_r)
+    assert info == tube_lipschitz(q_c, q_r, inst.center_basis, inst.radius_basis,
+                                  math.sqrt(2.0))[0]
+    assert info.radius_max == pytest.approx(2.0)
     assert info.robustness == pytest.approx(math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("name", ["omni_reach_avoid", "quadrotor_cycle"])
+def test_mu_bounds_the_robustness_difference_quotient(name):
+    # mu bounds |rho(x_a) - rho(x_b)| / |a - b| over (theta, lambda), where
+    # x_(theta, lam)(t) = c(t) + lam r(t) s(theta) on the time grid the
+    # objective reads on the certification cover.  The states are under 100
+    # in magnitude, so rho rounds by under 1e-12, and steps are at least 1e-6
+    # long: a quotient may read up to 1e-6 above the true one
+    config, tube = _reference(name)
+    instance = config.instance()
+    [info] = instance.lipschitz(tube.center_coeffs[None], tube.radius_coeffs[None])
+    taus = _ObjectiveGrid(instance, build_cover(instance.cover)).times
+    center = combine(tube.center_coeffs, tube.center_basis.values(taus)).T
+    radius = combine(tube.radius_coeffs, tube.radius_basis.values(taus))
+    hi = [math.pi] * (instance.n - 2) + [2 * math.pi, 1.0]
+    a, b = point_pairs(np.random.default_rng(1), hi, 2000)
+
+    def rho(points):
+        offsets = points[:, -1:] * sphere_map_many(points[:, :-1])
+        states = center + radius[:, None] * offsets[:, None, :]
+        return robustness_batch(instance.formula, taus, states,
+                                until_convention=instance.until_convention)
+
+    ratios = np.abs(rho(a) - rho(b)) / np.linalg.norm(a - b, axis=1)
+    assert ratios.max() <= info.mu + 1e-6
+
+
+def _compensated_sum(iterable, start=0, _sum=builtins.sum):
+    """sum() as Python 3.12 computes it: floats with Neumaier's compensation."""
+    items = list(iterable)
+    if start != 0 or not items or any(type(x) is not float for x in items):
+        return _sum(items, start)
+    total = comp = 0.0
+    for x in items:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_cover_radius_and_tube_constants_keep_their_bits_under_a_compensated_sum(monkeypatch):
+    # the cover radius and the center curve's constant are 2-norms; summed
+    # by sum() they would take other bits under Python 3.12 for this cover
+    # and this tube
+    halves = [math.pi / 2, math.pi, 0.5, 4.0 / 48]
+    assert _compensated_sum(h * h for h in halves) != builtins.sum(h * h for h in halves)
+    rng = np.random.default_rng(564)
+    q_c, q_r = rng.normal(size=(1, 3, 5)), rng.uniform(0.5, 2.0, size=(1, 4))
+    cb, rb = BernsteinBasis(5, 4.0), BernsteinBasis(4, 4.0)
+
+    def bits():
+        [info] = tube_lipschitz(q_c, q_r, cb, rb, 1.0)
+        radius = CoverSpec.from_counts([1, 1], 1, 24, 4.0).radius
+        return [v.hex() for v in (radius, *astuple(info))]
+
+    want = bits()
+    # the radius, then LipschitzInfo's robustness and center
+    assert want[0] == "0x1.c63eeed8fbb34p+1" and want[2] == (3.8912314712786853).hex()
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert bits() == want
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +796,6 @@ def test_combined_lipschitz_uses_tube_bounds():
 
 def _result_with(eta, combined, eps):
     # build a LipschitzInfo with the requested combined constant
-    from tubecbf.synthesis import LipschitzInfo
     info = LipschitzInfo(robustness=1.0, center=0.0, radius=0.0, radius_max=1.0,
                          sphere=1.0, mu=1.0, combined=combined)
     inst = _instance("G[0,1] B", BIG_BOX, 1.0, [[-5, 5], [-5, 5]])
@@ -957,7 +1019,7 @@ def test_eta_shift_bounded_between_covers():
                                       coarse_spec.tau_count * 2, coarse_spec.t_f)
     eta_coarse, _ = sop_objective(inst, q_c, q_r, cover=build_cover(coarse_spec))
     eta_fine, _ = sop_objective(inst, q_c, q_r, cover=build_cover(fine_spec))
-    lip = inst.lipschitz(inst.make_tube(q_c, q_r)).combined
+    lip = inst.lipschitz(q_c[None], q_r[None])[0].combined
     delta = coarse_spec.radius - fine_spec.radius
     assert eta_fine >= eta_coarse - lip * delta - 1e-9
     assert eta_fine <= eta_coarse + lip * coarse_spec.radius + 1e-9

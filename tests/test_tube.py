@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from tubecbf.tube import (
     SampledTube,
     Tube,
     boundary_point,
+    combine_constants,
     load_tube,
     save_tube,
     sphere_map,
@@ -18,11 +20,10 @@ from tubecbf.tube import (
     BLOCK_FLOATS,
     LIPSCHITZ_GRID_POINTS,
     tube_lipschitz,
-    tube_lipschitz_many,
     tube_to_record,
 )
 
-from gen import bernstein_points, power_tube
+from gen import bernstein_points, point_pairs, power_tube
 from oracles import oracle_bernstein_second_derivatives
 
 
@@ -301,20 +302,36 @@ def test_boundary_points_cover_ball():
         assert gap <= 0.08  # grid resolution bound: 1.5*(2pi/125) + 1.5/39
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_sphere_constant_bounds_the_sphere_map_difference_quotient(n):
+    # |s(a) - s(b)| / |a - b| over the angle box; the map's coordinates round
+    # by a few u = 2**-53, and steps are at least 1e-6 long, so a quotient
+    # may read up to ~1e-9 above the true one (the largest seen is 1 + 8e-11)
+    a, b = point_pairs(np.random.default_rng(n), [math.pi] * (n - 2) + [2 * math.pi], 20_000)
+    ratios = (np.linalg.norm(sphere_map_many(a) - sphere_map_many(b), axis=1)
+              / np.linalg.norm(a - b, axis=1))
+    assert ratios.max() <= combine_constants(1.0, 0.0, 0.0, 1.0, n).sphere + 1e-8
+
+
 # ---------------------------------------------------------------------------
 # lipschitz bounds
 # ---------------------------------------------------------------------------
 
+def _lipschitz(tube, l_rho=1.0):
+    return tube_lipschitz(tube.center_coeffs[None], tube.radius_coeffs[None],
+                          tube.center_basis, tube.radius_basis, l_rho)[0]
+
+
 def test_tube_lipschitz_constant_radius():
     tube = power_tube([[0.0, 0.0]], [2.0, 0.0], t_f=10.0)
-    tl = tube_lipschitz(tube)
+    tl = _lipschitz(tube)
     assert tl.radius == pytest.approx(0.0, abs=1e-12)
     assert tl.radius_max == pytest.approx(2.0, abs=1e-9)
 
 
 def test_tube_lipschitz_linear_radius():
     tube = power_tube([[0.0, 0.0]], [0.0, 1.0], t_f=10.0)
-    tl = tube_lipschitz(tube)
+    tl = _lipschitz(tube)
     assert tl.radius == pytest.approx(1.0, abs=1e-9)
     assert tl.radius_max == pytest.approx(10.0, rel=1e-3)
 
@@ -324,7 +341,7 @@ def test_tube_lipschitz_upper_bounds_fine_grid():
     for power in (True, False):
         for _ in range(5):
             tube = _random_tube(rng, z_c=4, z_r=4, power=power)
-            tl = tube_lipschitz(tube)
+            tl = _lipschitz(tube)
             ts = np.linspace(0, tube.t_f, 10000)
             speeds = np.linalg.norm(tube.center_coeffs @ tube.center_basis.derivatives(ts), axis=0)
             rdots = np.abs(tube.radius_coeffs @ tube.radius_basis.derivatives(ts))
@@ -337,11 +354,11 @@ def test_tube_lipschitz_upper_bounds_fine_grid():
             assert np.all(dr <= tl.radius + 1e-9)
 
 
-def test_tube_lipschitz_many_matches_each_tube_bit_for_bit():
+def test_tube_lipschitz_is_bit_identical_in_any_batch():
     # random coefficient batches, drawn as control points and as power-form
     # coefficients, among them batches larger than one pass; the stacked
-    # second-derivative bounds match the per-row ones, and every constant
-    # matches the tube's own tube_lipschitz
+    # second-derivative bounds match the per-row ones, and every tube's
+    # constants match those of the tube alone
     rng = np.random.default_rng(12)
     for form in ("bernstein", "power"):
         for n, z_c, z_r in ((2, 5, 4), (3, 6, 3), (2, 2, 1), (3, 3, 7)):
@@ -357,23 +374,23 @@ def test_tube_lipschitz_many_matches_each_tube_bit_for_bit():
                 assert stacked.shape == (m, n)
                 assert all(stacked[i, j] == float(cb.second_derivative_bound(q_c[i, j]))
                            for i in range(m) for j in range(n))
-                many = tube_lipschitz_many(q_c, q_r, cb, rb)
+                many = tube_lipschitz(q_c, q_r, cb, rb, math.sqrt(n))
+                assert len(many) == m
                 for i in range(m):
-                    one = tube_lipschitz(Tube(q_c[i], q_r[i], cb, rb))
-                    assert (many.center[i].hex(), many.radius[i].hex(), many.radius_max[i].hex()) \
-                        == (one.center.hex(), one.radius.hex(), one.radius_max.hex())
+                    one = _lipschitz(Tube(q_c[i], q_r[i], cb, rb), math.sqrt(n))
+                    assert [v.hex() for v in astuple(many[i])] == [v.hex() for v in astuple(one)]
 
 
-def test_tube_lipschitz_many_caps_its_derivative_table():
+def test_tube_lipschitz_caps_its_derivative_table():
     # a pass holds at most BLOCK_FLOATS floats of derivatives; 50 3-D tubes
     # in one pass would hold a 1.2 MB table and as much again in squares
     rng = np.random.default_rng(4)
     cb, rb = BernsteinBasis(5, 8.0), BernsteinBasis(4, 8.0)
     q_c, q_r = rng.normal(size=(50, 3, 5)), rng.uniform(0.1, 3.0, size=(50, 4))
-    tube_lipschitz_many(q_c[:1], q_r[:1], cb, rb)  # tabulate the bases
+    tube_lipschitz(q_c[:1], q_r[:1], cb, rb, 1.0)  # tabulate the bases
     tracemalloc.start()
     try:
-        tube_lipschitz_many(q_c, q_r, cb, rb)
+        tube_lipschitz(q_c, q_r, cb, rb, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
