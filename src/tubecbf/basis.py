@@ -14,12 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _check_integer(name: str, value, least: int, error=ValueError):
-    """value, if it is an integer of at least least; else error naming name."""
+# the largest basis count: comb(count - 1, k) of a larger one leaves float range
+MAX_COUNT = 1030
+
+
+def _check_integer(name: str, value, least: int, error=ValueError, most=math.inf):
+    """value, if it is an integer from least to most; else error naming name."""
     # a bool is an int, int() would truncate 4.6 to 4, and a plain int is quickest
-    if type(value) is not int and (isinstance(value, bool)
-                                   or not isinstance(value, numbers.Integral)) or value < least:
-        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(
+            value, numbers.Integral)) or not least <= value <= most:
+        raise error(f"{name} must be an integer of at least {least}"
+                    + (f" and at most {most}" if most < math.inf else "") + f", got {value!r}")
     return value
 
 
@@ -76,7 +81,7 @@ class BernsteinBasis:
     t_f: float
 
     def __post_init__(self):
-        _check_integer("count", self.count, 1)
+        _check_integer("count", self.count, 1, most=MAX_COUNT)
         if not 0 < self.t_f < math.inf:
             raise ValueError(f"t_f must be finite and positive, got {self.t_f!r}")
 

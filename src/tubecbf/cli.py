@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(
             f"log dimension {signal.dimension} does not match config {config.dimension}")
     formula = config.build_formula()
-    report = robustness(formula, signal, 0.0, until_convention=config.until_convention)
+    report = robustness(formula, signal, 0.0)
     print(f"robustness: {report.value:.9g}")
     print("verdict: satisfied" if report.satisfied else "verdict: NOT satisfied")
     return EXIT_OK if report.satisfied else EXIT_UNCERTIFIED

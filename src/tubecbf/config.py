@@ -25,7 +25,7 @@ from .stl import (
     UndefinedPredicateError,
     parse,
 )
-from .synthesis import CoverSpec, SOPInstance, SolverSettings
+from .synthesis import CoverError, CoverSpec, SOPInstance, SolverSettings
 
 
 class ConfigError(ValueError):
@@ -62,12 +62,14 @@ def _predicate_from_dict(name: str, spec: dict, dim: int):
 _COVER_KEYS = {"theta", "lambda", "tau"}
 
 
-def _owned(block: Optional[str], build, *args, **kwargs):
-    """build(*args, **kwargs); a ValueError becomes a ConfigError prefixed with block."""
+def _owned(block: Optional[str], build, *args, cover_key: Optional[str] = None, **kwargs):
+    """build(*args, **kwargs); a ValueError becomes a ConfigError prefixed with block
+    (with cover_key, if given, for a CoverError)."""
     try:
         return build(*args, **kwargs)
     except ValueError as e:
-        raise ConfigError(f"{block}: {e}" if block else str(e)) from None
+        prefix = cover_key if cover_key is not None and isinstance(e, CoverError) else block
+        raise ConfigError(f"{prefix}: {e}" if prefix else str(e)) from None
 
 
 def _check_block(name: str, block, allowed: set, required: frozenset = frozenset()) -> None:
@@ -87,9 +89,23 @@ def _check_number(key: str, value) -> None:
     # YAML reads `dt: fast` as a string, on which a range check would raise
     # TypeError; YAML's .nan and .inf would break the solve or the run later
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+        hint = _yaml_float(value) if isinstance(value, str) else None
+        raise ConfigError(f"{key} must be a number, got {value!r}"
+                          + (f"; write {hint}" if hint else ""))
     if not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value!r}")
+
+
+def _yaml_float(text: str) -> Optional[str]:
+    """text with the dot and signed exponent YAML 1.1 needs to read a float
+    (1.0e-3 for 1e-3), if it then reads as the finite float Python reads."""
+    mantissa, e, exponent = text.strip().lower().partition("e")
+    hint = (mantissa if "." in mantissa else mantissa + ".0") + e + (
+        "+" + exponent if exponent[:1].isdigit() else exponent)
+    try:
+        return hint if math.isfinite(float(text)) and yaml.safe_load(hint) == float(text) else None
+    except ValueError:
+        return None
 
 
 def _is_list(value) -> bool:
@@ -138,7 +154,6 @@ class ScenarioConfig:
     gain: float = Barrier.gain
     control_weight: Optional[list] = None
     input_bound: Optional[float] = None
-    until_convention: str = SOPInstance.until_convention
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -184,12 +199,14 @@ class ScenarioConfig:
         if self.control_weight is not None:
             _check_vector("control_weight", self.control_weight, model.m)
         try:
-            run_settings(model.m, self.t_f, self.dt, self.weight_matrix(), self.input_bound,
-                         self.until_convention)
+            run_settings(model.m, self.t_f, self.dt, self.weight_matrix(), self.input_bound)
         except ValueError as e:  # run_settings calls the control weight `weight`
             raise ConfigError(f"control_{e}" if str(e).startswith("weight") else str(e)) from None
         # a barrier checks its gain when built; each run brings its tube
         _owned(None, Barrier, None, self.gain)
+
+    # not a key; perfbench/workloads.py reads it until ROADMAP item 3 drops it
+    until_convention = property(lambda self: "paper")
 
     # -- domain objects ----------------------------------------------------
 
@@ -217,11 +234,11 @@ class ScenarioConfig:
         args = dict(formula=self.build_formula(), n=self.dimension, t_f=self.t_f,
                     state_bounds=self.state_bounds, min_radius=self.min_radius,
                     radius_max=self.radius_max, cover=self.cover_spec(),
-                    start_center=self.start, center_box_scale=self.center_box_scale,
-                    until_convention=self.until_convention)
+                    start_center=self.start, center_box_scale=self.center_box_scale)
         _check_block("basis", self.basis,
                      {f.name for f in fields(SOPInstance) if f.init} - set(args))
-        return _owned(None, SOPInstance, **args, **self.basis)
+        cover_key = "epsilon" if self.cover_counts is None else "cover_counts"
+        return _owned(None, SOPInstance, **args, **self.basis, cover_key=cover_key)
 
     def solver_settings(self, seed: Optional[int] = None) -> SolverSettings:
         """The solver block's settings (but search_cover); a seed overrides its seed."""
@@ -229,7 +246,8 @@ class ScenarioConfig:
         _check_block("solver", self.solver,
                      {f.name for f in fields(SolverSettings)} - {"search_cover"})
         solver = self.solver if seed is None else {**self.solver, "seed": int(seed)}
-        return _owned("solver", SolverSettings, search_cover=search_cover, **solver)
+        # a CoverError names search_cover, a top-level key, so it takes no prefix
+        return _owned("solver", SolverSettings, search_cover=search_cover, cover_key="", **solver)
 
     def make_dynamics(self):
         params = dict(self.dynamics)
@@ -261,8 +279,7 @@ class ScenarioConfig:
             raise ConfigError(f"tube horizon {tube.t_f} does not match config {self.t_f}")
         return run_closed_loop(self.make_dynamics(), Barrier(tube, gain=self.gain),
                                self.pick_x0(tube, seed=seed), self.dt, self.build_formula(),
-                               weight=self.weight_matrix(), input_bound=self.input_bound,
-                               until_convention=self.until_convention)
+                               weight=self.weight_matrix(), input_bound=self.input_bound)
 
     # -- serialization -------------------------------------------------------
 

@@ -27,8 +27,13 @@ from typing import Optional
 import numpy as np
 
 from .cbf import Barrier, ControlStep, _cholesky, barrier_value, solve_safety_qp
-from .stl import UNTIL_CONVENTIONS, Formula, Signal, check_until_convention, robustness
+from .stl import Formula, Signal, robustness
 from .tube import SampledTube
+
+
+# a recorded step takes 0.7-1.5 kB (tracemalloc of its ControlStep and log row
+# on the reference tubes), so a run of MAX_STEPS steps stays under 1.5 GB
+MAX_STEPS = 1_000_000
 
 
 class SimulationError(RuntimeError):
@@ -71,27 +76,27 @@ class RunReport:
     saturated_steps: int = 0
 
 
-def run_settings(m: int, t_f: float, dt: float, weight=None, input_bound=None,
-                 until_convention: str = UNTIL_CONVENTIONS[0]) -> tuple:
+def run_settings(m: int, t_f: float, dt: float, weight=None, input_bound=None) -> tuple:
     """Step count, (m, m) weight (None: identity) and float input bound of a
     closed-loop run over [0, t_f]; ValueError naming a setting out of range."""
-    n_steps = int(round(t_f / dt)) if dt > 0 else 0
-    if n_steps < 1:
-        raise ValueError(f"dt must be positive and fit one step in t_f {t_f}, got {dt}")
+    steps = t_f / dt if dt > 0 else 0.0
+    if not 0.5 < steps <= MAX_STEPS:  # so round(steps) is from 1 to MAX_STEPS
+        raise ValueError(f"dt must be positive and make 1 to {MAX_STEPS} steps in t_f {t_f}, "
+                         f"got {dt}")
+    n_steps = int(round(steps))
     weight = np.eye(m) if weight is None else np.asarray(weight, dtype=float)
     _cholesky(weight, m)
     if input_bound is not None:
         input_bound = float(input_bound)
         if not input_bound > 0:
             raise ValueError(f"input_bound must be positive, got {input_bound}")
-    check_until_convention(until_convention)
     return n_steps, weight, input_bound
 
 
 def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
                     formula: Formula, *, weight: Optional[np.ndarray] = None,
                     input_bound: Optional[float] = None,
-                    until_convention: str = UNTIL_CONVENTIONS[0]) -> RunReport:
+                    until_convention: str = "paper") -> RunReport:
     """Iterate the safety QP and RK4 over [0, t_f] and monitor the result.
 
     x0 is the initial certified output and must satisfy b(0, x0) >= 0.  The
@@ -105,9 +110,11 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     is rebuilt once per run, with the same gain, over a `SampledTube` of its
     tube (see the module docstring).
     """
+    # only for perfbench/workloads.py, until the next benchmark change (ROADMAP item 3)
+    if until_convention != "paper":
+        raise ValueError(f"until_convention must be 'paper', got {until_convention!r}")
     t_f = barrier.t_f
-    n_steps, weight, input_bound = run_settings(dynamics.m, t_f, dt, weight, input_bound,
-                                                until_convention)
+    n_steps, weight, input_bound = run_settings(dynamics.m, t_f, dt, weight, input_bound)
     times = np.linspace(0.0, t_f, n_steps + 1)
     sample_ts = times.tolist()
     holds = [hi - lo for lo, hi in zip(sample_ts, sample_ts[1:])] + [0.0]
@@ -140,7 +147,7 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
 
     trajectory = Signal(times, np.array([s.x for s in steps]))
     b_vals = np.array([s.b for s in steps])
-    report = robustness(formula, trajectory, 0.0, until_convention=until_convention)
+    report = robustness(formula, trajectory, 0.0)
     return RunReport(
         x0=x0,
         trajectory=trajectory,

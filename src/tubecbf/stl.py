@@ -8,15 +8,15 @@ Window semantics.  An operator window [t+a, t+b] holds its two endpoints and
 every grid time strictly between them; an endpoint that falls between samples
 is evaluated on the state interpolated as (1-w)*s_i + w*s_j, and times outside
 the grid clamp to its ends.  A point window (a == b) holds t+a alone.  Until
-takes, over the members u of its window, the max of min(point clause at u,
-running min of the other clause up to u); the running min starts at t+a in
-the paper convention and at t in the standard one.
+phi U[a,b] psi takes, over the members u of its window, the max of min(phi
+at u, running min of psi up to u), as the source paper prints it (Maler and
+Nickovic's swaps phi and psi and starts the running min at t, not t+a).
 
 Compiled plan.  Which times each node is needed at depends only on the
 formula, the time grid and the anchor time, never on the states, so
 robustness_batch compiles them once into a plan (after the offline monitor of
 Donze, Ferrere and Maler, CAV 2013) and keeps the last few plans in an LRU
-keyed on (formula, grid bytes, anchor time, until convention).  Every node's
+keyed on (formula, grid bytes, anchor time).  Every node's
 values form a time-major (rows, K) table for the K trajectories: one row per
 grid time in a contiguous slice, then one per off-grid time the parent needs.
 The states come as n coordinate planes (n, T, K), so a predicate reads each
@@ -333,16 +333,6 @@ def robustness_lipschitz(f: Formula) -> float:
 
 _TIME_SLACK = 1e-9
 
-# Until conventions (see the module docstring); the first is every default
-UNTIL_CONVENTIONS = ("paper", "standard")
-
-
-def check_until_convention(convention: str) -> None:
-    """ValueError naming until_convention unless it is one of UNTIL_CONVENTIONS."""
-    if convention not in UNTIL_CONVENTIONS:
-        raise ValueError(f"unknown until_convention {convention!r}")
-
-
 @dataclass(frozen=True)
 class Signal:
     """Finite sampled trajectory in R^n with linear interpolation semantics."""
@@ -508,8 +498,7 @@ def _members(grid: np.ndarray, rows: _Rows, lo, hi, s, e) -> tuple:
     return tuple(table.T.copy())
 
 
-def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
-             interps: dict):
+def _compile(node: Formula, grid: np.ndarray, rows: _Rows, interps: dict):
     """Function mapping the state planes (n, T, K) and the interpolated
     off-grid planes to the node's (rows, K) value table.  interps maps the
     bytes of each off-grid time set the leaves need to its interpolator."""
@@ -520,7 +509,7 @@ def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
         return _compile_predicate(node, grid, rows, interps)
     # every node's table is fresh and its parent's to overwrite
     if isinstance(node, Not):
-        child = _compile(node.child, grid, rows, convention, interps)
+        child = _compile(node.child, grid, rows, interps)
 
         def negate(states, off):
             table = child(states, off)
@@ -528,8 +517,8 @@ def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
 
         return negate
     if isinstance(node, (And, Or)):
-        left = _compile(node.left, grid, rows, convention, interps)
-        right = _compile(node.right, grid, rows, convention, interps)
+        left = _compile(node.left, grid, rows, interps)
+        right = _compile(node.right, grid, rows, interps)
         op = np.minimum if isinstance(node, And) else np.maximum
 
         def combine(states, off):
@@ -538,50 +527,30 @@ def _compile(node: Formula, grid: np.ndarray, rows: _Rows, convention: str,
 
         return combine
 
-    q = rows.times(grid)
-    lo, hi, s, e = _windows(grid, q, node.start, node.end)
-    ends = np.concatenate([lo, hi])
+    lo, hi, s, e = _windows(grid, rows.times(grid), node.start, node.end)
+    child_rows = _rows_for(grid, np.concatenate([lo, hi]), s, e)
     if isinstance(node, (Eventually, Always)):
-        child_rows = _rows_for(grid, ends, s, e)
-        child = _compile(node.child, grid, child_rows, convention, interps)
+        child = _compile(node.child, grid, child_rows, interps)
         op = np.maximum if isinstance(node, Eventually) else np.minimum
         reduce = _window_reducer(op, grid, child_rows, lo, hi, s, e)
         return lambda states, off: reduce(child(states, off))
     if not isinstance(node, Until):
         raise TypeError(f"unknown formula node {node!r}")
 
-    # out = max over window members u of min(point(u), running min up to u);
-    # the running min covers [t+start, u] (paper) or [t, u] (standard)
-    point_rows = _rows_for(grid, ends, s, e)
-    if convention == UNTIL_CONVENTIONS[0]:
-        point_node, running_node = node.left, node.right
-        running_rows, prefix = point_rows, None
-    else:
-        # the running clause starts at the evaluation time, not at t+start;
-        # the prefix [t, t+start) holds t+start only when it is a grid time
-        point_node, running_node = node.right, node.left
-        p_lo, p_hi, p_s, p_e = _windows(grid, q, 0.0, node.start)
-        p_hi = np.where(_on_grid(grid, p_hi), p_hi, p_lo)
-        running_rows = _rows_for(grid, np.concatenate([ends, p_lo, p_hi]),
-                                 np.concatenate([s, p_s]), np.concatenate([e, p_e]))
-        prefix = _window_reducer(np.minimum, grid, running_rows, p_lo, p_hi, p_s, p_e)
-    point = _compile(point_node, grid, point_rows, convention, interps)
-    running = _compile(running_node, grid, running_rows, convention, interps)
-    point_cols = _members(grid, point_rows, lo, hi, s, e)
-    running_cols = _members(grid, running_rows, lo, hi, s, e)
+    # out = max over window members u of min(left at u, running min of right
+    # over the members up to u)
+    point = _compile(node.left, grid, child_rows, interps)
+    running = _compile(node.right, grid, child_rows, interps)
+    cols = _members(grid, child_rows, lo, hi, s, e)
 
     def until(states, off):
         p = point(states, off)
         r = running(states, off)
-        shape = (len(q), states.shape[2])
-        run_min = np.full(shape, np.inf) if prefix is None else prefix(r)
-        first = np.minimum(run_min, r[running_cols[0]])
-        out = np.minimum(p[point_cols[0]], first)
-        if prefix is None:
-            run_min = first
-        for pc, rc in zip(point_cols[1:], running_cols[1:]):
-            np.minimum(run_min, r[rc], out=run_min)
-            np.maximum(out, np.minimum(p[pc], run_min), out=out)
+        run_min = r[cols[0]]
+        out = np.minimum(p[cols[0]], run_min)
+        for c in cols[1:]:
+            np.minimum(run_min, r[c], out=run_min)
+            np.maximum(out, np.minimum(p[c], run_min), out=out)
         return out
 
     return until
@@ -636,11 +605,10 @@ def _compile_predicate(node: Predicate, grid: np.ndarray, rows: _Rows, interps: 
 
 
 @functools.lru_cache(maxsize=8)
-def _plan(f: Formula, times_key: bytes, t: float, convention: str):
+def _plan(f: Formula, times_key: bytes, t: float):
     """Compiled evaluation of f at time t on the grid whose float64 bytes are
     times_key; returns a function of the state planes (n, T, K) that
     interpolates each off-grid time set once, then evaluates the tree."""
-    check_until_convention(convention)
     grid = np.frombuffer(times_key)
     if t + horizon(f) > grid[-1] + _TIME_SLACK:
         raise ValueError(
@@ -649,14 +617,13 @@ def _plan(f: Formula, times_key: bytes, t: float, convention: str):
         raise ValueError(f"evaluation time {t} precedes signal start {grid[0]}")
     none = np.zeros(0, dtype=int)
     interps = {}
-    evaluate = _compile(f, grid, _rows_for(grid, np.array([t]), none, none), convention,
-                        interps)
+    evaluate = _compile(f, grid, _rows_for(grid, np.array([t]), none, none), interps)
     return lambda states: evaluate(
         states, {key: interp(states) for key, interp in interps.items()})
 
 
-def robustness_batch(f: Formula, times: np.ndarray, states: np.ndarray, t: float = 0.0, *,
-                     until_convention: str = UNTIL_CONVENTIONS[0]) -> np.ndarray:
+def robustness_batch(f: Formula, times: np.ndarray, states: np.ndarray,
+                     t: float = 0.0) -> np.ndarray:
     """Robustness of K trajectories sharing one time grid; states is (K, T, n).
 
     The monitor reads the states as n coordinate planes (n, T, K), so a
@@ -667,18 +634,20 @@ def robustness_batch(f: Formula, times: np.ndarray, states: np.ndarray, t: float
     states = np.asarray(states, dtype=float)
     if states.ndim == 2:
         states = states[:, :, None]
-    plan = _plan(f, times.tobytes(), float(t), until_convention)
+    plan = _plan(f, times.tobytes(), float(t))
     return plan(np.ascontiguousarray(states.transpose(2, 1, 0)))[0]
 
 
 def robustness(f: Formula, x: Signal, t: float = 0.0, *,
-               until_convention: str = UNTIL_CONVENTIONS[0]) -> RobustnessReport:
+               until_convention: str = "paper") -> RobustnessReport:
     """Quantitative satisfaction margin of the formula on the signal at time t.
 
     Positive robustness means the formula is satisfied (strict inequality).
     """
-    val = float(robustness_batch(f, x.times, x.states[None, :, :], t,
-                                 until_convention=until_convention)[0])
+    # only for perfbench/workloads.py, until the next benchmark change (ROADMAP item 3)
+    if until_convention != "paper":
+        raise ValueError(f"until_convention must be 'paper', got {until_convention!r}")
+    val = float(robustness_batch(f, x.times, x.states[None, :, :], t)[0])
     return RobustnessReport(value=val, satisfied=val > 0.0)
 
 

@@ -14,10 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import BernsteinBasis, _check_integer, combine, norm_in_order
+from .basis import MAX_COUNT, BernsteinBasis, _check_integer, combine, norm_in_order
 from .cbf import _cholesky, _cholesky_solve
 from .stl import (
-    UNTIL_CONVENTIONS,
     And,
     BallNorm2,
     BoxInfNorm,
@@ -27,7 +26,6 @@ from .stl import (
     Or,
     Predicate,
     Always,
-    check_until_convention,
     horizon,
     iter_predicates,
     robustness_batch,
@@ -41,8 +39,16 @@ class CoverError(ValueError):
     """Cover cannot be built (bad radius or sample budget exceeded)."""
 
 
-# CoverSpec.for_radius refuses covers with more samples than this
+# SOPInstance and SolverSettings refuse a cover with more samples than this: a
+# solve scores each of them in full.  recheck_constraints's refined covers are
+# exempt, as it prunes (diffdrive_sequential's 10x cover holds 64,350,000).
 COVER_SAMPLE_BUDGET = 50_000_000
+
+
+def _check_sample_budget(name: str, spec: CoverSpec) -> None:
+    if spec.sample_count > COVER_SAMPLE_BUDGET:
+        raise CoverError(f"{name} needs {spec.sample_count} samples, over the budget "
+                         f"{COVER_SAMPLE_BUDGET}; increase the radius or pin coarser axis counts")
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +116,7 @@ class CoverSpec:
 
     @property
     def sample_count(self) -> int:
-        return int(np.prod(self.theta_counts)) * self.lambda_count * self.tau_count
+        return math.prod(self.counts)
 
     @classmethod
     def for_radius(cls, radius: float, n: int, t_f: float) -> "CoverSpec":
@@ -120,14 +126,8 @@ class CoverSpec:
         ranges = _axis_ranges(n, t_f)
         h = 2.0 * radius / math.sqrt(len(ranges))
         *theta, lam, tau = [max(1, math.ceil((hi - lo) / h)) for lo, hi in ranges]
-        spec = cls(radius=radius, theta_counts=tuple(theta), lambda_count=lam,
+        return cls(radius=radius, theta_counts=tuple(theta), lambda_count=lam,
                    tau_count=tau, t_f=t_f)
-        if spec.sample_count > COVER_SAMPLE_BUDGET:
-            raise CoverError(
-                f"cover needs {spec.sample_count} samples, over the budget "
-                f"{COVER_SAMPLE_BUDGET}; "
-                f"increase the radius or pin coarser axis counts")
-        return spec
 
     @classmethod
     def from_counts(cls, theta_counts, lambda_count: int, tau_count: int,
@@ -214,7 +214,6 @@ class SOPInstance:
     radius_max: Optional[float] = None
     start_center: Optional[np.ndarray] = None
     center_box_scale: float = 1.5
-    until_convention: str = UNTIL_CONVENTIONS[0]
     center_box: np.ndarray = field(init=False)   # (n, z_c, 2)
     radius_box: np.ndarray = field(init=False)   # (z_r, 2)
     center_basis: BernsteinBasis = field(init=False)
@@ -229,8 +228,7 @@ class SOPInstance:
         if not self.center_box_scale > 0:
             raise ValueError(f"center_box_scale must be positive, got {self.center_box_scale}")
         for name in ("center_count", "radius_count"):
-            _check_integer(f"basis {name}", getattr(self, name), 1)
-        check_until_convention(self.until_convention)
+            _check_integer(f"basis {name}", getattr(self, name), 1, most=MAX_COUNT)
         bounds = np.asarray(self.state_bounds, dtype=float)
         if bounds.shape != (self.n, 2) or not np.all(bounds[:, 0] < bounds[:, 1]):
             raise ValueError(f"state_bounds must be {self.n} rows [lo, hi] with lo < hi, "
@@ -239,6 +237,7 @@ class SOPInstance:
         if horizon(self.formula) > self.t_f + 1e-9:
             raise ValueError(f"formula horizon {horizon(self.formula)} exceeds t_f {self.t_f}")
         _check_cover(self.cover, self.n, self.t_f)
+        _check_sample_budget("cover", self.cover)
         start = None if self.start_center is None else np.asarray(self.start_center, dtype=float)
         if start is not None and not (start.shape == (self.n,)
                                       and np.all((lo <= start) & (start <= hi))):
@@ -372,8 +371,7 @@ class _ObjectiveGrid:
         np.multiply(radii[:, :, None], dirs[:, None, None, :], out=states)
         np.add(center[..., None], states, out=states)
         rho = robustness_batch(self.instance.formula, self.times,
-                               states.reshape(n, t, m * k).transpose(2, 1, 0), 0.0,
-                               until_convention=self.instance.until_convention)
+                               states.reshape(n, t, m * k).transpose(2, 1, 0), 0.0)
         return rho.reshape(m, k)
 
     def _rho(self, center, radii, dirs):
@@ -685,7 +683,8 @@ POLISH_SLACK = 0.05
 class SolverSettings:
     """Random seed, objective-evaluation budget, and the cover the search
     iterates on (None: the instance's certificate cover).  ValueError naming
-    the field unless seed >= 0 and budget >= 1 are integers."""
+    the field unless seed >= 0 and budget >= 1 are integers and the search
+    cover is within COVER_SAMPLE_BUDGET."""
 
     seed: int = 0
     budget: int = 4000
@@ -694,6 +693,8 @@ class SolverSettings:
     def __post_init__(self):
         _check_integer("seed", self.seed, 0)
         _check_integer("budget", self.budget, 1)
+        if self.search_cover is not None:
+            _check_sample_budget("search_cover", self.search_cover)
 
 
 def pattern_search(func, x0, lb, ub, *, step: float, min_step: float,
@@ -961,9 +962,9 @@ def recheck_constraints(instance: SOPInstance, tube: Tube, factor: int = 10) -> 
       R ||lam_k s_k - lam_a s_a||_2 of the one it reads of x_a at that time.
     - Monitor.  Every predicate is l_rho-Lipschitz in the 2-norm.  Not
       negates; And, Or, F and G take the min or max of finitely many values
-      read at fixed times; U, in both conventions, is a max of mins of such
-      values.  Each keeps the constant, so |rho(x_k) - rho(x_a)| <=
-      l_rho R ||lam_k s_k - lam_a s_a||_2, and -rho(x_k) <= B_c - tol.
+      read at fixed times; U is a max of mins of such values.  Each keeps
+      the constant, so |rho(x_k) - rho(x_a)| <= l_rho R ||lam_k s_k -
+      lam_a s_a||_2, and -rho(x_k) <= B_c - tol.
     - Max and argmax.  A pruned cell has B_c < M, so each of its terms is
       strictly below M, which is itself a term.  So neither the max nor the
       lowest-first argmax of all the terms lies in the cell, and both come

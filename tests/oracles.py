@@ -89,8 +89,7 @@ def _pred_value(fn, x):
     raise TypeError(f"oracle cannot evaluate predicate kind {kind}")
 
 
-def oracle_robustness(f: Formula, times, states, t: float = 0.0,
-                      convention: str = "paper") -> float:
+def oracle_robustness(f: Formula, times, states, t: float = 0.0) -> float:
     """Direct recursive min/max robustness over the sample grid."""
     times = [float(v) for v in np.asarray(times).tolist()]
     states_arr = np.asarray(states, dtype=float)
@@ -121,13 +120,8 @@ def oracle_robustness(f: Formula, times, states, t: float = 0.0,
             cands = _window_times(times, tq + node.start, tq + node.end)
             best = -math.inf
             for t1 in cands:
-                if convention == "paper":
-                    point = ev(node.left, t1)
-                    run = min(ev(node.right, u)
-                              for u in _window_times(times, tq + node.start, t1))
-                else:
-                    point = ev(node.right, t1)
-                    run = min(ev(node.left, u) for u in _window_times(times, tq, t1))
+                point = ev(node.left, t1)
+                run = min(ev(node.right, u) for u in _window_times(times, tq + node.start, t1))
                 best = max(best, min(point, run))
             val = best
         else:
@@ -138,8 +132,7 @@ def oracle_robustness(f: Formula, times, states, t: float = 0.0,
     return ev(f, t)
 
 
-def oracle_boolean(f: Formula, times, states, t: float = 0.0,
-                   convention: str = "paper") -> bool:
+def oracle_boolean(f: Formula, times, states, t: float = 0.0) -> bool:
     """Boolean satisfaction on the same grid (h >= 0 at predicates)."""
     times = [float(v) for v in np.asarray(times).tolist()]
     states_arr = np.asarray(states, dtype=float)
@@ -172,13 +165,8 @@ def oracle_boolean(f: Formula, times, states, t: float = 0.0,
             cands = _window_times(times, tq + node.start, tq + node.end)
             val = False
             for t1 in cands:
-                if convention == "paper":
-                    ok = ev(node.left, t1) and all(
-                        ev(node.right, u)
-                        for u in _window_times(times, tq + node.start, t1))
-                else:
-                    ok = ev(node.right, t1) and all(
-                        ev(node.left, u) for u in _window_times(times, tq, t1))
+                ok = ev(node.left, t1) and all(
+                    ev(node.right, u) for u in _window_times(times, tq + node.start, t1))
                 if ok:
                     val = True
                     break
@@ -265,7 +253,7 @@ def oracle_pattern_search(func, x0, lb, ub, *, step, min_step, budget, target=No
 
 
 def oracle_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formula, *,
-                       weight=None, input_bound=None, until_convention: str = "paper",
+                       weight=None, input_bound=None,
                        control_sampling: str = "midpoint") -> RunReport:
     """The closed loop evaluated step by step: every barrier, gradient and
     QP term asks barrier.tube for its basis rows at that step's time."""
@@ -313,7 +301,7 @@ def oracle_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formu
 
     trajectory = Signal(times, outputs)
     b_vals = np.array([s.b for s in steps])
-    report = robustness(formula, trajectory, 0.0, until_convention=until_convention)
+    report = robustness(formula, trajectory, 0.0)
     return RunReport(
         x0=x0,
         trajectory=trajectory,
@@ -356,8 +344,7 @@ def _numpy_model(dynamics):
 
 
 def oracle_numpy_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formula, *,
-                             weight=None, input_bound=None,
-                             until_convention: str = "paper") -> RunReport:
+                             weight=None, input_bound=None) -> RunReport:
     """run_closed_loop with every step in numpy arithmetic: d @ d and the Lie
     terms as BLAS products, W^-1 a from np.linalg.solve, and RK4 on arrays.
     The tube is read through the same SampledTube table."""
@@ -415,7 +402,7 @@ def oracle_numpy_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula:
 
     trajectory = Signal(np.array(sample_ts), np.array([s.x for s in steps]))
     b_vals = np.array([s.b for s in steps])
-    report = robustness(formula, trajectory, 0.0, until_convention=until_convention)
+    report = robustness(formula, trajectory, 0.0)
     return RunReport(x0=np.asarray(x0, dtype=float), trajectory=trajectory, steps=steps,
                      min_b=float(b_vals.min()), tube_violations=int(np.sum(b_vals < 0.0)),
                      final_robustness=report.value, satisfied=report.satisfied,

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -197,13 +198,15 @@ def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys):
     ({"name": ""}, "name"),
     ({"name": 7}, "name"),
     ({"x0_seed": 0}, "x0_seed"),
+    # every Until follows the source paper's rule
+    ({"until_convention": "paper"}, "unknown keys ['until_convention']"),
 ], ids=["misspelt-solver-key", "removed-solver-key", "cover-counts-missing-key",
         "cover-counts-wrong-dimension", "search-cover-unknown-key", "unknown-basis-kind",
         "no-cover", "removed-basis-kind", "removed-pin-start",
         "misspelt-dynamics-parameter", "dynamics-parameter-of-another-kind",
         "dynamics-parameter-named-like-an-argument",
         "name-leaves-out-dir", "name-with-separator", "name-parent-dir", "empty-name",
-        "name-not-a-string", "removed-x0-seed"])
+        "name-not-a-string", "removed-x0-seed", "removed-until-convention"])
 def test_check_bad_nested_block_exits_2(tmp_path, capsys, overrides, named):
     data = {k: v for k, v in {**BASE, **overrides}.items() if v is not None}
     cfg = tmp_path / "scenario.yaml"
@@ -320,6 +323,51 @@ def test_check_ragged_vector_exits_2(tmp_path, capsys, key, value):
     assert main(["check", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert key in err and "inhomogeneous" not in err
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"basis": {"center_count": 1100, "radius_count": 4}},
+     "basis center_count must be an integer of at least 1 and at most 1030"),
+    ({"dt": 0.000000001}, "dt must be positive and make 1 to 1000000 steps"),
+    ({"epsilon": None, "cover_counts": {"theta": [100000], "lambda": 1000, "tau": 1000}},
+     "cover_counts: cover needs 100000000000 samples, over the budget 50000000"),
+    ({"search_cover": {"theta": [100000], "lambda": 1000, "tau": 1000}},
+     "error: search_cover needs 100000000000 samples, over the budget 50000000"),
+    ({"epsilon": 0.00001}, "epsilon: cover needs"),
+], ids=["basis-binomials-past-float-range", "six-billion-steps", "cover-over-budget",
+        "search-cover-over-budget", "epsilon-cover-over-budget"])
+def test_check_refuses_what_would_crash_or_run_for_hours(tmp_path, capsys, overrides, named):
+    # synthesize or simulate would raise OverflowError, or run for hours, on
+    # each of these; check refuses it without building the large object
+    data = yaml.safe_load((ROOT / "configs" / "omni_reach_avoid.yaml").read_text())
+    data = {k: v for k, v in {**data, **overrides}.items() if v is not None}
+    cfg = tmp_path / "omni_reach_avoid.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    tracemalloc.start()
+    try:
+        code = main(["check", "--config", str(cfg)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("text, hint", [("12e-2", "12.0e-2"), ("2E-1", "2.0e-1"),
+                                        ("2E0", "2.0e+0"), ("'0.12'", "0.12"), ("'7'", "7.0")])
+def test_number_yaml_reads_as_a_string_names_its_float_form(tmp_path, capsys, text, hint):
+    # YAML 1.1 reads a float only with a dot and a signed exponent
+    source = (ROOT / "configs" / "omni_reach_avoid.yaml").read_text()
+    cfg = tmp_path / "omni_reach_avoid.yaml"
+    cfg.write_text(source.replace("epsilon: 0.12", f"epsilon: {text}"))
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"got {text.strip(chr(39))!r}; write {hint}")
+    cfg.write_text(source.replace("epsilon: 0.12", f"epsilon: {hint}"))
+    assert load_config(cfg).epsilon == float(text.strip("'"))
+    cfg.write_text(source.replace("epsilon: 0.12", "epsilon: fast"))
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.rstrip().endswith("got 'fast'")
 
 
 @pytest.mark.parametrize("command, extra", [("check", []), ("verify", ["--log", "run.csv"])])
@@ -579,8 +627,14 @@ def test_simulate_rejects_a_tube_record_of_another_basis(tmp_path, capsys):
       "q_c": [4.5, 4.5, 4.5, 4.5], "q_r": [1.0]}, "malformed 't_f'"),
     ({"n": 2, "t_f": INF, "basis": "bernstein", "z_c": 2, "z_r": 1,
       "q_c": [4.5, 4.5, 4.5, 4.5], "q_r": [1.0]}, "malformed 't_f'"),
+    # the basis binomials of 1100 control points leave float range, which
+    # raised OverflowError (exit 1) when the basis rows were built
+    ({"n": 2, "t_f": 4.0, "basis": "bernstein", "z_c": 1100, "z_r": 1,
+      "q_c": [4.5] * 2200, "q_r": [1.0]},
+     "count must be an integer of at least 1 and at most 1030"),
 ], ids=["list", "null-n", "missing-q_r", "q_c-of-wrong-size", "negative-n", "fractional-n",
-        "string-z_c", "q_r-of-wrong-size", "nan-q_c", "inf-q_r", "nan-t_f", "inf-t_f"])
+        "string-z_c", "q_r-of-wrong-size", "nan-q_c", "inf-q_r", "nan-t_f", "inf-t_f",
+        "z_c-past-float-binomials"])
 def test_simulate_malformed_tube_record_exits_2(tmp_path, capsys, record, named):
     tube_path = tmp_path / "bad_tube.json"
     tube_path.write_text(json.dumps(record))

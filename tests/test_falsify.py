@@ -124,13 +124,11 @@ def test_certified_tube_holds_for_time_varying_directions(name):
     assert np.all(np.linalg.norm(paths, axis=2) <= 1.0 + 1e-12)
 
     def rho_of(directions):
-        return robustness_batch(formula, times, center + radius * directions,
-                                until_convention=config.until_convention)
+        return robustness_batch(formula, times, center + radius * directions)
 
     rho = rho_of(paths)
     for k in np.argsort(rho, kind="stable")[:CONFIRMED]:
-        want = oracle_robustness(formula, times, center + radius * paths[k],
-                                 convention=config.until_convention)
+        want = oracle_robustness(formula, times, center + radius * paths[k])
         assert rho[k] == pytest.approx(want, abs=1e-9)
         assert want > 0.0, (name, int(k), want)
 
@@ -138,7 +136,6 @@ def test_certified_tube_holds_for_time_varying_directions(name):
     path, low = _descend(rho_of, paths[worst], rng)
     assert np.all(np.linalg.norm(path, axis=1) <= 1.0 + 1e-12)
     assert low <= rho[worst]
-    want = oracle_robustness(formula, times, center + radius * path,
-                             convention=config.until_convention)
+    want = oracle_robustness(formula, times, center + radius * path)
     assert low == pytest.approx(want, abs=1e-9)
     assert want > 0.0, (name, "descent", want)

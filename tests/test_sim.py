@@ -192,8 +192,7 @@ def _loop_args(config, tube, x0_seed):
     scenario config and tube."""
     args = (config.make_dynamics(), Barrier(tube, gain=config.gain),
             config.pick_x0(tube, seed=x0_seed), config.dt, config.build_formula())
-    kwargs = dict(weight=config.weight_matrix(), input_bound=config.input_bound,
-                  until_convention=config.until_convention)
+    kwargs = dict(weight=config.weight_matrix(), input_bound=config.input_bound)
     return args, kwargs
 
 
@@ -344,12 +343,14 @@ def test_closed_loop_matches_numpy_step_arithmetic(name):
 @pytest.mark.parametrize("settings, named", [
     (dict(input_bound=-1.0), "input_bound"),
     (dict(input_bound=0.0), "input_bound"),
-    (dict(until_convention="Paper"), "until_convention"),
+    (dict(until_convention="standard"), "until_convention"),
     (dict(dt=0.0), "dt"),
-], ids=["negative-bound", "zero-bound", "unknown-convention", "zero-dt"])
+    (dict(dt=1e-9), "dt"),
+], ids=["negative-bound", "zero-bound", "unknown-convention", "zero-dt", "too-many-steps"])
 def test_closed_loop_checks_its_settings_before_the_first_step(monkeypatch, settings, named):
-    # a negative bound would clamp every input to it, and an unknown
-    # convention would only fail in the monitor after the whole run
+    # a negative bound would clamp every input to it, an Until semantics other
+    # than the paper's would only fail in the monitor after the whole run, and
+    # 10**9 steps would run for hours
     calls = []
     monkeypatch.setattr(simulate, "solve_safety_qp",
                         lambda *a: calls.append(a) or cbf.solve_safety_qp(*a))

@@ -272,8 +272,7 @@ def test_empirical_lipschitz_bound():
         assert abs(rx - ry) <= lip * gap + 1e-9
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_batch_lipschitz_in_the_states_read(convention):
+def test_batch_lipschitz_in_the_states_read():
     # the pruned dense re-check rests on |rho(x) - rho(y)| <= l_rho *
     # max_i ||x_i - y_i||_2 for two trajectories on one grid, where the
     # compiled monitor also reads states interpolated at off-grid window
@@ -290,11 +289,11 @@ def test_batch_lipschitz_in_the_states_read(convention):
     tightest = 0.0
     for f in formulas:
         lip = robustness_lipschitz(f)
-        rx = robustness_batch(f, times, x, until_convention=convention)
+        rx = robustness_batch(f, times, x)
         for scale in (1e-6, 1e-2, 0.3):
             y = x + rng.normal(scale=scale, size=x.shape)
             gap = np.linalg.norm(x - y, axis=2).max(axis=1)
-            ry = robustness_batch(f, times, y, until_convention=convention)
+            ry = robustness_batch(f, times, y)
             rounding = 64 * np.finfo(float).eps * (1.0 + max(np.abs(x).max(), np.abs(y).max()))
             assert np.all(np.abs(rx - ry) <= lip * gap + rounding)
             tightest = max(tightest, float(np.max(np.abs(rx - ry) / (lip * gap))))
@@ -318,7 +317,7 @@ def test_oracle_equivalence_random():
             assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_oracle_equivalence_standard_until():
+def test_oracle_equivalence_until():
     rng = np.random.default_rng(43)
     hits = 0
     for _ in range(120):
@@ -326,8 +325,8 @@ def test_oracle_equivalence_standard_until():
         if not _contains_until(f):
             continue
         hits += 1
-        got = robustness(f, x, until_convention="standard").value
-        want = oracle_robustness(f, x.times, x.states, 0.0, convention="standard")
+        got = robustness(f, x).value
+        want = oracle_robustness(f, x.times, x.states, 0.0)
         assert got == pytest.approx(want, abs=1e-9)
     assert hits >= 5
 
@@ -376,13 +375,10 @@ def test_derived_operator_identities():
         span = b + _horizon(f) + float(rng.uniform(1.0, 2.0))
         x = random_signal(rng, 2, span, max_len=25)
 
-        # the expansion's own Until must use the standard pairing for the
-        # identity to hold; inner Until nodes in f keep the same convention
-        # on both sides so only the expansion is being compared
-        native_f = robustness(Eventually(a, b, f), x,
-                              until_convention="standard").value
-        expanded_f = robustness(Until(a, b, TRUE, f), x,
-                                until_convention="standard").value
+        # F[a,b] f = f U[a,b] TRUE: the paper's Until reads its left operand at
+        # the witness time and runs the min of its right one, here TRUE
+        native_f = robustness(Eventually(a, b, f), x).value
+        expanded_f = robustness(Until(a, b, f, TRUE), x).value
         assert abs(native_f - expanded_f) <= 1e-12 or native_f == expanded_f
 
         native_g = robustness(Always(a, b, f), x).value
@@ -413,7 +409,7 @@ def test_paper_until_example_values():
     # candidates t1 in {0,1,2}: min(p1(t1), min_{u<=t1} p2(u))
     #   t1=0: min(0, 2) = 0 ; t1=1: min(1, 1) = 1 ; t1=2: min(2, 0) = 0
     assert robustness(f, x).value == pytest.approx(1.0)
-    want = oracle_robustness(f, x.times, x.states, 0.0, convention="paper")
+    want = oracle_robustness(f, x.times, x.states, 0.0)
     assert robustness(f, x).value == pytest.approx(want)
 
 
@@ -429,11 +425,11 @@ def _jittered_batch(rng, count, span, length, dim=2):
     return times, states
 
 
-def _assert_batch_matches_oracle(f, times, states, t=0.0, convention="paper"):
-    got = robustness_batch(f, times, states, t, until_convention=convention)
+def _assert_batch_matches_oracle(f, times, states, t=0.0):
+    got = robustness_batch(f, times, states, t)
     assert got.shape == (len(states),)
     for k, x in enumerate(states):
-        want = oracle_robustness(f, times, x, t, convention=convention)
+        want = oracle_robustness(f, times, x, t)
         if math.isinf(want):
             assert got[k] == want
         else:
@@ -445,8 +441,7 @@ def test_batch_oracle_equivalence_random():
     for _ in range(40):
         f, x = formula_and_signal(rng, dim=2, depth=3, max_len=25)
         states = x.states[None] + rng.normal(scale=0.5, size=(5,) + x.states.shape)
-        for convention in ("paper", "standard"):
-            _assert_batch_matches_oracle(f, x.times, states, convention=convention)
+        _assert_batch_matches_oracle(f, x.times, states)
 
 
 def test_batch_nested_windows_off_grid():
@@ -497,27 +492,26 @@ def test_batch_shared_off_grid_times_interpolated_once(monkeypatch):
         _plan.cache_clear()
 
 
-def test_batch_until_both_conventions():
+def test_batch_until_matches_oracle():
     rng = np.random.default_rng(50)
     p = Predicate("p", BoxInfNorm((0.0, 0.0), 2.0))
     q = Predicate("q", AffineHalfspace((1.0, -0.5), 0.2))
     times, states = _jittered_batch(rng, 4, 6.0, 30)
     for f in (Until(0.4, 2.3, p, q), Until(0.0, 1.7, Always(0.0, 0.9, q), p),
               Eventually(0.2, 1.0, Until(1.1, 1.1, q, p))):
-        for convention in ("paper", "standard"):
-            _assert_batch_matches_oracle(f, times, states, convention=convention)
+        _assert_batch_matches_oracle(f, times, states)
 
 
 def test_unknown_until_convention_raises_without_an_until():
-    # the convention is checked for every formula, not only where an Until reads it
+    # robustness accepts only the one Until semantics, for every formula, not
+    # only where an Until reads it
     f = Eventually(0.0, 1.0, Predicate("p", BoxInfNorm((0.0, 0.0), 1.0)))
-    times = np.linspace(0.0, 2.0, 11)
-    states = np.zeros((1, 11, 2))
-    with pytest.raises(ValueError, match="until_convention 'Paper'"):
-        robustness_batch(f, times, states, until_convention="Paper")
-    with pytest.raises(ValueError, match="until_convention 'Paper'"):
-        robustness(f, Signal(times, states[0]), until_convention="Paper")
-    assert robustness(f, Signal(times, states[0])).value == 1.0
+    x = Signal(np.linspace(0.0, 2.0, 11), np.zeros((11, 2)))
+    for convention in ("standard", "Paper"):
+        with pytest.raises(ValueError, match=f"until_convention must be 'paper', "
+                                             f"got '{convention}'"):
+            robustness(f, x, until_convention=convention)
+    assert robustness(f, x).value == robustness(f, x, until_convention="paper").value == 1.0
 
 
 def test_batch_anchor_point_windows_and_true():
@@ -624,30 +618,27 @@ def test_batch_never_writes_the_states():
     frozen.setflags(write=False)
     for text in _INPLACE_FORMULAS:
         f = parse(text, _INPLACE_TABLE)
-        for convention in ("paper", "standard"):
-            want = robustness_batch(f, times, states.copy(), until_convention=convention)
-            for batch in (planes.transpose(2, 1, 0), frozen):
-                got = robustness_batch(f, times, batch, until_convention=convention)
-                assert got.tobytes() == want.tobytes()
+        want = robustness_batch(f, times, states.copy())
+        for batch in (planes.transpose(2, 1, 0), frozen):
+            got = robustness_batch(f, times, batch)
+            assert got.tobytes() == want.tobytes()
     assert planes.tobytes() == before and np.array_equal(frozen, states)
 
 
-def _assert_bits_match_oracle(f, times, states, convention):
+def _assert_bits_match_oracle(f, times, states):
     # the oracle interpolates, applies the predicates and takes min/max with
     # the monitor's operations in the monitor's order, so no bit may differ
-    got = robustness_batch(f, times, states, until_convention=convention)
-    want = np.array([oracle_robustness(f, times, x, convention=convention) for x in states])
-    assert got.tobytes() == want.tobytes(), (str(f), convention)
+    got = robustness_batch(f, times, states)
+    want = np.array([oracle_robustness(f, times, x) for x in states])
+    assert got.tobytes() == want.tobytes(), str(f)
 
 
 def test_batch_in_place_plan_matches_oracle_bits():
     rng = np.random.default_rng(57)
     times, states = _jittered_batch(rng, 6, 6.0, 43, dim=3)
     for text in _INPLACE_FORMULAS:
-        for convention in ("paper", "standard"):
-            _assert_bits_match_oracle(parse(text, _INPLACE_TABLE), times, states, convention)
+        _assert_bits_match_oracle(parse(text, _INPLACE_TABLE), times, states)
     for _ in range(30):
         f, x = formula_and_signal(rng, dim=2, depth=3, max_len=25)
         batch = x.states[None] + rng.normal(scale=0.5, size=(4,) + x.states.shape)
-        for convention in ("paper", "standard"):
-            _assert_bits_match_oracle(f, x.times, batch, convention)
+        _assert_bits_match_oracle(f, x.times, batch)

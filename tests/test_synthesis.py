@@ -73,9 +73,23 @@ def test_cover_radius_must_be_positive():
 
 
 def test_cover_sample_budget():
-    # about 4e13 samples, far over the fixed budget
-    with pytest.raises(CoverError):
-        CoverSpec.for_radius(1e-4, 2, 10.0)
+    # a spec only counts samples; the instance and the solver settings, whose
+    # covers a solve scores in full, refuse one over the budget
+    bounds = [[-5, 5], [-5, 5]]
+    huge = CoverSpec.for_radius(1e-4, 2, 10.0)
+    assert huge.sample_count > 4 * 10**13
+    edge = CoverSpec.from_counts([500], 100, 1000, 10.0)
+    over = CoverSpec.from_counts([500], 100, 1001, 10.0)
+    assert edge.sample_count == synthesis.COVER_SAMPLE_BUDGET < over.sample_count
+    for spec in (huge, over):
+        with pytest.raises(CoverError, match=f"^cover needs {spec.sample_count} samples"):
+            _instance("G[0,2] B", BIG_BOX, 10.0, bounds, cover=spec)
+        with pytest.raises(CoverError, match=f"^search_cover needs {spec.sample_count}"):
+            SolverSettings(search_cover=spec)
+    _instance("G[0,2] B", BIG_BOX, 10.0, bounds, cover=edge)
+    SolverSettings(search_cover=edge)
+    # the refined covers recheck_constraints builds stay outside the budget
+    assert edge.refined(10).sample_count == 1000 * synthesis.COVER_SAMPLE_BUDGET
 
 
 def test_objective_rejects_cover_of_another_dimension():
@@ -170,17 +184,14 @@ def test_objective_affine_in_radius_floor():
     assert eta2 - eta1 == pytest.approx(delta, abs=1e-12)
 
 
-@pytest.mark.parametrize("formula, convention", [
-    ("F[0,3] A & G[0,4] !O & G[0,4] H", "paper"),
-    ("H U[0.5,3] A", "paper"),
-    ("H U[0.5,3] A", "standard"),
-])
-def test_objective_batch_matches_single_evaluations(formula, convention, monkeypatch):
+@pytest.mark.parametrize("formula", ["F[0,3] A & G[0,4] !O & G[0,4] H", "H U[0.5,3] A"],
+                         ids=lambda text: f"{text}-paper")
+def test_objective_batch_matches_single_evaluations(formula, monkeypatch):
     table = {"A": BoxInfNorm((1.0, 1.0), 0.8), "O": BallNorm2((-1.0, 0.5), 0.6),
              "H": AffineHalfspace((0.3, -1.0), 2.5)}
     inst = SOPInstance(parse(formula, table), n=2, t_f=4.0,
                        state_bounds=[[-3, 3], [-3, 3]],
-                       cover=CoverSpec.from_counts([12], 3, 17, 4.0), until_convention=convention)
+                       cover=CoverSpec.from_counts([12], 3, 17, 4.0))
     grid = _ObjectiveGrid(inst, build_cover(inst.cover))
     rng = np.random.default_rng(3)
     m = 6
@@ -748,8 +759,7 @@ def test_mu_bounds_the_robustness_difference_quotient(name):
     def rho(points):
         offsets = points[:, -1:] * sphere_map_many(points[:, :-1])
         states = center + radius[:, None] * offsets[:, None, :]
-        return robustness_batch(instance.formula, taus, states,
-                                until_convention=instance.until_convention)
+        return robustness_batch(instance.formula, taus, states)
 
     ratios = np.abs(rho(a) - rho(b)) / np.linalg.norm(a - b, axis=1)
     assert ratios.max() <= info.mu + 1e-6
@@ -924,18 +934,19 @@ def test_solver_settings_check_their_ranges(settings, named):
     (dict(center_box_scale=0), "center_box_scale"),
     (dict(start_center=(20, 20)), "start_center"),
     (dict(start_center=(4.5, 4.5, 4.5)), "start_center"),
-    (dict(until_convention="Paper"), "until_convention"),
     (dict(center_count=2.5), "center_count"),
     (dict(radius_count=0), "radius_count"),
+    (dict(center_count=1031),
+     "basis center_count must be an integer of at least 1 and at most 1030"),
     (dict(state_bounds=[[0, 9], [9, 0]]), "state_bounds"),
     (dict(t_f=3.0, cover=CoverSpec.from_counts([6], 2, 4, 3.0)), "t_f"),
     (dict(cover=CoverSpec.from_counts([6], 2, 4, 1.0)), "cover"),
     (dict(cover=CoverSpec.from_counts([6], 2, 4, 5.0)), "cover"),
     (dict(cover=CoverSpec.from_counts([4, 3], 2, 4, 4.0)), "cover"),
 ], ids=["radius-max-below-floor", "zero-floor", "zero-box-scale", "start-outside",
-        "start-of-another-dimension", "unknown-convention", "fractional-center-count",
-        "zero-radius-count", "empty-bounds", "horizon-past-t-f", "shorter-cover",
-        "longer-cover", "cover-of-another-dimension"])
+        "start-of-another-dimension", "fractional-center-count", "zero-radius-count",
+        "center-count-past-float-binomials", "empty-bounds", "horizon-past-t-f",
+        "shorter-cover", "longer-cover", "cover-of-another-dimension"])
 def test_sop_instance_checks_its_ranges(arguments, named):
     # what a scenario config checks through SOPInstance, a direct caller gets
     # too: a ValueError naming the argument, not a silently changed box.  A

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubecbf.basis import BernsteinBasis, combine
+from tubecbf.basis import MAX_COUNT, BernsteinBasis, combine
 from tubecbf.tube import (
     SampledTube,
     Tube,
@@ -53,13 +53,25 @@ def test_bernstein_partition_of_unity():
 @pytest.mark.parametrize("count, t_f, named", [
     (2.5, 1.0, "count"), (True, 1.0, "count"), (0, 1.0, "count"),
     (3, math.nan, "t_f"), (3, math.inf, "t_f"), (3, 0.0, "t_f"), (3, -1.0, "t_f"),
+    (1031, 1.0, "count must be an integer of at least 1 and at most 1030"),
 ], ids=["fractional-count", "bool-count", "zero-count", "nan-t-f", "infinite-t-f",
-        "zero-t-f", "negative-t-f"])
+        "zero-t-f", "negative-t-f", "count-past-float-binomials"])
 def test_bernstein_basis_checks_what_it_reads(count, t_f, named):
     # unchecked, a fractional count would fail only at the first values()
     # call, a bool count would read as 1, and a NaN t_f would give NaN values
     with pytest.raises(ValueError, match=named):
         BernsteinBasis(count, t_f)
+
+
+def test_bernstein_basis_takes_every_count_whose_binomials_fit_a_float():
+    # the first count refused is the first whose binomials leave float range
+    float(math.comb(MAX_COUNT - 1, (MAX_COUNT - 1) // 2))
+    with pytest.raises(OverflowError):
+        float(math.comb(MAX_COUNT, MAX_COUNT // 2))
+    b = BernsteinBasis(MAX_COUNT, 2.0)
+    ts = np.linspace(0.0, 2.0, 9)
+    assert np.allclose(b.values(ts).sum(axis=0), 1.0)
+    assert np.isfinite(b.derivatives(ts)).all()
 
 
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["no-lead", "one-lead", "two-lead"])
