@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -104,29 +104,13 @@ class DiffDrive:
         return [v * math.cos(phi), v * math.sin(phi), omega]
 
 
-@dataclass(frozen=True)
-class DynamicsKind:
-    """A vehicle model a scenario can name."""
-
-    dimensions: tuple   # output dimensions n the model supports
-    build: Callable     # (n, params) -> model
-    params: tuple = ()  # the parameter names build reads
-
-
-def _omni(n: int, params: dict) -> OmniRobot:
-    return OmniRobot(n)
-
-
-def _diffdrive(n: int, params: dict) -> DiffDrive:
-    return DiffDrive(lookahead=float(params.get("lookahead", 0.1)),
-                     phi0=float(params.get("phi0", 0.0)))
-
-
+# each kind's output dimensions (the first is the default) and the
+# parameters its model reads
 DYNAMICS_KINDS = {
-    "omni": DynamicsKind((2, 3), _omni),
+    "omni": ((2, 3), ()),
     # kinematic position model of a quadrotor: the 3-D single integrator
-    "quadrotor": DynamicsKind((3,), _omni),
-    "diffdrive": DynamicsKind((2,), _diffdrive, params=("lookahead", "phi0")),
+    "quadrotor": ((3,), ()),
+    "diffdrive": ((2,), ("lookahead", "phi0")),
 }
 
 
@@ -135,15 +119,17 @@ def make_dynamics(kind: str, n: Optional[int] = None, /, **params):
     the kind supports).  ValueError for an unknown kind, for a dimension the
     kind does not support, or for a parameter the kind does not read."""
     try:
-        spec = DYNAMICS_KINDS[kind]
+        dimensions, names = DYNAMICS_KINDS[kind]
     except (KeyError, TypeError):
         raise ValueError(f"unknown dynamics kind {kind!r}; "
                          f"choose from {sorted(DYNAMICS_KINDS)}") from None
-    if n is not None and n not in spec.dimensions:
-        dims = " or ".join(str(d) for d in spec.dimensions)
+    if n is not None and n not in dimensions:
+        dims = " or ".join(str(d) for d in dimensions)
         raise ValueError(f"{kind} dynamics support dimension {dims}")
-    unknown = set(params) - set(spec.params)
+    unknown = set(params) - set(names)
     if unknown:
         raise ValueError(f"{kind} dynamics: unknown parameters {sorted(unknown)}; "
-                         f"allowed: {sorted(spec.params)}")
-    return spec.build(spec.dimensions[0] if n is None else n, params)
+                         f"allowed: {sorted(names)}")
+    if kind == "diffdrive":
+        return DiffDrive(**{k: float(v) for k, v in params.items()})
+    return OmniRobot(dimensions[0] if n is None else n)

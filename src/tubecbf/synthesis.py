@@ -465,24 +465,12 @@ class _ObjectiveGrid:
                     return values[:done[-1] + 1], idx[:done[-1] + 1]
         return values, idx
 
-    def cell_max(self, q_c: np.ndarray, q_r: np.ndarray, factor: int) -> tuple[float, int]:
-        """Margin of one candidate (q_c is (n, z_c), q_r (z_r,)) and its
-        lowest-first argmax index, both as evaluate gives them, scoring the
-        trajectories of a cell of the factor-times-coarser cover only while
-        its Lipschitz bound reaches the running max (see recheck_constraints)."""
+    def cell_max(self, q_c: np.ndarray, q_r: np.ndarray, factor: int) -> float:
+        """Margin of one candidate (q_c is (n, z_c), q_r (z_r,)) as evaluate
+        gives it, scoring the trajectories of a cell of the factor-times-coarser
+        cover only while its Lipschitz bound is above the running max (see
+        recheck_constraints)."""
         center, radii = self._centers(np.asarray(q_c)[None]), self._radii(np.asarray(q_r)[None])
-        terms = self._radius_terms(radii)[0]
-        best = int(np.argmax(terms))
-        value = terms[best]
-        t = self.tau_count
-
-        def fold(ks, neg_rho):
-            # keep the lowest index among equal values, as np.argmax does
-            nonlocal value, best
-            top = np.flatnonzero(neg_rho == neg_rho.max())
-            j = top[np.argmin(ks[top])]
-            if neg_rho[j] > value or (neg_rho[j] == value and t + ks[j] < best):
-                value, best = neg_rho[j], t + int(ks[j])
 
         # fine index a on each axis lies in coarse cell a // factor, whose
         # anchor is its fine index at offset factor // 2; cell c = i * D + j
@@ -503,7 +491,7 @@ class _ObjectiveGrid:
         neg_anchor = np.empty(len(anchors))
         for _, ks, rho in self._rho(center, radii, anchor_dirs):
             neg_anchor[ks] = -rho[0]
-        fold(anchors, neg_anchor)
+        value = float(np.max(neg_anchor, initial=self._radius_terms(radii).max()))
 
         # max over each cell of ||lambda_k s_k - lambda_a s_a||, one lambda row
         # at a time
@@ -516,26 +504,16 @@ class _ObjectiveGrid:
         bound = (neg_anchor + self.instance.l_rho * float(np.abs(radii).max()) * spread.ravel()
                  + self._rounding_tol(center, radii))
 
-        # refine highest bound first; a cell whose bound falls below the
-        # running max, partly scored or not, is dropped
-        queue = [int(c) for c in np.argsort(-bound, kind="stable")]
-        ks, kb = np.empty(0, dtype=int), np.empty(0)
-        pos, per = 0, self._per_call
-        while True:
-            while len(ks) < per and pos < len(queue) and bound[queue[pos]] >= value:
-                c = queue[pos]
-                pos += 1
-                i, j = divmod(c, d_cells)
-                cell = ((i * factor + np.arange(factor))[:, None] * self.dir_count
-                        + members[j]).ravel()
-                cell = cell[cell != anchors[c]]
-                ks = np.concatenate([ks, cell])
-                kb = np.concatenate([kb, np.full(len(cell), bound[c])])
-            if not len(ks):
-                return float(value), best
-            fold(ks[:per], -self._rho_chunk(center, radii, self._dirs(ks[:per]))[0])
-            keep = kb[per:] >= value
-            ks, kb = ks[per:][keep], kb[per:][keep]
+        # refine highest bound first, while a bound is above the running max
+        for c in np.argsort(-bound, kind="stable"):
+            if not bound[c] > value:
+                break
+            i, j = divmod(int(c), d_cells)
+            cell = ((i * factor + np.arange(factor))[:, None] * self.dir_count
+                    + members[j]).ravel()
+            for _, _, rho in self._rho(center, radii, self._dirs(cell[cell != anchors[c]])):
+                value = float(np.max(-rho, initial=value))
+        return value
 
     def _rounding_tol(self, center, radii) -> float:
         """Rounding allowance of cell_max's bounds (see recheck_constraints)."""
@@ -947,13 +925,13 @@ def recheck_constraints(instance: SOPInstance, tube: Tube, factor: int = 10) -> 
     refined samples per theta and lambda axis; its anchor a is the one at
     offset factor // 2 on each axis.  M starts as the max of the radius
     terms and the anchors' -rho, all on the refined time grid.  A cell is
-    scored in full, highest bound first and in block-sized calls with M
-    updated after each, only while its bound
+    scored in full, highest bound first and with M updated after each
+    monitor call, only while its bound
 
         B_c = -rho(x_a) + l_rho * R * max_{k in c} ||lam_k s_k - lam_a s_a||_2 + tol,
 
-    with R = max_i |r(t_i)| over the grid, is >= M.  A pruned cell cannot
-    hold the max:
+    with R = max_i |r(t_i)| over the grid, is > M.  A pruned cell cannot
+    raise the max:
 
     - States.  Trajectories k and a of one candidate differ at grid time t_i
       by r(t_i) (lam_k s_k - lam_a s_a).  The monitor reads a trajectory only
@@ -965,10 +943,9 @@ def recheck_constraints(instance: SOPInstance, tube: Tube, factor: int = 10) -> 
       read at fixed times; U is a max of mins of such values.  Each keeps
       the constant, so |rho(x_k) - rho(x_a)| <= l_rho R ||lam_k s_k -
       lam_a s_a||_2, and -rho(x_k) <= B_c - tol.
-    - Max and argmax.  A pruned cell has B_c < M, so each of its terms is
-      strictly below M, which is itself a term.  So neither the max nor the
-      lowest-first argmax of all the terms lies in the cell, and both come
-      out as sop_objective finds them.
+    - Max.  A pruned cell has B_c <= M, so each of its terms is at most
+      B_c - tol <= M, and M is itself a term.  So a strict > is enough: the
+      cell cannot raise the max, which comes out as sop_objective finds it.
     - Rounding.  With u = 2**-53, every coordinate the monitor reads is at
       most X = max_i (||c(t_i)||_inf + |r(t_i)|) in magnitude, to a factor
       1 + O(u).  Forming c + r lam s and interpolating round it by at most
@@ -982,4 +959,4 @@ def recheck_constraints(instance: SOPInstance, tube: Tube, factor: int = 10) -> 
       n >= 2.
     """
     grid = _ObjectiveGrid(instance, build_cover(instance.cover.refined(factor)))
-    return grid.cell_max(tube.center_coeffs, tube.radius_coeffs, factor)[0]
+    return grid.cell_max(tube.center_coeffs, tube.radius_coeffs, factor)

@@ -15,7 +15,14 @@ import pytest
 from tubecbf import load_tube, synthesis
 from tubecbf.basis import BernsteinBasis, combine
 from tubecbf.config import load_config
-from tubecbf.stl import AffineHalfspace, BallNorm2, BoxInfNorm, parse, robustness_batch
+from tubecbf.stl import (
+    AffineHalfspace,
+    BallNorm2,
+    BoxInfNorm,
+    horizon,
+    parse,
+    robustness_batch,
+)
 from tubecbf.synthesis import (
     Cover,
     CoverError,
@@ -34,7 +41,7 @@ from tubecbf.synthesis import (
 from tubecbf.synthesis import _ObjectiveGrid
 from tubecbf.tube import LipschitzInfo, combine_constants, sphere_map_many, tube_lipschitz
 
-from gen import point_pairs
+from gen import point_pairs, random_formula
 from oracles import oracle_pattern_search
 
 
@@ -292,24 +299,19 @@ REFERENCE = sorted(path.stem[:-len("_tube")]
 
 
 def _exhaustive_and_pruned(instance, q_c, q_r, factor):
-    """(value, argmax) of the full refined cover and of its pruned re-check."""
+    """Value of the full refined cover and of its pruned re-check."""
     cover = build_cover(instance.cover.refined(factor))
-    eta, idx = _ObjectiveGrid(instance, cover).evaluate(q_c[None], q_r[None])
-    pruned = _ObjectiveGrid(instance, cover).cell_max(q_c, q_r, factor)
-    return (float(eta[0]), int(idx[0])), pruned
+    eta, _ = _ObjectiveGrid(instance, cover).evaluate(q_c[None], q_r[None])
+    return float(eta[0]), _ObjectiveGrid(instance, cover).cell_max(q_c, q_r, factor)
 
 
 @pytest.mark.parametrize("name", REFERENCE)
 def test_pruned_recheck_matches_exhaustive_on_reference_tubes(name):
-    # the value bits, and the worst constraint as sop_objective names it
     config, tube = _reference(name)
     instance = config.instance()
     cover = build_cover(instance.cover.refined(3))
-    want, worst = sop_objective(instance, tube.center_coeffs, tube.radius_coeffs, cover=cover)
+    want, _ = sop_objective(instance, tube.center_coeffs, tube.radius_coeffs, cover=cover)
     assert recheck_constraints(instance, tube, factor=3).hex() == want.hex()
-    grid = _ObjectiveGrid(instance, cover)
-    value, idx = grid.cell_max(tube.center_coeffs, tube.radius_coeffs, 3)
-    assert value.hex() == want.hex() and grid.describe(idx) == worst
 
 
 def test_pruned_recheck_refines_a_cell_whose_anchor_misses_an_obstacle(monkeypatch):
@@ -330,19 +332,18 @@ def test_pruned_recheck_refines_a_cell_whose_anchor_misses_an_obstacle(monkeypat
     assert eta[0] == pytest.approx(0.05) and idx[0] == fine.spec.tau_count + 5 * 24
     shapes = _monitor_calls(monkeypatch)
     pruned = _ObjectiveGrid(inst, fine).cell_max(q_c, q_r, 3)
-    assert pruned == (float(eta[0]), int(idx[0]))
+    assert pruned == float(eta[0])
     # the 16 anchors, then some of the 216 trajectories, not all
     assert 16 < sum(k for k, _, _ in shapes) < len(fine.lams) * len(fine.directions)
 
 
-def test_pruned_recheck_keeps_the_lowest_index_among_ties():
-    # under !true every trajectory scores +inf, and the first one is the
-    # argmax, though no anchor is; no cell can be pruned, and the refined
-    # cells' ties must replace the anchors' higher indices
+def test_pruned_recheck_of_an_infinite_margin():
+    # under !true every trajectory scores +inf, so every cell bound is +inf
+    # and the anchors alone already hold the max
     inst = SOPInstance(parse("!true"), n=2, t_f=2.0, state_bounds=[[-5, 5], [-5, 5]],
                        cover=CoverSpec.from_counts([4], 2, 3, 2.0))
     exhaustive, pruned = _exhaustive_and_pruned(inst, np.zeros((2, 5)), np.ones(4), 3)
-    assert exhaustive == (math.inf, 9)
+    assert exhaustive == math.inf
     assert pruned == exhaustive
 
 
@@ -362,7 +363,25 @@ def test_pruned_recheck_rounding_allowance_at_large_coordinates(monkeypatch):
     assert pruned == exhaustive
     monkeypatch.setattr(_ObjectiveGrid, "_rounding_tol", lambda self, center, radii: 0.0)
     assert _ObjectiveGrid(inst, build_cover(inst.cover.refined(3))).cell_max(
-        q_c, q_r, 3)[0] < exhaustive[0]
+        q_c, q_r, 3) < exhaustive
+
+
+def test_pruned_recheck_matches_exhaustive_on_random_formulas():
+    # random formulas (Until, Or, true, halfspaces, boxes and balls) about
+    # random tubes: the pruned re-check's bits are sop_objective's on the
+    # refined cover, whether or not a cell is refined
+    rng = np.random.default_rng(35)
+    for case in range(200):
+        n = int(rng.integers(2, 4))
+        formula = random_formula(rng, 3, n, max_window=2.0)
+        t_f = max(horizon(formula), 1.0)
+        inst = SOPInstance(formula, n=n, t_f=t_f, state_bounds=[[-5, 5]] * n,
+                           cover=CoverSpec.from_counts([4, 3][:n - 1], 2, 3, t_f))
+        q_c = rng.uniform(-2, 2, size=(n, inst.center_count))
+        q_r = rng.uniform(0.05, 1.5, size=inst.radius_count)
+        want, _ = sop_objective(inst, q_c, q_r, cover=build_cover(inst.cover.refined(3)))
+        got = recheck_constraints(inst, inst.make_tube(q_c, q_r), factor=3)
+        assert got.hex() == want.hex(), (case, formula)
 
 
 def test_omni_dense_recheck_scores_only_the_anchors(monkeypatch):
