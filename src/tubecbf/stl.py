@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -73,6 +72,44 @@ class UndefinedPredicateError(ValueError):
         super().__init__("undeclared predicate name(s): " + ", ".join(self.names))
 
 
+class _Record:
+    """Immutable value, equal by kind and fields, hashed once when built.
+
+    A kind lists its fields, children last, in ``__slots__ = _fields = (...)``.
+    robustness_batch hashes the formula on every call to find its plan, so a
+    hash is a slot read.  A record pickles by its arguments and hashes afresh
+    when loaded, since str hashes differ between processes.
+    """
+
+    __slots__ = ("_key", "_hash")
+
+    def __init__(self, *args):
+        if len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes fields {self._fields}, got {args}")
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", (type(self), *args))
+        object.__setattr__(self, "_hash", hash(self._key))
+
+    def __eq__(self, other):
+        return self._key == other._key if isinstance(other, _Record) else NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._key[1:]
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._key[1:])
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+
 # ---------------------------------------------------------------------------
 # Predicate functions
 # ---------------------------------------------------------------------------
@@ -83,12 +120,10 @@ class UndefinedPredicateError(ValueError):
 # value_scale(b) bounds the magnitude of every intermediate of value, and of
 # the result, at states whose coordinates are at most b in magnitude.
 
-@dataclass(frozen=True)
-class AffineHalfspace:
+class AffineHalfspace(_Record):
     """h(x) = weights . x + offset."""
 
-    weights: tuple
-    offset: float
+    __slots__ = _fields = ("weights", "offset")
 
     def value(self, planes, out=None) -> np.ndarray:
         # summed one coordinate at a time in a fixed order, so a state's value
@@ -106,12 +141,10 @@ class AffineHalfspace:
         return float(np.sum(np.abs(self.weights))) * bound + abs(self.offset)
 
 
-@dataclass(frozen=True)
-class BoxInfNorm:
+class BoxInfNorm(_Record):
     """h(x) = halfwidth - ||x - center||_inf (positive inside the cube)."""
 
-    center: tuple
-    halfwidth: float
+    __slots__ = _fields = ("center", "halfwidth")
 
     def value(self, planes, out=None) -> np.ndarray:
         # a chained maximum reads each coordinate array contiguously
@@ -130,12 +163,10 @@ class BoxInfNorm:
         return bound + float(np.max(np.abs(self.center))) + abs(self.halfwidth)
 
 
-@dataclass(frozen=True)
-class BallNorm2:
+class BallNorm2(_Record):
     """h(x) = radius - ||x - center||_2 (positive inside the ball)."""
 
-    center: tuple
-    radius: float
+    __slots__ = _fields = ("center", "radius")
 
     def value(self, planes, out=None) -> np.ndarray:
         # below eight coordinates, np.linalg.norm(axis=-1) adds the squares
@@ -163,45 +194,20 @@ PredicateFn = Union[AffineHalfspace, BoxInfNorm, BallNorm2]
 # Formula AST
 # ---------------------------------------------------------------------------
 
-class Formula:
+class Formula(_Record):
     """Base class for formula nodes; nodes are immutable and hashable."""
 
     __slots__ = ()
 
-    def __getstate__(self):
-        # a cached hash (see _hash_once) holds in this process only: str
-        # hashes differ between processes
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
     @property
     def children(self) -> tuple:
         """Child formulas, in field order (left before right)."""
-        return tuple(v for v in (getattr(self, f.name) for f in fields(self))
-                     if isinstance(v, Formula))
+        return tuple(v for v in self._key[1:] if isinstance(v, Formula))
 
 
-def _hash_once(cls):
-    """Cache each node's hash on the node.
-
-    A frozen dataclass hashes its whole subtree on every hash() call, and
-    robustness_batch hashes the formula on every call to look up its plan.
-    """
-    subtree_hash = cls.__hash__
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = subtree_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_hash_once
-@dataclass(frozen=True)
 class TrueFormula(Formula):
+    __slots__ = _fields = ()
+
     def __str__(self) -> str:
         return "true"
 
@@ -209,11 +215,11 @@ class TrueFormula(Formula):
 TRUE = TrueFormula()
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Predicate(Formula):
-    name: str
-    fn: Optional[PredicateFn] = None
+    __slots__ = _fields = ("name", "fn")
+
+    def __init__(self, name: str, fn: Optional[PredicateFn] = None):
+        super().__init__(name, fn)
 
     def __str__(self) -> str:
         return self.name
@@ -224,69 +230,53 @@ def _check_interval(start: float, end: float) -> None:
         raise IntervalError(f"interval [{start},{end}] violates 0 <= start <= end")
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = _fields = ("child",)
 
     def __str__(self) -> str:
         return f"!{_paren(self.child)}"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
     def __str__(self) -> str:
         return f"{_paren(self.left)} & {_paren(self.right)}"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
     def __str__(self) -> str:
         return f"{_paren(self.left)} | {_paren(self.right)}"
 
 
-@dataclass(frozen=True)
 class _Window(Formula):
     """A temporal operator: its window [start, end] comes before its children."""
 
-    start: float
-    end: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_interval(self.start, self.end)
+    def __init__(self, start: float, end: float, *children: Formula):
+        _check_interval(start, end)
+        super().__init__(start, end, *children)
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Until(_Window):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("start", "end", "left", "right")
 
     def __str__(self) -> str:
         return f"{_paren(self.left)} U[{self.start:g},{self.end:g}] {_paren(self.right)}"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Eventually(_Window):
-    child: Formula
+    __slots__ = _fields = ("start", "end", "child")
 
     def __str__(self) -> str:
         return f"F[{self.start:g},{self.end:g}] {_paren(self.child)}"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Always(_Window):
-    child: Formula
+    __slots__ = _fields = ("start", "end", "child")
 
     def __str__(self) -> str:
         return f"G[{self.start:g},{self.end:g}] {_paren(self.child)}"
@@ -333,16 +323,14 @@ def robustness_lipschitz(f: Formula) -> float:
 
 _TIME_SLACK = 1e-9
 
-@dataclass(frozen=True)
 class Signal:
     """Finite sampled trajectory in R^n with linear interpolation semantics."""
 
-    times: np.ndarray
-    states: np.ndarray
+    __slots__ = ("times", "states")
 
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
+    def __init__(self, times: np.ndarray, states: np.ndarray):
+        times = np.asarray(times, dtype=float)
+        states = np.asarray(states, dtype=float)
         if states.ndim == 1:
             states = states[:, None]
         if times.ndim != 1 or states.ndim != 2 or len(times) != len(states):
@@ -355,32 +343,29 @@ class Signal:
             raise ValueError("signal contains non-finite values")
         times.setflags(write=False)
         states.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
+        self.times, self.states = times, states
 
     @property
     def dimension(self) -> int:
         return self.states.shape[1]
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
-    value: float
-    satisfied: bool
+class RobustnessReport(_Record):
+    __slots__ = _fields = ("value", "satisfied")
 
 
 # ---------------------------------------------------------------------------
 # Robustness evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class _Rows:
     """Query times of one formula node, in the row order of its value table:
     the grid times grid[g0:g1], then the sorted off-grid times ``off``."""
 
-    g0: int
-    g1: int
-    off: np.ndarray
+    __slots__ = ("g0", "g1", "off")
+
+    def __init__(self, g0: int, g1: int, off: np.ndarray):
+        self.g0, self.g1, self.off = g0, g1, off
 
     @property
     def grid_rows(self) -> int:
@@ -648,7 +633,7 @@ def robustness(f: Formula, x: Signal, t: float = 0.0, *,
     if until_convention != "paper":
         raise ValueError(f"until_convention must be 'paper', got {until_convention!r}")
     val = float(robustness_batch(f, x.times, x.states[None, :, :], t)[0])
-    return RobustnessReport(value=val, satisfied=val > 0.0)
+    return RobustnessReport(val, val > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from copy import deepcopy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from tubecbf.stl import (
     Not,
     Or,
     Predicate,
+    RobustnessReport,
     Signal,
     TrueFormula,
     UndefinedPredicateError,
@@ -33,6 +39,7 @@ from tubecbf.stl import _interpolator, _plan
 from gen import formula_and_signal, random_signal
 from oracles import oracle_boolean, oracle_robustness
 
+ROOT = Path(__file__).resolve().parent.parent
 
 T_BOX = BoxInfNorm((3.0, 3.0), 1.0)
 O_BOX = BoxInfNorm((1.0, 1.0), 0.5)
@@ -540,9 +547,17 @@ def test_batch_cached_plan_repeats():
     assert np.array_equal(first, second)
 
 
+def _python(code: str, hash_seed: int, stdin: bytes = b"") -> bytes:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(hash_seed)}
+    return subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
+                          check=True, timeout=120, env=env).stdout
+
+
 def test_batch_equal_formulas_share_a_plan():
-    # nodes cache their hash; an equal but distinct formula still finds the
-    # plan, and a pickled copy hashes afresh
+    # nodes hash once when built; an equal but distinct formula still finds
+    # the plan, and a pickled copy hashes afresh, also in a process whose str
+    # hashes differ
     text = "F[0,2] G[0,1] (T & !O)"
     f1, f2 = parse(text, TABLE), parse(text, TABLE)
     assert f1 == f2 and f1 is not f2 and hash(f1) == hash(f2)
@@ -552,8 +567,56 @@ def test_batch_equal_formulas_share_a_plan():
     assert np.array_equal(robustness_batch(f2, times, states), first)
     assert (_plan.cache_info().hits, _plan.cache_info().misses) == (info.hits + 1, info.misses)
     copy = pickle.loads(pickle.dumps(f1))
-    assert "_hash" not in copy.__dict__
     assert copy == f1 and hash(copy) == hash(f1)
+    build = ("import pickle, sys\n"
+             "from tubecbf.stl import BoxInfNorm, parse\n"
+             f"f1 = parse({text!r}, {{'T': BoxInfNorm((3.0, 3.0), 1.0), "
+             "'O': BoxInfNorm((1.0, 1.0), 0.5)})\n")
+    pickled = _python(build + "sys.stdout.buffer.write(pickle.dumps(f1))\n", hash_seed=1)
+    load = "copy = pickle.loads(sys.stdin.buffer.read())\nprint(copy == f1, hash(copy) == hash(f1))\n"
+    assert _python(build + load, hash_seed=2, stdin=pickled).split() == [b"True", b"True"]
+
+
+def test_batch_kinds_with_equal_fields_get_their_own_plans():
+    # the two formulas of each pair are built from equal fields; the kind of
+    # each node is part of the plan's key
+    c = (0.5, -0.5)
+    p = Predicate("p", BoxInfNorm(c, 1.0))
+    q = Predicate("q", BallNorm2((1.0, 0.0), 2.0))
+    pairs = ((Eventually(0.0, 1.0, p), Always(0.0, 1.0, p)), (And(p, q), Or(p, q)),
+             (Predicate("p", BoxInfNorm(c, 1.0)), Predicate("p", BallNorm2(c, 1.0))))
+    times, states = _jittered_batch(np.random.default_rng(58), 4, 3.0, 20)
+    for pair in pairs:
+        assert pair[0] != pair[1]
+        values = []
+        for f in pair:
+            misses = _plan.cache_info().misses
+            values.append(robustness_batch(f, times, states))
+            assert _plan.cache_info().misses == misses + 1
+            want = [oracle_robustness(f, times, x) for x in states]
+            assert values[-1] == pytest.approx(want, abs=1e-9)
+        assert not np.array_equal(*values)
+
+
+def test_records_are_immutable_values():
+    f = parse("F[0,2] G[0,1] (T & !O) | (T U[0.5,1] (!O))", TABLE)
+    records = [RobustnessReport(0.5, True), T_BOX, BallNorm2((0.0, 0.0), 1.0),
+               AffineHalfspace((1.0, 0.0), 0.5)]
+    stack = [f]
+    while stack:
+        records.append(stack.pop())
+        stack.extend(records[-1].children)
+    for record in records:
+        for name in type(record)._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+    twin = deepcopy(f)
+    assert twin == f and twin is not f and hash(twin) == hash(f)
+    # an unhashable field, or a missing one, fails when the record is built
+    with pytest.raises(TypeError):
+        BoxInfNorm([0.0, 0.0], 1.0)
+    with pytest.raises(TypeError):
+        BoxInfNorm((0.0, 0.0))
 
 
 def test_batch_state_layouts_agree():
