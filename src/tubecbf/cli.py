@@ -37,7 +37,11 @@ _INPUT_ERRORS = (ValueError, FileNotFoundError)
 
 def _out_dir(config: ScenarioConfig, args) -> Path:
     out = Path(args.out) if args.out else Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as e:
+        # a file at out or at one of its parents is an input error
+        raise ValueError(f"cannot make output directory {out}: {e.strerror}") from None
     return out
 
 
@@ -78,7 +82,7 @@ def cmd_check(args) -> int:
 
 def _synthesize(config: ScenarioConfig, args, out: Path) -> SynthesisResult:
     """Solve for the tube and write <name>_tube.json and <name>_result.json."""
-    result = solve_sop(config.instance(), config.solver_settings(seed=args.seed))
+    result = solve_sop(config.instance(), config.solver_settings())
     save_tube(result.tube, out / f"{config.name}_tube.json")
     result.save(out / f"{config.name}_result.json")
     if args.emit_plot_data:
@@ -181,6 +185,13 @@ def cmd_bench(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tubecbf",
@@ -191,10 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario YAML")
 
     def outputs(p):
-        p.add_argument("--seed", type=int, default=None, help="override solver seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--emit-plot-data", action="store_true",
                        help="write tube cross-section CSV for external plotting")
+
+    def start_seed(p):
+        p.add_argument("--seed", type=_seed, default=0,
+                       help="seed of the start-state draw when the config sets no x0 "
+                            "(default 0)")
 
     p_check = sub.add_parser("check", help="parse and report the task formula")
     common(p_check)
@@ -208,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="closed-loop run under the safety QP")
     common(p_sim)
     outputs(p_sim)
+    start_seed(p_sim)
     p_sim.add_argument("--tube", required=True, help="tube record JSON")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -219,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="synthesize+simulate a batch of scenarios")
     p_bench.add_argument("configs", nargs="+", help="scenario YAML files")
     outputs(p_bench)
+    start_seed(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

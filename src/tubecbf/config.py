@@ -240,14 +240,14 @@ class ScenarioConfig:
         cover_key = "epsilon" if self.cover_counts is None else "cover_counts"
         return _owned(None, SOPInstance, **args, **self.basis, cover_key=cover_key)
 
-    def solver_settings(self, seed: Optional[int] = None) -> SolverSettings:
-        """The solver block's settings (but search_cover); a seed overrides its seed."""
+    def solver_settings(self) -> SolverSettings:
+        """The solver block's settings, with the search_cover key's cover."""
         search_cover = None if self.search_cover is None else self._from_counts("search_cover")
         _check_block("solver", self.solver,
                      {f.name for f in fields(SolverSettings)} - {"search_cover"})
-        solver = self.solver if seed is None else {**self.solver, "seed": int(seed)}
         # a CoverError names search_cover, a top-level key, so it takes no prefix
-        return _owned("solver", SolverSettings, search_cover=search_cover, cover_key="", **solver)
+        return _owned("solver", SolverSettings, search_cover=search_cover, cover_key="",
+                      **self.solver)
 
     def make_dynamics(self):
         params = dict(self.dynamics)
@@ -258,18 +258,18 @@ class ScenarioConfig:
             return np.eye(self.make_dynamics().m)
         return np.diag(np.asarray(self.control_weight, dtype=float))
 
-    def pick_x0(self, tube, seed: Optional[int] = None) -> np.ndarray:
+    def pick_x0(self, tube, seed: int = 0) -> np.ndarray:
         """Configured start state, or a sample from the r(0)/2 interior ball
-        drawn with seed, by default the solver's."""
+        drawn with seed."""
         if self.x0 is not None:
             return np.asarray(self.x0, dtype=float)
-        rng = np.random.default_rng(self.solver_settings().seed if seed is None else seed)
+        rng = np.random.default_rng(seed)
         direction = rng.normal(size=self.dimension)
         direction /= max(math.hypot(*direction), 1e-12)
         rho = tube.radius(0.0) / 2.0 * rng.uniform() ** (1.0 / self.dimension)
         return tube.center(0.0) + rho * direction
 
-    def closed_loop(self, tube, seed: Optional[int] = None) -> RunReport:
+    def closed_loop(self, tube, seed: int = 0) -> RunReport:
         """Run the QP-filtered closed loop of this scenario inside tube, from
         the start state pick_x0(tube, seed)."""
         if tube.dimension != self.dimension:

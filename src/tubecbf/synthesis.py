@@ -87,6 +87,12 @@ def _implied_radius(counts, t_f: float) -> float:
     return norm_in_order(halves)
 
 
+def _check_radius(radius: float) -> None:
+    # a nan or inf radius would make the certificate's slack L*eps nan or inf
+    if not 0 < radius < math.inf:
+        raise CoverError(f"cover radius must be positive and finite, got {radius}")
+
+
 @dataclass(frozen=True)
 class CoverSpec:
     """Per-axis sample counts whose midpoint grid is an epsilon-cover of W."""
@@ -98,8 +104,7 @@ class CoverSpec:
     t_f: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise CoverError(f"cover radius must be positive, got {self.radius}")
+        _check_radius(self.radius)
         needed = _implied_radius(self.counts, self.t_f)
         if needed > self.radius + 1e-12:
             raise CoverError(
@@ -121,8 +126,7 @@ class CoverSpec:
     @classmethod
     def for_radius(cls, radius: float, n: int, t_f: float) -> "CoverSpec":
         """Equal-contribution split: every axis gets spacing 2*radius/sqrt(d)."""
-        if radius <= 0:
-            raise CoverError(f"cover radius must be positive, got {radius}")
+        _check_radius(radius)
         ranges = _axis_ranges(n, t_f)
         h = 2.0 * radius / math.sqrt(len(ranges))
         *theta, lam, tau = [max(1, math.ceil((hi - lo) / h)) for lo, hi in ranges]
@@ -643,15 +647,10 @@ def warm_start(instance: SOPInstance) -> tuple[np.ndarray, np.ndarray]:
 # solver
 # ---------------------------------------------------------------------------
 
-# the search scores the warm start and STARTS - 1 random perturbations of the
-# best point so far; each poll step starts at most at STEP0 and stops below
-# MIN_STEP (fractions of each coefficient's box width); the outer bisection
-# halves the margin interval BISECTION down to BISECTION_TOL
-STARTS = 3
+# the pattern search's poll step starts at STEP0 and stops below MIN_STEP
+# (fractions of each coefficient's box width)
 STEP0 = 0.25
 MIN_STEP = 1e-3
-BISECTION = (-2.0, 2.0)
-BISECTION_TOL = 1e-3
 # the certificate polish stops once the margin on the search cover reaches
 # -POLISH_SLACK, leaving room for the finer certification cover
 POLISH_SLACK = 0.05
@@ -659,17 +658,15 @@ POLISH_SLACK = 0.05
 
 @dataclass
 class SolverSettings:
-    """Random seed, objective-evaluation budget, and the cover the search
-    iterates on (None: the instance's certificate cover).  ValueError naming
-    the field unless seed >= 0 and budget >= 1 are integers and the search
-    cover is within COVER_SAMPLE_BUDGET."""
+    """Objective-evaluation budget, and the cover the search iterates on
+    (None: the instance's certificate cover).  ValueError naming the field
+    unless budget is an integer of at least 1 and the search cover is within
+    COVER_SAMPLE_BUDGET."""
 
-    seed: int = 0
     budget: int = 4000
     search_cover: Optional[CoverSpec] = None
 
     def __post_init__(self):
-        _check_integer("seed", self.seed, 0)
         _check_integer("budget", self.budget, 1)
         if self.search_cover is not None:
             _check_sample_budget("search_cover", self.search_cover)
@@ -738,58 +735,6 @@ def pattern_search(func, x0, lb, ub, *, step: float, min_step: float,
     return x, fx, evals
 
 
-def _minimize_margin(func, q0, lb, ub, settings: SolverSettings,
-                     rng: np.random.Generator):
-    """Outer bisection on the margin level; inner multi-start pattern search."""
-    best = np.asarray(q0, dtype=float).copy()
-    best_val = float(func(best[None])[0])
-    evals = 1
-    width = ub - lb
-    for _ in range(min(STARTS - 1, settings.budget - evals)):
-        # one at a time: each start perturbs the best point so far
-        cand = np.clip(best + rng.normal(scale=0.08, size=len(best)) * width, lb, ub)
-        v = float(func(cand[None])[0])
-        evals += 1
-        if v < best_val:
-            best, best_val = cand, v
-
-    chunk = max(150, settings.budget // 10)
-    # pattern_search scores its start even on a budget of 0
-    if evals < settings.budget:
-        x, v, used = pattern_search(func, best, lb, ub, step=STEP0, min_step=MIN_STEP,
-                                    budget=min(chunk * 2, settings.budget - evals))
-        evals += used
-        if v < best_val:
-            best, best_val = x, v
-
-    lo, hi = BISECTION
-    hi = min(hi, best_val)
-    rounds = 0
-    while hi - lo > BISECTION_TOL and evals < settings.budget:
-        target = 0.5 * (lo + hi)
-        if best_val <= target:
-            hi = best_val
-            rounds += 1
-            continue
-        if rounds % 2 == 1:
-            start = np.clip(best + rng.normal(scale=0.04, size=len(best)) * width, lb, ub)
-        else:
-            start = best
-        step = max(MIN_STEP * 4, STEP0 / 2 ** min(rounds, 5))
-        x, v, used = pattern_search(func, start, lb, ub, step=step, min_step=MIN_STEP,
-                                    budget=min(chunk, settings.budget - evals),
-                                    target=target)
-        evals += used
-        if v < best_val:
-            best, best_val = x, v
-        if best_val <= target:
-            hi = best_val
-        else:
-            lo = target
-        rounds += 1
-    return best, best_val, evals, rounds
-
-
 @dataclass
 class SynthesisResult:
     """Optimal tube, its certificate data, and solver diagnostics."""
@@ -840,15 +785,15 @@ class SynthesisResult:
 def solve_sop(instance: SOPInstance, settings: SolverSettings) -> SynthesisResult:
     """Minimize the sampled margin over box-bounded tube coefficients.
 
-    Two-level scheme: an outer bisection on the margin level with an inner
-    multi-start pattern search, from warm_start.  The search runs on
-    settings.search_cover, or on the instance's epsilon-cover when that is
-    None; eta* and the certificate are always evaluated on the instance's
-    cover.  A search cover of another dimension or horizon than the
-    instance's raises a ValueError before the first evaluation.
-    Deterministic for a fixed seed.
+    One pattern search from warm_start on the sampled margin, then a
+    certificate polish on the margin plus the Lipschitz slack; both share
+    settings.budget.  The search runs on settings.search_cover, or on the
+    instance's epsilon-cover when that is None; eta* and the certificate are
+    always evaluated on the instance's cover.  A search cover of another
+    dimension or horizon than the instance's raises a ValueError before the
+    first evaluation.  Deterministic: the same instance and settings give
+    the same result, bit for bit.
     """
-    rng = np.random.default_rng(settings.seed)
     t_start = time.perf_counter()
 
     q_c0, q_r0 = warm_start(instance)
@@ -869,9 +814,10 @@ def solve_sop(instance: SOPInstance, settings: SolverSettings) -> SynthesisResul
         return search_grid.evaluate(*unpack(qs), bound)[0]
 
     q0 = np.concatenate([q_c0.ravel(), q_r0])
-    best, _, evals, rounds = _minimize_margin(objective, q0, lb, ub, settings, rng)
+    best, _, evals = pattern_search(objective, q0, lb, ub, step=STEP0, min_step=MIN_STEP,
+                                    budget=settings.budget)
 
-    # certificate polish: the bisection minimizes eta alone, but the
+    # certificate polish: the search minimizes eta alone, but the
     # certificate needs eta + L(q)*eps <= 0 and L depends on the coefficients;
     # descend on the full margin when eta alone did not close it
     if evals < settings.budget:
@@ -902,8 +848,8 @@ def solve_sop(instance: SOPInstance, settings: SolverSettings) -> SynthesisResul
     wall = time.perf_counter() - t_start
     diagnostics = {
         "objective_evals": evals,
-        "bisection_rounds": rounds,
-        "seed": settings.seed,
+        # always 0; perfbench/workloads.py reads it until ROADMAP item 3 drops it
+        "bisection_rounds": 0,
         "search_cover": {
             "theta_counts": list(search_spec.theta_counts),
             "lambda_count": search_spec.lambda_count,

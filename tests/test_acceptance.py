@@ -38,8 +38,7 @@ def _run_pipeline(config_name: str, out_dir: Path, seed=None):
     args_seed = [] if seed is None else ["--seed", str(seed)]
 
     t0 = time.perf_counter()
-    synth_code = main(["synthesize", "--config", str(cfg_path),
-                       "--out", str(out_dir)] + args_seed)
+    synth_code = main(["synthesize", "--config", str(cfg_path), "--out", str(out_dir)])
     synth_s = time.perf_counter() - t0
     tube_path = out_dir / f"{config.name}_tube.json"
     result = SynthesisResult.load(out_dir / f"{config.name}_result.json")

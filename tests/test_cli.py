@@ -35,7 +35,7 @@ BASE = {
     "basis": {"center_count": 5, "radius_count": 4},
     "radius_max": 2.0,
     "start": [4.5, 4.5],
-    "solver": {"seed": 0, "budget": 800},
+    "solver": {"budget": 800},
     "dynamics": {"kind": "omni"},
     "dt": 0.05,
     "gain": 5.0,
@@ -180,8 +180,8 @@ def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overrides, named", [
-    ({"solver": {"seed": 0, "budjet": 100}}, "budjet"),
-    ({"solver": {"seed": 0, "budget": 800, "starts": 3}}, "starts"),
+    ({"solver": {"budjet": 100}}, "budjet"),
+    ({"solver": {"budget": 800, "starts": 3}}, "starts"),
     ({"epsilon": None, "cover_counts": {"theta": [10], "tau": 12}}, "lambda"),
     ({"epsilon": None, "cover_counts": {"theta": [10, 3], "lambda": 3, "tau": 12}}, "theta"),
     ({"search_cover": {"theta": [10], "lambda": 3, "tau": 12, "phi": 2}}, "phi"),
@@ -223,12 +223,13 @@ def test_check_bad_nested_block_exits_2(tmp_path, capsys, overrides, named):
     ({"gain": -5.0}, "gain"),
     ({"control_weight": [0.0, 1.0]}, "control_weight"),
     ({"input_bound": -1.0}, "input_bound"),
-    ({"solver": {"seed": 0, "budget": -5}}, "budget"),
+    ({"solver": {"budget": -5}}, "budget"),
     ({"x0_seed": -1}, "x0_seed"),
     ({"basis": {"center_count": 0, "radius_count": 4}}, "center_count"),
     ({"search_cover": {"theta": [10], "lambda": 0, "tau": 12}}, "lambda"),
     ({"epsilon": None, "cover_counts": {"theta": [0], "lambda": 3, "tau": 12}}, "theta"),
     ({"epsilon": None, "cover_counts": {"theta": [10], "lambda": 3, "tau": -4}}, "tau"),
+    # the solver block has no seed: synthesis draws no random number
     ({"solver": {"seed": -1, "budget": 800}}, "seed"),
     ({"start": [100.0, 100.0]}, "start"),
     ({"start": [4.5, -0.5]}, "start"),
@@ -283,8 +284,8 @@ def test_check_out_of_range_value_exits_2(tmp_path, capsys, overrides, named):
     ("basis", {"center_count": 4.6, "radius_count": 4}),
     ("basis", {"center_count": True, "radius_count": 4}),
     ("search_cover", {"theta": ["a"], "lambda": 4, "tau": 24}),
-    ("solver", {"seed": 0, "budget": 10.7}),
-    ("solver", {"seed": 0.9, "budget": 2500}),
+    ("solver", {"budget": 10.7}),
+    ("solver", {"budget": "2500"}),
     ("x0", ["a", "b"]),
     ("start", ["a", 1.5]),
     ("predicates", [1, 2]),
@@ -370,19 +371,32 @@ def test_number_yaml_reads_as_a_string_names_its_float_form(tmp_path, capsys, te
     assert capsys.readouterr().err.rstrip().endswith("got 'fast'")
 
 
-@pytest.mark.parametrize("command, extra", [("check", []), ("verify", ["--log", "run.csv"])])
-def test_check_and_verify_take_no_output_flags(tmp_path, command, extra):
+@pytest.mark.parametrize("command, extra", [("check", []), ("verify", ["--log", "run.csv"]),
+                                            ("synthesize", [])])
+def test_only_simulate_and_bench_take_a_seed(tmp_path, command, extra):
+    # synthesis draws no random number, so synthesize has no seed to take
     cfg = _write_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(cfg), *extra, "--seed", "1"])
     assert exc.value.code == 2
 
 
-def test_start_state_draw_uses_the_solver_seed():
+def test_start_state_draw_defaults_to_seed_0():
     tube = power_tube([[4.5], [4.5]], [1.0], BASE["t_f"])
-    config = ScenarioConfig.from_dict({**BASE, "solver": {"seed": 3, "budget": 800}})
-    assert np.array_equal(config.pick_x0(tube), config.pick_x0(tube, seed=3))
-    assert not np.array_equal(config.pick_x0(tube), config.pick_x0(tube, seed=0))
+    config = ScenarioConfig.from_dict(BASE)
+    assert np.array_equal(config.pick_x0(tube), config.pick_x0(tube, seed=0))
+    assert not np.array_equal(config.pick_x0(tube), config.pick_x0(tube, seed=3))
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_negative_start_seed_exits_2(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path)
+    args = (["simulate", "--config", str(cfg), "--tube", "t.json"] if command == "simulate"
+            else ["bench", str(cfg)])
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: must be at least 0" in capsys.readouterr().err
 
 
 def test_solver_block_takes_every_solver_setting_but_the_search_cover(tmp_path, capsys):
@@ -393,7 +407,7 @@ def test_solver_block_takes_every_solver_setting_but_the_search_cover(tmp_path, 
     assert main(["check", "--config", str(_write_config(tmp_path, {"solver": solver}))]) == 0
     settings = ScenarioConfig.from_dict({**BASE, "solver": solver}).solver_settings()
     assert {key: getattr(settings, key) for key in solver} == solver
-    for unknown in ("search_cover", "starts"):
+    for unknown in ("search_cover", "starts", "seed"):
         cfg = _write_config(tmp_path, {"solver": {**solver, unknown: 1}})
         assert main(["check", "--config", str(cfg)]) == 2
         assert f"solver: unknown keys ['{unknown}']" in capsys.readouterr().err
@@ -498,7 +512,7 @@ def test_synthesize_matches_reference_artifacts(tmp_path, scenario):
     record = REFERENCE_DIGESTS["scenarios"][scenario]["synthesize"]
     assert set(record["sha256"]) == {f"{scenario}_tube.json", f"{scenario}_result.json"}
     assert main(["synthesize", "--config", str(ROOT / "configs" / f"{scenario}.yaml"),
-                 "--seed", "0", "--out", str(tmp_path)]) == record["exit"]
+                 "--out", str(tmp_path)]) == record["exit"]
     _assert_digests(tmp_path, record)
 
 
@@ -517,9 +531,9 @@ def test_artifacts_match_reference_on_another_cpu_path(tmp_path):
     runs = []
     for scenario in sorted(REFERENCE_DIGESTS["scenarios"]):
         config = str(ROOT / "configs" / f"{scenario}.yaml")
-        common = ["--config", config, "--seed", "0", "--out", str(tmp_path / scenario)]
+        common = ["--config", config, "--out", str(tmp_path / scenario)]
         runs += [(scenario, "synthesize", ["synthesize", *common]),
-                 (scenario, "simulate", ["simulate", *common, "--tube",
+                 (scenario, "simulate", ["simulate", *common, "--seed", "0", "--tube",
                                          str(tmp_path / scenario / f"{scenario}_tube.json")])]
     program = ("import json, sys\n"
                "from tubecbf.cli import main\n"
@@ -539,7 +553,7 @@ def test_synthesize_forced_infeasible_exits_3(tmp_path):
     cfg = _write_config(tmp_path, {
         "name": "cramped",
         "radius_max": 0.25,
-        "solver": {"seed": 0, "budget": 200},
+        "solver": {"budget": 200},
     })
     assert main(["synthesize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
@@ -550,7 +564,7 @@ def test_bench_uncertified_synthesis_exits_3(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "name": "cramped",
         "radius_max": 0.25,
-        "solver": {"seed": 0, "budget": 200},
+        "solver": {"budget": 200},
     })
     assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 3
     row = capsys.readouterr().out.strip().splitlines()[-1]
@@ -738,12 +752,42 @@ def test_bench_two_tasks(tmp_path, capsys):
 
     # bench writes exactly what synthesize then simulate write for the same seed
     sep_dir = tmp_path / "separate"
-    assert main(["synthesize", "--config", str(cfg1), "--out", str(sep_dir)] + seed) == 0
+    assert main(["synthesize", "--config", str(cfg1), "--out", str(sep_dir)]) == 0
     assert main(["simulate", "--config", str(cfg1), "--tube", str(sep_dir / "task_a_tube.json"),
                  "--out", str(sep_dir)] + seed) == 0
     for suffix in ("tube.json", "result.json", "trajectory.csv", "report.json"):
         name = f"task_a_{suffix}"
         assert (out_dir / name).read_bytes() == (sep_dir / name).read_bytes(), name
+
+
+def test_bench_start_seed_leaves_the_synthesis_artifacts_unchanged(tmp_path):
+    # the start-state draw is the only thing a seed picks: the solve draws no
+    # random number (stlcg_1 was once solved at a solver seed, and seed 2 did
+    # not certify it)
+    config = str(ROOT / "configs" / "stlcg_1.yaml")
+    for seed in ("1", "2"):
+        assert main(["bench", config, "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+    for suffix in ("tube.json", "result.json"):
+        name = f"stlcg_1_{suffix}"
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["synthesize", "simulate", "bench"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command, under):
+    # mkdir's FileExistsError and NotADirectoryError are input errors
+    cfg = _write_config(tmp_path)
+    tube = tmp_path / "tube.json"
+    tube.write_text(json.dumps(tube_to_record(power_tube([[4.5], [4.5]], [1.0], BASE["t_f"]))))
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    args = {"synthesize": ["synthesize", "--config", str(cfg)],
+            "simulate": ["simulate", "--config", str(cfg), "--tube", str(tube)],
+            "bench": ["bench", str(cfg)]}[command]
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot make output directory {out}" in err and "Traceback" not in err
 
 
 def test_log_round_trip_matches_simulator(tmp_path):

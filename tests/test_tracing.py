@@ -49,7 +49,7 @@ def test_tracer_sees_every_layer_a_solve_calls_through():
     tracer.install(tubecbf)
     try:
         with tracer.solving():
-            solve_sop(instance, SolverSettings(seed=0, budget=100))
+            solve_sop(instance, SolverSettings(budget=100))
     finally:
         tracer.uninstall()
     names = Counter(span[0] for span in tracer.spans)
