@@ -1,5 +1,5 @@
 """Time-varying control barrier function built from a tube, and the per-step
-minimum-energy safety QP with its single-constraint closed form.
+minimum-norm safety QP with its single-constraint closed form.
 
 The closed loop calls these once or twice per step on vectors of n, m <= 3,
 so points, gradients, Lie rows and inputs are lists of Python floats.  Each
@@ -7,12 +7,8 @@ sum runs in index order from 0.0, and no call reaches BLAS or LAPACK."""
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from typing import Union
-
-import numpy as np
 
 from .tube import SampledTube, Tube
 
@@ -85,85 +81,26 @@ def barrier_gradients(barrier: Barrier, t: float, x) -> tuple:
     return db_dx, 2.0 * cd / r2 + 2.0 * tube.radius_dot(t) * dd / r**3
 
 
-def _cholesky(weight, m: int) -> tuple:
-    """Lower-triangular L with weight = L L', row i holding its i + 1 leading
-    entries as Python floats.  ValueError naming `weight` unless it is a
-    finite (m, m) symmetric positive definite matrix."""
-    w = np.asarray(weight, dtype=float)
-    if w.shape != (m, m):
-        raise ValueError(f"weight must be an ({m}, {m}) matrix, got shape {w.shape}")
-    return _factor(w.tobytes(), m)
-
-
-@functools.lru_cache(maxsize=16)
-def _factor(entries: bytes, m: int) -> tuple:
-    """_cholesky of the matrix with these C-order binary64 entries; a closed
-    loop's active steps all factor the same weight."""
-    w = np.frombuffer(entries).reshape(m, m)
-    if not np.isfinite(w).all():
-        raise ValueError("weight must be finite")
-    w = w.tolist()
-    low = []
-    for i, wi in enumerate(w):
-        li = []
-        for j, lj in enumerate(low):
-            if wi[j] != w[j][i]:
-                raise ValueError("weight must be symmetric")
-            s = wi[j]
-            for lik, ljk in zip(li, lj):
-                s -= lik * ljk
-            li.append(s / lj[j])
-        s = wi[i]
-        for lik in li:
-            s -= lik * lik
-        if not s > 0.0:
-            raise ValueError("weight must be positive definite")
-        li.append(math.sqrt(s))
-        low.append(tuple(li))
-    return tuple(low)
-
-
-def _cholesky_solve(low: tuple, b) -> list:
-    """W^-1 b as a list, for W = L L' factored by _cholesky: L y = b top
-    down, then L' v = y in place bottom up, each subtracting in index order."""
-    v = []
-    for bi, li in zip(b, low):
-        for lik, vk in zip(li, v):
-            bi -= lik * vk
-        v.append(bi / li[-1])
-    for i in reversed(range(len(v))):
-        for k in range(i + 1, len(v)):
-            v[i] -= low[k][i] * v[k]
-        v[i] /= low[i][i]
-    return v
-
-
-def min_norm_input(weight, a, psi: float) -> list:
-    """Closed-form solution of  min u'Wu  s.t.  a.u >= -psi.
+def min_norm_input(a, psi: float) -> list:
+    """Closed-form solution of  min u.u  s.t.  a.u >= -psi.
 
     When psi >= 0 the unconstrained optimum u = 0 is feasible.  Otherwise the
-    constraint is active and the KKT system gives
-    u = W^-1 a' (-psi) / (a W^-1 a').  Raises InfeasibleStepError when a = 0,
-    or a W^-1 a' underflows to 0, while psi < 0, and ValueError naming
-    `weight` when an active step meets a W that is not symmetric positive
-    definite.
+    constraint is active and the KKT system gives u = -psi a / (a.a), with
+    a.a summed in index order.  Raises InfeasibleStepError when a.a is 0
+    (a = 0, or a so small that its square underflows) while psi < 0.
 
-    a and the returned u are lists of m floats.  W gets a Cholesky
-    factorization L L', and W^-1 a two triangular sweeps (_cholesky_solve).
+    a and the returned u are lists of m floats.
     """
-    m = len(a)
     if psi >= 0.0:
-        return [0.0] * m
-    if not any(a):
-        raise InfeasibleStepError(f"constraint row vanished with psi={psi} < 0")
-    v = _cholesky_solve(_cholesky(weight, m), a)
+        return [0.0] * len(a)
     denom = 0.0
-    for ai, vi in zip(a, v):
-        denom += ai * vi
+    for ai in a:
+        denom += ai * ai
     if not denom > 0.0:
-        raise InfeasibleStepError(f"constraint row {a} too small: a W^-1 a' = {denom}")
+        raise InfeasibleStepError(f"constraint row {a} vanished with psi={psi} < 0: "
+                                  f"a.a = {denom}")
     scale = -psi / denom
-    return [vi * scale for vi in v]
+    return [ai * scale for ai in a]
 
 
 @dataclass(slots=True)
@@ -183,9 +120,8 @@ class ControlStep:
     constraint_active: bool
 
 
-def solve_safety_qp(barrier: Barrier, dynamics, weight: np.ndarray,
-                    t: float, state) -> ControlStep:
-    """Minimum-energy input keeping the barrier nonnegative at one step.
+def solve_safety_qp(barrier: Barrier, dynamics, t: float, state) -> ControlStep:
+    """Minimum-norm input keeping the barrier nonnegative at one step.
 
     dynamics provides the control-affine terms of the certified output:
     drift(t, state) -> n floats and input_matrix(t, state) -> n rows of m
@@ -206,4 +142,4 @@ def solve_safety_qp(barrier: Barrier, dynamics, weight: np.ndarray,
     psi = lie_f + db_dt + barrier.alpha(b)
     # positional: keyword arguments cost more than the rest of the record
     return ControlStep(t, x, b, db_dx, db_dt, lie_f, lie_g, psi,
-                       min_norm_input(weight, lie_g, psi), psi < 0.0)
+                       min_norm_input(lie_g, psi), psi < 0.0)

@@ -101,7 +101,6 @@ def _simulate(config: ScenarioConfig, tube: Tube, args, out: Path) -> RunReport:
         "tube_violations": report.tube_violations,
         "final_robustness": report.final_robustness,
         "satisfied": report.satisfied,
-        "saturated_steps": report.saturated_steps,
     }
     (out / f"{config.name}_report.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")

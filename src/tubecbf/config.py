@@ -26,6 +26,7 @@ from .stl import (
     parse,
 )
 from .synthesis import CoverError, CoverSpec, SOPInstance, SolverSettings
+from .tube import read_text
 
 
 class ConfigError(ValueError):
@@ -152,7 +153,6 @@ class ScenarioConfig:
     x0: Optional[list] = None
     dt: float = 0.05
     gain: float = Barrier.gain
-    control_weight: Optional[list] = None
     input_bound: Optional[float] = None
     output_dir: str = "out"
 
@@ -193,15 +193,10 @@ class ScenarioConfig:
         if not isinstance(self.dynamics, dict):
             raise ConfigError("dynamics must be a mapping")
         try:
-            model = self.make_dynamics()
+            self.make_dynamics()
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from None
-        if self.control_weight is not None:
-            _check_vector("control_weight", self.control_weight, model.m)
-        try:
-            run_settings(model.m, self.t_f, self.dt, self.weight_matrix(), self.input_bound)
-        except ValueError as e:  # run_settings calls the control weight `weight`
-            raise ConfigError(f"control_{e}" if str(e).startswith("weight") else str(e)) from None
+        _owned(None, run_settings, self.t_f, self.dt, self.input_bound)
         # a barrier checks its gain when built; each run brings its tube
         _owned(None, Barrier, None, self.gain)
 
@@ -253,10 +248,10 @@ class ScenarioConfig:
         params = dict(self.dynamics)
         return make_dynamics(params.pop("kind", None), self.dimension, **params)
 
-    def weight_matrix(self) -> np.ndarray:
-        if self.control_weight is None:
-            return np.eye(self.make_dynamics().m)
-        return np.diag(np.asarray(self.control_weight, dtype=float))
+    # the QP is unweighted; perfbench/workloads.py passes this to run_closed_loop
+    # until ROADMAP item 3 drops it
+    def weight_matrix(self) -> None:
+        return None
 
     def pick_x0(self, tube, seed: int = 0) -> np.ndarray:
         """Configured start state, or a sample from the r(0)/2 interior ball
@@ -279,7 +274,7 @@ class ScenarioConfig:
             raise ConfigError(f"tube horizon {tube.t_f} does not match config {self.t_f}")
         return run_closed_loop(self.make_dynamics(), Barrier(tube, gain=self.gain),
                                self.pick_x0(tube, seed=seed), self.dt, self.build_formula(),
-                               weight=self.weight_matrix(), input_bound=self.input_bound)
+                               input_bound=self.input_bound)
 
     # -- serialization -------------------------------------------------------
 
@@ -302,10 +297,9 @@ def load_config(path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    text = _owned(None, read_text, path, "a config file")
     try:
-        data = yaml.safe_load(path.read_text())
-    except IsADirectoryError:
-        raise ConfigError(f"{path} is a directory, not a config file") from None
+        data = yaml.safe_load(text)
     except yaml.YAMLError as e:
         raise ConfigError(f"{path}: {e}")
     return ScenarioConfig.from_dict(data)

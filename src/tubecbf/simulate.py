@@ -11,8 +11,8 @@ equals a per-step evaluation of the tube.
 
 The steps themselves run on Python floats: the model's state, output and
 input are lists of floats from `initial_state` to the log row, and the
-barrier, its gradients, the Lie terms, the QP (a Cholesky factorization of
-the weight and two triangular sweeps) and the RK4 stages sum in index order.
+barrier, its gradients, the Lie terms, the QP's closed form and the RK4
+stages sum in index order.
 No step calls BLAS or LAPACK.  With n <= 3 the numpy call overhead
 outweighed the arithmetic many times over.
 """
@@ -20,15 +20,16 @@ outweighed the arithmetic many times over.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .cbf import Barrier, ControlStep, _cholesky, barrier_value, solve_safety_qp
+from .cbf import Barrier, ControlStep, barrier_value, solve_safety_qp
 from .stl import Formula, Signal, robustness
-from .tube import SampledTube
+from .tube import SampledTube, read_text
 
 
 # a recorded step takes 0.7-1.5 kB (tracemalloc of its ControlStep and log row
@@ -37,7 +38,8 @@ MAX_STEPS = 1_000_000
 
 
 class SimulationError(RuntimeError):
-    """Closed-loop run cannot proceed (bad initial state or diverged state)."""
+    """Closed-loop run cannot proceed (bad initial state, diverged state, or
+    an input beyond the actuator limit)."""
 
 
 def step_rk4(dynamics, t: float, state: list, u: list, dt: float) -> list:
@@ -73,28 +75,31 @@ class RunReport:
     tube_violations: int
     final_robustness: float
     satisfied: bool
+    # always 0; perfbench/workloads.py reads it until ROADMAP item 3 drops it
     saturated_steps: int = 0
 
 
-def run_settings(m: int, t_f: float, dt: float, weight=None, input_bound=None) -> tuple:
-    """Step count, (m, m) weight (None: identity) and float input bound of a
-    closed-loop run over [0, t_f]; ValueError naming a setting out of range."""
+def run_settings(t_f: float, dt: float, input_bound=None) -> tuple:
+    """Step count and float input bound of a closed-loop run over [0, t_f];
+    ValueError naming a setting out of range, or a dt that does not divide
+    t_f into whole steps (relative tolerance 1e-9)."""
     steps = t_f / dt if dt > 0 else 0.0
     if not 0.5 < steps <= MAX_STEPS:  # so round(steps) is from 1 to MAX_STEPS
         raise ValueError(f"dt must be positive and make 1 to {MAX_STEPS} steps in t_f {t_f}, "
                          f"got {dt}")
-    n_steps = int(round(steps))
-    weight = np.eye(m) if weight is None else np.asarray(weight, dtype=float)
-    _cholesky(weight, m)
+    n_steps = round(steps)
+    if not math.isclose(steps, n_steps, rel_tol=1e-9):
+        raise ValueError(f"dt must divide t_f {t_f} into whole steps, got {dt} "
+                         f"({steps:.6g} steps)")
     if input_bound is not None:
         input_bound = float(input_bound)
         if not input_bound > 0:
             raise ValueError(f"input_bound must be positive, got {input_bound}")
-    return n_steps, weight, input_bound
+    return n_steps, input_bound
 
 
 def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
-                    formula: Formula, *, weight: Optional[np.ndarray] = None,
+                    formula: Formula, *, weight=None,
                     input_bound: Optional[float] = None,
                     until_convention: str = "paper") -> RunReport:
     """Iterate the safety QP and RK4 over [0, t_f] and monitor the result.
@@ -103,18 +108,21 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     input is held constant over each step, and the QP's time-varying terms
     are evaluated at the step's midpoint t + dt/2, so the hold tracks a
     moving tube without the O(dt) lag of sampling at the interval start.
-    When input_bound is given, inputs are clamped per component and the
-    saturation count reported; the invariance argument assumes no clamping.
-    The weight (identity by default) must be symmetric positive definite.
-    `run_settings` checks every setting before the first step.  The barrier
-    is rebuilt once per run, with the same gain, over a `SampledTube` of its
-    tube (see the module docstring).
+    Each step applies the QP's minimum-norm input unchanged.  input_bound,
+    when given, is the actuator limit: a step whose input has a component
+    outside [-input_bound, input_bound] raises SimulationError before that
+    input is applied.  `run_settings` checks every setting before the first
+    step.  The barrier is rebuilt once per run, with the same gain, over a
+    `SampledTube` of its tube (see the module docstring).
     """
-    # only for perfbench/workloads.py, until the next benchmark change (ROADMAP item 3)
+    # weight and until_convention are only for perfbench/workloads.py, until
+    # the next benchmark change (ROADMAP item 3)
+    if weight is not None:
+        raise ValueError(f"weight must be None: the QP is unweighted, got {weight!r}")
     if until_convention != "paper":
         raise ValueError(f"until_convention must be 'paper', got {until_convention!r}")
     t_f = barrier.t_f
-    n_steps, weight, input_bound = run_settings(dynamics.m, t_f, dt, weight, input_bound)
+    n_steps, input_bound = run_settings(t_f, dt, input_bound)
     times = np.linspace(0.0, t_f, n_steps + 1)
     sample_ts = times.tolist()
     holds = [hi - lo for lo, hi in zip(sample_ts, sample_ts[1:])] + [0.0]
@@ -129,14 +137,12 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
         raise SimulationError(f"initial state outside the tube: b(0, x0) = {b0}")
 
     steps: list[ControlStep] = []
-    saturated = 0
     for k, (t, h, t_ctrl) in enumerate(zip(sample_ts, holds, control_ts)):
-        step = solve_safety_qp(barrier, dynamics, weight, t_ctrl, state)
-        if input_bound is not None:
-            clamped = [min(max(v, -input_bound), input_bound) for v in step.u]
-            if clamped != step.u:
-                saturated += 1
-                step.u = clamped
+        step = solve_safety_qp(barrier, dynamics, t_ctrl, state)
+        if input_bound is not None and not all(abs(v) <= input_bound for v in step.u):
+            raise SimulationError(f"input {step.u} over the hold from t={t} leaves "
+                                  f"[-input_bound, input_bound] = "
+                                  f"[{-input_bound}, {input_bound}]")
         # the record carries the true barrier at the sample instant and the
         # input actually applied over the hold interval; step.x is
         # output(state), as the state has not moved since the QP
@@ -156,7 +162,6 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
         tube_violations=int(np.sum(b_vals < 0.0)),
         final_robustness=report.value,
         satisfied=report.satisfied,
-        saturated_steps=saturated,
     )
 
 
@@ -188,23 +193,24 @@ def read_trajectory_signal(path) -> Signal:
     Deliberately ignores every other column so verification stays independent
     of the simulator's own barrier and robustness bookkeeping.
     """
-    try:
-        fh = open(path, newline="")
-    except IsADirectoryError:
-        raise ValueError(f"{path} is a directory, not a trajectory log") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "t":
-            raise ValueError(f"{path}: not a trajectory log (missing t column)")
-        x_cols = [i for i, name in enumerate(header) if name.startswith("x_")]
-        if not x_cols:
-            raise ValueError(f"{path}: no state columns found")
-        times, states = [], []
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
-                                 f"not {len(header)}")
+    reader = csv.reader(io.StringIO(read_text(path, "a trajectory log"), newline=""))
+    header = next(reader, None)
+    if not header or header[0] != "t":
+        raise ValueError(f"{path}: not a trajectory log (missing t column)")
+    x_cols = [i for i, name in enumerate(header) if name.startswith("x_")]
+    if not x_cols:
+        raise ValueError(f"{path}: no state columns found")
+    times, states = [], []
+    for row in reader:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
+                             f"not {len(header)}")
+        try:
             times.append(float(row[0]))
             states.append([float(row[i]) for i in x_cols])
-    return Signal(np.asarray(times), np.asarray(states))
+        except ValueError as e:
+            raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
+    try:
+        return Signal(np.asarray(times), np.asarray(states))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

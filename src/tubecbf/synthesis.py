@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .basis import MAX_COUNT, BernsteinBasis, _check_integer, combine, norm_in_order
-from .cbf import _cholesky, _cholesky_solve
 from .stl import (
     And,
     BallNorm2,
@@ -583,6 +582,40 @@ def _reach_items(formula: Formula) -> list[tuple[float, float, float, float, np.
     return items
 
 
+def _cholesky(w: np.ndarray) -> tuple:
+    """Lower-triangular L with w = L L' for a symmetric positive definite w,
+    row i holding its i + 1 leading entries as Python floats."""
+    low = []
+    for i, wi in enumerate(w.tolist()):
+        li = []
+        for j, lj in enumerate(low):
+            s = wi[j]
+            for lik, ljk in zip(li, lj):
+                s -= lik * ljk
+            li.append(s / lj[j])
+        s = wi[i]
+        for lik in li:
+            s -= lik * lik
+        li.append(math.sqrt(s))
+        low.append(tuple(li))
+    return tuple(low)
+
+
+def _cholesky_solve(low: tuple, b) -> list:
+    """W^-1 b as a list, for W = L L' factored by _cholesky: L y = b top
+    down, then L' v = y in place bottom up, each subtracting in index order."""
+    v = []
+    for bi, li in zip(b, low):
+        for lik, vk in zip(li, v):
+            bi -= lik * vk
+        v.append(bi / li[-1])
+    for i in reversed(range(len(v))):
+        for k in range(i + 1, len(v)):
+            v[i] -= low[k][i] * v[k]
+        v[i] /= low[i][i]
+    return v
+
+
 def warm_start(instance: SOPInstance) -> tuple[np.ndarray, np.ndarray]:
     """Initial coefficients: a piecewise-linear visit of the reach targets in
     deadline order, least-squares fitted in the basis, and the radius at
@@ -634,7 +667,7 @@ def warm_start(instance: SOPInstance) -> tuple[np.ndarray, np.ndarray]:
     a = np.vstack([cb.values(grid).T, anchor_w * cb.values(knot_t).T,
                    2.0 * second_differences])
     b = np.vstack([path.T, anchor_w * knot_x, np.zeros((len(second_differences), n))])
-    low = _cholesky(combine(a.T, a), instance.center_count)
+    low = _cholesky(combine(a.T, a))
     q_c = np.array([_cholesky_solve(low, rhs) for rhs in combine(a.T, b).T.tolist()])
     q_r = np.full(instance.radius_count, 2.0 * instance.min_radius)
 
@@ -819,7 +852,8 @@ def solve_sop(instance: SOPInstance, settings: SolverSettings) -> SynthesisResul
 
     # certificate polish: the search minimizes eta alone, but the
     # certificate needs eta + L(q)*eps <= 0 and L depends on the coefficients;
-    # descend on the full margin when eta alone did not close it
+    # descend on the full margin, which stops at its first evaluation when
+    # that margin already reaches -POLISH_SLACK
     if evals < settings.budget:
         eps_cert = cert_spec.radius
 
@@ -829,15 +863,10 @@ def solve_sop(instance: SOPInstance, settings: SolverSettings) -> SynthesisResul
             lips = np.array([info.combined for info in instance.lipschitz(q_c, q_r)])
             return search_grid.evaluate(q_c, q_r, bound, slack=lips * eps_cert)[0]
 
-        m0 = float(margin_objective(best[None])[0])
-        evals += 1
-        if m0 > -POLISH_SLACK and evals < settings.budget:
-            x, v, used = pattern_search(
-                margin_objective, best, lb, ub, step=STEP0 / 4, min_step=MIN_STEP,
-                budget=settings.budget - evals, target=-POLISH_SLACK)
-            evals += used
-            if v < m0:
-                best = x
+        best, _, used = pattern_search(
+            margin_objective, best, lb, ub, step=STEP0 / 4, min_step=MIN_STEP,
+            budget=settings.budget - evals, target=-POLISH_SLACK)
+        evals += used
 
     q_c, q_r = unpack(best)
     tube = instance.make_tube(q_c, q_r)

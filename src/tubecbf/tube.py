@@ -288,9 +288,20 @@ def save_tube(tube: Tube, path) -> None:
     Path(path).write_text(json.dumps(tube_to_record(tube), indent=2, sort_keys=True) + "\n")
 
 
-def load_tube(path) -> Tube:
+def read_text(path, what: str) -> str:
+    """The text of a UTF-8 input file; ValueError naming path when it is a
+    directory (what says which file was expected) or is not UTF-8."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except IsADirectoryError:
-        raise ValueError(f"{path} is a directory, not a tube record") from None
-    return tube_from_record(json.loads(text))
+        raise ValueError(f"{path} is a directory, not {what}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def load_tube(path) -> Tube:
+    text = read_text(path, "a tube record")
+    try:
+        return tube_from_record(json.loads(text))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

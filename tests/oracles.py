@@ -178,22 +178,21 @@ def oracle_boolean(f: Formula, times, states, t: float = 0.0) -> bool:
     return ev(f, t)
 
 
-def oracle_min_norm_qp(weight, a, psi):
+def oracle_min_norm_qp(a, psi):
     """Single-constraint QP by explicit active-set enumeration.
 
-    min u' W u  s.t.  a.u >= -psi.  Tries the inactive candidate u=0 and the
+    min u.u  s.t.  a.u >= -psi.  Tries the inactive candidate u=0 and the
     active candidate from the equality KKT system, returns the cheapest
     feasible one, or None when neither exists.
     """
-    weight = np.asarray(weight, dtype=float)
     a = np.asarray(a, dtype=float)
     m = len(a)
     candidates = []
     if 0.0 >= -psi - 1e-12:
         candidates.append(np.zeros(m))
-    # active constraint: solve [2W  -a'; a  0] [u; mu] = [0; -psi], require mu >= 0
+    # active constraint: solve [2I  -a'; a  0] [u; mu] = [0; -psi], require mu >= 0
     kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = 2.0 * weight
+    kkt[:m, :m] = 2.0 * np.eye(m)
     kkt[:m, m] = -a
     kkt[m, :m] = a
     rhs = np.zeros(m + 1)
@@ -206,7 +205,7 @@ def oracle_min_norm_qp(weight, a, psi):
         pass
     if not candidates:
         return None
-    return min(candidates, key=lambda u: float(u @ weight @ u))
+    return min(candidates, key=lambda u: float(u @ u))
 
 
 def oracle_pattern_search(func, x0, lb, ub, *, step, min_step, budget, target=None):
@@ -253,10 +252,10 @@ def oracle_pattern_search(func, x0, lb, ub, *, step, min_step, budget, target=No
 
 
 def oracle_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formula, *,
-                       weight=None, input_bound=None,
-                       control_sampling: str = "midpoint") -> RunReport:
+                       input_bound=None, control_sampling: str = "midpoint") -> RunReport:
     """The closed loop evaluated step by step: every barrier, gradient and
-    QP term asks barrier.tube for its basis rows at that step's time."""
+    QP term asks barrier.tube for its basis rows at that step's time.  A step
+    whose input leaves [-input_bound, input_bound] raises SimulationError."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if control_sampling not in ("midpoint", "start"):
@@ -266,7 +265,6 @@ def oracle_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formu
     if n_steps < 1:
         raise ValueError("horizon shorter than one step")
     times = np.linspace(0.0, t_f, n_steps + 1)
-    weight = np.eye(dynamics.m) if weight is None else np.asarray(weight, dtype=float)
 
     x0 = np.asarray(x0, dtype=float)
     state = dynamics.initial_state(x0)
@@ -276,20 +274,16 @@ def oracle_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formu
 
     steps: list[ControlStep] = []
     outputs = np.empty((n_steps + 1, dynamics.n))
-    saturated = 0
     for k, t in enumerate(times):
         t = float(t)
         h = float(times[k + 1] - t) if k < n_steps else 0.0
         t_ctrl = t + h / 2.0 if control_sampling == "midpoint" else t
-        qp = solve_safety_qp(barrier, dynamics, weight, t_ctrl, state)
+        qp = solve_safety_qp(barrier, dynamics, t_ctrl, state)
         u = qp.u
-        if input_bound is not None:
-            clamped = np.clip(u, -input_bound, input_bound)
-            if not np.array_equal(clamped, u):
-                saturated += 1
-                u = clamped
+        if input_bound is not None and np.max(np.abs(u)) > input_bound:
+            raise SimulationError(f"input {u} at t={t} exceeds input_bound {input_bound}")
         # the logged row carries the true barrier at the sample instant and
-        # the input actually applied over the hold interval
+        # the input applied over the hold interval
         x = dynamics.output(state)
         steps.append(ControlStep(t=t, x=x, b=barrier_value(barrier, t, x),
                                  db_dx=qp.db_dx, db_dt=qp.db_dt, lie_f=qp.lie_f,
@@ -310,7 +304,6 @@ def oracle_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formu
         tube_violations=int(np.sum(b_vals < 0.0)),
         final_robustness=report.value,
         satisfied=report.satisfied,
-        saturated_steps=saturated,
     )
 
 
@@ -344,10 +337,10 @@ def _numpy_model(dynamics):
 
 
 def oracle_numpy_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formula, *,
-                             weight=None, input_bound=None) -> RunReport:
-    """run_closed_loop with every step in numpy arithmetic: d @ d and the Lie
-    terms as BLAS products, W^-1 a from np.linalg.solve, and RK4 on arrays.
-    The tube is read through the same SampledTube table."""
+                             input_bound=None) -> RunReport:
+    """run_closed_loop with every step in numpy arithmetic: d @ d, the Lie
+    terms and a @ a as BLAS products, and RK4 on arrays.  The tube is read
+    through the same SampledTube table."""
     initial, output, drift, input_matrix, derivative = _numpy_model(dynamics)
     t_f = barrier.t_f
     n_steps = int(round(t_f / dt))
@@ -355,7 +348,6 @@ def oracle_numpy_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula:
     holds = [hi - lo for lo, hi in zip(sample_ts, sample_ts[1:])] + [0.0]
     control_ts = [t + h / 2.0 for t, h in zip(sample_ts, holds)]
     tube = SampledTube(barrier.tube, [0.0, *sample_ts, *control_ts])
-    weight = np.eye(dynamics.m) if weight is None else np.asarray(weight, dtype=float)
 
     def value(t, x):
         d = x - tube.center(t)
@@ -373,8 +365,7 @@ def oracle_numpy_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula:
         psi = lie_f + db_dt + barrier.gain * value(t, x)
         u = np.zeros(len(lie_g))
         if psi < 0.0:
-            w_inv_a = np.linalg.solve(weight, lie_g)
-            u = w_inv_a * (-psi / float(lie_g @ w_inv_a))
+            u = lie_g * (-psi / float(lie_g @ lie_g))
         return ControlStep(t=t, x=x, b=0.0, db_dx=db_dx, db_dt=db_dt, lie_f=lie_f,
                            lie_g=lie_g, psi=psi, u=u, constraint_active=psi < 0.0)
 
@@ -387,14 +378,10 @@ def oracle_numpy_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula:
 
     state = initial(np.asarray(x0, dtype=float))
     steps = []
-    saturated = 0
     for k, (t, h, t_ctrl) in enumerate(zip(sample_ts, holds, control_ts)):
         step = qp(t_ctrl, state)
-        if input_bound is not None:
-            clamped = np.clip(step.u, -input_bound, input_bound)
-            if not np.array_equal(clamped, step.u):
-                saturated += 1
-                step.u = clamped
+        if input_bound is not None and np.max(np.abs(step.u)) > input_bound:
+            raise SimulationError(f"input {step.u} at t={t} exceeds input_bound {input_bound}")
         step.t, step.b = t, value(t, step.x)
         steps.append(step)
         if k < n_steps:
@@ -405,8 +392,7 @@ def oracle_numpy_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula:
     report = robustness(formula, trajectory, 0.0)
     return RunReport(x0=np.asarray(x0, dtype=float), trajectory=trajectory, steps=steps,
                      min_b=float(b_vals.min()), tube_violations=int(np.sum(b_vals < 0.0)),
-                     final_robustness=report.value, satisfied=report.satisfied,
-                     saturated_steps=saturated)
+                     final_robustness=report.value, satisfied=report.satisfied)
 
 
 def oracle_write_trajectory_log(path, report: RunReport) -> None:

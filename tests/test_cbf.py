@@ -106,31 +106,33 @@ def test_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 
 def test_qp_inactive_when_psi_nonnegative():
-    u = min_norm_input(np.eye(2), np.array([1.0, 0.0]), 0.3)
+    u = min_norm_input([1.0, 0.0], 0.3)
     assert np.array_equal(u, np.zeros(2))
-    assert np.array_equal(min_norm_input(np.eye(2), np.zeros(2), 0.0), np.zeros(2))
+    assert np.array_equal(min_norm_input([0.0, 0.0], 0.0), np.zeros(2))
 
 
 def test_qp_identity_weight_example():
-    u = min_norm_input(np.eye(2), np.array([1.0, 0.0]), -1.0)
-    assert np.allclose(u, [1.0, 0.0], atol=1e-12)
+    # the QP is unweighted: its cost is u.u, the identity metric
+    assert min_norm_input([1.0, 0.0], -1.0) == [1.0, 0.0]
+    assert min_norm_input([3.0, 4.0], -5.0) == [0.6000000000000001, 0.8]
 
 
 def test_qp_infeasible_step():
     with pytest.raises(InfeasibleStepError):
-        min_norm_input(np.eye(2), np.zeros(2), -0.5)
+        min_norm_input([0.0, 0.0], -0.5)
+    # a.a underflows to 0 although a is not 0
+    with pytest.raises(InfeasibleStepError):
+        min_norm_input([1e-200, 0.0], -0.5)
 
 
 def test_qp_matches_enumeration_oracle():
     rng = np.random.default_rng(5)
     for _ in range(300):
         m = int(rng.integers(1, 5))
-        root = rng.normal(size=(m, m))
-        weight = root @ root.T + 0.1 * np.eye(m)
         a = rng.normal(size=m)
         psi = float(rng.normal())
-        u = min_norm_input(weight, a, psi)
-        want = oracle_min_norm_qp(weight, a, psi)
+        u = min_norm_input(a.tolist(), psi)
+        want = oracle_min_norm_qp(a, psi)
         assert want is not None
         assert np.allclose(u, want, atol=1e-8)
         # constraint holds, with equality when active
@@ -143,15 +145,13 @@ def test_qp_optimality_against_perturbations():
     rng = np.random.default_rng(6)
     for _ in range(50):
         m = 3
-        root = rng.normal(size=(m, m))
-        weight = root @ root.T + 0.2 * np.eye(m)
         a = rng.normal(size=m)
         psi = float(-abs(rng.normal()) - 0.1)
-        u = min_norm_input(weight, a, psi)
-        cost = float(u @ weight @ u)
+        u = np.array(min_norm_input(a.tolist(), psi))
+        cost = float(u @ u)
         for _ in range(20):
             v = u + rng.normal(scale=0.1, size=m)
-            if float(v @ weight @ v) < cost - 1e-12:
+            if float(v @ v) < cost - 1e-12:
                 assert float(a @ v) + psi < -1e-12  # cheaper points are infeasible
 
 
@@ -169,7 +169,7 @@ def test_solve_safety_qp_constraint_residual():
         c = barrier.tube.center(t)
         r = barrier.tube.radius(t)
         x = c + rng.uniform(-1, 1, size=2) * r
-        step = solve_safety_qp(barrier, robot, np.eye(2), t, x)
+        step = solve_safety_qp(barrier, robot, t, x)
         residual = step.lie_f + float(np.asarray(step.lie_g) @ np.asarray(step.u)) + step.db_dt + barrier.alpha(step.b)
         assert residual >= -1e-9
         if step.constraint_active:

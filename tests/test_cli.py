@@ -70,7 +70,7 @@ def test_config_round_trip(tmp_path):
 
 
 def test_config_built_with_tuples_dumps_and_round_trips():
-    data = {**BASE, "start": (4.5, 4.5), "x0": (4.0, 5.0), "control_weight": (1.0, 2.0),
+    data = {**BASE, "start": (4.5, 4.5), "x0": (4.0, 5.0),
             "predicates": {"T": {"kind": "box", "center": (4.5, 4.5), "halfwidth": 3.5}}}
     cfg = ScenarioConfig(**data)
     text = yaml.safe_dump(cfg.to_dict(), sort_keys=True)
@@ -200,13 +200,16 @@ def test_malformed_yaml_exits_2_naming_the_file(tmp_path, capsys):
     ({"x0_seed": 0}, "x0_seed"),
     # every Until follows the source paper's rule
     ({"until_convention": "paper"}, "unknown keys ['until_convention']"),
+    # the safety QP is unweighted
+    ({"control_weight": [1.0, 1.0]}, "unknown keys ['control_weight']"),
 ], ids=["misspelt-solver-key", "removed-solver-key", "cover-counts-missing-key",
         "cover-counts-wrong-dimension", "search-cover-unknown-key", "unknown-basis-kind",
         "no-cover", "removed-basis-kind", "removed-pin-start",
         "misspelt-dynamics-parameter", "dynamics-parameter-of-another-kind",
         "dynamics-parameter-named-like-an-argument",
         "name-leaves-out-dir", "name-with-separator", "name-parent-dir", "empty-name",
-        "name-not-a-string", "removed-x0-seed", "removed-until-convention"])
+        "name-not-a-string", "removed-x0-seed", "removed-until-convention",
+        "removed-control-weight"])
 def test_check_bad_nested_block_exits_2(tmp_path, capsys, overrides, named):
     data = {k: v for k, v in {**BASE, **overrides}.items() if v is not None}
     cfg = tmp_path / "scenario.yaml"
@@ -221,6 +224,8 @@ def test_check_bad_nested_block_exits_2(tmp_path, capsys, overrides, named):
     ({"center_box_scale": -1.0}, "center_box_scale"),
     ({"radius_max": -0.5}, "radius_max"),
     ({"gain": -5.0}, "gain"),
+    # control_weight is no longer a key, so this and the cases below that set
+    # it exit 2 naming it as an unknown key
     ({"control_weight": [0.0, 1.0]}, "control_weight"),
     ({"input_bound": -1.0}, "input_bound"),
     ({"solver": {"budget": -5}}, "budget"),
@@ -425,6 +430,19 @@ def test_check_nonpositive_horizon_or_step_exits_2(tmp_path, capsys, overrides, 
     assert f"{named} must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, dt", [("stlfrag_2", 0.07), ("stlfrag_2", 15.0),
+                                        ("omni_reach_avoid", 0.055)])
+def test_check_dt_that_does_not_divide_t_f_exits_2(tmp_path, capsys, config, dt):
+    # the run would take round(t_f / dt) steps of another length than dt
+    # (143 steps of 0.06993 s for 0.07 on t_f = 10, one step of 10 s for 15)
+    data = yaml.safe_load((ROOT / "configs" / f"{config}.yaml").read_text())
+    cfg = tmp_path / f"{config}.yaml"
+    cfg.write_text(yaml.safe_dump({**data, "dt": dt}))
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert f"dt must divide t_f {float(data['t_f'])} into whole steps, got {dt}" \
+        in capsys.readouterr().err
+
+
 def test_epsilon_beside_cover_counts_is_refused(tmp_path, capsys):
     # either key sets the cover, so a config that sets both is ambiguous
     counts = {"theta": [10], "lambda": 3, "tau": 12}
@@ -603,6 +621,26 @@ def test_simulate_vanishing_radius_exits_4(tmp_path, capsys):
     assert "tube radius" in capsys.readouterr().err
 
 
+def test_simulate_input_over_its_bound_exits_4(tmp_path, capsys):
+    # the reference omni run reaches |u_i| = 2.27; a bound of 2, written as
+    # YAML's integer 2, refuses the step that needs more, and no log is left
+    tube_path = ROOT / "perfbench" / "ref" / "omni_reach_avoid_tube.json"
+    data = yaml.safe_load((ROOT / "configs" / "omni_reach_avoid.yaml").read_text())
+    cfg = tmp_path / "omni_reach_avoid.yaml"
+    cfg.write_text(yaml.safe_dump({**data, "input_bound": 2}))
+    assert isinstance(load_config(cfg).input_bound, int)
+    out = tmp_path / "out"
+    for argv in (["simulate", "--config", str(cfg), "--tube", str(tube_path)], ["bench", str(cfg)]):
+        assert main([*argv, "--seed", "0", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "runtime failure: input" in err and "input_bound" in err and "t=" in err
+        assert not (out / "omni_reach_avoid_trajectory.csv").exists()
+        assert not (out / "omni_reach_avoid_report.json").exists()
+    cfg.write_text(yaml.safe_dump({**data, "input_bound": 2.5}))
+    assert main(["simulate", "--config", str(cfg), "--tube", str(tube_path),
+                 "--out", str(out)]) == 0
+
+
 def test_simulate_rejects_a_tube_record_of_another_basis(tmp_path, capsys):
     # a record's q_c and q_r are Bernstein control points; read as such, the
     # power-form coefficients of this static tube would describe another curve
@@ -656,7 +694,7 @@ def test_simulate_malformed_tube_record_exits_2(tmp_path, capsys, record, named)
     assert main(["simulate", "--config", str(cfg), "--tube", str(tube_path),
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert named in err and "Traceback" not in err
+    assert f"error: {tube_path}: " in err and named in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", ["omni_reach_avoid", "quadrotor_cycle"])
@@ -694,7 +732,8 @@ _LOG = "t,x_1,x_2,u_1,u_2,b,psi,active\n0,4.5,4.5,0,0,1,0,0\n4,4.5,4.5,0,0,1,0,0
     ("", "not a trajectory log"),
     (_LOG + "\n", "line 4"),
     (_LOG + "4.5,4.5,4.5\n", "line 4"),
-], ids=["empty-file", "trailing-blank-line", "short-row"])
+    (_LOG.replace("\n4,", "\n-1,"), "run.csv: times must be strictly increasing"),
+], ids=["empty-file", "trailing-blank-line", "short-row", "decreasing-times"])
 def test_verify_malformed_log_exits_2(tmp_path, capsys, text, named):
     log = tmp_path / "run.csv"
     log.write_text(text)
@@ -702,6 +741,36 @@ def test_verify_malformed_log_exits_2(tmp_path, capsys, text, named):
     assert main(["verify", "--config", str(cfg), "--log", str(log)]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "verify"])
+@pytest.mark.parametrize("fault", ["not-utf-8", "malformed"])
+def test_input_file_errors_name_the_file(tmp_path, capsys, command, fault):
+    # a non-number in a log row, a tube record that is not JSON, and a
+    # config, tube or log that is not UTF-8 each name the file (a log also
+    # its line), as a YAML error does
+    cfg = _write_config(tmp_path)
+    bad = tmp_path / {"check": "bad.yaml", "simulate": "bad_tube.json",
+                      "verify": "bad.csv"}[command]
+    if fault == "not-utf-8":
+        bad.write_bytes(b"name: \xff\n")
+        where = f"{bad}: 'utf-8' codec can't decode byte 0xff"
+    elif command == "check":
+        bad.write_text("name: [unclosed\n")
+        where = f"{bad}: "
+    elif command == "simulate":
+        bad.write_text('{"n": 2,}')
+        where = f"{bad}: Expecting property name enclosed in double quotes"
+    else:
+        bad.write_text(_LOG.replace("4,4.5,4.5", "4,abc,4.5"))
+        where = f"{bad}: line 3: could not convert string to float: 'abc'"
+    argv = {"check": ["check", "--config", str(bad)],
+            "simulate": ["simulate", "--config", str(cfg), "--tube", str(bad),
+                         "--out", str(tmp_path / "out")],
+            "verify": ["verify", "--config", str(cfg), "--log", str(bad)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {where}" in err and "Traceback" not in err
 
 
 def test_verify_rejects_obstacle_crossing(tmp_path):

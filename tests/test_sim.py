@@ -192,7 +192,7 @@ def _loop_args(config, tube, x0_seed):
     scenario config and tube."""
     args = (config.make_dynamics(), Barrier(tube, gain=config.gain),
             config.pick_x0(tube, seed=x0_seed), config.dt, config.build_formula())
-    kwargs = dict(weight=config.weight_matrix(), input_bound=config.input_bound)
+    kwargs = dict(input_bound=config.input_bound)
     return args, kwargs
 
 
@@ -242,8 +242,8 @@ def _assert_same_run(tmp_path, got, want):
     write_trajectory_log(tmp_path / "got.csv", got)
     write_trajectory_log(tmp_path / "want.csv", want)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    assert (got.min_b, got.tube_violations, got.final_robustness, got.saturated_steps) \
-        == (want.min_b, want.tube_violations, want.final_robustness, want.saturated_steps)
+    assert (got.min_b, got.tube_violations, got.final_robustness) \
+        == (want.min_b, want.tube_violations, want.final_robustness)
 
 
 @pytest.mark.parametrize("x0_seed", [0, 3])
@@ -276,57 +276,83 @@ class _ListIntegrator:
         return list(u)
 
 
-# an integer bound, as YAML reads `input_bound: 1`, must still clamp to floats
+def _first_step_over(report, bound):
+    """The sample instant of the first step of report with an input over bound."""
+    return next(s.t for s in report.steps if max(map(abs, s.u)) > bound)
+
+
+# an integer bound, as YAML reads `input_bound: 1`, refuses as its float does
 @pytest.mark.parametrize("input_bound", [None, 1])
 def test_closed_loop_runs_any_model_of_float_lists(tmp_path, input_bound):
     (omni, *args), kwargs = _ref_loop_args("omni_reach_avoid", 0)
-    kwargs["input_bound"] = input_bound
     got = run_closed_loop(_ListIntegrator(), *args, **kwargs)
     want = run_closed_loop(omni, *args, **kwargs)
     _assert_same_run(tmp_path, got, want)
     assert any(s.constraint_active for s in got.steps)
-    assert (got.saturated_steps > 0) == (input_bound is not None)
     for report in (got, want):
         for s in report.steps:
             values = [s.t, *s.x, s.b, *s.db_dx, s.db_dt, s.lie_f, *s.lie_g, s.psi, *s.u]
             assert all(type(v) is float for v in values), s
+    if input_bound is not None:
+        # omni's run reaches |u_i| = 2.27, so each model refuses the same step
+        messages = []
+        for model, bound in ((_ListIntegrator(), input_bound), (omni, input_bound),
+                             (omni, float(input_bound))):
+            with pytest.raises(SimulationError, match="input_bound") as refused:
+                run_closed_loop(model, *args, input_bound=bound)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1] == messages[2]
+        assert f"t={_first_step_over(want, input_bound)} " in messages[0]
 
 
-@pytest.mark.parametrize("name, weight", [
-    ("omni_reach_avoid", None),
-    ("omni_reach_avoid", [1.0, 4.0]),
-    ("diffdrive_sequential", None),
-    ("diffdrive_sequential", [1.0, 4.0]),
-    ("quadrotor_cycle", None),
-], ids=["omni", "omni-diag-1-4", "diffdrive", "diffdrive-diag-1-4", "quadrotor"])
-def test_closed_loop_input_bound_and_weight_replay_oracle(tmp_path, name, weight):
-    # no shipped config bounds or weights the input; these runs clamp tens to
-    # hundreds of steps (the quadrotor's on both signs), and the weighted ones
-    # solve the QP in the diag(1, 4) metric, which the oracle is handed
-    # directly rather than by the config
+@pytest.mark.parametrize("name, steps, active", [
+    ("omni_reach_avoid", 121, 85),
+    ("diffdrive_sequential", 301, 297),
+    ("quadrotor_cycle", 421, 418),
+], ids=["omni", "diffdrive", "quadrotor"])
+def test_closed_loop_input_bound_and_weight_replay_oracle(tmp_path, monkeypatch, name, steps,
+                                                           active):
+    # the loop applies the unweighted QP's input unchanged: no shipped config
+    # bounds the input, and a bound at the run's peak |u_i| leaves the run as
+    # it is, replayed by both oracles over its many active steps (the numpy
+    # one unbounded, as its fused products may pass the peak by an ulp).  A
+    # bound just below the peak refuses the step that reaches it, before its
+    # RK4 step, in the loop as in the step-by-step oracle
     config, tube = _reference(name)
-    config = dataclasses.replace(config, input_bound=1.5, control_weight=weight)
+    free = config.closed_loop(tube, seed=0)
+    assert (len(free.steps), sum(s.constraint_active for s in free.steps)) == (steps, active)
+    peak = max(abs(v) for s in free.steps for v in s.u)
+    config = dataclasses.replace(config, input_bound=peak)
     args, kwargs = _loop_args(config, tube, 0)
-    kwargs["weight"] = None if weight is None else np.diag(weight)
     got = config.closed_loop(tube, seed=0)
+    _assert_same_run(tmp_path, got, free)
     _assert_same_run(tmp_path, got, oracle_closed_loop(*args, **kwargs))
-    assert got.saturated_steps > 0
-    _assert_runs_agree(got, oracle_numpy_closed_loop(*args, **kwargs), 1e-7, relative=True)
+    _assert_runs_agree(got, oracle_numpy_closed_loop(*args), 1e-12)
+
+    below = math.nextafter(peak, 0.0)
+    last = _first_step_over(free, below)
+    applied = []
+    monkeypatch.setattr(simulate, "step_rk4",
+                        lambda dyn, t, *a: applied.append(t) or step_rk4(dyn, t, *a))
+    with pytest.raises(SimulationError, match="input_bound") as refused:
+        run_closed_loop(*args, input_bound=below)
+    assert f"t={last} " in str(refused.value) and str(below) in str(refused.value)
+    assert applied == [s.t for s in free.steps if s.t < last]
+    with pytest.raises(SimulationError, match=f"t={last} "):
+        oracle_closed_loop(*args, input_bound=below)
 
 
-def _assert_runs_agree(got, want, tol, relative=False):
-    """Same steps, active flags and clamp count; x, u, b, psi, min_b and the
-    robustness within tol, absolute or relative to max(1, |want|)."""
+def _assert_runs_agree(got, want, tol):
+    """Same steps and active flags; x, u, b, psi, min_b and the robustness
+    within tol."""
     assert [s.t for s in got.steps] == [s.t for s in want.steps]
     assert [s.constraint_active for s in got.steps] == \
         [s.constraint_active for s in want.steps]
-    assert got.saturated_steps == want.saturated_steps
     pairs = [(np.array([getattr(s, f) for s in got.steps]),
               np.array([getattr(s, f) for s in want.steps])) for f in ("x", "u", "b", "psi")]
     pairs += [(got.min_b, want.min_b), (got.final_robustness, want.final_robustness)]
     for g, w in pairs:
-        scale = np.maximum(1.0, np.abs(w)) if relative else 1.0
-        assert np.all(np.abs(np.asarray(g) - w) <= tol * scale)
+        assert np.all(np.abs(np.asarray(g) - w) <= tol)
 
 
 @pytest.mark.parametrize("name", REF_SCENARIOS)
@@ -346,11 +372,15 @@ def test_closed_loop_matches_numpy_step_arithmetic(name):
     (dict(until_convention="standard"), "until_convention"),
     (dict(dt=0.0), "dt"),
     (dict(dt=1e-9), "dt"),
-], ids=["negative-bound", "zero-bound", "unknown-convention", "zero-dt", "too-many-steps"])
+    (dict(dt=0.07), "dt must divide t_f 2.0 into whole steps, got 0.07"),
+    (dict(dt=3.0), "dt must divide t_f 2.0 into whole steps, got 3.0"),
+], ids=["negative-bound", "zero-bound", "unknown-convention", "zero-dt", "too-many-steps",
+        "dt-not-dividing-t_f", "dt-over-t_f"])
 def test_closed_loop_checks_its_settings_before_the_first_step(monkeypatch, settings, named):
-    # a negative bound would clamp every input to it, an Until semantics other
-    # than the paper's would only fail in the monitor after the whole run, and
-    # 10**9 steps would run for hours
+    # a bound that is not positive would refuse every step, an Until
+    # semantics other than the paper's would only fail in the monitor after
+    # the whole run, 10**9 steps would run for hours, and a dt that does not
+    # divide t_f would run at another step than the one configured
     calls = []
     monkeypatch.setattr(simulate, "solve_safety_qp",
                         lambda *a: calls.append(a) or cbf.solve_safety_qp(*a))
@@ -363,11 +393,12 @@ def test_closed_loop_checks_its_settings_before_the_first_step(monkeypatch, sett
 
 
 @pytest.mark.parametrize("weight", [np.eye(3), -np.eye(2), np.zeros((2, 2)),
-                                    np.array([[1.0, 0.5], [0.0, 1.0]])],
-                         ids=["3x3", "minus-identity", "zero", "asymmetric"])
+                                    np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2)],
+                         ids=["3x3", "minus-identity", "zero", "asymmetric", "identity"])
 def test_closed_loop_checks_the_weight_before_the_first_step(monkeypatch, weight):
+    # the QP is unweighted, so every weight, the identity too, is refused;
     # started at the center of a static tube no step is active, so no step's
-    # QP would ever read the weight
+    # QP would ever read one
     calls = []
     monkeypatch.setattr(simulate, "solve_safety_qp",
                         lambda *a: calls.append(a) or cbf.solve_safety_qp(*a))
@@ -375,8 +406,7 @@ def test_closed_loop_checks_the_weight_before_the_first_step(monkeypatch, weight
     with pytest.raises(ValueError, match="weight"):
         run_closed_loop(OmniRobot(2), barrier, np.zeros(2), 0.05, STAY, weight=weight)
     assert calls == []
-    report = run_closed_loop(OmniRobot(2), barrier, np.zeros(2), 0.05, STAY,
-                             weight=np.diag([1.0, 4.0]))
+    report = run_closed_loop(OmniRobot(2), barrier, np.zeros(2), 0.05, STAY, weight=None)
     assert len(report.steps) == 41 and not any(s.constraint_active for s in report.steps)
 
 
