@@ -23,7 +23,6 @@ from .simulate import (
     SimulationError,
     read_trajectory_signal,
     run_closed_loop,
-    step_rk4,
     write_trajectory_log,
 )
 from .stl import (

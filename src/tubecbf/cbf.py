@@ -8,7 +8,6 @@ sum runs in index order from 0.0, and no call reaches BLAS or LAPACK."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .tube import SampledTube, Tube
 
@@ -30,7 +29,7 @@ class Barrier:
     the radius checks below then read its tabulated radius.
     """
 
-    tube: Union[Tube, SampledTube]
+    tube: Tube | SampledTube
     gain: float = 5.0
 
     def __post_init__(self):
@@ -124,18 +123,18 @@ def solve_safety_qp(barrier: Barrier, dynamics, t: float, state) -> ControlStep:
     """Minimum-norm input keeping the barrier nonnegative at one step.
 
     dynamics provides the control-affine terms of the certified output:
-    drift(t, state) -> n floats and input_matrix(t, state) -> n rows of m
-    floats; state is the dynamics-internal state, whose output(state) lives
-    in barrier space.  The Lie terms are index-order sums on Python floats,
-    as in min_norm_input.
+    drift(state) -> n floats and input_matrix(state) -> n rows of m floats
+    of the dynamics-internal state, whose output(state) lives in barrier
+    space.  The Lie terms are index-order sums on Python floats, as in
+    min_norm_input.
     """
     x = dynamics.output(state)
     b = barrier_value(barrier, t, x)
     db_dx, db_dt = barrier_gradients(barrier, t, x)
-    g = dynamics.input_matrix(t, state)
+    g = dynamics.input_matrix(state)
     lie_f = 0.0
     lie_g = [0.0] * len(g[0])
-    for dbi, fi, gi in zip(db_dx, dynamics.drift(t, state), g):
+    for dbi, fi, gi in zip(db_dx, dynamics.drift(state), g):
         lie_f += dbi * fi
         for j, gij in enumerate(gi):
             lie_g[j] += dbi * gij

@@ -145,10 +145,13 @@ def cmd_verify(args) -> int:
     config = load_config(args.config)
     signal = read_trajectory_signal(args.log)
     if signal.dimension != config.dimension:
-        raise ConfigError(
-            f"log dimension {signal.dimension} does not match config {config.dimension}")
+        raise ConfigError(f"{args.log}: log dimension {signal.dimension} does not match "
+                          f"config {config.dimension}")
     formula = config.build_formula()
-    report = robustness(formula, signal, 0.0)
+    try:
+        report = robustness(formula, signal, 0.0)
+    except ValueError as e:  # a log that ends before the formula's horizon
+        raise ValueError(f"{args.log}: {e}") from None
     print(f"robustness: {report.value:.9g}")
     print("verdict: satisfied" if report.satisfied else "verdict: NOT satisfied")
     return EXIT_OK if report.satisfied else EXIT_UNCERTIFIED

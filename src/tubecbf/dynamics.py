@@ -1,10 +1,10 @@
 """Control-affine vehicle models.
 
-Each model exposes two views: the internal simulation state (integrated by
-RK4) and the certified output, a position-level point whose dynamics are
-control-affine (drift + input_matrix).  For the holonomic models the two
-coincide; the differential drive controls a look-ahead point so its position
-loop is square and invertible.
+Each model exposes two views: the internal simulation state, which `hold`
+moves by its exact flow under a held input, and the certified output, a
+position-level point with control-affine dynamics (drift + input_matrix).
+For the holonomic models the two coincide; the differential drive controls
+a look-ahead point so its position loop is square and invertible.
 
 The closed loop calls these terms on every step with states of n <= 3
 entries, so states, outputs, inputs, drifts and input-matrix rows are lists
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -48,14 +47,14 @@ class OmniRobot:
     def output(self, state) -> list:
         return list(state)
 
-    def drift(self, t: float, state) -> tuple:
+    def drift(self, state) -> tuple:
         return _ZERO_DRIFT[self.n]
 
-    def input_matrix(self, t: float, state) -> tuple:
+    def input_matrix(self, state) -> tuple:
         return _IDENTITY[self.n]
 
-    def state_derivative(self, t: float, state, u):
-        return u
+    def hold(self, state, u, dt: float) -> list:
+        return [xi + dt * ui for xi, ui in zip(state, u)]
 
 
 @dataclass(frozen=True)
@@ -90,18 +89,23 @@ class DiffDrive:
         px, py, phi = state
         return [px + self.lookahead * math.cos(phi), py + self.lookahead * math.sin(phi)]
 
-    def drift(self, t: float, state) -> tuple:
+    def drift(self, state) -> tuple:
         return _ZERO_DRIFT[2]
 
-    def input_matrix(self, t: float, state) -> tuple:
+    def input_matrix(self, state) -> tuple:
         phi = state[2]
         c, s = math.cos(phi), math.sin(phi)
         return ((c, -self.lookahead * s), (s, self.lookahead * c))
 
-    def state_derivative(self, t: float, state, u) -> list:
-        phi = state[2]
+    def hold(self, state, u, dt: float) -> list:
+        """State after holding (v, omega) for dt: the heading turns by omega dt
+        and the position moves v dt sinc(omega dt / 2) along the mid-arc heading."""
+        px, py, phi = state
         v, omega = u
-        return [v * math.cos(phi), v * math.sin(phi), omega]
+        half = omega * dt / 2
+        chord = v * dt * (math.sin(half) / half if half != 0.0 else 1.0)
+        mid = phi + half
+        return [px + chord * math.cos(mid), py + chord * math.sin(mid), phi + omega * dt]
 
 
 # each kind's output dimensions (the first is the default) and the
@@ -114,7 +118,7 @@ DYNAMICS_KINDS = {
 }
 
 
-def make_dynamics(kind: str, n: Optional[int] = None, /, **params):
+def make_dynamics(kind: str, n: int | None = None, /, **params):
     """Model of a named kind with output dimension n (default: the smallest
     the kind supports).  ValueError for an unknown kind, for a dimension the
     kind does not support, or for a parameter the kind does not read."""

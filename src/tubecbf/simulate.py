@@ -10,9 +10,9 @@ the tube's own evaluation does, so every barrier value, input and log byte
 equals a per-step evaluation of the tube.
 
 The steps themselves run on Python floats: the model's state, output and
-input are lists of floats from `initial_state` to the log row, and the
-barrier, its gradients, the Lie terms, the QP's closed form and the RK4
-stages sum in index order.
+input are lists of floats from `initial_state` to the log row, the barrier,
+its gradients, the Lie terms and the QP's closed form sum in index order, and
+the model's own `hold` moves the state over each step.
 No step calls BLAS or LAPACK.  With n <= 3 the numpy call overhead
 outweighed the arithmetic many times over.
 """
@@ -23,7 +23,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,23 +41,13 @@ class SimulationError(RuntimeError):
     an input beyond the actuator limit)."""
 
 
+# named for the integrator it once ran: perfbench/tracing.py wraps it as the
+# simulate.rk4 span until ROADMAP item 3 renames it
 def step_rk4(dynamics, t: float, state: list, u: list, dt: float) -> list:
-    """Classical 4th-order Runge-Kutta step holding u constant over [t, t+dt].
-
-    state, u and what `dynamics.state_derivative(t, state, u)` returns are
-    lists (or tuples) of floats; the stages are combined on Python floats and
-    the next state is returned as a list."""
+    """State after holding u over [t, t+dt] by `dynamics.hold`, checked finite."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    rate = dynamics.state_derivative
-    half = dt / 2
-    k1 = rate(t, state, u)
-    k2 = rate(t + half, [xi + half * ki for xi, ki in zip(state, k1)], u)
-    k3 = rate(t + half, [xi + half * ki for xi, ki in zip(state, k2)], u)
-    k4 = rate(t + dt, [xi + dt * ki for xi, ki in zip(state, k3)], u)
-    sixth = dt / 6
-    out = [xi + sixth * (a + 2 * b + 2 * c + d)
-           for xi, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    out = dynamics.hold(state, u, dt)
     if not all(map(math.isfinite, out)):
         raise SimulationError(f"non-finite state after step at t={t}")
     return out
@@ -100,9 +89,9 @@ def run_settings(t_f: float, dt: float, input_bound=None) -> tuple:
 
 def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
                     formula: Formula, *, weight=None,
-                    input_bound: Optional[float] = None,
+                    input_bound: float | None = None,
                     until_convention: str = "paper") -> RunReport:
-    """Iterate the safety QP and RK4 over [0, t_f] and monitor the result.
+    """Iterate the safety QP and `dynamics.hold` over [0, t_f]; monitor the result.
 
     x0 is the initial certified output and must satisfy b(0, x0) >= 0.  The
     input is held constant over each step, and the QP's time-varying terms
@@ -111,9 +100,10 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     Each step applies the QP's minimum-norm input unchanged.  input_bound,
     when given, is the actuator limit: a step whose input has a component
     outside [-input_bound, input_bound] raises SimulationError before that
-    input is applied.  `run_settings` checks every setting before the first
-    step.  The barrier is rebuilt once per run, with the same gain, over a
-    `SampledTube` of its tube (see the module docstring).
+    input is applied.  `run_settings` checks every setting, and a model
+    without `hold` is refused, before the first step.  The barrier is
+    rebuilt once per run, with the same gain, over a `SampledTube` of its
+    tube (see the module docstring).
     """
     # weight and until_convention are only for perfbench/workloads.py, until
     # the next benchmark change (ROADMAP item 3)
@@ -121,6 +111,8 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
         raise ValueError(f"weight must be None: the QP is unweighted, got {weight!r}")
     if until_convention != "paper":
         raise ValueError(f"until_convention must be 'paper', got {until_convention!r}")
+    if not callable(getattr(dynamics, "hold", None)):
+        raise TypeError(f"{type(dynamics).__name__} has no hold(state, u, dt), its exact flow")
     t_f = barrier.t_f
     n_steps, input_bound = run_settings(t_f, dt, input_bound)
     times = np.linspace(0.0, t_f, n_steps + 1)

@@ -5,10 +5,10 @@ direct recursion: no code is shared with the implementation under test beyond
 the formula node types themselves.  The exceptions are the two closed-loop
 oracles.  oracle_closed_loop is a replay oracle: the closed loop's
 step-by-step reference form, which calls the library's QP, barrier,
-integrator and monitor on the plain tube.  oracle_numpy_closed_loop keeps the
-library's tube table and monitor but does each step in the numpy arithmetic
-the library used before its steps moved to Python floats: BLAS products, an
-np.linalg.solve minimum-norm input and array RK4 stages.
+model flow and monitor on the plain tube.  oracle_numpy_closed_loop keeps the
+library's tube table and monitor but does each step in numpy arithmetic:
+BLAS products, the minimum-norm input as an array expression and each
+model's exact flow on arrays, its arc through np.sinc.
 oracle_write_trajectory_log is the trajectory log written field by field
 through Python's csv writer.  oracle_bernstein_second_derivatives is the
 reference for the basis' control-point bound on the second derivative.
@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from tubecbf.cbf import Barrier, ControlStep, barrier_value, solve_safety_qp
-from tubecbf.simulate import RunReport, SimulationError, step_rk4
+from tubecbf.simulate import RunReport, SimulationError
 from tubecbf.stl import (
     Always,
     And,
@@ -252,14 +252,12 @@ def oracle_pattern_search(func, x0, lb, ub, *, step, min_step, budget, target=No
 
 
 def oracle_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formula, *,
-                       input_bound=None, control_sampling: str = "midpoint") -> RunReport:
+                       input_bound=None) -> RunReport:
     """The closed loop evaluated step by step: every barrier, gradient and
     QP term asks barrier.tube for its basis rows at that step's time.  A step
     whose input leaves [-input_bound, input_bound] raises SimulationError."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if control_sampling not in ("midpoint", "start"):
-        raise ValueError(f"unknown control sampling {control_sampling!r}")
     t_f = barrier.t_f
     n_steps = int(round(t_f / dt))
     if n_steps < 1:
@@ -277,8 +275,7 @@ def oracle_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formu
     for k, t in enumerate(times):
         t = float(t)
         h = float(times[k + 1] - t) if k < n_steps else 0.0
-        t_ctrl = t + h / 2.0 if control_sampling == "midpoint" else t
-        qp = solve_safety_qp(barrier, dynamics, t_ctrl, state)
+        qp = solve_safety_qp(barrier, dynamics, t + h / 2.0, state)
         u = qp.u
         if input_bound is not None and np.max(np.abs(u)) > input_bound:
             raise SimulationError(f"input {u} at t={t} exceeds input_bound {input_bound}")
@@ -291,7 +288,7 @@ def oracle_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formu
                                  constraint_active=qp.constraint_active))
         outputs[k] = x
         if k < n_steps:
-            state = step_rk4(dynamics, t, state, u, h)
+            state = dynamics.hold(state, u, h)
 
     trajectory = Signal(times, outputs)
     b_vals = np.array([s.b for s in steps])
@@ -308,8 +305,8 @@ def oracle_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formu
 
 
 def _numpy_model(dynamics):
-    """initial_state, output, drift, input_matrix and state_derivative of one
-    of the package's models, in numpy arithmetic on arrays."""
+    """initial_state, output, drift, input_matrix and hold of one of the
+    package's models, in numpy arithmetic on arrays."""
     if type(dynamics).__name__ == "DiffDrive":
         look, phi0 = dynamics.lookahead, dynamics.phi0
 
@@ -325,23 +322,26 @@ def _numpy_model(dynamics):
             c, s = np.cos(state[2]), np.sin(state[2])
             return np.array([[c, -look * s], [s, look * c]])
 
-        def derivative(state, u):
+        def hold(state, u, h):
+            # the chord of the arc turned by omega h: np.sinc(x) = sin(pi x)/(pi x)
             v, omega = u
-            return np.array([v * np.cos(state[2]), v * np.sin(state[2]), omega])
+            mid = state[2] + omega * h / 2
+            chord = v * h * np.sinc(omega * h / (2 * np.pi))
+            return state + np.array([chord * np.cos(mid), chord * np.sin(mid), omega * h])
 
-        return initial, output, np.zeros(2), input_matrix, derivative
+        return initial, output, np.zeros(2), input_matrix, hold
     # the single integrator, in 2-D or 3-D (the quadrotor)
     n = dynamics.n
     return (np.array, np.asarray, np.zeros(n), lambda state: np.eye(n),
-            lambda state, u: np.asarray(u, dtype=float))
+            lambda state, u, h: state + h * np.asarray(u, dtype=float))
 
 
 def oracle_numpy_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formula, *,
                              input_bound=None) -> RunReport:
     """run_closed_loop with every step in numpy arithmetic: d @ d, the Lie
-    terms and a @ a as BLAS products, and RK4 on arrays.  The tube is read
-    through the same SampledTube table."""
-    initial, output, drift, input_matrix, derivative = _numpy_model(dynamics)
+    terms and a @ a as BLAS products, and the model's flow on arrays.  The
+    tube is read through the same SampledTube table."""
+    initial, output, drift, input_matrix, hold = _numpy_model(dynamics)
     t_f = barrier.t_f
     n_steps = int(round(t_f / dt))
     sample_ts = np.linspace(0.0, t_f, n_steps + 1).tolist()
@@ -369,13 +369,6 @@ def oracle_numpy_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula:
         return ControlStep(t=t, x=x, b=0.0, db_dx=db_dx, db_dt=db_dt, lie_f=lie_f,
                            lie_g=lie_g, psi=psi, u=u, constraint_active=psi < 0.0)
 
-    def rk4(state, u, h):
-        k1 = derivative(state, u)
-        k2 = derivative(state + h / 2 * k1, u)
-        k3 = derivative(state + h / 2 * k2, u)
-        k4 = derivative(state + h * k3, u)
-        return state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
     state = initial(np.asarray(x0, dtype=float))
     steps = []
     for k, (t, h, t_ctrl) in enumerate(zip(sample_ts, holds, control_ts)):
@@ -385,7 +378,7 @@ def oracle_numpy_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula:
         step.t, step.b = t, value(t, step.x)
         steps.append(step)
         if k < n_steps:
-            state = rk4(state, step.u, h)
+            state = hold(state, step.u, h)
 
     trajectory = Signal(np.array(sample_ts), np.array([s.x for s in steps]))
     b_vals = np.array([s.b for s in steps])

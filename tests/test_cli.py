@@ -773,6 +773,19 @@ def test_input_file_errors_name_the_file(tmp_path, capsys, command, fault):
     assert f"error: {where}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("t,x_1,x_2\n0,4.5,4.5\n", "formula horizon 6.0 from t=0.0 exceeds signal end 0.0"),
+    ("t,x_1,x_2,x_3\n0,4.5,4.5,4.5\n6,4.5,4.5,4.5\n", "log dimension 3 does not match config 2"),
+], ids=["ends-before-horizon", "wrong-dimension"])
+def test_verify_log_that_does_not_fit_the_config_names_the_log(tmp_path, capsys, text,
+                                                                 message):
+    log = tmp_path / "short.csv"
+    log.write_text(text)
+    cfg = ROOT / "configs" / "omni_reach_avoid.yaml"
+    assert main(["verify", "--config", str(cfg), "--log", str(log)]) == 2
+    assert capsys.readouterr().err == f"error: {log}: {message}\n"
+
+
 def test_verify_rejects_obstacle_crossing(tmp_path):
     cfg = _write_config(tmp_path, {
         "name": "avoid",

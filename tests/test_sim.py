@@ -39,45 +39,74 @@ def _drifting_tube(v, radius, t_f=4.0):
 
 
 # ---------------------------------------------------------------------------
-# RK4
+# each model's exact flow under a held input
 # ---------------------------------------------------------------------------
 
-def test_rk4_exact_for_linear_dynamics():
-    robot = OmniRobot(2)
-    out = step_rk4(robot, 0.0, np.zeros(2), np.array([1.0, 0.0]), 0.05)
-    assert np.allclose(out, [0.05, 0.0], atol=1e-15)
+# each model with the length of its state
+_MODELS = [(OmniRobot(2), 2), (OmniRobot(3), 3), (DiffDrive(), 3)]
+_MODEL_IDS = ["omni2", "omni3", "diffdrive"]
 
 
-def test_rk4_zero_input_fixed_point():
-    robot = OmniRobot(2)
-    x = np.array([0.7, -0.3])
-    out = step_rk4(robot, 0.0, x, np.zeros(2), 0.1)
-    assert np.array_equal(out, x)
+@pytest.mark.parametrize("model, size", _MODELS, ids=_MODEL_IDS)
+def test_hold_composes_as_a_flow(model, size):
+    # holding u for a then for b lands where holding it for a + b does; RK4's
+    # truncation error breaks this on the unicycle's arc
+    rng = np.random.default_rng(45)
+    worst = 0.0
+    for _ in range(1000):
+        x = rng.uniform(-3.0, 3.0, size=size).tolist()
+        u = rng.uniform(-2.0, 2.0, size=model.m).tolist()
+        a, b = rng.uniform(0.0, 0.2, size=2).tolist()
+        twice = model.hold(model.hold(x, u, a), u, b)
+        once = model.hold(x, u, a + b)
+        worst = max(worst, max(abs(p - q) for p, q in zip(twice, once)))
+    assert worst <= 1e-14
 
 
-class _ScalarExponential:
-    """Test dynamics xdot = x (input ignored)."""
-
-    n = 1
-    m = 1
-
-    def state_derivative(self, t, state, u):
-        return np.asarray(state, dtype=float)
+def test_omni_hold_is_the_integrator_step():
+    assert OmniRobot(2).hold([0.0, 0.0], [1.0, 0.0], 0.05) == [0.05, 0.0]
+    assert OmniRobot(3).hold([1.0, -2.0, 0.5], [2.0, 0.0, -4.0], 0.25) == [1.5, -2.0, -0.5]
 
 
-def test_rk4_matches_exponential():
-    dyn = _ScalarExponential()
-    x = np.array([1.0])
-    out = step_rk4(dyn, 0.0, x, np.zeros(1), 0.1)
-    assert out[0] == pytest.approx(math.exp(0.1), abs=1e-7)
+def test_diffdrive_hold_is_the_unicycle_arc():
+    # the chord form equals the textbook arc p + (v/omega)(sin(phi + omega dt)
+    # - sin phi, cos phi - cos(phi + omega dt)) wherever omega dt is not small
+    robot = DiffDrive()
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        px, py, phi = rng.uniform(-3.0, 3.0, size=3).tolist()
+        v, omega, dt = rng.uniform((-2.0, 0.5, 0.05), (2.0, 2.0, 0.5)).tolist()
+        omega *= rng.choice((-1.0, 1.0))
+        end = phi + omega * dt
+        want = [px + v / omega * (math.sin(end) - math.sin(phi)),
+                py + v / omega * (math.cos(phi) - math.cos(end)), end]
+        assert np.allclose(robot.hold([px, py, phi], [v, omega], dt), want, rtol=0.0,
+                           atol=1e-13)
 
 
-def test_rk4_rejects_bad_steps():
+def test_diffdrive_hold_without_turning_is_a_straight_line():
+    robot = DiffDrive()
+    px, py, phi = 0.3, -1.2, 0.7
+    for v, dt in ((1.5, 0.2), (-0.4, 0.05)):
+        step = v * dt
+        assert robot.hold([px, py, phi], [v, 0.0], dt) \
+            == [px + step * math.cos(phi), py + step * math.sin(phi), phi]
+
+
+@pytest.mark.parametrize("model, size", _MODELS, ids=_MODEL_IDS)
+def test_hold_zero_input_is_a_fixed_point(model, size):
+    x = [0.7, -0.3, 1.1][:size]
+    assert model.hold(x, [0.0] * model.m, 0.1) == x
+
+
+def test_step_rejects_bad_steps():
     robot = OmniRobot(2)
     with pytest.raises(ValueError):
-        step_rk4(robot, 0.0, np.zeros(2), np.zeros(2), 0.0)
+        step_rk4(robot, 0.0, [0.0, 0.0], [0.0, 0.0], 0.0)
+    with pytest.raises(ValueError):
+        step_rk4(robot, 0.0, [0.0, 0.0], [0.0, 0.0], -0.1)
     with pytest.raises(SimulationError):
-        step_rk4(robot, 0.0, np.array([np.inf, 0.0]), np.zeros(2), 0.1)
+        step_rk4(robot, 0.0, [math.inf, 0.0], [0.0, 0.0], 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +163,11 @@ def test_diffdrive_lookahead_obeys_effective_dynamics():
     for _ in range(200):
         u = rng.uniform(-1, 1, size=2)
         z0 = robot.output(state)
-        zdot = robot.input_matrix(0.0, state) @ u
-        state_next = step_rk4(robot, 0.0, state, u, dt)
+        zdot = robot.input_matrix(state) @ u
+        state_next = robot.hold(state, u, dt)
         z1 = robot.output(state_next)
-        # first-order prediction of the look-ahead point within RK4 error
+        # first-order prediction of the look-ahead point within the exact
+        # flow's second-order term
         assert np.linalg.norm(z1 - (z0 + dt * zdot)) <= 5e-4 * max(1.0, np.linalg.norm(u)) * dt / 0.01
         state = state_next
 
@@ -161,7 +191,7 @@ def test_diffdrive_closed_loop_tracks_tube():
 def test_quadrotor_is_3d_integrator():
     q = make_dynamics("quadrotor")
     assert q.n == 3 and q.m == 3
-    assert np.allclose(q.input_matrix(0.0, np.zeros(3)), np.eye(3))
+    assert np.allclose(q.input_matrix(np.zeros(3)), np.eye(3))
 
 
 def test_make_dynamics_unknown():
@@ -266,14 +296,33 @@ class _ListIntegrator:
     def output(self, state):
         return list(state)
 
-    def drift(self, t, state):
+    def drift(self, state):
         return [0.0, 0.0]
 
-    def input_matrix(self, t, state):
+    def input_matrix(self, state):
         return [[1.0, 0.0], [0.0, 1.0]]
+
+    def hold(self, state, u, dt):
+        return [xi + dt * ui for xi, ui in zip(state, u)]
+
+
+class _RateIntegrator(_ListIntegrator):
+    """The model protocol before `hold`: a rate for the loop to integrate."""
+
+    hold = None
 
     def state_derivative(self, t, state, u):
         return list(u)
+
+
+def test_closed_loop_refuses_a_model_without_hold_before_the_first_step(monkeypatch):
+    calls = []
+    monkeypatch.setattr(simulate, "solve_safety_qp",
+                        lambda *a: calls.append(a) or cbf.solve_safety_qp(*a))
+    with pytest.raises(TypeError, match=r"_RateIntegrator has no hold\(state, u, dt\)"):
+        run_closed_loop(_RateIntegrator(), Barrier(_static_tube([0.0, 0.0], 1.0)),
+                        np.zeros(2), 0.05, STAY)
+    assert calls == []
 
 
 def _first_step_over(report, bound):
@@ -317,7 +366,7 @@ def test_closed_loop_input_bound_and_weight_replay_oracle(tmp_path, monkeypatch,
     # it is, replayed by both oracles over its many active steps (the numpy
     # one unbounded, as its fused products may pass the peak by an ulp).  A
     # bound just below the peak refuses the step that reaches it, before its
-    # RK4 step, in the loop as in the step-by-step oracle
+    # input is held, in the loop as in the step-by-step oracle
     config, tube = _reference(name)
     free = config.closed_loop(tube, seed=0)
     assert (len(free.steps), sum(s.constraint_active for s in free.steps)) == (steps, active)
