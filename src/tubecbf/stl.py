@@ -30,16 +30,16 @@ F G p & F G q, share one interpolation.  A leaf writes its grid rows, then
 the off-grid rows of its set, into one table.
 F and G reduce each window as its two endpoint rows plus a doubling table of
 min/max over the grid rows, built one level at a time; a lone window reduces
-its grid slice directly.  Until sweeps the columns of a (Q, W) table of
-window-member rows.  So memory stays O(rows * K) per live node, and nothing
-is ever gathered per (query, window member, trajectory).
+its grid slice directly.  Until sweeps its child's grid rows once from the
+end and reduces its windows through the same reducer.  So memory stays
+O(rows * K) per node, and nothing is gathered per (query, member, trajectory).
 
 Tables are reused in place within a call: every node returns a fresh table
 that its parent may overwrite (Not negates it, And and Or write into their
 left child's, a lone F or G window folds its interior into its endpoint
-row), the states are only read, and no buffer outlives the call.  Every
-operation keeps its operands and their order, so a value does not depend on
-where it is computed.
+row, Until writes its sweep over phi's grid rows), the states are only
+read, and no buffer outlives the call.  Every operation keeps its operands
+and their order, so a value does not depend on where it is computed.
 """
 
 from __future__ import annotations
@@ -469,20 +469,6 @@ def _window_reducer(op, grid: np.ndarray, rows: _Rows, lo, hi, s, e):
     return reduce
 
 
-def _members(grid: np.ndarray, rows: _Rows, lo, hi, s, e) -> tuple:
-    """Columns of the (Q, W) table of window members {lo, grid[s:e], hi} in
-    time order, as rows of ``rows``; shorter windows repeat hi, which leaves
-    running min/max unchanged."""
-    rl = rows.locate(grid, lo)
-    rh = rows.locate(grid, hi)
-    lengths = (e - s)[:, None]
-    pos = np.arange(int(lengths.max()) + 2)
-    inner = s[:, None] - rows.g0 + pos - 1
-    table = np.where(pos == 0, rl[:, None],
-                     np.where(pos <= lengths, inner, rh[:, None]))
-    return tuple(table.T.copy())
-
-
 def _compile(node: Formula, grid: np.ndarray, rows: _Rows, interps: dict):
     """Function mapping the state planes (n, T, K) and the interpolated
     off-grid planes to the node's (rows, K) value table.  interps maps the
@@ -522,21 +508,35 @@ def _compile(node: Formula, grid: np.ndarray, rows: _Rows, interps: dict):
     if not isinstance(node, Until):
         raise TypeError(f"unknown formula node {node!r}")
 
-    # out = max over window members u of min(left at u, running min of right
-    # over the members up to u)
+    # A = left, B = right.  A backward sweep over the grid rows,
+    # w_i = min(B_i, max(A_i, w_{i+1})), w = -inf past the end, holds the max
+    # over u >= grid_i of min(A(u), min of B over [grid_i, u]).  A window
+    # {lo, grid[s:e], hi} takes the larger of min(B(lo), max(A(lo), w_s), M),
+    # M the max of A over {lo} and grid[s:e], and min(A(hi), min of B over the
+    # window).  Exact, as min distributes over max: a witness of w_s past the
+    # window is at most min B over grid[s:e], so clipped by B(lo) and M = A(u)
+    # it is at most member u's term; witnesses in grid[s:e] have A <= M.  With
+    # an empty interior, M = A(lo) clips whatever w is read.
     point = _compile(node.left, grid, child_rows, interps)
     running = _compile(node.right, grid, child_rows, interps)
-    cols = _members(grid, child_rows, lo, hi, s, e)
+    widest = _window_reducer(np.maximum, grid, child_rows, lo, lo, s, e)
+    lowest = _window_reducer(np.minimum, grid, child_rows, lo, hi, s, e)
+    rl, rh = child_rows.locate(grid, lo), child_rows.locate(grid, hi)
+    tg = child_rows.grid_rows
+    ws = np.clip(s - child_rows.g0, 0, max(tg - 1, 0))
 
     def until(states, off):
-        p = point(states, off)
-        r = running(states, off)
-        run_min = r[cols[0]]
-        out = np.minimum(p[cols[0]], run_min)
-        for c in cols[1:]:
-            np.minimum(run_min, r[c], out=run_min)
-            np.maximum(out, np.minimum(p[c], run_min), out=out)
-        return out
+        a = point(states, off)
+        b = running(states, off)
+        clip = np.minimum(b[rl], widest(a))
+        a_lo, a_hi = a[rl], a[rh]
+        # nothing reads A's grid rows after this: w overwrites them in place
+        w = np.full(a.shape[1], -np.inf)
+        for i in range(tg - 1, -1, -1):
+            w = np.minimum(b[i], np.maximum(a[i], w, out=a[i]), out=a[i])
+        out = np.minimum(clip, np.maximum(a_lo, a[ws], out=a_lo), out=a_lo)
+        del a, clip, w  # free A's table before B's window min is built
+        return np.maximum(out, np.minimum(a_hi, lowest(b), out=a_hi), out=out)
 
     return until
 

@@ -500,13 +500,28 @@ def test_batch_shared_off_grid_times_interpolated_once(monkeypatch):
 
 
 def test_batch_until_matches_oracle():
+    # bit for bit, on the window shapes the sweep treats apart: both ends in
+    # one sample gap (an empty interior, and no grid row in the child), point
+    # windows on a sample and off one, ends exactly on samples, and Until
+    # under F and G and over G, at a grid anchor and one between samples
     rng = np.random.default_rng(50)
     p = Predicate("p", BoxInfNorm((0.0, 0.0), 2.0))
     q = Predicate("q", AffineHalfspace((1.0, -0.5), 0.2))
     times, states = _jittered_batch(rng, 4, 6.0, 30)
-    for f in (Until(0.4, 2.3, p, q), Until(0.0, 1.7, Always(0.0, 0.9, q), p),
-              Eventually(0.2, 1.0, Until(1.1, 1.1, q, p))):
-        _assert_batch_matches_oracle(f, times, states)
+    on, between = float(times[4]), float(0.5 * (times[4] + times[5]))
+    third = float(times[5] - times[4]) / 3.0
+    formulas = (Until(0.4, 2.3, p, q), Until(0.0, 1.7, Always(0.0, 0.9, q), p),
+                Eventually(0.2, 1.0, Until(1.1, 1.1, q, p)),
+                Until(on + third, on + 2.0 * third, p, q),
+                Until(on, on, p, q), Until(between, between, q, p),
+                Until(float(times[2]), float(times[9]), p, q),
+                Always(0.0, 2.0, Until(float(times[1]), float(times[3]), q, p)),
+                Eventually(0.1, 2.5, Until(0.05, 0.15, p, q)),
+                Always(0.5, 1.5, Until(0.0, 0.0, p, q)),
+                Until(0.3, 1.9, p, Always(0.2, 0.7, q)))
+    for f in formulas:
+        for t in (0.0, float(times[3]), float(0.5 * (times[7] + times[8]))):
+            _assert_bits_match_oracle(f, times, states, t)
 
 
 def test_unknown_until_convention_raises_without_an_until():
@@ -635,19 +650,25 @@ def test_batch_state_layouts_agree():
 
 
 def test_batch_memory_stays_linear_in_table():
-    # a (query, window, trajectory) gather would need ~270 x 130 x K floats
-    count, length = 2000, 400
-    times = np.linspace(0.0, 15.0, length)
-    rng = np.random.default_rng(53)
-    states = np.cumsum(rng.normal(scale=0.1, size=(length, count, 1)), axis=0)
-    f = Eventually(0.0, 10.0, Always(0.0, 5.0, Predicate("p", AffineHalfspace((1.0,), 0.0))))
-    tracemalloc.start()
-    try:
-        robustness_batch(f, times, states.transpose(1, 0, 2))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * count * length * 8
+    # a (query, window, trajectory) gather would need ~270 x 130 x K floats,
+    # and a (query, window member) table for the Until ~6700 x 3300 at 10,001
+    # samples
+    p = Predicate("p", AffineHalfspace((1.0,), 0.0))
+    q = Predicate("q", AffineHalfspace((-1.0,), 0.5))
+    formulas = (Eventually(0.0, 10.0, Always(0.0, 5.0, p)),
+                Always(0.0, 10.0, Until(0.0, 5.0, p, q)))
+    for count, length, bound in ((2000, 400, 6 * 2000 * 400 * 8), (1, 10_001, 4e6)):
+        times = np.linspace(0.0, 15.0, length)
+        rng = np.random.default_rng(53)
+        states = np.cumsum(rng.normal(scale=0.1, size=(length, count, 1)), axis=0)
+        for f in formulas:
+            tracemalloc.start()
+            try:
+                robustness_batch(f, times, states.transpose(1, 0, 2))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (str(f), count, length, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -688,12 +709,12 @@ def test_batch_never_writes_the_states():
     assert planes.tobytes() == before and np.array_equal(frozen, states)
 
 
-def _assert_bits_match_oracle(f, times, states):
+def _assert_bits_match_oracle(f, times, states, t=0.0):
     # the oracle interpolates, applies the predicates and takes min/max with
     # the monitor's operations in the monitor's order, so no bit may differ
-    got = robustness_batch(f, times, states)
-    want = np.array([oracle_robustness(f, times, x) for x in states])
-    assert got.tobytes() == want.tobytes(), str(f)
+    got = robustness_batch(f, times, states, t)
+    want = np.array([oracle_robustness(f, times, x, t) for x in states])
+    assert got.tobytes() == want.tobytes(), (str(f), t)
 
 
 def test_batch_in_place_plan_matches_oracle_bits():
