@@ -1,9 +1,10 @@
 """Time-varying control barrier function built from a tube, and the per-step
 minimum-norm safety QP with its single-constraint closed form.
 
-The closed loop calls these once or twice per step on vectors of n, m <= 3,
-so points, gradients, Lie rows and inputs are lists of Python floats.  Each
-sum runs in index order from 0.0, and no call reaches BLAS or LAPACK."""
+The QP reads the tube once per step, through `barrier_gradients`, on vectors
+of n, m <= 3, so points, gradients, Lie rows and inputs are lists of Python
+floats.  Each sum runs in index order from 0.0, and no call reaches BLAS or
+LAPACK."""
 
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ class Barrier:
     b is 1 at the tube center, 0 on the boundary, and negative outside; it is
     well defined whenever the (certified) radius stays positive.  The tube may
     be a `SampledTube`, whose tabulated answers equal the tube's bit for bit;
-    the radius checks below then read its tabulated radius.
+    the radius checks below then read its tabulated radius.  `run_closed_loop`
+    takes a barrier over a `Tube` and tabulates it itself.
     """
 
     tube: Tube | SampledTube
@@ -65,8 +67,8 @@ def barrier_value(barrier: Barrier, t: float, x) -> float:
 
 
 def barrier_gradients(barrier: Barrier, t: float, x) -> tuple:
-    """Spatial gradient (a list of n floats) and time partial of the barrier
-    at (t, x)."""
+    """Value, spatial gradient (a list of n floats) and time partial of the
+    barrier at (t, x); the value has the bits of `barrier_value`'s."""
     tube = barrier.tube
     r, c = _radius_and_center(tube, t, x)
     r2 = r**2
@@ -77,7 +79,7 @@ def barrier_gradients(barrier: Barrier, t: float, x) -> tuple:
         dd += di * di
         cd += vi * di
         db_dx.append(-2.0 * di / r2)
-    return db_dx, 2.0 * cd / r2 + 2.0 * tube.radius_dot(t) * dd / r**3
+    return 1.0 - dd / r2, db_dx, 2.0 * cd / r2 + 2.0 * tube.radius_dot(t) * dd / r**3
 
 
 def min_norm_input(a, psi: float) -> list:
@@ -104,16 +106,12 @@ def min_norm_input(a, psi: float) -> list:
 
 @dataclass(slots=True)
 class ControlStep:
-    """QP input/output at one (t, x): barrier data, Lie derivatives, input.
-    x, db_dx, lie_g and u are lists of floats."""
+    """One logged step: time, output x, barrier b, decay margin psi, input u
+    (x and u lists of floats) and whether the constraint was active."""
 
     t: float
     x: list
     b: float
-    db_dx: list
-    db_dt: float
-    lie_f: float
-    lie_g: list
     psi: float
     u: list
     constraint_active: bool
@@ -129,8 +127,7 @@ def solve_safety_qp(barrier: Barrier, dynamics, t: float, state) -> ControlStep:
     min_norm_input.
     """
     x = dynamics.output(state)
-    b = barrier_value(barrier, t, x)
-    db_dx, db_dt = barrier_gradients(barrier, t, x)
+    b, db_dx, db_dt = barrier_gradients(barrier, t, x)
     g = dynamics.input_matrix(state)
     lie_f = 0.0
     lie_g = [0.0] * len(g[0])
@@ -140,5 +137,4 @@ def solve_safety_qp(barrier: Barrier, dynamics, t: float, state) -> ControlStep:
             lie_g[j] += dbi * gij
     psi = lie_f + db_dt + barrier.alpha(b)
     # positional: keyword arguments cost more than the rest of the record
-    return ControlStep(t, x, b, db_dx, db_dt, lie_f, lie_g, psi,
-                       min_norm_input(lie_g, psi), psi < 0.0)
+    return ControlStep(t, x, b, psi, min_norm_input(lie_g, psi), psi < 0.0)

@@ -28,11 +28,12 @@ import numpy as np
 
 from .cbf import Barrier, ControlStep, barrier_value, solve_safety_qp
 from .stl import Formula, Signal, robustness
-from .tube import SampledTube, read_text
+from .tube import SampledTube, Tube, read_text
 
 
-# a recorded step takes 0.7-1.5 kB (tracemalloc of its ControlStep and log row
-# on the reference tubes), so a run of MAX_STEPS steps stays under 1.5 GB
+# a recorded step holds 0.4-0.5 kB of its RunReport (tracemalloc on the
+# reference tubes) and adds about 1.1 kB to `simulate`'s peak RSS, its log
+# text included; a MAX_STEPS run of stlfrag_2 peaks at 1070 MB
 MAX_STEPS = 1_000_000
 
 
@@ -101,9 +102,9 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
     when given, is the actuator limit: a step whose input has a component
     outside [-input_bound, input_bound] raises SimulationError before that
     input is applied.  `run_settings` checks every setting, and a model
-    without `hold` is refused, before the first step.  The barrier is
-    rebuilt once per run, with the same gain, over a `SampledTube` of its
-    tube (see the module docstring).
+    without `hold` or a barrier over anything but a `Tube` is refused, before
+    the first step.  The barrier is rebuilt once per run, with the same gain,
+    over a `SampledTube` of its tube (see the module docstring).
     """
     # weight and until_convention are only for perfbench/workloads.py, until
     # the next benchmark change (ROADMAP item 3)
@@ -113,6 +114,9 @@ def run_closed_loop(dynamics, barrier: Barrier, x0: np.ndarray, dt: float,
         raise ValueError(f"until_convention must be 'paper', got {until_convention!r}")
     if not callable(getattr(dynamics, "hold", None)):
         raise TypeError(f"{type(dynamics).__name__} has no hold(state, u, dt), its exact flow")
+    if not isinstance(barrier.tube, Tube):
+        raise TypeError(f"the barrier's tube must be a Tube, got {type(barrier.tube).__name__}: "
+                        f"the loop tabulates it itself")
     t_f = barrier.t_f
     n_steps, input_bound = run_settings(t_f, dt, input_bound)
     times = np.linspace(0.0, t_f, n_steps + 1)

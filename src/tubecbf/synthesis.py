@@ -21,7 +21,6 @@ from .stl import (
     BoxInfNorm,
     Eventually,
     Formula,
-    Not,
     Or,
     Predicate,
     Always,
@@ -558,15 +557,14 @@ def _region_center(node: Formula) -> Optional[np.ndarray]:
 
 def _reach_items(formula: Formula) -> list[tuple[float, float, float, float, np.ndarray]]:
     """(window_start, window_end, dwell_offset, dwell_length, center) for each
-    top-level Eventually target, in formula order."""
+    Eventually target reached through And and Or only, in formula order; a
+    negated one (!F O) is a region to avoid, not to visit."""
     items = []
 
     def visit(node):
         if isinstance(node, (And, Or)):
             visit(node.left)
             visit(node.right)
-        elif isinstance(node, Not):
-            visit(node.child)
         elif isinstance(node, Eventually):
             inner = node.child
             offset, dwell = 0.0, 0.0

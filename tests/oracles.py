@@ -282,9 +282,7 @@ def oracle_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula: Formu
         # the logged row carries the true barrier at the sample instant and
         # the input applied over the hold interval
         x = dynamics.output(state)
-        steps.append(ControlStep(t=t, x=x, b=barrier_value(barrier, t, x),
-                                 db_dx=qp.db_dx, db_dt=qp.db_dt, lie_f=qp.lie_f,
-                                 lie_g=qp.lie_g, psi=qp.psi, u=u,
+        steps.append(ControlStep(t=t, x=x, b=barrier_value(barrier, t, x), psi=qp.psi, u=u,
                                  constraint_active=qp.constraint_active))
         outputs[k] = x
         if k < n_steps:
@@ -366,8 +364,7 @@ def oracle_numpy_closed_loop(dynamics, barrier: Barrier, x0, dt: float, formula:
         u = np.zeros(len(lie_g))
         if psi < 0.0:
             u = lie_g * (-psi / float(lie_g @ lie_g))
-        return ControlStep(t=t, x=x, b=0.0, db_dx=db_dx, db_dt=db_dt, lie_f=lie_f,
-                           lie_g=lie_g, psi=psi, u=u, constraint_active=psi < 0.0)
+        return ControlStep(t=t, x=x, b=0.0, psi=psi, u=u, constraint_active=psi < 0.0)
 
     state = initial(np.asarray(x0, dtype=float))
     steps = []

@@ -192,7 +192,7 @@ def test_criterion_3_gradient_checks():
         for _ in range(1000):
             t = float(rng.uniform(h, 4.0 - h))
             x = rng.uniform(-3.0, 3.0, size=2)
-            db_dx, db_dt = barrier_gradients(barrier, t, x)
+            _, db_dx, db_dt = barrier_gradients(barrier, t, x)
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from tubecbf import cbf
 from tubecbf.basis import BernsteinBasis
 from tubecbf.cbf import (
     Barrier,
+    ControlStep,
     InfeasibleStepError,
     barrier_gradients,
     barrier_value,
@@ -73,14 +77,15 @@ def test_gradient_at_center_vanishes():
     barrier = Barrier(_moving_tube())
     t = 2.0
     x = barrier.tube.center(t)
-    db_dx, db_dt = barrier_gradients(barrier, t, x)
+    b, db_dx, db_dt = barrier_gradients(barrier, t, x)
+    assert b == 1.0
     assert np.allclose(db_dx, 0.0, atol=1e-12)
     assert db_dt == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gradient_static_tube_no_time_drift():
     barrier = Barrier(_static_tube([1.0, -1.0], 1.5))
-    _, db_dt = barrier_gradients(barrier, 4.0, np.array([1.5, -0.5]))
+    _, _, db_dt = barrier_gradients(barrier, 4.0, np.array([1.5, -0.5]))
     assert db_dt == pytest.approx(0.0, abs=1e-12)
 
 
@@ -91,7 +96,9 @@ def test_gradients_match_finite_differences():
     for _ in range(200):
         t = float(rng.uniform(0.1, 5.9))
         x = rng.uniform(-3, 3, size=2)
-        db_dx, db_dt = barrier_gradients(barrier, t, x)
+        b, db_dx, db_dt = barrier_gradients(barrier, t, x)
+        # the value is barrier_value's to the bit
+        assert b.hex() == barrier_value(barrier, t, x).hex()
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
@@ -170,9 +177,33 @@ def test_solve_safety_qp_constraint_residual():
         r = barrier.tube.radius(t)
         x = c + rng.uniform(-1, 1, size=2) * r
         step = solve_safety_qp(barrier, robot, t, x)
-        residual = step.lie_f + float(np.asarray(step.lie_g) @ np.asarray(step.u)) + step.db_dt + barrier.alpha(step.b)
+        # the constraint row a = db_dx G and psi = db_dx f + db_dt + alpha(b),
+        # recomputed from the barrier and the model
+        b, db_dx, db_dt = barrier_gradients(barrier, t, x)
+        a = np.asarray(db_dx) @ np.asarray(robot.input_matrix(x))
+        psi = float(np.asarray(db_dx) @ np.asarray(robot.drift(x))) + db_dt + barrier.alpha(b)
+        assert step.b == b and step.psi == pytest.approx(psi, abs=1e-12)
+        residual = float(a @ np.asarray(step.u)) + psi
         assert residual >= -1e-9
         if step.constraint_active:
             assert abs(residual) <= 1e-9
         else:
             assert np.array_equal(step.u, np.zeros(2))
+
+
+def test_solve_safety_qp_reads_the_tube_once(monkeypatch):
+    # b, its gradient and its time partial come from one read of r(t) and c(t)
+    calls = []
+    original = cbf._radius_and_center
+    monkeypatch.setattr(cbf, "_radius_and_center",
+                        lambda *a: calls.append(a) or original(*a))
+    barrier = Barrier(_moving_tube(seed=7))
+    robot = OmniRobot(2)
+    for k, t in enumerate([0.0, 1.5, 6.0], start=1):
+        solve_safety_qp(barrier, robot, t, [0.1, -0.2])
+        assert len(calls) == k
+
+
+def test_control_step_holds_only_its_log_row():
+    assert [f.name for f in dataclasses.fields(ControlStep)] == [
+        "t", "x", "b", "psi", "u", "constraint_active"]

@@ -1,4 +1,4 @@
-"""Falsification of the certified reference tubes in continuous time.
+"""Falsification of freshly synthesized certified tubes in continuous time.
 
 The certificate's cover scores only trajectories c(t) + lam r(t) s(theta)
 whose direction is fixed over time, but a certified tube promises the task
@@ -12,11 +12,12 @@ monitor's Lipschitz bound nor the pruned re-check.  The library monitor ranks
 the trajectories, and the oracle confirms the worst ones and the descent's
 end point.
 
-Against 200 fixed directions, the leaf-adversarial ones lower the minimum on
-omni_reach_avoid (+0.80 against +1.17), stlcg_1 and stlcg_2, and not on
-diffdrive_sequential.  The descent lowers diffdrive_sequential's minimum from
-+0.40 to +0.20 and leaves the other three where the families put them; every
-tube stays above zero.
+Each scenario's tube is the one `solve_sop` returns for its config, and must
+be certified.  Against 200 fixed directions, the leaf-adversarial ones lower
+the minimum on omni_reach_avoid (+0.80 against +1.17), stlcg_1, stlcg_2,
+stlfrag_1 and stlfrag_2, and not on diffdrive_sequential.  The descent lowers
+diffdrive_sequential's minimum from +0.53 to +0.47 and leaves the other five
+where the families put them; every tube stays above zero.
 """
 
 from pathlib import Path
@@ -26,7 +27,7 @@ import pytest
 
 from tubecbf.config import load_config
 from tubecbf.stl import AffineHalfspace, BallNorm2, BoxInfNorm, iter_predicates, robustness_batch
-from tubecbf.tube import load_tube
+from tubecbf.synthesis import solve_sop
 
 from oracles import oracle_robustness
 
@@ -103,11 +104,13 @@ def _descend(rho_of, path: np.ndarray, rng) -> tuple:
 
 
 @pytest.mark.parametrize("name", ["omni_reach_avoid", "stlcg_1", "stlcg_2",
-                                  "diffdrive_sequential"])
+                                  "diffdrive_sequential", "stlfrag_1", "stlfrag_2"])
 def test_certified_tube_holds_for_time_varying_directions(name):
     config = load_config(ROOT / "configs" / f"{name}.yaml")
     formula = config.build_formula()
-    tube = load_tube(ROOT / "perfbench" / "ref" / f"{name}_tube.json")
+    result = solve_sop(config.instance(), config.solver_settings())
+    assert result.certificate_ok, (name, result.margin)
+    tube = result.tube
     times = np.linspace(0.0, tube.t_f, POINTS)
     center = (tube.center_coeffs @ tube.center_basis.values(times)).T       # (T, n)
     radius = (tube.radius_coeffs @ tube.radius_basis.values(times))[:, None]  # (T, 1)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +327,18 @@ def test_closed_loop_refuses_a_model_without_hold_before_the_first_step(monkeypa
     assert calls == []
 
 
+def test_closed_loop_refuses_a_pre_tabulated_barrier_before_the_first_step(monkeypatch):
+    # the loop tabulates the barrier's Tube at its own times; a SampledTube
+    # holds only the times it was given
+    calls = []
+    monkeypatch.setattr(simulate, "solve_safety_qp",
+                        lambda *a: calls.append(a) or cbf.solve_safety_qp(*a))
+    tube = SampledTube(_static_tube([0.0, 0.0], 1.0), [0.0])
+    with pytest.raises(TypeError, match="must be a Tube, got SampledTube: the loop tabulates"):
+        run_closed_loop(OmniRobot(2), Barrier(tube), np.zeros(2), 0.05, STAY)
+    assert calls == []
+
+
 def _first_step_over(report, bound):
     """The sample instant of the first step of report with an input over bound."""
     return next(s.t for s in report.steps if max(map(abs, s.u)) > bound)
@@ -340,7 +354,7 @@ def test_closed_loop_runs_any_model_of_float_lists(tmp_path, input_bound):
     assert any(s.constraint_active for s in got.steps)
     for report in (got, want):
         for s in report.steps:
-            values = [s.t, *s.x, s.b, *s.db_dx, s.db_dt, s.lie_f, *s.lie_g, s.psi, *s.u]
+            values = [s.t, *s.x, s.b, s.psi, *s.u]
             assert all(type(v) is float for v in values), s
     if input_bound is not None:
         # omni's run reaches |u_i| = 2.27, so each model refuses the same step
@@ -460,8 +474,9 @@ def test_closed_loop_checks_the_weight_before_the_first_step(monkeypatch, weight
 
 
 def test_closed_loop_call_shape(monkeypatch):
-    """One QP and two barrier values per step plus the start check, and a
-    fixed number of basis evaluations, however many steps the run takes."""
+    """One QP and one sample-instant barrier value per step plus the start
+    check, and a fixed number of basis evaluations, however many steps the
+    run takes."""
     counts = {}
 
     def counting(owner, attr, key):
@@ -485,9 +500,29 @@ def test_closed_loop_call_shape(monkeypatch):
         report = run_closed_loop(dynamics, barrier, x0, step, formula, **kwargs)
         steps = len(report.steps)
         assert counts["qp"] == steps
-        assert counts["barrier"] == 2 * steps + 1
+        assert counts["barrier"] == steps + 1
         basis_calls.append(counts["basis"])
     assert basis_calls[0] == basis_calls[1] <= 4
+
+
+@pytest.mark.parametrize("name", ["omni_reach_avoid", "diffdrive_sequential",
+                                  "quadrotor_cycle", "stlcg_2"])
+def test_closed_loop_report_memory_per_step(name):
+    # MAX_STEPS is sized by what a RunReport holds per step: its ControlStep
+    # (the log row) and its trajectory row, 380-520 B.  A record that also
+    # kept the QP's intermediate terms (gradient, Lie terms) reads 720-910 B.
+    config, tube = _reference(name)
+    config.closed_loop(tube, seed=0)  # first-run caches stay out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = config.closed_loop(tube, seed=0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / len(report.steps) < 600
 
 
 def test_closed_loop_vanishing_radius_raises_like_step_by_step_loop():
@@ -533,8 +568,7 @@ def test_trajectory_log_bytes_match_csv_writer(tmp_path, name):
 def test_trajectory_log_bytes_match_csv_writer_at_extreme_values(tmp_path):
     def step(t, x, u, b, psi):
         x, u = np.array(x), np.array(u)
-        return ControlStep(t=t, x=x, b=b, db_dx=np.zeros(2), db_dt=0.0, lie_f=0.0,
-                           lie_g=np.zeros(2), psi=psi, u=u, constraint_active=psi < 0.0)
+        return ControlStep(t=t, x=x, b=b, psi=psi, u=u, constraint_active=psi < 0.0)
     steps = [step(0.0, [-0.0, 1e-300], [1e300, -1e300], 1.0, 0.5),
              step(0.1, [0.1 + 0.2, -1e-300], [-0.0, 0.0], -0.0, -1e-300),
              step(0.2, [math.pi, -math.e], [5e-324, 1.7976931348623157e308], 1e-300, -1e300)]

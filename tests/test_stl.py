@@ -432,15 +432,12 @@ def _jittered_batch(rng, count, span, length, dim=2):
     return times, states
 
 
-def _assert_batch_matches_oracle(f, times, states, t=0.0):
+def _assert_bits_match_oracle(f, times, states, t=0.0):
+    # the oracle interpolates, applies the predicates and takes min/max with
+    # the monitor's operations in the monitor's order, so no bit may differ
     got = robustness_batch(f, times, states, t)
-    assert got.shape == (len(states),)
-    for k, x in enumerate(states):
-        want = oracle_robustness(f, times, x, t)
-        if math.isinf(want):
-            assert got[k] == want
-        else:
-            assert got[k] == pytest.approx(want, abs=1e-9)
+    want = np.array([oracle_robustness(f, times, x, t) for x in states])
+    assert got.tobytes() == want.tobytes(), (str(f), t)
 
 
 def test_batch_oracle_equivalence_random():
@@ -448,7 +445,7 @@ def test_batch_oracle_equivalence_random():
     for _ in range(40):
         f, x = formula_and_signal(rng, dim=2, depth=3, max_len=25)
         states = x.states[None] + rng.normal(scale=0.5, size=(5,) + x.states.shape)
-        _assert_batch_matches_oracle(f, x.times, states)
+        _assert_bits_match_oracle(f, x.times, states)
 
 
 def test_batch_nested_windows_off_grid():
@@ -460,12 +457,12 @@ def test_batch_nested_windows_off_grid():
     times, states = _jittered_batch(rng, 6, 4.5, 37)
     for f in (Eventually(0.3, 2.7, Always(0.15, 1.1, p)),
               Always(0.3, 2.7, Eventually(0.15, 1.1, Or(p, Not(q))))):
-        _assert_batch_matches_oracle(f, times, states)
+        _assert_bits_match_oracle(f, times, states)
     # p and q sit in two subtrees but need the same off-grid times, which are
     # interpolated once for both; each conjunct's values stay bit-identical
     f_p = Eventually(0.3, 2.7, Always(0.15, 1.1, p))
     f_q = Eventually(0.3, 2.7, Always(0.15, 1.1, Not(q)))
-    _assert_batch_matches_oracle(And(f_p, f_q), times, states)
+    _assert_bits_match_oracle(And(f_p, f_q), times, states)
     both = robustness_batch(And(f_p, f_q), times, states)
     apart = np.minimum(robustness_batch(f_p, times, states),
                        robustness_batch(f_q, times, states))
@@ -546,7 +543,7 @@ def test_batch_anchor_point_windows_and_true():
     for f in formulas:
         # t = 0, a grid time, and a time between samples
         for t in (0.0, float(times[3]), 0.5 * float(times[5] + times[6])):
-            _assert_batch_matches_oracle(f, times, states, t)
+            _assert_bits_match_oracle(f, times, states, t)
     assert np.all(robustness_batch(Always(0.0, 2.0, TRUE), times, states) == math.inf)
 
 
@@ -707,14 +704,6 @@ def test_batch_never_writes_the_states():
             got = robustness_batch(f, times, batch)
             assert got.tobytes() == want.tobytes()
     assert planes.tobytes() == before and np.array_equal(frozen, states)
-
-
-def _assert_bits_match_oracle(f, times, states, t=0.0):
-    # the oracle interpolates, applies the predicates and takes min/max with
-    # the monitor's operations in the monitor's order, so no bit may differ
-    got = robustness_batch(f, times, states, t)
-    want = np.array([oracle_robustness(f, times, x, t) for x in states])
-    assert got.tobytes() == want.tobytes(), (str(f), t)
 
 
 def test_batch_in_place_plan_matches_oracle_bits():

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import json
 import math
 import os
@@ -39,7 +40,8 @@ from tubecbf.synthesis import (
     warm_start,
 )
 from tubecbf.synthesis import _ObjectiveGrid
-from tubecbf.tube import LipschitzInfo, combine_constants, sphere_map_many, tube_lipschitz
+from tubecbf.tube import (LipschitzInfo, combine_constants, sphere_map_many, tube_lipschitz,
+                           tube_to_record)
 
 from gen import point_pairs, random_formula
 from oracles import oracle_pattern_search
@@ -881,6 +883,23 @@ def test_warm_start_dwell_scheduling():
     # the two dwell segments are scheduled back to back, not on top of each other
     assert np.linalg.norm(tube.center(2.0) - [2.5, 2.5]) <= 2.0
     assert np.linalg.norm(tube.center(9.0) - [6.5, 2.5]) <= 2.0
+
+
+def test_warm_start_schedules_no_target_under_a_negation():
+    # !F[0,6] O says the same as G[0,6] !O: O is avoided, never visited, so
+    # both spellings start the search from the same tube and end at the same
+    config = load_config(ROOT / "configs" / "omni_reach_avoid.yaml")
+    assert config.formula == "F[0,6] T & G[0,6] !O"
+    negated = dataclasses.replace(config, formula="F[0,6] T & !F[0,6] O")
+    assert len(synthesis._reach_items(negated.build_formula())) == 1
+    starts, tubes = [], []
+    for c in (config, negated):
+        starts.append([q.tobytes() for q in warm_start(c.instance())])
+        result = solve_sop(c.instance(), c.solver_settings())
+        assert result.certificate_ok
+        tubes.append(json.dumps(tube_to_record(result.tube)))
+    assert starts[0] == starts[1]
+    assert tubes[0] == tubes[1]
 
 
 # ---------------------------------------------------------------------------

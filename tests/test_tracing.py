@@ -99,4 +99,4 @@ def test_tracer_sees_every_closed_loop_step():
     assert names["cbf.qp"] == steps
     assert names["simulate.rk4"] == steps - 1
     assert names["stl.final_monitor"] == 1
-    assert tracer.counts[(-1, "cbf.barrier_value")] == 2 * steps + 1
+    assert tracer.counts[(-1, "cbf.barrier_value")] == steps + 1
