@@ -437,7 +437,7 @@ def _assert_bits_match_oracle(f, times, states, t=0.0):
     # the monitor's operations in the monitor's order, so no bit may differ
     got = robustness_batch(f, times, states, t)
     want = np.array([oracle_robustness(f, times, x, t) for x in states])
-    assert got.tobytes() == want.tobytes(), (str(f), t)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (str(f), t)
 
 
 def test_batch_oracle_equivalence_random():
